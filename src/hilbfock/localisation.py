@@ -10,30 +10,33 @@ for the self-dual twist (gamma = 2) everything collapses to hook
 lengths and can be pushed down to a two-variable generating series
 Z(x, y).
 
+A fixed point contributes the degree-n coefficient in u of the product
+of f(w u) over its 2n tangent weights w.  With L = log f that product
+is exp(sum over k of L_k p_k(W) u^k), where p_k(W) is the k-th power
+sum of the weights (Hirzebruch's description of a multiplicative
+genus).  So the logarithm is taken once per call, the power sums are
+computed once per partition (they add over the two partitions of a
+pair), and each pair costs one O(n^2) exponential.  The hook form does
+the same with log F and the power sums of the hook lengths.
+
 Two independent constructions of Z are provided: the direct fixed-point
 sum (``z_series_hookform``) and a coefficient-extraction route through
 a bivariate auxiliary series (``z_series_residue``).  They must agree,
 and the closed form in ``closedform`` must agree with both; that triple
 agreement is the package's central correctness check.
-
-Set the environment variable HILBFOCK_THREADS to parallelise the sums
-over partition pairs.  Results are reduced in enumeration order, so the
-output is identical no matter the thread count.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from .partitions import (
     Partition,
     c_prime_product,
     enumerate_partitions,
-    hook,
+    hook_multiset,
     hook_product,
     weight_multiset,
 )
@@ -45,7 +48,8 @@ from .series import (
     divide_by_x_minus_y,
     negate_argument,
     reciprocal,
-    scale_argument,
+    series_exp,
+    series_log,
     shift_up,
 )
 from .symfun import schur_two_vars
@@ -112,23 +116,36 @@ def tangent_weights(pair: FixedPointBasisVector, gamma: int) -> tuple[int, ...]:
     return tuple(sorted(combined))
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("HILBFOCK_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _power_sums(values: Sequence[int], n: int) -> tuple[int, ...]:
+    """The power sums p_1, ..., p_n of a multiset of integers."""
+    return tuple(sum(v**k for v in values) for k in range(1, n + 1))
 
 
-def _map_ordered(fn: Callable, items: Sequence) -> list:
-    """Map preserving input order, threaded when HILBFOCK_THREADS asks for it."""
-    workers = _thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _product_coefficient(log_f: Series1, sums0: Sequence[int], sums1: Sequence[int], n: int):
+    """[u^n] of the product of f(w u) over two multisets with the given power sums.
+
+    The product is exp(sum over k of L_k (p_k + q_k) u^k) with L = log f.
+    """
+    L = log_f.coefficients
+    exponent = (log_f.ring.zero,) + tuple(L[k] * (sums0[k - 1] + sums1[k - 1]) for k in range(1, n + 1))
+    return series_exp(Series1(exponent, n, log_f.ring)).coefficient(n)
+
+
+def _fixed_point_data(partition: Partition, alpha, beta, n: int) -> tuple[tuple[int, ...], Fraction]:
+    """Weight power sums up to degree n and primed cell product of one diagram."""
+    sums = _power_sums(weight_multiset(partition, alpha, beta), n)
+    return sums, c_prime_product(partition, alpha, beta)
+
+
+def _pair_value(log_f: Series1, pair: FixedPointBasisVector, gamma: int, data0, data1):
+    sums0, c0 = data0
+    sums1, c1 = data1
+    denominator = c0 * c1
+    if denominator == 0:
+        raise ValueError(
+            f"degenerate fixed-point denominator for {pair} at gamma={gamma}"
+        )
+    return _product_coefficient(log_f, sums0, sums1, pair.level) / denominator
 
 
 def pair_coefficient(f: Series1, pair: FixedPointBasisVector, gamma: int) -> Fraction:
@@ -137,7 +154,8 @@ def pair_coefficient(f: Series1, pair: FixedPointBasisVector, gamma: int) -> Fra
     This is the degree-n coefficient in u of the product of f(w u) over
     all tangent weights w, divided by the product of the primed cell
     polynomials of the two partitions, evaluated at (-1, -1) and
-    (gamma - 1, 1) respectively.
+    (gamma - 1, 1) respectively.  The class series f must have
+    constant term 1.
     """
     n = pair.level
     if f.order < n:
@@ -145,18 +163,13 @@ def pair_coefficient(f: Series1, pair: FixedPointBasisVector, gamma: int) -> Fra
             f"insufficient precision: level {n} needs the class series to degree {n}, "
             f"got order {f.order}"
         )
-    denominator = c_prime_product(pair.lambda0, -1, -1) * c_prime_product(
-        pair.lambda1, gamma - 1, 1
+    return _pair_value(
+        series_log(f.truncate(n)),
+        pair,
+        gamma,
+        _fixed_point_data(pair.lambda0, -1, -1, n),
+        _fixed_point_data(pair.lambda1, gamma - 1, 1, n),
     )
-    if denominator == 0:
-        raise ValueError(
-            f"degenerate fixed-point denominator for {pair} at gamma={gamma}"
-        )
-    truncated = f.truncate(n)
-    numerator = Series1.one(n)
-    for w in tangent_weights(pair, gamma):
-        numerator = numerator * scale_argument(truncated, w)
-    return numerator.coefficient(n) / denominator
 
 
 def equivariant_class_coeffs(f: Series1, gamma: int, n: int) -> EquivariantClassVector:
@@ -168,21 +181,27 @@ def equivariant_class_coeffs(f: Series1, gamma: int, n: int) -> EquivariantClass
             f"insufficient precision: level {n} needs the class series to degree {n}, "
             f"got order {f.order}"
         )
-    pairs = level_pairs(n)
-    values = _map_ordered(lambda pair: pair_coefficient(f, pair, gamma), pairs)
-    return EquivariantClassVector(n, tuple(zip(pairs, values)))
+    log_f = series_log(f.truncate(n))
+    partitions = [p for size in range(n + 1) for p in enumerate_partitions(size)]
+    at_zero = {p: _fixed_point_data(p, -1, -1, n) for p in partitions}
+    at_infinity = {p: _fixed_point_data(p, gamma - 1, 1, n) for p in partitions}
+    entries = tuple(
+        (pair, _pair_value(log_f, pair, gamma, at_zero[pair.lambda0], at_infinity[pair.lambda1]))
+        for pair in level_pairs(n)
+    )
+    return EquivariantClassVector(n, entries)
 
 
-def _hook_coefficient_from_even_part(F: Series1, pair: FixedPointBasisVector) -> Fraction:
-    n = pair.level
-    truncated = F.truncate(n)
-    numerator = Series1.one(n)
-    for partition in (pair.lambda0, pair.lambda1):
-        for cell in partition.cells():
-            numerator = numerator * scale_argument(truncated, hook(partition, cell))
+def _hook_data(partition: Partition, n: int) -> tuple[tuple[int, ...], int]:
+    """Hook-length power sums up to degree n and hook product of one diagram."""
+    return _power_sums(hook_multiset(partition), n), hook_product(partition)
+
+
+def _hook_value(log_F: Series1, pair: FixedPointBasisVector, data0, data1) -> Fraction:
+    sums0, h0 = data0
+    sums1, h1 = data1
     sign = -1 if pair.lambda0.size % 2 else 1
-    denominator = hook_product(pair.lambda0) * hook_product(pair.lambda1)
-    return Fraction(sign) * numerator.coefficient(n) / denominator
+    return Fraction(sign) * _product_coefficient(log_F, sums0, sums1, pair.level) / (h0 * h1)
 
 
 def hook_coefficient(f: Series1, pair: FixedPointBasisVector) -> Fraction:
@@ -192,6 +211,7 @@ def hook_coefficient(f: Series1, pair: FixedPointBasisVector) -> Fraction:
     the product of F(h(w) u) over all cells of both diagrams, divided by
     the two hook products, where F(u) = f(u) f(-u).  Cross-checked in
     the verification suite against ``pair_coefficient`` at gamma = 2.
+    The class series f must have constant term 1.
     """
     n = pair.level
     if f.order < n:
@@ -200,7 +220,8 @@ def hook_coefficient(f: Series1, pair: FixedPointBasisVector) -> Fraction:
             f"got order {f.order}"
         )
     F = f.truncate(n) * negate_argument(f.truncate(n))
-    return _hook_coefficient_from_even_part(F, pair)
+    data0, data1 = _hook_data(pair.lambda0, n), _hook_data(pair.lambda1, n)
+    return _hook_value(series_log(F), pair, data0, data1)
 
 
 def z_series_hookform(f: Series1, N: int) -> Series2:
@@ -218,25 +239,28 @@ def z_series_hookform(f: Series1, N: int) -> Series2:
             f"insufficient precision: requested total degree {N}, class series has order {f.order}"
         )
     fN = f.truncate(N)
-    F = fN * negate_argument(fN)
-    pairs = [
-        pair
-        for n in range(N + 1)
-        for pair in level_pairs(n)
-        if pair.lambda0.length <= 2 and pair.lambda1.length <= 2
-    ]
-
-    def contribution(pair: FixedPointBasisVector) -> Series2:
-        coefficient = _hook_coefficient_from_even_part(F, pair)
-        if coefficient == 0:
-            return Series2.zero(N)
-        schur_product = schur_two_vars(pair.lambda0, N) * schur_two_vars(pair.lambda1, N)
-        return schur_product * coefficient
-
-    total = Series2.zero(N)
-    for piece in _map_ordered(contribution, pairs):
-        total = total + piece
-    return total
+    log_F = series_log(fN * negate_argument(fN))
+    two_row = [p for size in range(N + 1) for p in enumerate_partitions(size) if p.length <= 2]
+    hook_data = {p: _hook_data(p, N) for p in two_row}
+    # Both Schur factors are homogeneous, so a level-n pair only touches
+    # the degree-n row of Z: multiply the two rows, not two triangles.
+    schur_rows = {p: schur_two_vars(p).homogeneous(p.size) for p in two_row}
+    rows = [[Fraction(0)] * (n + 1) for n in range(N + 1)]
+    for n in range(N + 1):
+        target = rows[n]
+        for pair in level_pairs(n):
+            if pair.lambda0.length > 2 or pair.lambda1.length > 2:
+                continue
+            coefficient = _hook_value(log_F, pair, hook_data[pair.lambda0], hook_data[pair.lambda1])
+            if coefficient:
+                row1 = schur_rows[pair.lambda1]
+                for i0, a in enumerate(schur_rows[pair.lambda0]):
+                    if a:
+                        scaled = coefficient * a
+                        for i1, b in enumerate(row1):
+                            if b:
+                                target[i0 + i1] += scaled * b
+    return Series2(tuple(tuple(row) for row in rows), N)
 
 
 def z_series_residue(f: Series1, N: int) -> Series2:

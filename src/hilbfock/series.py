@@ -168,13 +168,12 @@ class Series1:
             zero = self.ring.zero
             out = [zero] * (n + 1)
             for i, a in enumerate(self.coefficients[: n + 1]):
-                if a == zero:
+                if not a:
                     continue
                 for j in range(n + 1 - i):
                     b = other.coefficients[j]
-                    if b == zero:
-                        continue
-                    out[i + j] = out[i + j] + a * b
+                    if b:
+                        out[i + j] = out[i + j] + a * b
             return Series1(tuple(out), n, self.ring)
         scalar = self._coerce_scalar(other)
         if scalar is None:
@@ -384,16 +383,15 @@ class Series2:
                 row1 = self.rows[d1]
                 for i1 in range(d1 + 1):
                     a = row1[i1]
-                    if a == zero:
+                    if not a:
                         continue
                     for d2 in range(n + 1 - d1):
                         row2 = other.rows[d2]
                         target = out[d1 + d2]
                         for i2 in range(d2 + 1):
                             b = row2[i2]
-                            if b == zero:
-                                continue
-                            target[i1 + i2] = target[i1 + i2] + a * b
+                            if b:
+                                target[i1 + i2] = target[i1 + i2] + a * b
             return Series2(tuple(tuple(row) for row in out), n, self.ring)
         scalar = self._coerce_scalar(other)
         if scalar is None:
@@ -448,7 +446,7 @@ def reciprocal(series: Series1 | Series2):
             acc = ring.zero
             for i in range(1, k + 1):
                 a = series.coefficients[i]
-                if a != ring.zero:
+                if a:
                     acc = acc + a * out[k - i]
             out[k] = -inv0 * acc
         return Series1(tuple(out), n, ring)
@@ -464,7 +462,7 @@ def reciprocal(series: Series1 | Series2):
                 row = series.rows[e]
                 for p in range(e + 1):
                     a = row[p]
-                    if a == zero:
+                    if not a:
                         continue
                     q = i - p
                     if 0 <= q <= d - e:
@@ -474,29 +472,61 @@ def reciprocal(series: Series1 | Series2):
 
 
 def series_exp(series: Series1 | Series2):
-    """Exponential of a series with zero constant term."""
+    """Exponential of a series with zero constant term.
+
+    One variable: E = exp(g) solves E' = g' E, so its coefficients
+    follow m E_m = sum over 1 <= k <= m of k g_k E_(m-k), which costs
+    O(N^2) coefficient operations.  Two variables: the exponential
+    power series, summed term by term.
+    """
     ring = series.ring
     if series.constant_term != ring.zero:
         raise SeriesError("exp requires zero constant term")
-    one = Series1.one(series.order, ring) if isinstance(series, Series1) else Series2.one(series.order, ring)
-    acc = one
-    term = one
-    for k in range(1, series.order + 1):
+    n = series.order
+    if isinstance(series, Series1):
+        weighted = [ring.coerce(k) * c for k, c in enumerate(series.coefficients)]
+        out = [ring.one] + [ring.zero] * n
+        for m in range(1, n + 1):
+            acc = ring.zero
+            for k in range(1, m + 1):
+                s = weighted[k]
+                if s:
+                    acc = acc + s * out[m - k]
+            out[m] = acc / ring.coerce(m)
+        return Series1(tuple(out), n, ring)
+    acc = term = Series2.one(n, ring)
+    for k in range(1, n + 1):
         term = term * series * (ring.one / ring.coerce(k))
         acc = acc + term
     return acc
 
 
 def series_log(series: Series1 | Series2):
-    """Logarithm of a series with constant term one."""
+    """Logarithm of a series with constant term one.
+
+    One variable: L = log f solves f L' = f', so its coefficients follow
+    m L_m = m f_m - sum over 1 <= k < m of k L_k f_(m-k), the inverse of
+    the ``series_exp`` recurrence, at O(N^2) coefficient operations.  Two
+    variables: the logarithm power series in f - 1, summed term by term.
+    """
     ring = series.ring
     if series.constant_term != ring.one:
         raise SeriesError("log requires constant term 1")
-    u = series - ring.one
     if isinstance(series, Series1):
-        acc = Series1.zero(series.order, ring)
-    else:
-        acc = Series2.zero(series.order, ring)
+        n = series.order
+        f = series.coefficients
+        weighted = [ring.zero] * (n + 1)
+        for m in range(1, n + 1):
+            acc = ring.coerce(m) * f[m]
+            for k in range(1, m):
+                a = f[m - k]
+                if a:
+                    acc = acc - weighted[k] * a
+            weighted[m] = acc
+        out = [ring.zero] + [weighted[m] / ring.coerce(m) for m in range(1, n + 1)]
+        return Series1(tuple(out), n, ring)
+    u = series - ring.one
+    acc = Series2.zero(series.order, ring)
     power = u
     sign = 1
     for k in range(1, series.order + 1):

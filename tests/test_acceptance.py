@@ -103,8 +103,7 @@ def test_criterion_1_universal_tables_through_degree_six(capsys):
     _report(1, problems, elapsed, 5, "universal tables for both degree-6 references")
 
 
-def test_criterion_2_three_routes_agree_through_degree_ten(monkeypatch):
-    monkeypatch.delenv("HILBFOCK_THREADS", raising=False)
+def test_criterion_2_three_routes_agree_through_degree_ten():
     N = 10
     classes = {
         "trivial": Series1.one(N + 2),

@@ -124,6 +124,10 @@ def test_coefficient_preconditions():
         pair_coefficient(one_plus_x(1), pair((2,), ()), 2)
     with pytest.raises(ValueError, match="constant term 1"):
         equivariant_class_coeffs(Series1.from_coefficients([2, 1], 3), 2, 1)
+    with pytest.raises(ValueError, match="constant term 1"):
+        pair_coefficient(Series1.from_coefficients([2, 1], 3), pair((1,), ()), 2)
+    with pytest.raises(ValueError, match="constant term 1"):
+        hook_coefficient(Series1.from_coefficients([2, 1], 3), pair((1,), ()))
 
 
 def test_degenerate_twist_is_reported():
@@ -186,26 +190,3 @@ def test_series_order_preconditions():
         z_series_hookform(one_plus_x(3), 4)
     with pytest.raises(InsufficientOrderError, match="insufficient precision"):
         z_series_residue(one_plus_x(5), 4)
-
-
-# ---------------------------------------------------------- thread pool
-
-
-def test_threaded_runs_match_serial(monkeypatch):
-    f = one_plus_x(6)
-    serial_series = z_series_hookform(f, 6)
-    serial_vector = equivariant_class_coeffs(f, 3, 4)
-
-    monkeypatch.setenv("HILBFOCK_THREADS", "3")
-    threaded_series = z_series_hookform(f, 6)
-    threaded_vector = equivariant_class_coeffs(f, 3, 4)
-
-    for d in range(7):
-        assert threaded_series.homogeneous(d) == serial_series.homogeneous(d)
-    assert threaded_vector.entries == serial_vector.entries
-
-
-def test_bad_thread_setting_falls_back_to_serial(monkeypatch):
-    monkeypatch.setenv("HILBFOCK_THREADS", "many")
-    Z = z_series_hookform(one_plus_x(2), 2)
-    assert Z.homogeneous(2) == (Fr(-3), Fr(-6), Fr(-3))

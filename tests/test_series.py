@@ -152,6 +152,30 @@ coefficient_lists = st.lists(
 )
 
 
+def _log_by_power_series(series):
+    """log f as the sum of (-1)^(k+1) (f - 1)^k / k: the definition the recurrence replaces."""
+    ring = series.ring
+    u = series - ring.one
+    acc, power = Series1.zero(series.order, ring), u
+    for k in range(1, series.order + 1):
+        acc = acc + power * (ring.coerce((-1) ** (k + 1)) / ring.coerce(k))
+        power = power * u
+    return acc
+
+
+@given(coefficient_lists)
+def test_log_recurrence_matches_power_series(tail):
+    u = Series1.from_coefficients((Fr(1), *tail))
+    assert series_log(u) == _log_by_power_series(u)
+
+
+def test_log_recurrence_matches_power_series_over_duals():
+    eps = DualNumber(0, 1)
+    u = Series1.one(7, DUALS) + Series1.monomial(Fr(1, 2) + eps, 1, 7, DUALS)
+    u = u + Series1.monomial(-3 * eps, 2, 7, DUALS) + Series1.monomial(Fr(-2, 3), 5, 7, DUALS)
+    assert series_log(u) == _log_by_power_series(u)
+
+
 @given(coefficient_lists)
 def test_exp_log_round_trips(tail):
     s = Series1.from_coefficients((Fr(0), *tail))
