@@ -21,6 +21,7 @@ from .closedform import (
     corollary_via_dual,
     preset_class,
     small_g,
+    tangent_tables,
     taut_tables,
     to_universal,
     z_closed,
@@ -75,6 +76,7 @@ __all__ = [
     "pair_coefficient",
     "preset_class",
     "small_g",
+    "tangent_tables",
     "tangent_weights",
     "taut_tables",
     "to_universal",

@@ -28,10 +28,9 @@ from . import __version__
 from .closedform import (
     CoeffTable,
     PRESET_NAMES,
-    a_k_table,
-    a_kl_table,
     chern_character_tables,
     preset_class,
+    tangent_tables,
     taut_tables,
     to_universal,
 )
@@ -39,7 +38,7 @@ from .localisation import equivariant_class_coeffs
 from .series import Series1
 from .verification import verify_chern_character, verify_multiplicative
 
-MAX_TABLE_DEGREE = 32
+MAX_TABLE_DEGREE = 40
 MAX_VERIFY_ORDER = 14
 MAX_EQUIVARIANT_LEVEL = 16
 DEFAULT_EQUIVARIANT_BOUND = 10
@@ -201,9 +200,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     elif target == "tautological":
         a_k, table = taut_tables(class_series(spec, max_degree + 1), max_degree)
     else:
-        f = class_series(spec, max_degree + 1)
-        a_k = a_k_table(f, max_degree)
-        table = a_kl_table(f, max_degree)
+        a_k, table = tangent_tables(class_series(spec, max_degree + 1), max_degree)
     if args.basis == "universal":
         table = to_universal(table)
 

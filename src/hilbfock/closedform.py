@@ -10,8 +10,9 @@ Three families of coefficients are produced.
 
 * ``a_k_table`` and ``a_kl_table``: the raw one- and two-index
   coefficients read off from g and from a bivariate logarithm built out
-  of g.  These feed the generating series ``z_closed`` and must match
-  the localisation sums exactly.
+  of g; ``tangent_tables`` returns both from one inversion.  These feed
+  the generating series ``z_closed`` and must match the localisation
+  sums exactly.
 * ``chern_character_tables`` and ``corollary_via_dual``: the Chern
   character specialisation, once through explicit factorial formulas
   and once through dual-number (square-zero) coefficients, which acts
@@ -39,7 +40,7 @@ from .series import (
     InsufficientOrderError,
     Series1,
     Series2,
-    compose,
+    compose_difference,
     compositional_inverse,
     differentiate,
     divide_by_x_minus_y,
@@ -202,13 +203,32 @@ def a_k_table(f: Series1, N: int) -> dict[int, Fraction]:
     return {k: g.coefficient(k) / k for k in range(1, N + 1)}
 
 
-def a_kl_table(f: Series1, N: int) -> CoeffTable:
-    """The double-index coefficients, as the mixed coefficients of a log.
+def _pair_log_entries(g: Series1, N: int, outer_log: Series1 | None = None) -> dict:
+    """The mixed coefficients of a bivariate log built out of g.
 
-    With g = small_g(f) and the difference d = g(x) - g(y), the table
-    collects [x^k y^l] log( d / ((x - y) f(d) f(-d)) ) over k >= l >= 1
-    and k + l <= N.  The division by (x - y) costs one degree, so the
-    class series must be supplied one order beyond N.
+    With d = g(x) - g(y), collects [x^k y^l] of log(d / (x - y)), less
+    outer_log(d) when given, over k >= l >= 1 and k + l <= N.  The
+    division by (x - y) costs one degree, so g must have order N + 1.
+    """
+    delta = Series2.from_series1_in_x(g) - Series2.from_series1_in_y(g)
+    logarithm = series_log(divide_by_x_minus_y(delta))
+    if outer_log is not None:
+        logarithm = logarithm - compose_difference(outer_log.truncate(N), g)
+    return {
+        (k, total - k): logarithm.coefficient(k, total - k)
+        for total in range(2, N + 1)
+        for k in range((total + 1) // 2, total)
+    }
+
+
+def tangent_tables(f: Series1, N: int) -> tuple[dict[int, Fraction], CoeffTable]:
+    """``a_k_table(f, N)`` and ``a_kl_table(f, N)`` from one inversion.
+
+    The pair table is the mixed part of log( d / ((x - y) F(d)) ) with
+    d = g(x) - g(y) and F(z) = f(z) f(-z), taken as
+    log(d / (x - y)) - (log F)(d): the log of a composite is the
+    composite of the log, so no two-variable reciprocal or product is
+    needed.  Like ``a_kl_table``, needs f one degree beyond N.
     """
     if f.order < N + 1:
         raise InsufficientOrderError(
@@ -217,16 +237,20 @@ def a_kl_table(f: Series1, N: int) -> CoeffTable:
         )
     fine = f.truncate(N + 1)
     g = small_g(fine, N + 1)
-    delta = Series2.from_series1_in_x(g) - Series2.from_series1_in_y(g)
-    ratio = divide_by_x_minus_y(delta)
-    F = fine * negate_argument(fine)
-    F_of_delta = compose(F, delta.truncate(N))
-    logarithm = series_log(ratio * reciprocal(F_of_delta))
-    entries = {}
-    for total in range(2, N + 1):
-        for k in range((total + 1) // 2, total):
-            entries[(k, total - k)] = logarithm.coefficient(k, total - k)
-    return CoeffTable(KIND_THEOREM, N, entries)
+    a_k = {k: g.coefficient(k) / k for k in range(1, N + 1)}
+    entries = _pair_log_entries(g, N, series_log(fine * negate_argument(fine)))
+    return a_k, CoeffTable(KIND_THEOREM, N, entries)
+
+
+def a_kl_table(f: Series1, N: int) -> CoeffTable:
+    """The double-index coefficients, as the mixed coefficients of a log.
+
+    With g = small_g(f) and the difference d = g(x) - g(y), the table
+    collects [x^k y^l] log( d / ((x - y) f(d) f(-d)) ) over k >= l >= 1
+    and k + l <= N.  The division by (x - y) costs one degree, so the
+    class series must be supplied one order beyond N.
+    """
+    return tangent_tables(f, N)[1]
 
 
 def z_closed(f: Series1, N: int) -> Series2:
@@ -244,8 +268,7 @@ def z_closed(f: Series1, N: int) -> Series2:
     fine = f.truncate(N + 1)
     G = big_g(fine)
     g = compositional_inverse(G)
-    delta = Series2.from_series1_in_x(g) - Series2.from_series1_in_y(g)
-    ratio = divide_by_x_minus_y(compose(G, delta))
+    ratio = divide_by_x_minus_y(compose_difference(G, g))
     derivative = differentiate(g)
     return (
         Series2.from_series1_in_x(derivative)
@@ -326,7 +349,10 @@ def taut_tables(f: Series1, N: int) -> tuple[dict[int, Fraction], CoeffTable]:
 
     The quotient x/g(x) is a unit power series, so the whole argument
     is assembled from ordinary truncated series; nothing Laurent-like
-    is needed.  No parity or positivity is imposed: this g is not odd.
+    is needed.  Its two factors x/g(x) and y/g(y) only add pure-x and
+    pure-y terms to the log, so the mixed entries are read from
+    log((g(x) - g(y)) / (x - y)) alone.  No parity or positivity is
+    imposed: this g is not odd.
     """
     if f.order < N + 1:
         raise InsufficientOrderError(
@@ -339,13 +365,4 @@ def taut_tables(f: Series1, N: int) -> tuple[dict[int, Fraction], CoeffTable]:
     base = shift_up(reciprocal(negate_argument(fine)).truncate(N), 1)
     g = compositional_inverse(base)
     a_k = {k: g.coefficient(k) / k for k in range(1, N + 1)}
-    delta = Series2.from_series1_in_x(g) - Series2.from_series1_in_y(g)
-    ratio = divide_by_x_minus_y(delta)
-    unit = reciprocal(shift_down(g, 1))
-    argument = ratio * Series2.from_series1_in_x(unit) * Series2.from_series1_in_y(unit)
-    logarithm = series_log(argument)
-    entries = {}
-    for total in range(2, N + 1):
-        for k in range((total + 1) // 2, total):
-            entries[(k, total - k)] = logarithm.coefficient(k, total - k)
-    return a_k, CoeffTable(KIND_TAUTOLOGICAL, N, entries)
+    return a_k, CoeffTable(KIND_TAUTOLOGICAL, N, _pair_log_entries(g, N))

@@ -7,16 +7,20 @@ nothing beyond degree N; asking for a higher coefficient raises
 operations truncate to the smaller operand order.  The same contract
 holds for ``Series2`` with total degree playing the role of degree.
 
-The analytic operations (exp, log, reciprocal, composition,
-compositional inversion, the two-variable division by x - y, and
-Lagrange-Good coefficient extraction) all live here as module-level
-functions.  Coefficients come from one of the rings in ``rings``:
+The analytic operations all live here as module-level functions:
+exp and log (each a recurrence on coefficients, or on homogeneous rows
+in two variables), reciprocal, composition (Horner's scheme in general,
+and a congruence of triangular matrices for the difference
+g(x) - g(y)), compositional inversion by the Lagrange formula, the
+two-variable division by x - y, and Lagrange-Good coefficient
+extraction.  Coefficients come from one of the rings in ``rings``:
 plain rationals or dual numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Any, Iterable, Sequence
 
 from .rings import QQ, Ring
@@ -507,7 +511,11 @@ def series_log(series: Series1 | Series2):
     One variable: L = log f solves f L' = f', so its coefficients follow
     m L_m = m f_m - sum over 1 <= k < m of k L_k f_(m-k), the inverse of
     the ``series_exp`` recurrence, at O(N^2) coefficient operations.  Two
-    variables: the logarithm power series in f - 1, summed term by term.
+    variables: the same recurrence with the Euler operator x d/dx + y d/dy
+    in place of the derivative, which multiplies the homogeneous row of
+    total degree d by d.  So d L_d = d S_d - sum over 1 <= e < d of
+    e L_e S_(d-e), where the rows are multiplied as homogeneous
+    polynomials; the cost is that of one two-variable product, O(N^4).
     """
     ring = series.ring
     if series.constant_term != ring.one:
@@ -525,15 +533,24 @@ def series_log(series: Series1 | Series2):
             weighted[m] = acc
         out = [ring.zero] + [weighted[m] / ring.coerce(m) for m in range(1, n + 1)]
         return Series1(tuple(out), n, ring)
-    u = series - ring.one
-    acc = Series2.zero(series.order, ring)
-    power = u
-    sign = 1
-    for k in range(1, series.order + 1):
-        acc = acc + power * (ring.coerce(sign) / ring.coerce(k))
-        power = power * u
-        sign = -sign
-    return acc
+    n = series.order
+    rows = series.rows
+    weighted = [(ring.zero,)]
+    for d in range(1, n + 1):
+        acc = [ring.coerce(d) * c for c in rows[d]]
+        for e in range(1, d):
+            factor = rows[d - e]
+            for p, a in enumerate(weighted[e]):
+                if not a:
+                    continue
+                for q, b in enumerate(factor):
+                    if b:
+                        acc[p + q] = acc[p + q] - a * b
+        weighted.append(acc)
+    out = [weighted[0]] + [
+        tuple(c / ring.coerce(d) for c in weighted[d]) for d in range(1, n + 1)
+    ]
+    return Series2(tuple(out), n, ring)
 
 
 def compose(outer: Series1, inner: Series1 | Series2):
@@ -559,12 +576,64 @@ def compose(outer: Series1, inner: Series1 | Series2):
     return result
 
 
+def compose_difference(outer: Series1, g: Series1) -> Series2:
+    """outer(g(x) - g(y)) for a one-variable g with zero constant term.
+
+    Expanding each (g(x) - g(y))^c binomially gives the congruence
+    P^T M P: the coefficient of x^i y^j is the sum over a, b of
+    P[a][i] M[a][b] P[b][j], where P[a][i] = [x^i] g^a and
+    M[a][b] = outer_(a+b) binom(a+b, a) (-1)^b.  P is triangular, since
+    g^a starts at x^a, so the powers of g and both matrix products cost
+    O(N^3) coefficient operations, against one two-variable product per
+    outer coefficient for ``compose``.  The order is the smaller of the
+    two operand orders, as for ``compose``.
+    """
+    ring = outer.ring
+    if g.ring is not ring:
+        raise SeriesError("operands live over different coefficient rings")
+    if g.constant_term != ring.zero:
+        raise SeriesError("composition requires the inner series to have zero constant term")
+    n = min(outer.order, g.order)
+    zero = ring.zero
+    inner = g.truncate(n)
+    power = Series1.one(n, ring)
+    powers = [power.coefficients]
+    for _ in range(n):
+        power = power * inner
+        powers.append(power.coefficients)
+    # half[a][j] = (M P)[a][j]; only a + j <= n is ever read.
+    half = []
+    for a in range(n + 1):
+        row = [zero] * (n - a + 1)
+        for b in range(n - a + 1):
+            c = outer.coefficients[a + b]
+            if not c:
+                continue
+            weight = c * ring.coerce(comb(a + b, a) * (-1) ** b)
+            for j, p in enumerate(powers[b][: n - a + 1]):
+                if p:
+                    row[j] = row[j] + weight * p
+        half.append(row)
+    rows = [[zero] * (d + 1) for d in range(n + 1)]
+    for a in range(n + 1):
+        for i in range(a, n + 1):
+            p = powers[a][i]
+            if not p:
+                continue
+            for j, h in enumerate(half[a][: n - i + 1]):
+                if h:
+                    rows[i + j][i] = rows[i + j][i] + p * h
+    return Series2(tuple(tuple(row) for row in rows), n, ring)
+
+
 def compositional_inverse(series: Series1) -> Series1:
     """The inverse under composition of a series x*(unit + ...).
 
-    Solves degree by degree and then verifies both round-trips before
-    returning; a failed round-trip would indicate a bug here, not bad
-    input, and raises RuntimeError.
+    By the Lagrange inversion formula: writing series = x / phi, the
+    inverse has g_m = [x^(m-1)] phi^m / m, so the whole inverse costs
+    the m - 1 one-variable products that build the powers of phi.
+    Both round-trips are verified before returning; a failed round-trip
+    would indicate a bug here, not bad input, and raises RuntimeError.
     """
     ring = series.ring
     if series.order < 1:
@@ -574,12 +643,12 @@ def compositional_inverse(series: Series1) -> Series1:
     if series.constant_term != ring.zero or not ring.is_unit(series.coefficients[1]):
         raise NotInvertibleError("not invertible under composition")
     n = series.order
-    lin_inv = ring.one / series.coefficients[1]
-    coeffs = [ring.zero, lin_inv] + [ring.zero] * (n - 1)
-    for k in range(2, n + 1):
-        partial = Series1(tuple(coeffs[: k + 1]), k, ring)
-        defect = compose(series.truncate(k), partial).coefficients[k]
-        coeffs[k] = -lin_inv * defect
+    phi = reciprocal(shift_down(series, 1))
+    power = phi
+    coeffs = [ring.zero, phi.coefficients[0]]
+    for m in range(2, n + 1):
+        power = power * phi
+        coeffs.append(power.coefficients[m - 1] / ring.coerce(m))
     result = Series1(tuple(coeffs), n, ring)
     identity = Series1.identity(n, ring)
     if compose(series, result) != identity or compose(result, series) != identity:
@@ -689,14 +758,6 @@ def divide_by_x_minus_y(series: Series2) -> Series2:
             raise SeriesError("not divisible by (x - y)")
         out_rows.append(tuple(b))
     return Series2(tuple(out_rows), series.order - 1, ring)
-
-
-def coefficient_extract(series: Series1 | Series2, index) -> Any:
-    """Uniform coefficient extraction; ``index`` is an int or an (i, j) pair."""
-    if isinstance(series, Series1):
-        return series.coefficient(index)
-    i, j = index
-    return series.coefficient(i, j)
 
 
 def lagrange_good_extract(g, f_list: Sequence, k) -> Any:

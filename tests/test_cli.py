@@ -3,7 +3,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from hilbfock.cli import main, parse_class_spec, UsageError
+from hilbfock.cli import MAX_TABLE_DEGREE, main, parse_class_spec, UsageError
 
 
 def run(capsys, *argv):
@@ -193,6 +193,39 @@ def test_table_degree_limits(capsys):
     code, _, err = run(capsys, "table", "--class", "todd", "--max-degree", "50")
     assert code == 3
     assert "exceeds the limit" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--class", "todd"),
+        ("--class", "todd", "--target", "tautological"),
+        ("--class", "chern-character"),
+    ],
+)
+def test_table_degree_cap_plus_one_is_refused(capsys, argv):
+    code, out, err = run(capsys, "table", *argv, "--max-degree", str(MAX_TABLE_DEGREE + 1))
+    assert code == 3
+    assert out == ""
+    assert f"exceeds the limit of {MAX_TABLE_DEGREE}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--class", "trivial"),
+        ("--class", "trivial", "--target", "tautological"),
+        ("--class", "chern-character"),
+    ],
+)
+def test_cheap_class_at_the_degree_cap_succeeds(capsys, argv):
+    code, out, _ = run(
+        capsys, "table", *argv, "--max-degree", str(MAX_TABLE_DEGREE), "--format", "json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["a_k"]) == MAX_TABLE_DEGREE
+    assert max(row["k"] + row["l"] for row in payload["a_kl"]) == MAX_TABLE_DEGREE
 
 
 def test_table_rejects_unknown_class(capsys):

@@ -1,0 +1,257 @@
+"""The closed-form fast paths checked against the code they replaced.
+
+The oracles below are the earlier pipelines taken literally: the
+inverse solved degree by degree through Horner compositions, the
+composite F(g(x) - g(y)) by Horner's scheme over two-variable series,
+the two-variable log summed as the power series in f - 1, and the pair
+table as the log of one two-variable quotient.  The library inverts by
+the Lagrange formula, composes the difference as a congruence of
+triangular matrices, splits the log of the quotient into a difference
+of logs, and runs the log as a recurrence on homogeneous rows; the two
+must agree exactly.
+"""
+
+import ast
+import inspect
+from fractions import Fraction as Fr
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hilbfock import localisation
+from hilbfock.closedform import (
+    KIND_TAUTOLOGICAL,
+    KIND_THEOREM,
+    PRESET_NAMES,
+    CoeffTable,
+    a_k_table,
+    a_kl_table,
+    big_g,
+    preset_class,
+    tangent_tables,
+    taut_tables,
+    z_closed,
+)
+from hilbfock.rings import DUALS, DualNumber
+from hilbfock.series import (
+    Series1,
+    Series2,
+    SeriesError,
+    compose,
+    compose_difference,
+    compositional_inverse,
+    differentiate,
+    divide_by_x_minus_y,
+    negate_argument,
+    reciprocal,
+    series_log,
+    shift_down,
+    shift_up,
+)
+
+EPS = DualNumber(0, 1)
+
+
+def oracle_inverse(series: Series1) -> Series1:
+    """Solve for the inverse degree by degree, one Horner composition each."""
+    ring = series.ring
+    n = series.order
+    lin_inv = ring.one / series.coefficients[1]
+    coeffs = [ring.zero, lin_inv] + [ring.zero] * (n - 1)
+    for k in range(2, n + 1):
+        partial = Series1(tuple(coeffs[: k + 1]), k, ring)
+        defect = compose(series.truncate(k), partial).coefficients[k]
+        coeffs[k] = -lin_inv * defect
+    return Series1(tuple(coeffs), n, ring)
+
+
+def oracle_log2(series: Series2) -> Series2:
+    """log f as the sum of (-1)^(k+1) (f - 1)^k / k over two-variable series."""
+    ring = series.ring
+    u = series - ring.one
+    acc, power = Series2.zero(series.order, ring), u
+    for k in range(1, series.order + 1):
+        acc = acc + power * (ring.coerce((-1) ** (k + 1)) / ring.coerce(k))
+        power = power * u
+    return acc
+
+
+def _difference(g: Series1) -> Series2:
+    return Series2.from_series1_in_x(g) - Series2.from_series1_in_y(g)
+
+
+def _mixed_entries(logarithm: Series2, N: int) -> dict:
+    entries = {}
+    for total in range(2, N + 1):
+        for k in range((total + 1) // 2, total):
+            entries[(k, total - k)] = logarithm.coefficient(k, total - k)
+    return entries
+
+
+def oracle_tangent_tables(f: Series1, N: int):
+    fine = f.truncate(N + 1)
+    g = oracle_inverse(big_g(fine))
+    a_k = {k: g.coefficient(k) / k for k in range(1, N + 1)}
+    delta = _difference(g)
+    ratio = divide_by_x_minus_y(delta)
+    F_of_delta = compose(fine * negate_argument(fine), delta.truncate(N))
+    logarithm = oracle_log2(ratio * reciprocal(F_of_delta))
+    return a_k, CoeffTable(KIND_THEOREM, N, _mixed_entries(logarithm, N))
+
+
+def oracle_taut_tables(f: Series1, N: int):
+    fine = f.truncate(N + 1)
+    g = oracle_inverse(shift_up(reciprocal(negate_argument(fine)).truncate(N), 1))
+    a_k = {k: g.coefficient(k) / k for k in range(1, N + 1)}
+    ratio = divide_by_x_minus_y(_difference(g))
+    unit = reciprocal(shift_down(g, 1))
+    argument = ratio * Series2.from_series1_in_x(unit) * Series2.from_series1_in_y(unit)
+    return a_k, CoeffTable(KIND_TAUTOLOGICAL, N, _mixed_entries(oracle_log2(argument), N))
+
+
+def oracle_z_closed(f: Series1, N: int) -> Series2:
+    G = big_g(f.truncate(N + 1))
+    g = oracle_inverse(G)
+    ratio = divide_by_x_minus_y(compose(G, _difference(g)))
+    derivative = differentiate(g)
+    return (
+        Series2.from_series1_in_x(derivative)
+        * Series2.from_series1_in_y(derivative)
+        * ratio
+        * ratio
+    )
+
+
+def assert_all_routes_match(f: Series1, N: int) -> None:
+    a_k, table = tangent_tables(f, N)
+    assert (a_k, table) == oracle_tangent_tables(f, N)
+    assert a_k_table(f, N) == a_k
+    assert a_kl_table(f, N) == table
+    assert taut_tables(f, N) == oracle_taut_tables(f, N)
+    assert z_closed(f, N) == oracle_z_closed(f, N)
+
+
+# ------------------------------------------------------------ whole tables
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_presets_match_the_horner_pipelines(name):
+    f = preset_class(name, 17).f
+    for N in (1, 2, 3, 6, 11, 16):
+        assert_all_routes_match(f, N)
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@given(st.lists(small_rationals, min_size=1, max_size=6), st.integers(2, 8))
+@settings(max_examples=30, deadline=None)
+def test_random_classes_match_the_horner_pipelines(tail, N):
+    f = Series1.from_coefficients((Fr(1), *tail), N + 1)
+    assert_all_routes_match(f, N)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_dual_number_classes_match_the_horner_pipelines(n):
+    f = Series1.one(9, DUALS) + Series1.monomial(EPS, n, 9, DUALS)
+    assert_all_routes_match(f, 8)
+
+
+# ----------------------------------------------------------------- inverse
+
+
+@given(st.lists(small_rationals, min_size=1, max_size=8), st.fractions(1, 3, max_denominator=4))
+@settings(max_examples=30, deadline=None)
+def test_lagrange_inverse_matches_degree_by_degree(tail, linear):
+    series = Series1.from_coefficients((Fr(0), linear, *tail))
+    assert compositional_inverse(series) == oracle_inverse(series)
+
+
+def test_lagrange_inverse_over_duals():
+    series = Series1.from_coefficients(
+        (0, 1 + EPS, Fr(1, 2), -3 * EPS, Fr(2, 3) + EPS, 0, 1), ring=DUALS
+    )
+    assert compositional_inverse(series) == oracle_inverse(series)
+
+
+# ------------------------------------------------------ compose_difference
+
+
+@given(
+    st.lists(small_rationals, min_size=1, max_size=8),
+    st.lists(small_rationals, min_size=1, max_size=8),
+)
+@settings(max_examples=40, deadline=None)
+def test_compose_difference_matches_horner(outer_values, inner_tail):
+    outer = Series1.from_coefficients(outer_values)
+    g = Series1.from_coefficients((Fr(0), *inner_tail))
+    result = compose_difference(outer, g)
+    assert result == compose(outer, _difference(g))
+    assert result.order == min(outer.order, g.order)
+
+
+def test_compose_difference_over_duals():
+    outer = Series1.from_coefficients((1 + EPS, 2, -EPS, Fr(1, 3), 0, 5 * EPS, -1), ring=DUALS)
+    g = Series1.from_coefficients((0, 1, EPS, Fr(-1, 2) + EPS, 0, 2), 7, ring=DUALS)
+    assert compose_difference(outer, g) == compose(outer, _difference(g))
+    assert compose_difference(outer.truncate(3), g) == compose(outer.truncate(3), _difference(g))
+
+
+def test_compose_difference_rejects_bad_inner_series():
+    outer = Series1.from_coefficients((Fr(1), Fr(1), Fr(1)))
+    with pytest.raises(SeriesError, match="zero constant term"):
+        compose_difference(outer, Series1.from_coefficients((Fr(1), Fr(1), Fr(0))))
+    with pytest.raises(SeriesError, match="different coefficient rings"):
+        compose_difference(outer, Series1.identity(2, DUALS))
+
+
+# --------------------------------------------------------- two-variable log
+
+
+series2_entries = st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda ij: ij != (0, 0)),
+    small_rationals,
+    max_size=8,
+)
+
+
+@given(series2_entries, st.integers(1, 7))
+@settings(max_examples=40, deadline=None)
+def test_series2_log_recurrence_matches_power_series(entries, order):
+    series = Series2.from_dict({(0, 0): Fr(1), **entries}, order)
+    assert series_log(series) == oracle_log2(series)
+
+
+def test_series2_log_recurrence_matches_power_series_over_duals():
+    entries = {(0, 0): DUALS.one, (1, 0): Fr(1, 2) + EPS, (0, 1): -EPS, (2, 1): Fr(-2, 3), (0, 4): 3 * EPS}
+    series = Series2.from_dict(entries, 6, DUALS)
+    assert series_log(series) == oracle_log2(series)
+
+
+# ---------------------------------------------------- route independence
+
+
+def test_localisation_keeps_its_own_composition(monkeypatch):
+    """The fixed-point routes share nothing with the closed form's fast paths."""
+    tree = ast.parse(inspect.getsource(localisation))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported[node.module] = {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported.update({alias.name: set() for alias in node.names})
+    assert not any(module and module.endswith("closedform") for module in imported)
+    assert all("compose_difference" not in names for names in imported.values())
+    assert "compose" in imported["series"]
+
+    calls = []
+
+    def counting_compose(outer, inner):
+        calls.append(type(inner))
+        return compose(outer, inner)
+
+    monkeypatch.setattr(localisation, "compose", counting_compose)
+    f = preset_class("todd", 6).f
+    localisation.z_series_residue(f, 4)
+    assert Series2 in calls
