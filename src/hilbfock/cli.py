@@ -39,7 +39,7 @@ from .series import Series1
 from .verification import verify_chern_character, verify_multiplicative
 
 MAX_TABLE_DEGREE = 40
-MAX_VERIFY_ORDER = 14
+MAX_VERIFY_ORDER = 20
 MAX_EQUIVARIANT_LEVEL = 16
 DEFAULT_EQUIVARIANT_BOUND = 10
 

@@ -16,13 +16,19 @@ is exp(sum over k of L_k p_k(W) u^k), where p_k(W) is the k-th power
 sum of the weights (Hirzebruch's description of a multiplicative
 genus).  So the logarithm is taken once per call, the power sums are
 computed once per partition (they add over the two partitions of a
-pair), and each pair costs one O(n^2) exponential.  The hook form does
-the same with log F and the power sums of the hook lengths.
+pair), and each pair costs one O(n^2) exponential.  The hook form uses
+log F and the power sums of the hook lengths; when it sums Z it goes
+one step further, since the exponential of a pair's power sums is the
+product of the two partitions' exponentials: one O(N^2) exponential
+per partition, and an O(n) convolution per pair.
 
 Two independent constructions of Z are provided: the direct fixed-point
 sum (``z_series_hookform``) and a coefficient-extraction route through
-a bivariate auxiliary series (``z_series_residue``).  They must agree,
-and the closed form in ``closedform`` must agree with both; that triple
+a bivariate auxiliary series (``z_series_residue``), which reads every
+coefficient it needs off one Horner composition, one two-variable
+product and the one-variable powers of F, rather than forming a
+two-variable product per coefficient.  They must agree, and the
+closed form in ``closedform`` must agree with both; that triple
 agreement is the package's central correctness check.
 """
 
@@ -233,6 +239,13 @@ def z_series_hookform(f: Series1, N: int) -> Series2:
     coefficient times the product of the two-variable Schur
     specialisations; pairs where either partition has three or more
     rows are pruned because their Schur factor vanishes identically.
+
+    The exponential of a pair's hook power sums is the product of the
+    exponentials of its two partitions, so each two-row partition gets
+    one O(N^2) exponential E = exp(sum of L_k p_k(hooks) u^k) / (hook
+    product), and a level-n pair's coefficient is the O(n) convolution
+    +-sum over i of E0[i] E1[n - i].  Its two homogeneous Schur rows are
+    multiplied into the degree-n row of Z.
     """
     if f.order < N:
         raise InsufficientOrderError(
@@ -240,8 +253,14 @@ def z_series_hookform(f: Series1, N: int) -> Series2:
         )
     fN = f.truncate(N)
     log_F = series_log(fN * negate_argument(fN))
+    ring = log_F.ring
+    L = log_F.coefficients
     two_row = [p for size in range(N + 1) for p in enumerate_partitions(size) if p.length <= 2]
-    hook_data = {p: _hook_data(p, N) for p in two_row}
+    weighted_exps = {}
+    for p in two_row:
+        sums, h = _hook_data(p, N)
+        exponent = (ring.zero,) + tuple(L[k] * sums[k - 1] for k in range(1, N + 1))
+        weighted_exps[p] = [c / h for c in series_exp(Series1(exponent, N, ring)).coefficients]
     # Both Schur factors are homogeneous, so a level-n pair only touches
     # the degree-n row of Z: multiply the two rows, not two triangles.
     schur_rows = {p: schur_two_vars(p).homogeneous(p.size) for p in two_row}
@@ -251,7 +270,10 @@ def z_series_hookform(f: Series1, N: int) -> Series2:
         for pair in level_pairs(n):
             if pair.lambda0.length > 2 or pair.lambda1.length > 2:
                 continue
-            coefficient = _hook_value(log_F, pair, hook_data[pair.lambda0], hook_data[pair.lambda1])
+            e0, e1 = weighted_exps[pair.lambda0], weighted_exps[pair.lambda1]
+            coefficient = sum((e0[i] * e1[n - i] for i in range(n + 1)), ring.zero)
+            if pair.lambda0.size % 2:
+                coefficient = -coefficient
             if coefficient:
                 row1 = schur_rows[pair.lambda1]
                 for i0, a in enumerate(schur_rows[pair.lambda0]):
@@ -269,12 +291,20 @@ def z_series_residue(f: Series1, N: int) -> Series2:
     Independent of the fixed-point sum: with F(u) = f(u) f(-u) and
     G = u / F(u), the coefficient
 
-        c(r, s) = [a^r b^s] G(a - b) G(b - a) F(a)^(r+1) F(b)^(s+1)
+        c(r, s) = [a^r b^s] P(a, b) F(a)^(r+1) F(b)^(s+1),  P = G(a - b) G(b - a),
 
     assembles Z as -1/(x - y)^2 times the sum of (-x)^r (-y)^s c(r, s).
     The division by (x - y)^2 is performed twice by exact synthetic
     division, which is why the class series must be known two degrees
     beyond the requested truncation.
+
+    With M = N + 2, P takes one Horner composition on a - b (M + 1
+    two-variable products by the two-term a - b; G(b - a) is its swap)
+    and one full two-variable product.  The one-variable powers F^k for
+    k <= M + 1 (O(M^3)) then give every c(r, s) in two O(M^3)
+    contractions, Q[i][s] = sum over j of P[i][j] [b^(s-j)] F^(s+1) and
+    c(r, s) = sum over i of [a^(r-i)] F^(r+1) Q[i][s], instead of a
+    two-variable product per cell, which cost O(M^6) in all.
     """
     M = N + 2
     if f.order < M:
@@ -285,20 +315,42 @@ def z_series_residue(f: Series1, N: int) -> Series2:
     fM = f.truncate(M)
     F = fM * negate_argument(fM)
     G = shift_up(reciprocal(F).truncate(M - 1), 1)
+    ring = F.ring
+    zero = ring.zero
 
     a_minus_b = Series2.from_dict({(1, 0): Fraction(1), (0, 1): Fraction(-1)}, M)
-    P = compose(G, a_minus_b) * compose(G, -a_minus_b)
-    F_in_a = Series2.from_series1_in_x(F)
-    F_in_b = Series2.from_series1_in_y(F)
+    G_a_minus_b = compose(G, a_minus_b)
+    P = G_a_minus_b * G_a_minus_b.swap()
+    # F_powers[k] holds the coefficients of F^k.
+    power = Series1.one(M, ring)
+    F_powers = [power.coefficients]
+    for _ in range(M + 1):
+        power = power * F
+        F_powers.append(power.coefficients)
+
+    # Q[i][s] = [a^i b^s] P(a, b) F(b)^(s+1), for i + s <= M.
+    Q = []
+    for i in range(M + 1):
+        Q_row = []
+        for s in range(M + 1 - i):
+            column = F_powers[s + 1]
+            acc = zero
+            for j in range(s + 1):
+                p = P.rows[i + j][i]
+                if p:
+                    acc = acc + p * column[s - j]
+            Q_row.append(acc)
+        Q.append(Q_row)
 
     signed = {}
-    row_product = P
     for r in range(M + 1):
-        row_product = row_product * F_in_a
-        cell_product = row_product
+        row = F_powers[r + 1]
         for s in range(M + 1 - r):
-            cell_product = cell_product * F_in_b
-            value = cell_product.coefficient(r, s)
+            value = zero
+            for i in range(r + 1):
+                q = Q[i][s]
+                if q:
+                    value = value + row[r - i] * q
             if value:
                 signed[(r, s)] = -value if (r + s) % 2 else value
     summed = Series2.from_dict(signed, M)

@@ -14,15 +14,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from typing import Callable
 
 from .closedform import (
+    CoeffTable,
     a_k_table,
     a_kl_table,
     chern_character_tables,
     corollary_via_dual,
     preset_class,
+    tangent_tables,
     taut_tables,
     to_universal,
     z_closed,
@@ -89,8 +92,7 @@ def _first_difference(a: Series2, b: Series2, label_a: str, label_b: str) -> str
     return ""
 
 
-def _check_triple(f: Series1, order: int) -> str:
-    closed = z_closed(f, order)
+def _check_triple(f: Series1, order: int, closed: Series2) -> str:
     hookform = z_series_hookform(f.truncate(order), order)
     residue = z_series_residue(f, order)
     if closed != hookform:
@@ -100,13 +102,12 @@ def _check_triple(f: Series1, order: int) -> str:
     return ""
 
 
-def _check_log_exp(f: Series1, order: int) -> str:
-    logarithm = series_log(z_closed(f, order))
-    table = a_kl_table(f, order)
+def _check_log_exp(z: Series2, table: CoeffTable, order: int) -> str:
+    logarithm = series_log(z)
     accumulated: dict[tuple[int, int], Fraction] = {}
 
     def add(i: int, j: int, value: Fraction) -> None:
-        accumulated[(i, j)] = accumulated.get((i, j), f.ring.zero) + value
+        accumulated[(i, j)] = accumulated.get((i, j), z.ring.zero) + value
 
     for k in range(1, order):
         for l in range(1, order + 1 - k):
@@ -117,18 +118,16 @@ def _check_log_exp(f: Series1, order: int) -> str:
             add(0, k + l, value)
             add(k, l, value)
             add(l, k, value)
-    rebuilt = Series2.from_dict(accumulated, order, f.ring)
+    rebuilt = Series2.from_dict(accumulated, order, z.ring)
     if logarithm != rebuilt:
         return _first_difference(logarithm, rebuilt, "log of Z", "double sum of a_kl")
     return ""
 
 
-def _check_parity(f: Series1, order: int) -> str:
-    a_k = a_k_table(f, order)
+def _check_parity(a_k: dict[int, Fraction], z: Series2, order: int) -> str:
     for k in range(2, order + 1, 2):
         if a_k[k] != 0:
             return f"a_{k} = {a_k[k]} but even-index coefficients must vanish"
-    z = z_closed(f, order)
     for degree in range(1, order + 1, 2):
         row = z.homogeneous(degree)
         if any(row):
@@ -136,8 +135,7 @@ def _check_parity(f: Series1, order: int) -> str:
     return ""
 
 
-def _check_symmetry(f: Series1, order: int) -> str:
-    z = z_closed(f, order)
+def _check_symmetry(z: Series2) -> str:
     if z != z.swap():
         return _first_difference(z, z.swap(), "Z(x, y)", "Z(y, x)")
     return ""
@@ -205,7 +203,9 @@ def verify_multiplicative(f: Series1, name: str, order: int) -> list[CheckResult
     """The full cross-check battery for a multiplicative class.
 
     The class series must carry two orders of slack beyond ``order``
-    because the residue route divides by (x - y) twice.
+    because the residue route divides by (x - y) twice.  The closed-form
+    Z and the tangent tables are computed at most once per call, by the
+    first check that reads them.
     """
     if order < 2:
         raise ValueError("verification needs order at least 2")
@@ -214,11 +214,13 @@ def verify_multiplicative(f: Series1, name: str, order: int) -> list[CheckResult
             f"insufficient precision: verification at order {order} needs the class "
             f"series to degree {order + 2}, got order {f.order}"
         )
+    closed = cache(lambda: z_closed(f, order))
+    tables = cache(lambda: tangent_tables(f, order))
     results = [
-        _run("triple-agreement", lambda: _check_triple(f, order)),
-        _run("log-exp-consistency", lambda: _check_log_exp(f, order)),
-        _run("parity", lambda: _check_parity(f, order)),
-        _run("symmetry", lambda: _check_symmetry(f, order)),
+        _run("triple-agreement", lambda: _check_triple(f, order, closed())),
+        _run("log-exp-consistency", lambda: _check_log_exp(closed(), tables()[1], order)),
+        _run("parity", lambda: _check_parity(tables()[0], closed(), order)),
+        _run("symmetry", lambda: _check_symmetry(closed())),
         _run("fixed-point-reduction", lambda: _check_reduction(f, min(order, 6))),
         _run("triviality-baseline", lambda: _check_trivial_baseline(order)),
         _run("dual-number-oracle", lambda: _check_dual(min(order, 6))),

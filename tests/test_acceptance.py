@@ -32,10 +32,11 @@ from hilbfock.localisation import (
 from hilbfock.series import (
     Series1,
     compose,
-    lagrange_good_extract,
     series_exp,
     series_log,
 )
+
+from lagrange_good import lagrange_good_extract
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 

@@ -3,7 +3,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from hilbfock.cli import MAX_TABLE_DEGREE, main, parse_class_spec, UsageError
+from hilbfock.cli import MAX_TABLE_DEGREE, MAX_VERIFY_ORDER, main, parse_class_spec, UsageError
 
 
 def run(capsys, *argv):
@@ -301,9 +301,16 @@ def test_verify_order_limits(capsys):
     code, _, err = run(capsys, "verify", "--class", "todd", "--order", "1")
     assert code == 2
     assert "at least 2" in err
-    code, _, err = run(capsys, "verify", "--class", "todd", "--order", "15")
+    code, _, err = run(capsys, "verify", "--class", "todd", "--order", str(MAX_VERIFY_ORDER + 1))
     assert code == 3
-    assert "exceeds the limit" in err
+    assert f"exceeds the limit of {MAX_VERIFY_ORDER}" in err
+
+
+def test_verify_at_the_order_cap_passes(capsys):
+    code, out, _ = run(capsys, "verify", "--class", "chern-total", "--order", str(MAX_VERIFY_ORDER))
+    assert code == 0
+    assert "FAIL" not in out
+    assert out.strip().splitlines()[-1] == f"8/8 checks passed (class chern-total, order {MAX_VERIFY_ORDER})"
 
 
 # ----------------------------------------------------------- equivariant command

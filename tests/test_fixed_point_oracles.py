@@ -5,6 +5,11 @@ tangent weight (or per hook length) and read off the top coefficient,
 which is the localisation formula taken literally.  The library takes
 the logarithm once and exponentiates power sums instead; the two must
 agree exactly, including on which pair a degenerate twist fails.
+
+The residue route is checked the same way: its oracle forms the
+two-variable product P F(a)^(r+1) F(b)^(s+1) for every cell (r, s) and
+reads one coefficient of each, where the library contracts P with the
+one-variable powers of F.
 """
 
 from fractions import Fraction as Fr
@@ -13,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbfock import verification
+from hilbfock import localisation, verification
 from hilbfock.closedform import PRESET_NAMES, preset_class
 from hilbfock.localisation import (
     FixedPointBasisVector,
@@ -23,10 +28,21 @@ from hilbfock.localisation import (
     pair_coefficient,
     tangent_weights,
     z_series_hookform,
+    z_series_residue,
 )
-from hilbfock.partitions import c_prime_product, hook, hook_product
+from hilbfock.partitions import c_prime_product, enumerate_partitions, hook, hook_product
 from hilbfock.rings import DUALS, DualNumber
-from hilbfock.series import Series1, Series2, negate_argument, scale_argument
+from hilbfock.series import (
+    Series1,
+    Series2,
+    compose,
+    divide_by_x_minus_y,
+    negate_argument,
+    reciprocal,
+    scale_argument,
+    series_exp,
+    shift_up,
+)
 from hilbfock.symfun import schur_two_vars
 
 
@@ -72,6 +88,29 @@ def oracle_z_series_hookform(f: Series1, N: int) -> Series2:
                 schur_product = schur_two_vars(pair.lambda0, N) * schur_two_vars(pair.lambda1, N)
                 total = total + schur_product * coefficient
     return total
+
+
+def oracle_z_series_residue(f: Series1, N: int) -> Series2:
+    M = N + 2
+    fM = f.truncate(M)
+    F = fM * negate_argument(fM)
+    G = shift_up(reciprocal(F).truncate(M - 1), 1)
+    a_minus_b = Series2.from_dict({(1, 0): Fr(1), (0, 1): Fr(-1)}, M)
+    P = compose(G, a_minus_b) * compose(G, -a_minus_b)
+    F_in_a = Series2.from_series1_in_x(F)
+    F_in_b = Series2.from_series1_in_y(F)
+    signed = {}
+    row_product = P
+    for r in range(M + 1):
+        row_product = row_product * F_in_a
+        cell_product = row_product
+        for s in range(M + 1 - r):
+            cell_product = cell_product * F_in_b
+            value = cell_product.coefficient(r, s)
+            if value:
+                signed[(r, s)] = -value if (r + s) % 2 else value
+    summed = Series2.from_dict(signed, M)
+    return -divide_by_x_minus_y(divide_by_x_minus_y(summed))
 
 
 def oracle_vector(f: Series1, gamma: int, n: int) -> list:
@@ -184,6 +223,68 @@ def test_hook_form_matches_oracle_on_two_row_pairs():
         assert z_series_hookform(f, 8) == oracle_z_series_hookform(f, 8)
 
 
+@settings(max_examples=30, deadline=None)
+@given(tail=st.lists(small_rationals, min_size=1, max_size=8), N=st.integers(min_value=1, max_value=6))
+def test_random_classes_match_hook_form_oracle(tail, N):
+    f = Series1.from_coefficients((Fr(1), *tail), N)
+    assert z_series_hookform(f, N) == oracle_z_series_hookform(f, N)
+
+
+# ------------------------------------------------------------- residue route
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_presets_match_residue_oracle_through_twelve(name):
+    f = preset_class(name, 14).f
+    for N in range(1, 13):
+        assert z_series_residue(f, N) == oracle_z_series_residue(f, N)
+
+
+@settings(max_examples=30, deadline=None)
+@given(tail=st.lists(small_rationals, min_size=1, max_size=10), N=st.integers(min_value=1, max_value=6))
+def test_random_classes_match_residue_oracle(tail, N):
+    f = Series1.from_coefficients((Fr(1), *tail), N + 2)
+    expected = oracle_z_series_residue(f, N)
+    assert z_series_residue(f, N) == expected
+    assert expected == oracle_z_series_hookform(f, N)
+
+
+# ------------------------------------------------------------- operation counts
+
+
+def test_residue_route_makes_linearly_many_two_variable_products(monkeypatch):
+    calls = []
+    multiply = Series2.__mul__
+
+    def counting_multiply(self, other):
+        calls.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(Series2, "__mul__", counting_multiply)
+    f = preset_class("todd", 14).f
+    counts = {}
+    for N in (4, 12):
+        calls.clear()
+        z_series_residue(f, N)
+        counts[N] = len(calls)
+    # M = N + 2 is 6 and 14; per-cell products would grow quadratically.
+    assert counts[12] * 6 <= counts[4] * 14
+
+
+def test_hook_form_takes_one_exponential_per_two_row_partition(monkeypatch):
+    calls = []
+
+    def counting_exp(series):
+        calls.append(series)
+        return series_exp(series)
+
+    N = 8
+    monkeypatch.setattr(localisation, "series_exp", counting_exp)
+    z_series_hookform(preset_class("todd", N).f, N)
+    two_row = [p for size in range(N + 1) for p in enumerate_partitions(size) if p.length <= 2]
+    assert len(calls) == len(two_row)
+
+
 def test_reduction_check_names_the_first_differing_pair(monkeypatch):
     f = preset_class("todd", 6).f
     assert verification._check_reduction(f, 4) == ""
@@ -196,3 +297,31 @@ def test_reduction_check_names_the_first_differing_pair(monkeypatch):
     monkeypatch.setattr(verification, "hook_coefficient", skewed)
     message = verification._check_reduction(f, 4)
     assert message.startswith(f"pair {skewed_pair}: general twist-2 coefficient")
+
+
+def test_verify_builds_the_closed_form_and_tangent_tables_once(monkeypatch):
+    f = preset_class("todd", 8).f
+    calls = []
+
+    def counting(name, original):
+        def wrapper(g, N):
+            calls.append((name, g is f))
+            return original(g, N)
+
+        return wrapper
+
+    for name in ("z_closed", "tangent_tables"):
+        monkeypatch.setattr(verification, name, counting(name, getattr(verification, name)))
+    results = verification.verify_multiplicative(f, "todd", 6)
+    assert [result.name for result in results] == [
+        "triple-agreement",
+        "log-exp-consistency",
+        "parity",
+        "symmetry",
+        "fixed-point-reduction",
+        "triviality-baseline",
+        "dual-number-oracle",
+    ]
+    assert all(result.passed for result in results)
+    assert calls.count(("z_closed", True)) == 1
+    assert calls.count(("tangent_tables", True)) == 1

@@ -14,10 +14,7 @@ from hilbfock.series import (
     compose,
     compositional_inverse,
     differentiate,
-    divide_by_x,
     divide_by_x_minus_y,
-    divide_by_y,
-    lagrange_good_extract,
     negate_argument,
     reciprocal,
     scale_argument,
@@ -26,6 +23,8 @@ from hilbfock.series import (
     shift_down,
     shift_up,
 )
+
+from lagrange_good import divide_by_x, divide_by_y, lagrange_good_extract
 
 
 def s1(*coefficients, order=None):
