@@ -101,10 +101,6 @@ def class_series(spec: ClassSpec, order: int) -> Series1:
     return Series1.from_coefficients(leading[: order + 1], order)
 
 
-def _render(value) -> str:
-    return str(value)
-
-
 def _ordered_pairs(table: CoeffTable) -> list[tuple[int, int]]:
     """Table indices ascending by total degree, then descending k."""
     return sorted(table.entries, key=lambda pair: (pair[0] + pair[1], -pair[0]))
@@ -114,9 +110,9 @@ def _table_json(label: str, max_degree: int, a_k: dict[int, Fraction], table: Co
     payload = {
         "class": label,
         "max_degree": max_degree,
-        "a_k": [_render(a_k[k]) for k in range(1, max_degree + 1)],
+        "a_k": [str(a_k[k]) for k in range(1, max_degree + 1)],
         "a_kl": [
-            {"k": k, "l": l, "value": _render(table.entries[(k, l)])}
+            {"k": k, "l": l, "value": str(table.entries[(k, l)])}
             for k, l in _ordered_pairs(table)
         ],
     }
@@ -131,7 +127,7 @@ def _table_csv(a_k: dict[int, Fraction], table: CoeffTable, max_degree: int) -> 
     rows.extend((k, l, table.entries[(k, l)]) for k, l in _ordered_pairs(table))
     rows.sort(key=lambda row: (row[0] + row[1], -row[0]))
     for k, l, value in rows:
-        writer.writerow([k, l, _render(value)])
+        writer.writerow([k, l, str(value)])
     return buffer.getvalue()
 
 
@@ -154,7 +150,7 @@ def _table_pretty(label: str, max_degree: int, a_k: dict[int, Fraction], table: 
         lines.append(
             _aligned_rows(
                 [str(k) for k in kept_k],
-                [_render(a_k[k]) for k in kept_k],
+                [str(a_k[k]) for k in kept_k],
                 ("k", "a_k"),
             )
         )
@@ -165,7 +161,7 @@ def _table_pretty(label: str, max_degree: int, a_k: dict[int, Fraction], table: 
         lines.append(
             _aligned_rows(
                 [f"({k},{l})" for k, l in kept_kl],
-                [_render(table.entries[(k, l)]) for k, l in kept_kl],
+                [str(table.entries[(k, l)]) for k, l in kept_kl],
                 ("(k,l)", "a_kl"),
             )
         )
@@ -252,6 +248,8 @@ def cmd_equivariant(args: argparse.Namespace) -> int:
     bound = args.bound
     if level < 0:
         raise UsageError("--level must be nonnegative")
+    if bound < 0:
+        raise UsageError("--bound must be nonnegative")
     if bound > MAX_EQUIVARIANT_LEVEL:
         raise ResourceLimitError(
             f"--bound {bound} exceeds the hard limit of {MAX_EQUIVARIANT_LEVEL}"
@@ -276,7 +274,7 @@ def cmd_equivariant(args: argparse.Namespace) -> int:
                 {
                     "lambda0": list(pair.lambda0.parts),
                     "lambda1": list(pair.lambda1.parts),
-                    "value": _render(value),
+                    "value": str(value),
                 }
                 for pair, value in vector.entries
             ],
@@ -287,13 +285,13 @@ def cmd_equivariant(args: argparse.Namespace) -> int:
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["lambda0", "lambda1", "value"])
         for pair, value in vector.entries:
-            writer.writerow([str(pair.lambda0), str(pair.lambda1), _render(value)])
+            writer.writerow([str(pair.lambda0), str(pair.lambda1), str(value)])
         sys.stdout.write(buffer.getvalue())
     else:
         width = max(len(str(pair)) for pair, _ in vector.entries)
         sys.stdout.write(f"class {spec.label}, twist gamma={args.gamma}, level {level}\n\n")
         for pair, value in vector.entries:
-            sys.stdout.write(f"{str(pair).ljust(width)}  {_render(value)}\n")
+            sys.stdout.write(f"{str(pair).ljust(width)}  {value}\n")
     return 0
 
 

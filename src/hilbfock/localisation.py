@@ -20,7 +20,8 @@ pair), and each pair costs one O(n^2) exponential.  The hook form uses
 log F and the power sums of the hook lengths; when it sums Z it goes
 one step further, since the exponential of a pair's power sums is the
 product of the two partitions' exponentials: one O(N^2) exponential
-per partition, and an O(n) convolution per pair.
+per two-row partition, summed with its Schur polynomial by size, and
+one convolution of those sums per level, with no loop over pairs.
 
 Two independent constructions of Z are provided: the direct fixed-point
 sum (``z_series_hookform``) and a coefficient-extraction route through
@@ -237,15 +238,17 @@ def z_series_hookform(f: Series1, N: int) -> Series2:
     multiplicative class with series f, recorded as a two-variable
     polynomial.  Each pair of partitions contributes its hook-length
     coefficient times the product of the two-variable Schur
-    specialisations; pairs where either partition has three or more
-    rows are pruned because their Schur factor vanishes identically.
+    specialisations; only two-row partitions enter, because the Schur
+    factor of any other vanishes identically.
 
     The exponential of a pair's hook power sums is the product of the
     exponentials of its two partitions, so each two-row partition gets
     one O(N^2) exponential E = exp(sum of L_k p_k(hooks) u^k) / (hook
-    product), and a level-n pair's coefficient is the O(n) convolution
-    +-sum over i of E0[i] E1[n - i].  Its two homogeneous Schur rows are
-    multiplied into the degree-n row of Z.
+    product).  Collecting them by size, S[m][i] = sum over two-row
+    partitions of m of E[i] times the Schur row, a homogeneous row of
+    degree m, gives row n of Z as the sum over m and i of
+    (-1)^m S[m][i] S[n - m][n - i], multiplied as homogeneous
+    polynomials.
     """
     if f.order < N:
         raise InsufficientOrderError(
@@ -254,35 +257,40 @@ def z_series_hookform(f: Series1, N: int) -> Series2:
     fN = f.truncate(N)
     log_F = series_log(fN * negate_argument(fN))
     ring = log_F.ring
+    zero = ring.zero
     L = log_F.coefficients
-    two_row = [p for size in range(N + 1) for p in enumerate_partitions(size) if p.length <= 2]
-    weighted_exps = {}
-    for p in two_row:
-        sums, h = _hook_data(p, N)
-        exponent = (ring.zero,) + tuple(L[k] * sums[k - 1] for k in range(1, N + 1))
-        weighted_exps[p] = [c / h for c in series_exp(Series1(exponent, N, ring)).coefficients]
-    # Both Schur factors are homogeneous, so a level-n pair only touches
-    # the degree-n row of Z: multiply the two rows, not two triangles.
-    schur_rows = {p: schur_two_vars(p).homogeneous(p.size) for p in two_row}
-    rows = [[Fraction(0)] * (n + 1) for n in range(N + 1)]
-    for n in range(N + 1):
-        target = rows[n]
-        for pair in level_pairs(n):
-            if pair.lambda0.length > 2 or pair.lambda1.length > 2:
+    S = []
+    for m in range(N + 1):
+        by_degree = [[zero] * (m + 1) for _ in range(N + 1)]
+        for p in enumerate_partitions(m):
+            if p.length > 2:
                 continue
-            e0, e1 = weighted_exps[pair.lambda0], weighted_exps[pair.lambda1]
-            coefficient = sum((e0[i] * e1[n - i] for i in range(n + 1)), ring.zero)
-            if pair.lambda0.size % 2:
-                coefficient = -coefficient
-            if coefficient:
-                row1 = schur_rows[pair.lambda1]
-                for i0, a in enumerate(schur_rows[pair.lambda0]):
+            sums, h = _hook_data(p, N)
+            exponent = (zero,) + tuple(L[k] * sums[k - 1] for k in range(1, N + 1))
+            schur_row = schur_two_vars(p).homogeneous(m)
+            for i, e in enumerate(series_exp(Series1(exponent, N, ring)).coefficients):
+                if e:
+                    e = e / h
+                    target = by_degree[i]
+                    for j, s in enumerate(schur_row):
+                        if s:
+                            target[j] += e * s
+        S.append(by_degree)
+    rows = []
+    for n in range(N + 1):
+        target = [zero] * (n + 1)
+        for m in range(n + 1):
+            for i in range(n + 1):
+                right = S[n - m][n - i]
+                for j0, a in enumerate(S[m][i]):
                     if a:
-                        scaled = coefficient * a
-                        for i1, b in enumerate(row1):
+                        if m % 2:
+                            a = -a
+                        for j1, b in enumerate(right):
                             if b:
-                                target[i0 + i1] += scaled * b
-    return Series2(tuple(tuple(row) for row in rows), N)
+                                target[j0 + j1] += a * b
+        rows.append(tuple(target))
+    return Series2(tuple(rows), N)
 
 
 def z_series_residue(f: Series1, N: int) -> Series2:

@@ -4,12 +4,11 @@ Cells are addressed as 1-based (row, column) pairs.  For a cell w the
 arm a(w) counts the cells strictly to its right, the leg l(w) counts
 the cells strictly below, and the hook length is h(w) = a(w) + l(w) + 1.
 
-Two weighted cell products appear in the localisation formulas:
+The localisation formulas divide by the weighted cell product
 
-    c(lambda; alpha, beta)       = prod over w of (alpha*(l(w)+1) + beta*a(w))
-    c_prime(lambda; alpha, beta) = prod over w of (alpha*l(w) + beta*(a(w)+1))
+    c_prime(lambda; alpha, beta) = prod over w of (alpha*l(w) + beta*(a(w)+1)),
 
-both of which specialise to the hook product at alpha = beta = 1.  The
+which specialises to the hook product at alpha = beta = 1.  The
 weight multiset W(lambda; alpha, beta) holds, for every cell, the pair
 
     alpha*(l(w)+1) + beta*a(w)   and   -alpha*l(w) - beta*(a(w)+1),
@@ -69,16 +68,6 @@ class Partition:
         i, j = cell
         return 1 <= i <= len(self.parts) and 1 <= j <= self.parts[i - 1]
 
-    def conjugate(self) -> "Partition":
-        """Transpose the diagram."""
-        if not self.parts:
-            return Partition()
-        cols = [0] * self.parts[0]
-        for row_length in self.parts:
-            for j in range(row_length):
-                cols[j] += 1
-        return Partition(cols)
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)
 
@@ -126,13 +115,6 @@ def hook_product(partition: Partition) -> int:
     return product
 
 
-def c_product(partition: Partition, alpha, beta) -> Fraction:
-    product = Fraction(1)
-    for w in partition.cells():
-        product *= alpha * (leg(partition, w) + 1) + beta * arm(partition, w)
-    return product
-
-
 def c_prime_product(partition: Partition, alpha, beta) -> Fraction:
     product = Fraction(1)
     for w in partition.cells():
@@ -177,7 +159,3 @@ def _partitions_cached(n: int) -> tuple[Partition, ...]:
 
     build(n, n, [])
     return tuple(result)
-
-
-def partition_count(n: int) -> int:
-    return len(enumerate_partitions(n))

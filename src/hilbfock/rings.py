@@ -102,21 +102,6 @@ class DualNumber:
             return NotImplemented
         return lifted * self.inverse()
 
-    def __pow__(self, exponent: int) -> "DualNumber":
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = DualNumber(Fraction(1))
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other: Any) -> bool:
         lifted = DualNumber.lift(other)
         if lifted is None:

@@ -8,11 +8,11 @@ operations truncate to the smaller operand order.  The same contract
 holds for ``Series2`` with total degree playing the role of degree.
 
 The analytic operations all live here as module-level functions:
-exp and log (each a recurrence on coefficients, or on homogeneous rows
-in two variables), reciprocal, composition (Horner's scheme in general,
-and a congruence of triangular matrices for the difference
-g(x) - g(y)), compositional inversion by the Lagrange formula, and the
-two-variable division by x - y.  Coefficients come from one of the
+exp and reciprocal (one variable only), log (a recurrence on
+coefficients, or on homogeneous rows in two variables), composition
+(Horner's scheme in general, and a congruence of triangular matrices
+for the difference g(x) - g(y)), compositional inversion by the
+Lagrange formula, and the two-variable division by x - y.  Coefficients come from one of the
 rings in ``rings``: plain rationals or dual numbers.
 """
 
@@ -111,9 +111,6 @@ class Series1:
     def constant_term(self):
         return self.coefficients[0]
 
-    def is_zero(self) -> bool:
-        return all(c == self.ring.zero for c in self.coefficients)
-
     def truncate(self, order: int) -> "Series1":
         """Forget coefficients above ``order``.  Never extends."""
         if order > self.order:
@@ -185,30 +182,6 @@ class Series1:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "Series1":
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return reciprocal(self) ** (-exponent)
-        result = Series1.one(self.order, self.ring)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    def __str__(self) -> str:
-        terms = []
-        for k, c in enumerate(self.coefficients):
-            if c == self.ring.zero:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            elif k == 1:
-                terms.append(f"{c}*x")
-            else:
-                terms.append(f"{c}*x^{k}")
-        body = " + ".join(terms) if terms else "0"
-        return f"{body} + O(x^{self.order + 1})"
-
 
 # ---------------------------------------------------------------------------
 # two variables
@@ -247,18 +220,6 @@ class Series2:
     @classmethod
     def one(cls, order: int, ring: Ring = QQ) -> "Series2":
         return cls(((ring.one,),), order, ring)
-
-    @classmethod
-    def monomial(cls, coefficient: Any, i: int, j: int, order: int, ring: Ring = QQ) -> "Series2":
-        if i < 0 or j < 0:
-            raise SeriesError("exponents must be non-negative")
-        rows: list[tuple] = []
-        for d in range(min(i + j, order) + 1):
-            row = [ring.zero] * (d + 1)
-            if d == i + j and i + j <= order:
-                row[i] = coefficient
-            rows.append(tuple(row))
-        return cls(tuple(rows), order, ring)
 
     @classmethod
     def from_dict(cls, entries: dict, order: int, ring: Ring = QQ) -> "Series2":
@@ -316,10 +277,6 @@ class Series2:
     def constant_term(self):
         return self.rows[0][0]
 
-    def is_zero(self) -> bool:
-        zero = self.ring.zero
-        return all(c == zero for row in self.rows for c in row)
-
     def truncate(self, order: int) -> "Series2":
         if order > self.order:
             raise SeriesError("cannot extend a truncated series; rebuild it at higher order")
@@ -328,9 +285,6 @@ class Series2:
     def swap(self) -> "Series2":
         """Exchange the two variables."""
         return Series2(tuple(tuple(reversed(row)) for row in self.rows), self.order, self.ring)
-
-    def is_symmetric(self) -> bool:
-        return all(tuple(reversed(row)) == row for row in self.rows)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -404,36 +358,14 @@ class Series2:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "Series2":
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return reciprocal(self) ** (-exponent)
-        result = Series2.one(self.order, self.ring)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    def __str__(self) -> str:
-        terms = []
-        for d, row in enumerate(self.rows):
-            for i, c in enumerate(row):
-                if c == self.ring.zero:
-                    continue
-                xs = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
-                ys = "" if d - i == 0 else ("y" if d - i == 1 else f"y^{d - i}")
-                parts = [p for p in (str(c), xs, ys) if p]
-                terms.append("*".join(parts))
-        body = " + ".join(terms) if terms else "0"
-        return f"{body} + O(deg {self.order + 1})"
-
 
 # ---------------------------------------------------------------------------
 # analytic operations
 
 
-def reciprocal(series: Series1 | Series2):
-    """Multiplicative inverse, by the usual triangular recursion.
+def reciprocal(series: Series1) -> Series1:
+    """Multiplicative inverse of a one-variable series, by the usual
+    triangular recursion.
 
     The constant term must be a unit of the coefficient ring.
     """
@@ -442,66 +374,39 @@ def reciprocal(series: Series1 | Series2):
     if not ring.is_unit(c0):
         raise NotInvertibleError("constant term is not a unit, no multiplicative inverse")
     inv0 = ring.one / c0
-    if isinstance(series, Series1):
-        n = series.order
-        out = [inv0] + [ring.zero] * n
-        for k in range(1, n + 1):
-            acc = ring.zero
-            for i in range(1, k + 1):
-                a = series.coefficients[i]
-                if a:
-                    acc = acc + a * out[k - i]
-            out[k] = -inv0 * acc
-        return Series1(tuple(out), n, ring)
     n = series.order
-    zero = ring.zero
-    out = [[zero] * (d + 1) for d in range(n + 1)]
-    out[0][0] = inv0
-    for d in range(1, n + 1):
-        for i in range(d + 1):
-            acc = zero
-            # sum over nonzero-degree factors a_(e,row) * out at (d-e)
-            for e in range(1, d + 1):
-                row = series.rows[e]
-                for p in range(e + 1):
-                    a = row[p]
-                    if not a:
-                        continue
-                    q = i - p
-                    if 0 <= q <= d - e:
-                        acc = acc + a * out[d - e][q]
-            out[d][i] = -inv0 * acc
-    return Series2(tuple(tuple(row) for row in out), n, ring)
+    out = [inv0] + [ring.zero] * n
+    for k in range(1, n + 1):
+        acc = ring.zero
+        for i in range(1, k + 1):
+            a = series.coefficients[i]
+            if a:
+                acc = acc + a * out[k - i]
+        out[k] = -inv0 * acc
+    return Series1(tuple(out), n, ring)
 
 
-def series_exp(series: Series1 | Series2):
-    """Exponential of a series with zero constant term.
+def series_exp(series: Series1) -> Series1:
+    """Exponential of a one-variable series with zero constant term.
 
-    One variable: E = exp(g) solves E' = g' E, so its coefficients
-    follow m E_m = sum over 1 <= k <= m of k g_k E_(m-k), which costs
-    O(N^2) coefficient operations.  Two variables: the exponential
-    power series, summed term by term.
+    E = exp(g) solves E' = g' E, so its coefficients follow
+    m E_m = sum over 1 <= k <= m of k g_k E_(m-k), which costs O(N^2)
+    coefficient operations.
     """
     ring = series.ring
     if series.constant_term != ring.zero:
         raise SeriesError("exp requires zero constant term")
     n = series.order
-    if isinstance(series, Series1):
-        weighted = [ring.coerce(k) * c for k, c in enumerate(series.coefficients)]
-        out = [ring.one] + [ring.zero] * n
-        for m in range(1, n + 1):
-            acc = ring.zero
-            for k in range(1, m + 1):
-                s = weighted[k]
-                if s:
-                    acc = acc + s * out[m - k]
-            out[m] = acc / ring.coerce(m)
-        return Series1(tuple(out), n, ring)
-    acc = term = Series2.one(n, ring)
-    for k in range(1, n + 1):
-        term = term * series * (ring.one / ring.coerce(k))
-        acc = acc + term
-    return acc
+    weighted = [ring.coerce(k) * c for k, c in enumerate(series.coefficients)]
+    out = [ring.one] + [ring.zero] * n
+    for m in range(1, n + 1):
+        acc = ring.zero
+        for k in range(1, m + 1):
+            s = weighted[k]
+            if s:
+                acc = acc + s * out[m - k]
+        out[m] = acc / ring.coerce(m)
+    return Series1(tuple(out), n, ring)
 
 
 def series_log(series: Series1 | Series2):

@@ -1,77 +1,17 @@
-"""Two-variable specializations of symmetric functions plus the Fock
-bookkeeping that ties creation-operator monomials to those polynomials.
+"""Schur polynomials specialised to two variables.
 
-A surface with cohomology spanned by the unit and a single middle
-class admits a compact dictionary: a basis class of the n-th Hilbert
-scheme's cohomology is a product of creation operators applied to the
-vacuum, and on the middle-degree part that monomial is faithfully
-recorded by a two-variable polynomial.  The map ``rho`` implements the
-recording, ``psi_on_power_sums`` implements the passage from a pair of
-power-sum symmetric functions to the operator monomial.
+On the middle-degree part of the Fock space, a class of the n-th
+Hilbert scheme is recorded by a two-variable polynomial; the
+fixed-point sum for Z(x, y) weights each pair of partitions by the
+product of their two-variable Schur polynomials.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .partitions import Partition
 from .series import Series2
-
-UNIT_TAG = "unit"
-FIBRE_TAG = "fibre"
-_TAGS = (UNIT_TAG, FIBRE_TAG)
-
-
-@dataclass(frozen=True)
-class FockMonomial:
-    """A product of creation operators applied to the vacuum.
-
-    ``factors`` is a multiset of (index, tag) pairs, kept sorted as the
-    canonical form since the operators in question commute.  The tag
-    records which surface class the operator carries: the unit class or
-    the compactly supported middle class (the fibre).
-    """
-
-    factors: tuple[tuple[int, str], ...]
-
-    def __init__(self, factors=()) -> None:
-        factors = tuple((int(k), tag) for k, tag in factors)
-        for k, tag in factors:
-            if k <= 0:
-                raise ValueError(f"creation operator index must be positive, got {k}")
-            if tag not in _TAGS:
-                raise ValueError(f"unknown class tag {tag!r}")
-        object.__setattr__(self, "factors", tuple(sorted(factors)))
-
-    @classmethod
-    def vacuum(cls) -> "FockMonomial":
-        return cls()
-
-    @property
-    def degree(self) -> int:
-        """Cohomological degree: 2k for a fibre factor, 2k - 2 for a unit one."""
-        total = 0
-        for k, tag in self.factors:
-            total += 2 * k if tag == FIBRE_TAG else 2 * k - 2
-        return total
-
-    @property
-    def level(self) -> int:
-        """Number of points added: the sum of the operator indices."""
-        return sum(k for k, _ in self.factors)
-
-    def union(self, other: "FockMonomial") -> "FockMonomial":
-        return FockMonomial(self.factors + other.factors)
-
-    def is_middle_degree(self) -> bool:
-        return all(tag == FIBRE_TAG for _, tag in self.factors)
-
-    def __str__(self) -> str:
-        if not self.factors:
-            return "|0>"
-        ops = "".join(f"q{k}({'1' if tag == UNIT_TAG else 'h'})" for k, tag in self.factors)
-        return ops + "|0>"
 
 
 def schur_two_vars(partition: Partition, order: int | None = None) -> Series2:
@@ -90,39 +30,3 @@ def schur_two_vars(partition: Partition, order: int | None = None) -> Series2:
     b = partition.parts[1] if partition.length >= 2 else 0
     entries = {(i, a + b - i): Fraction(1) for i in range(b, a + 1)}
     return Series2.from_dict(entries, order)
-
-
-def power_sum_two_vars(partition: Partition, order: int | None = None) -> Series2:
-    """The product over the parts k of (x^k + y^k)."""
-    if order is None:
-        order = partition.size
-    result = Series2.one(order)
-    for k in partition.parts:
-        factor = Series2.from_dict({(k, 0): Fraction(1), (0, k): Fraction(1)}, order)
-        result = result * factor
-    return result
-
-
-def rho(monomial: FockMonomial, scalar=Fraction(1), order: int | None = None) -> Series2:
-    """Record a middle-degree Fock monomial as a two-variable polynomial.
-
-    Each fibre-tagged factor of index k contributes a factor
-    (x^k + y^k); the optional scalar multiplies the product.  Monomials
-    containing a unit-tagged factor sit below the middle cohomological
-    degree and are outside the domain.
-    """
-    if not monomial.is_middle_degree():
-        raise ValueError("ρ defined on middle-degree classes only")
-    partition = Partition(sorted((k for k, _ in monomial.factors), reverse=True))
-    return power_sum_two_vars(partition, order) * scalar
-
-
-def psi_on_power_sums(lambda0: Partition, lambda1: Partition) -> FockMonomial:
-    """The operator monomial attached to a pair of power-sum functions.
-
-    Both slots of the pair land on fibre-tagged operators; the two
-    partitions are simply concatenated.
-    """
-    factors = [(k, FIBRE_TAG) for k in lambda0.parts]
-    factors.extend((k, FIBRE_TAG) for k in lambda1.parts)
-    return FockMonomial(factors)

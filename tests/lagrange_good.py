@@ -2,9 +2,10 @@
 
 Nothing in the package extracts coefficients this way any more (the
 inverter applies the one-variable Lagrange formula directly), so the
-general extraction and the partial derivatives and single-variable
-divisions that only it needs live here, next to the tests that check
-them against forward substitution.
+general extraction and the partial derivatives, single-variable
+divisions and two-variable reciprocal that only it and the oracles
+need live here, next to the tests that check them against forward
+substitution.
 """
 
 from __future__ import annotations
@@ -55,6 +56,44 @@ def divide_by_y(series: Series2) -> Series2:
     return divide_by_x(series.swap()).swap()
 
 
+def reciprocal2(series: Series2) -> Series2:
+    """Multiplicative inverse of a two-variable series, by the triangular recursion.
+
+    The constant term must be a unit of the coefficient ring.
+    """
+    ring = series.ring
+    c0 = series.constant_term
+    if not ring.is_unit(c0):
+        raise NotInvertibleError("constant term is not a unit, no multiplicative inverse")
+    inv0 = ring.one / c0
+    n = series.order
+    zero = ring.zero
+    out = [[zero] * (d + 1) for d in range(n + 1)]
+    out[0][0] = inv0
+    for d in range(1, n + 1):
+        for i in range(d + 1):
+            acc = zero
+            # sum over nonzero-degree factors a_(e,row) * out at (d-e)
+            for e in range(1, d + 1):
+                row = series.rows[e]
+                for p in range(e + 1):
+                    a = row[p]
+                    if not a:
+                        continue
+                    q = i - p
+                    if 0 <= q <= d - e:
+                        acc = acc + a * out[d - e][q]
+            out[d][i] = -inv0 * acc
+    return Series2(tuple(tuple(row) for row in out), n, ring)
+
+
+def _power(base, exponent: int):
+    result = base.one(base.order, base.ring)
+    for _ in range(exponent):
+        result = result * base
+    return result
+
+
 def lagrange_good_extract(g, f_list: Sequence, k) -> Any:
     """Coefficient c_k in the expansion of g as a series in the f_i.
 
@@ -84,7 +123,7 @@ def lagrange_good_extract(g, f_list: Sequence, k) -> Any:
         h = shift_down(f, 1)  # checks divisibility by the variable
         if not f.ring.is_unit(h.constant_term):
             raise NotInvertibleError("not invertible under composition")
-        factor = reciprocal(h) ** (k1 + 1)
+        factor = _power(reciprocal(h), k1 + 1)
         product = g * differentiate(f) * factor
         return product.coefficient(k1)
     if len(f_list) == 2:
@@ -99,6 +138,6 @@ def lagrange_good_extract(g, f_list: Sequence, k) -> Any:
         if not g.ring.is_unit(h1.constant_term) or not g.ring.is_unit(h2.constant_term):
             raise NotInvertibleError("not invertible under composition")
         jacobian = differentiate_x(f1) * differentiate_y(f2) - differentiate_y(f1) * differentiate_x(f2)
-        product = g * jacobian * (reciprocal(h1) ** (k1 + 1)) * (reciprocal(h2) ** (k2 + 1))
+        product = g * jacobian * _power(reciprocal2(h1), k1 + 1) * _power(reciprocal2(h2), k2 + 1)
         return product.coefficient(k1, k2)
     raise SeriesError("at most two variables are supported")

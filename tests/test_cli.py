@@ -229,9 +229,20 @@ def test_cheap_class_at_the_degree_cap_succeeds(capsys, argv):
 
 
 def test_table_rejects_unknown_class(capsys):
-    code, _, err = run(capsys, "table", "--class", "pontryagin", "--max-degree", "4")
-    assert code == 2
-    assert "cannot parse class" in err
+    for class_spec in ("pontryagin", "1/10^40"):
+        code, _, err = run(capsys, "table", "--class", class_spec, "--max-degree", "4")
+        assert code == 2
+        assert "cannot parse class" in err
+
+
+def test_large_height_class_table(capsys):
+    # f = 1 + x/10^40: G = z / (1 - z^2/10^80), so a_3 = g_3 / 3 = -1/(3*10^80)
+    code, out, _ = run(
+        capsys, "table", "--class", "1/1" + "0" * 40, "--max-degree", "12", "--format", "json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["a_k"][:3] == ["1", "0", "-1/3" + "0" * 80]
 
 
 def test_target_and_class_compatibility(capsys):
@@ -397,6 +408,12 @@ def test_equivariant_level_budget(capsys):
     code, _, err = run(capsys, "equivariant", "--class", "todd", "--level", "-1")
     assert code == 2
     assert "nonnegative" in err
+
+    code, _, err = run(
+        capsys, "equivariant", "--class", "todd", "--level", "0", "--bound", "-1"
+    )
+    assert code == 2
+    assert "--bound must be nonnegative" in err
 
 
 def test_equivariant_rejects_chern_character(capsys):

@@ -50,6 +50,8 @@ from hilbfock.series import (
     shift_up,
 )
 
+from lagrange_good import reciprocal2
+
 EPS = DualNumber(0, 1)
 
 
@@ -96,7 +98,7 @@ def oracle_tangent_tables(f: Series1, N: int):
     delta = _difference(g)
     ratio = divide_by_x_minus_y(delta)
     F_of_delta = compose(fine * negate_argument(fine), delta.truncate(N))
-    logarithm = oracle_log2(ratio * reciprocal(F_of_delta))
+    logarithm = oracle_log2(ratio * reciprocal2(F_of_delta))
     return a_k, CoeffTable(KIND_THEOREM, N, _mixed_entries(logarithm, N))
 
 

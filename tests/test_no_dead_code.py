@@ -1,0 +1,48 @@
+"""Every public top-level function or class in the package has a caller.
+
+A name counts as live when it is exported in ``hilbfock.__all__`` or
+appears as a ``Name`` or ``Attribute`` somewhere in the package source
+outside its own definition.  Code that only tests use belongs in
+``tests/``.
+"""
+
+import ast
+from pathlib import Path
+
+import hilbfock
+
+SOURCE = Path(hilbfock.__file__).parent
+
+
+def _definitions_and_references():
+    """Public top-level definitions, and each name referenced from outside them."""
+    definitions = []
+    references = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            owner = None
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
+                owner = top.name
+                definitions.append((path.name, owner))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != owner:
+                    references.add(name)
+    return definitions, references
+
+
+def test_every_public_definition_is_exported_or_called():
+    definitions, references = _definitions_and_references()
+    exported = set(hilbfock.__all__)
+    dead = [
+        f"{module}:{name}"
+        for module, name in definitions
+        if name not in exported and name not in references
+    ]
+    assert dead == []

@@ -62,14 +62,6 @@ def test_dual_with_zero_value_is_not_invertible():
         DualNumber(0, 5).inverse()
 
 
-def test_dual_powers():
-    d = DualNumber(2, 1)
-    assert d**0 == 1
-    assert d**3 == DualNumber(8, 12)
-    assert d**-1 == d.inverse()
-    assert d**-2 == (d * d).inverse()
-
-
 def test_dual_compares_with_plain_rationals():
     assert DualNumber(3, 0) == 3
     assert DualNumber(3, 1) != 3

@@ -88,13 +88,6 @@ def test_scalar_arithmetic():
     assert (2 * s) == s + s
 
 
-def test_power_with_negative_exponent():
-    s = s1(1, 1, 0, 0)
-    assert s**2 == s * s
-    assert s**0 == Series1.one(3)
-    assert s**-1 == reciprocal(s)
-
-
 def test_reciprocal_geometric():
     assert reciprocal(s1(1, -1, 0, 0, 0)) == GEOMETRIC
 
@@ -302,9 +295,9 @@ def test_series2_multiplication():
 
 def test_series2_symmetry_predicate_and_swap():
     sym = x_plus_y(3) * x_plus_y(3)
-    assert sym.is_symmetric()
+    assert sym == sym.swap()
     lop = Series2.from_dict({(2, 0): Fr(1)}, 3)
-    assert not lop.is_symmetric()
+    assert lop != lop.swap()
     assert lop.swap() == Series2.from_dict({(0, 2): Fr(1)}, 3)
 
 
@@ -350,11 +343,6 @@ def test_compose_series1_outer_with_series2_inner():
     assert total.homogeneous(1) == (Fr(1), Fr(1))
     assert total.homogeneous(2) == (Fr(1), Fr(2), Fr(1))
     assert total.homogeneous(3) == (Fr(1), Fr(3), Fr(3), Fr(1))
-
-
-def test_series2_exp_log_round_trip():
-    s = Series2.from_dict({(1, 0): Fr(1), (1, 1): Fr(-2), (0, 3): Fr(1, 3)}, 4)
-    assert series_log(series_exp(s)) == s
 
 
 def test_series2_min_order_rule():

@@ -1,22 +1,8 @@
 from fractions import Fraction as Fr
 
-import pytest
-
 from hilbfock.partitions import EMPTY, Partition, enumerate_partitions
 from hilbfock.series import Series2, divide_by_x_minus_y
-from hilbfock.symfun import (
-    FIBRE_TAG,
-    UNIT_TAG,
-    FockMonomial,
-    power_sum_two_vars,
-    psi_on_power_sums,
-    rho,
-    schur_two_vars,
-)
-
-
-def fibre(*indices):
-    return FockMonomial(tuple((k, FIBRE_TAG) for k in indices))
+from hilbfock.symfun import schur_two_vars
 
 
 def nonzero(series):
@@ -27,50 +13,6 @@ def nonzero(series):
             if value:
                 entries[(i, degree - i)] = value
     return entries
-
-
-# ----------------------------------------------------------- Fock monomials
-
-
-def test_vacuum_has_degree_and_level_zero():
-    vac = FockMonomial.vacuum()
-    assert vac.degree == 0
-    assert vac.level == 0
-    assert str(vac) == "|0>"
-    assert vac.is_middle_degree()
-
-
-def test_degree_counts_tags_differently():
-    assert fibre(2).degree == 4
-    assert FockMonomial(((1, UNIT_TAG),)).degree == 0
-    assert FockMonomial(((3, UNIT_TAG), (2, FIBRE_TAG))).degree == 8
-
-
-def test_level_sums_indices():
-    assert FockMonomial(((3, UNIT_TAG), (2, FIBRE_TAG))).level == 5
-
-
-def test_factors_are_sorted_canonically():
-    a = FockMonomial(((2, FIBRE_TAG), (1, FIBRE_TAG)))
-    b = FockMonomial(((1, FIBRE_TAG), (2, FIBRE_TAG)))
-    assert a == b
-    assert str(a) == "q1(h)q2(h)|0>"
-
-
-def test_union_concatenates():
-    assert fibre(1).union(fibre(2)) == fibre(1, 2)
-
-
-def test_middle_degree_detection():
-    assert fibre(1, 4).is_middle_degree()
-    assert not FockMonomial(((1, UNIT_TAG),)).is_middle_degree()
-
-
-def test_constructor_validation():
-    with pytest.raises(ValueError, match="must be positive"):
-        FockMonomial(((0, FIBRE_TAG),))
-    with pytest.raises(ValueError, match="unknown class tag"):
-        FockMonomial(((1, "point"),))
 
 
 # ----------------------------------------------------------- Schur values
@@ -109,64 +51,11 @@ def test_schur_is_homogeneous_of_partition_size():
                 assert value != 0
 
 
-# ----------------------------------------------------------- power sums
-
-
-def test_power_sum_examples():
-    assert nonzero(power_sum_two_vars(Partition((1,)))) == {
-        (1, 0): Fr(1),
-        (0, 1): Fr(1),
-    }
-    p21 = nonzero(power_sum_two_vars(Partition((2, 1))))
-    assert p21 == {(3, 0): Fr(1), (2, 1): Fr(1), (1, 2): Fr(1), (0, 3): Fr(1)}
+# ----------------------------------------------------------- Newton identity
 
 
 def test_newton_identity_in_two_variables():
-    # p_1^2 = s_(2) + s_(1,1)
-    lhs = power_sum_two_vars(Partition((1, 1)))
+    # p_1^2 = (x + y)^2 = s_(2) + s_(1,1)
+    lhs = Series2.from_dict({(2, 0): Fr(1), (1, 1): Fr(2), (0, 2): Fr(1)}, 2)
     rhs = schur_two_vars(Partition((2,))) + schur_two_vars(Partition((1, 1)))
     assert nonzero(lhs) == nonzero(rhs)
-
-
-# ----------------------------------------------------------- rho and psi
-
-
-def test_rho_records_fibre_indices():
-    assert nonzero(rho(fibre(1))) == {(1, 0): Fr(1), (0, 1): Fr(1)}
-    assert nonzero(rho(fibre(2, 1))) == nonzero(power_sum_two_vars(Partition((2, 1))))
-
-
-def test_rho_vacuum_and_scalar():
-    assert nonzero(rho(FockMonomial.vacuum())) == {(0, 0): Fr(1)}
-    scaled = rho(fibre(1), Fr(3, 2))
-    assert nonzero(scaled) == {(1, 0): Fr(3, 2), (0, 1): Fr(3, 2)}
-
-
-def test_rho_is_multiplicative_on_unions():
-    a, b = fibre(2), fibre(1, 1)
-    order = a.union(b).level
-    product = rho(a, order=order) * rho(b, order=order)
-    assert nonzero(rho(a.union(b), order=order)) == nonzero(product)
-
-
-def test_rho_rejects_unit_tagged_factors():
-    with pytest.raises(ValueError, match="middle-degree classes only"):
-        rho(FockMonomial(((1, UNIT_TAG),)))
-
-
-def test_psi_concatenates_both_slots():
-    mono = psi_on_power_sums(Partition((2,)), Partition((1, 1)))
-    assert mono == fibre(2, 1, 1)
-    assert psi_on_power_sums(EMPTY, EMPTY) == FockMonomial.vacuum()
-
-
-def test_rho_after_psi_gives_product_of_power_sums():
-    for n in range(5):
-        for lam0 in enumerate_partitions(n):
-            for lam1 in enumerate_partitions(4 - n if n <= 4 else 0):
-                mono = psi_on_power_sums(lam0, lam1)
-                order = mono.level
-                expected = power_sum_two_vars(lam0, order) * power_sum_two_vars(
-                    lam1, order
-                )
-                assert nonzero(rho(mono, order=order)) == nonzero(expected)
