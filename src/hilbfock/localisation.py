@@ -16,12 +16,25 @@ is exp(sum over k of L_k p_k(W) u^k), where p_k(W) is the k-th power
 sum of the weights (Hirzebruch's description of a multiplicative
 genus).  So the logarithm is taken once per call, the power sums are
 computed once per partition (they add over the two partitions of a
-pair), and each pair costs one O(n^2) exponential.  The hook form uses
-log F and the power sums of the hook lengths; when it sums Z it goes
-one step further, since the exponential of a pair's power sums is the
-product of the two partitions' exponentials: one O(N^2) exponential
-per two-row partition, summed with its Schur polynomial by size, and
-one convolution of those sums per level, with no loop over pairs.
+pair), and each pair costs one O(n^2) exponential.
+
+The logarithm and the exponentials run on integers.  With c the lcm
+of the denominators of f_1, ..., f_n, the coefficients h_k = c^k f_k of
+f(c u) are integers, and so are w_m = m h_m - sum over k < m of
+w_k h_(m-k), which is m times [u^m] log f(c u), and e_0 = 1,
+e_m = sum over k <= m of w_k s_k e_(m-k) (m-1)!/(m-k)!.  Then
+[u^m] exp(sum of L_k s_k u^k) is e_m / (m! c^m): no step of either
+recurrence divides, and one Fraction is formed per coefficient asked
+for.  Dual-number classes run the same recurrences on ring elements
+with c = 1.
+
+The hook form uses F(u) = f(u) f(-u), whose log is twice the even part
+of log f, and the power sums of the hook lengths; when it sums Z it
+goes one step further, since the exponential of a pair's power sums is
+the product of the two partitions' exponentials: one O(N^2) exponential
+per two-row partition, summed with its Schur polynomial by size as an
+integer row, and one convolution of those sums per level, with no loop
+over pairs.
 
 Two independent constructions of Z are provided: the direct fixed-point
 sum (``z_series_hookform``) and a coefficient-extraction route through
@@ -37,6 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial, lcm
 from typing import Sequence
 
 from .partitions import (
@@ -47,6 +61,7 @@ from .partitions import (
     hook_product,
     weight_multiset,
 )
+from .rings import QQ
 from .series import (
     InsufficientOrderError,
     Series1,
@@ -55,8 +70,6 @@ from .series import (
     divide_by_x_minus_y,
     negate_argument,
     reciprocal,
-    series_exp,
-    series_log,
     shift_up,
 )
 from .symfun import schur_two_vars
@@ -123,28 +136,96 @@ def tangent_weights(pair: FixedPointBasisVector, gamma: int) -> tuple[int, ...]:
     return tuple(sorted(combined))
 
 
-def _power_sums(values: Sequence[int], n: int) -> tuple[int, ...]:
+def _power_sums(values: Sequence[int], n: int) -> list[int]:
     """The power sums p_1, ..., p_n of a multiset of integers."""
-    return tuple(sum(v**k for v in values) for k in range(1, n + 1))
+    sums = [0] * n
+    for v in values:
+        power = 1
+        for k in range(n):
+            power *= v
+            sums[k] += power
+    return sums
 
 
-def _product_coefficient(log_f: Series1, sums0: Sequence[int], sums1: Sequence[int], n: int):
-    """[u^n] of the product of f(w u) over two multisets with the given power sums.
+def _integer_log(f: Series1, n: int) -> tuple[int, list]:
+    """The scale c and the weights w_m = m [u^m] log f(c u) for m <= n.
 
-    The product is exp(sum over k of L_k (p_k + q_k) u^k) with L = log f.
+    c is the lcm of the denominators of f_1, ..., f_n, so h_k = c^k f_k
+    is an integer and w_m = m h_m - sum over 1 <= k < m of w_k h_(m-k)
+    (the log recurrence for f(c u)) never divides.  Over the dual
+    numbers c = 1 and the same recurrence runs on ring elements.  w[0]
+    holds h_0 = 1 in whichever of the two it runs on; it seeds e_0 in
+    ``_power_sum_exp``.
     """
-    L = log_f.coefficients
-    exponent = (log_f.ring.zero,) + tuple(L[k] * (sums0[k - 1] + sums1[k - 1]) for k in range(1, n + 1))
-    return series_exp(Series1(exponent, n, log_f.ring)).coefficient(n)
+    if f.constant_term != f.ring.one:
+        raise ValueError("a multiplicative class series must have constant term 1")
+    coefficients = f.coefficients[: n + 1]
+    if f.ring is QQ:
+        c = lcm(*(a.denominator for a in coefficients))
+        h = [a.numerator * (c**k // a.denominator) for k, a in enumerate(coefficients)]
+    else:
+        c, h = 1, coefficients
+    w = [h[0]]
+    for m in range(1, n + 1):
+        acc = m * h[m]
+        for k in range(1, m):
+            b = h[m - k]
+            if b:
+                acc = acc - w[k] * b
+        w.append(acc)
+    return c, w
 
 
-def _fixed_point_data(partition: Partition, alpha, beta, n: int) -> tuple[tuple[int, ...], Fraction]:
+def _even_doubled(w: list) -> list:
+    """Weights of F(u) = f(u) f(-u) from those of f.
+
+    log F(u) = log f(u) + log f(-u) is twice the even part of log f,
+    so no product f(u) f(-u) is formed; the scale c serves F as well.
+    """
+    return [w[0]] + [2 * w_k if k % 2 == 0 else 0 * w_k for k, w_k in enumerate(w) if k]
+
+
+def _power_sum_exp(w: list, sums: Sequence[int], n: int) -> list:
+    """e_0, ..., e_n with e_m / (m! c^m) = [u^m] exp(sum over k of L_k s_k u^k).
+
+    L = log f, s_k = sums[k - 1], and (c, w) come from ``_integer_log``.
+    With u scaled by c, m E_m = sum over k of w_k s_k E_(m-k); times
+    (m - 1)! that is e_m = sum over k of w_k s_k e_(m-k) (m-1)!/(m-k)!,
+    summed by Horner's rule in m - k, so no step divides.
+    """
+    weighted = [w[0]] + [w[k] * sums[k - 1] for k in range(1, n + 1)]
+    e = [w[0]]
+    for m in range(1, n + 1):
+        acc = weighted[m]
+        for j in range(1, m):
+            t = weighted[m - j]
+            acc = acc * j + t * e[j] if t else acc * j
+        e.append(acc)
+    return e
+
+
+def _product_coefficient(
+    scaled_log, sums0: Sequence[int], sums1: Sequence[int], n: int, denominator
+):
+    """[u^n] of the product of f(w u) over two multisets, divided by ``denominator``.
+
+    The multisets enter through their power sums: the product is
+    exp(sum over k of L_k (p_k + q_k) u^k) with L = log f, and
+    ``scaled_log`` is the pair (c, w) of ``_integer_log``.  One Fraction
+    is formed, at the end.
+    """
+    c, w = scaled_log
+    sums = [a + b for a, b in zip(sums0, sums1)]
+    return _power_sum_exp(w, sums, n)[n] * Fraction(1, denominator * factorial(n) * c**n)
+
+
+def _fixed_point_data(partition: Partition, alpha, beta, n: int) -> tuple[list[int], int]:
     """Weight power sums up to degree n and primed cell product of one diagram."""
     sums = _power_sums(weight_multiset(partition, alpha, beta), n)
     return sums, c_prime_product(partition, alpha, beta)
 
 
-def _pair_value(log_f: Series1, pair: FixedPointBasisVector, gamma: int, data0, data1):
+def _pair_value(scaled_log, pair: FixedPointBasisVector, gamma: int, data0, data1):
     sums0, c0 = data0
     sums1, c1 = data1
     denominator = c0 * c1
@@ -152,7 +233,7 @@ def _pair_value(log_f: Series1, pair: FixedPointBasisVector, gamma: int, data0, 
         raise ValueError(
             f"degenerate fixed-point denominator for {pair} at gamma={gamma}"
         )
-    return _product_coefficient(log_f, sums0, sums1, pair.level) / denominator
+    return _product_coefficient(scaled_log, sums0, sums1, pair.level, denominator)
 
 
 def pair_coefficient(f: Series1, pair: FixedPointBasisVector, gamma: int) -> Fraction:
@@ -171,7 +252,7 @@ def pair_coefficient(f: Series1, pair: FixedPointBasisVector, gamma: int) -> Fra
             f"got order {f.order}"
         )
     return _pair_value(
-        series_log(f.truncate(n)),
+        _integer_log(f, n),
         pair,
         gamma,
         _fixed_point_data(pair.lambda0, -1, -1, n),
@@ -181,34 +262,28 @@ def pair_coefficient(f: Series1, pair: FixedPointBasisVector, gamma: int) -> Fra
 
 def equivariant_class_coeffs(f: Series1, gamma: int, n: int) -> EquivariantClassVector:
     """Expand the level-n equivariant class over the fixed-point basis."""
-    if f.constant_term != f.ring.one:
-        raise ValueError("a multiplicative class series must have constant term 1")
     if f.order < n:
         raise InsufficientOrderError(
             f"insufficient precision: level {n} needs the class series to degree {n}, "
             f"got order {f.order}"
         )
-    log_f = series_log(f.truncate(n))
+    scaled_log = _integer_log(f, n)
     partitions = [p for size in range(n + 1) for p in enumerate_partitions(size)]
     at_zero = {p: _fixed_point_data(p, -1, -1, n) for p in partitions}
     at_infinity = {p: _fixed_point_data(p, gamma - 1, 1, n) for p in partitions}
     entries = tuple(
-        (pair, _pair_value(log_f, pair, gamma, at_zero[pair.lambda0], at_infinity[pair.lambda1]))
+        (
+            pair,
+            _pair_value(scaled_log, pair, gamma, at_zero[pair.lambda0], at_infinity[pair.lambda1]),
+        )
         for pair in level_pairs(n)
     )
     return EquivariantClassVector(n, entries)
 
 
-def _hook_data(partition: Partition, n: int) -> tuple[tuple[int, ...], int]:
+def _hook_data(partition: Partition, n: int) -> tuple[list[int], int]:
     """Hook-length power sums up to degree n and hook product of one diagram."""
     return _power_sums(hook_multiset(partition), n), hook_product(partition)
-
-
-def _hook_value(log_F: Series1, pair: FixedPointBasisVector, data0, data1) -> Fraction:
-    sums0, h0 = data0
-    sums1, h1 = data1
-    sign = -1 if pair.lambda0.size % 2 else 1
-    return Fraction(sign) * _product_coefficient(log_F, sums0, sums1, pair.level) / (h0 * h1)
 
 
 def hook_coefficient(f: Series1, pair: FixedPointBasisVector) -> Fraction:
@@ -226,9 +301,11 @@ def hook_coefficient(f: Series1, pair: FixedPointBasisVector) -> Fraction:
             f"insufficient precision: level {n} needs the class series to degree {n}, "
             f"got order {f.order}"
         )
-    F = f.truncate(n) * negate_argument(f.truncate(n))
-    data0, data1 = _hook_data(pair.lambda0, n), _hook_data(pair.lambda1, n)
-    return _hook_value(series_log(F), pair, data0, data1)
+    c, w = _integer_log(f, n)
+    sums0, h0 = _hook_data(pair.lambda0, n)
+    sums1, h1 = _hook_data(pair.lambda1, n)
+    sign = -1 if pair.lambda0.size % 2 else 1
+    return _product_coefficient((c, _even_doubled(w)), sums0, sums1, n, sign * h0 * h1)
 
 
 def z_series_hookform(f: Series1, N: int) -> Series2:
@@ -242,35 +319,35 @@ def z_series_hookform(f: Series1, N: int) -> Series2:
     factor of any other vanishes identically.
 
     The exponential of a pair's hook power sums is the product of the
-    exponentials of its two partitions, so each two-row partition gets
-    one O(N^2) exponential E = exp(sum of L_k p_k(hooks) u^k) / (hook
-    product).  Collecting them by size, S[m][i] = sum over two-row
-    partitions of m of E[i] times the Schur row, a homogeneous row of
-    degree m, gives row n of Z as the sum over m and i of
-    (-1)^m S[m][i] S[n - m][n - i], multiplied as homogeneous
-    polynomials.
+    exponentials of its two partitions, so each two-row partition of m
+    gets one O(N^2) exponential E = exp(sum of L_k p_k(hooks) u^k) / (hook
+    product), with L = log F.  Its integer row e from ``_power_sum_exp``
+    has E_i = e_i / (i! c^i h), and h divides m!, so S[m][i], the sum
+    over two-row partitions of m of e_i (m!/h) times the Schur row (whose
+    coefficients are integers), is an integer row over m! i! c^i.  Row n
+    of Z is the sum over m and i of (-1)^m S[m][i] S[n - m][n - i],
+    multiplied as homogeneous polynomials; weighting each term by
+    C(n, m) C(n, i) puts it over (n!)^2 c^n, and one Fraction is formed
+    per coefficient.
     """
     if f.order < N:
         raise InsufficientOrderError(
             f"insufficient precision: requested total degree {N}, class series has order {f.order}"
         )
-    fN = f.truncate(N)
-    log_F = series_log(fN * negate_argument(fN))
-    ring = log_F.ring
-    zero = ring.zero
-    L = log_F.coefficients
+    c, w = _integer_log(f, N)
+    w = _even_doubled(w)
     S = []
     for m in range(N + 1):
-        by_degree = [[zero] * (m + 1) for _ in range(N + 1)]
+        by_degree = [[0] * (m + 1) for _ in range(N + 1)]
         for p in enumerate_partitions(m):
             if p.length > 2:
                 continue
             sums, h = _hook_data(p, N)
-            exponent = (zero,) + tuple(L[k] * sums[k - 1] for k in range(1, N + 1))
-            schur_row = schur_two_vars(p).homogeneous(m)
-            for i, e in enumerate(series_exp(Series1(exponent, N, ring)).coefficients):
+            tableaux = factorial(m) // h
+            schur_row = [s.numerator for s in schur_two_vars(p).homogeneous(m)]
+            for i, e in enumerate(_power_sum_exp(w, sums, N)):
                 if e:
-                    e = e / h
+                    e = e * tableaux
                     target = by_degree[i]
                     for j, s in enumerate(schur_row):
                         if s:
@@ -278,19 +355,22 @@ def z_series_hookform(f: Series1, N: int) -> Series2:
         S.append(by_degree)
     rows = []
     for n in range(N + 1):
-        target = [zero] * (n + 1)
+        target = [0] * (n + 1)
         for m in range(n + 1):
             for i in range(n + 1):
+                weight = comb(n, m) * comb(n, i)
+                if m % 2:
+                    weight = -weight
                 right = S[n - m][n - i]
                 for j0, a in enumerate(S[m][i]):
                     if a:
-                        if m % 2:
-                            a = -a
+                        a = a * weight
                         for j1, b in enumerate(right):
                             if b:
                                 target[j0 + j1] += a * b
-        rows.append(tuple(target))
-    return Series2(tuple(rows), N)
+        scale = Fraction(1, factorial(n) ** 2 * c**n)
+        rows.append(tuple(t * scale for t in target))
+    return Series2(tuple(rows), N, f.ring)
 
 
 def z_series_residue(f: Series1, N: int) -> Series2:

@@ -21,7 +21,6 @@ formula to a pure hook-length expression.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
@@ -115,8 +114,9 @@ def hook_product(partition: Partition) -> int:
     return product
 
 
-def c_prime_product(partition: Partition, alpha, beta) -> Fraction:
-    product = Fraction(1)
+def c_prime_product(partition: Partition, alpha, beta):
+    """c_prime(lambda; alpha, beta); an int for the integer alpha and beta of the fixed points."""
+    product = 1
     for w in partition.cells():
         product *= alpha * leg(partition, w) + beta * (arm(partition, w) + 1)
     return product

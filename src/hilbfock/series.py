@@ -8,12 +8,13 @@ operations truncate to the smaller operand order.  The same contract
 holds for ``Series2`` with total degree playing the role of degree.
 
 The analytic operations all live here as module-level functions:
-exp and reciprocal (one variable only), log (a recurrence on
-coefficients, or on homogeneous rows in two variables), composition
-(Horner's scheme in general, and a congruence of triangular matrices
-for the difference g(x) - g(y)), compositional inversion by the
-Lagrange formula, and the two-variable division by x - y.  Coefficients come from one of the
-rings in ``rings``: plain rationals or dual numbers.
+reciprocal (one variable only), log (a recurrence on coefficients, or
+on homogeneous rows in two variables), composition (Horner's scheme in
+general, and a congruence of triangular matrices for the difference
+g(x) - g(y)), compositional inversion by the Lagrange formula, and the
+two-variable division by x - y.  The exponentials of the fixed-point
+sums run on integers in ``localisation``.  Coefficients come from one
+of the rings in ``rings``: plain rationals or dual numbers.
 """
 
 from __future__ import annotations
@@ -386,35 +387,13 @@ def reciprocal(series: Series1) -> Series1:
     return Series1(tuple(out), n, ring)
 
 
-def series_exp(series: Series1) -> Series1:
-    """Exponential of a one-variable series with zero constant term.
-
-    E = exp(g) solves E' = g' E, so its coefficients follow
-    m E_m = sum over 1 <= k <= m of k g_k E_(m-k), which costs O(N^2)
-    coefficient operations.
-    """
-    ring = series.ring
-    if series.constant_term != ring.zero:
-        raise SeriesError("exp requires zero constant term")
-    n = series.order
-    weighted = [ring.coerce(k) * c for k, c in enumerate(series.coefficients)]
-    out = [ring.one] + [ring.zero] * n
-    for m in range(1, n + 1):
-        acc = ring.zero
-        for k in range(1, m + 1):
-            s = weighted[k]
-            if s:
-                acc = acc + s * out[m - k]
-        out[m] = acc / ring.coerce(m)
-    return Series1(tuple(out), n, ring)
-
-
 def series_log(series: Series1 | Series2):
     """Logarithm of a series with constant term one.
 
     One variable: L = log f solves f L' = f', so its coefficients follow
     m L_m = m f_m - sum over 1 <= k < m of k L_k f_(m-k), the inverse of
-    the ``series_exp`` recurrence, at O(N^2) coefficient operations.  Two
+    the exponential's recurrence m E_m = sum over k of k L_k E_(m-k), at
+    O(N^2) coefficient operations.  Two
     variables: the same recurrence with the Euler operator x d/dx + y d/dy
     in place of the derivative, which multiplies the homogeneous row of
     total degree d by d.  So d L_d = d S_d - sum over 1 <= e < d of

@@ -32,10 +32,10 @@ from hilbfock.localisation import (
 from hilbfock.series import (
     Series1,
     compose,
-    series_exp,
     series_log,
 )
 
+from exp_oracle import series_exp
 from lagrange_good import lagrange_good_extract
 
 README = Path(__file__).resolve().parents[1] / "README.md"

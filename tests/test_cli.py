@@ -324,6 +324,28 @@ def test_verify_at_the_order_cap_passes(capsys):
     assert out.strip().splitlines()[-1] == f"8/8 checks passed (class chern-total, order {MAX_VERIFY_ORDER})"
 
 
+def test_verify_exits_one_and_names_the_failing_pair(capsys, monkeypatch):
+    from hilbfock import verification
+    from hilbfock.localisation import hook_coefficient, level_pairs
+
+    skewed_pair = level_pairs(3)[1]
+
+    def skewed(f, pair):
+        value = hook_coefficient(f, pair)
+        return value + 1 if pair == skewed_pair else value
+
+    monkeypatch.setattr(verification, "hook_coefficient", skewed)
+    code, out, _ = run(capsys, "verify", "--class", "todd", "--order", "6")
+    assert code == 1
+    lines = out.splitlines()
+    failing = [i for i, line in enumerate(lines) if line.startswith("FAIL")]
+    assert len(failing) == 1
+    assert lines[failing[0]].startswith("FAIL  fixed-point-reduction")
+    detail = lines[failing[0] + 1].strip()
+    assert detail.startswith(f"pair {skewed_pair}: general twist-2 coefficient")
+    assert lines[-1] == "6/7 checks passed (class todd, order 6)"
+
+
 # ----------------------------------------------------------- equivariant command
 
 

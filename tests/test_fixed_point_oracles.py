@@ -13,6 +13,7 @@ one-variable powers of F.
 """
 
 from fractions import Fraction as Fr
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -40,10 +41,12 @@ from hilbfock.series import (
     negate_argument,
     reciprocal,
     scale_argument,
-    series_exp,
+    series_log,
     shift_up,
 )
 from hilbfock.symfun import schur_two_vars
+
+from exp_oracle import series_exp
 
 
 def oracle_pair_coefficient(f: Series1, pair: FixedPointBasisVector, gamma: int):
@@ -230,6 +233,80 @@ def test_random_classes_match_hook_form_oracle(tail, N):
     assert z_series_hookform(f, N) == oracle_z_series_hookform(f, N)
 
 
+# ------------------------------------------------------------- integer recurrence
+
+
+def oracle_power_sum_exp(log_f: Series1, sums, n: int) -> Series1:
+    """exp(sum over k of L_k s_k u^k) by the rational exponential recurrence."""
+    exponent = [log_f.ring.zero] + [log_f.coefficients[k] * sums[k - 1] for k in range(1, n + 1)]
+    return series_exp(Series1(tuple(exponent), n, log_f.ring))
+
+
+def assert_integer_recurrence_matches(f: Series1, sums, n: int) -> None:
+    c, w = localisation._integer_log(f, n)
+    fn = f.truncate(n)
+    for weights, series in ((w, fn), (localisation._even_doubled(w), fn * negate_argument(fn))):
+        expected = oracle_power_sum_exp(series_log(series), sums, n)
+        e = localisation._power_sum_exp(weights, sums, n)
+        values = [e[m] * Fr(1, factorial(m) * c**m) for m in range(n + 1)]
+        assert values == list(expected.coefficients)
+
+
+class_coefficients = st.one_of(
+    small_rationals,
+    st.fractions(min_value=-(10**40), max_value=10**40, max_denominator=10**40),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tail=st.lists(class_coefficients, max_size=12),
+    n=st.integers(min_value=0, max_value=12),
+    data=st.data(),
+)
+def test_integer_recurrence_matches_rational_exponential(tail, n, data):
+    f = Series1.from_coefficients((Fr(1), *tail), n)
+    sums = data.draw(st.lists(st.integers(min_value=-60, max_value=60), min_size=n, max_size=n))
+    assert_integer_recurrence_matches(f, sums, n)
+
+
+def test_integer_recurrence_on_heights_and_signed_sums():
+    f = Series1.from_coefficients((Fr(1), Fr(1, 10**40), Fr(-1, 10**40), Fr(10**40, 3)), 12)
+    for sums in ([0] * 12, [-k for k in range(1, 13)], [(-1) ** k * 7**k for k in range(1, 13)]):
+        assert_integer_recurrence_matches(f, sums, 12)
+
+
+def test_integer_recurrence_over_dual_numbers():
+    eps = DualNumber(Fr(0), Fr(1))
+    f = Series1.from_coefficients(
+        (DualNumber(Fr(1)), Fr(1, 2) + eps, -3 * eps, DualNumber(Fr(-2, 3)), 0, eps, Fr(5, 7)),
+        ring=DUALS,
+    )
+    c, _ = localisation._integer_log(f, 6)
+    assert c == 1
+    assert_integer_recurrence_matches(f, [3, -1, 0, 10, -4, 2], 6)
+    _, w = localisation._integer_log(f, 0)
+    assert isinstance(localisation._power_sum_exp(w, [], 0)[0], DualNumber)
+
+
+def _odd_part(w):
+    return [w[0]] + [0 * w_k if k % 2 == 0 else 2 * w_k for k, w_k in enumerate(w) if k]
+
+
+def _even_part_undoubled(w):
+    return [w[0]] + [w_k if k % 2 == 0 else 0 * w_k for k, w_k in enumerate(w) if k]
+
+
+@pytest.mark.parametrize("mutant", [_odd_part, _even_part_undoubled])
+def test_hook_oracles_reject_a_wrong_log_of_F(monkeypatch, mutant):
+    # log F is twice the even part of log f; the odd part, or the even
+    # part without the factor 2, must fail both hook-form oracles
+    f = preset_class("todd", 6).f
+    monkeypatch.setattr(localisation, "_even_doubled", mutant)
+    assert z_series_hookform(f, 6) != oracle_z_series_hookform(f, 6)
+    assert any(hook_coefficient(f, p) != oracle_hook_coefficient(f, p) for p in level_pairs(4))
+
+
 # ------------------------------------------------------------- residue route
 
 
@@ -273,13 +350,14 @@ def test_residue_route_makes_linearly_many_two_variable_products(monkeypatch):
 
 def test_hook_form_takes_one_exponential_per_two_row_partition(monkeypatch):
     calls = []
+    power_sum_exp = localisation._power_sum_exp
 
-    def counting_exp(series):
-        calls.append(series)
-        return series_exp(series)
+    def counting_exp(w, sums, n):
+        calls.append(sums)
+        return power_sum_exp(w, sums, n)
 
     N = 8
-    monkeypatch.setattr(localisation, "series_exp", counting_exp)
+    monkeypatch.setattr(localisation, "_power_sum_exp", counting_exp)
     z_series_hookform(preset_class("todd", N).f, N)
     two_row = [p for size in range(N + 1) for p in enumerate_partitions(size) if p.length <= 2]
     assert len(calls) == len(two_row)

@@ -18,12 +18,12 @@ from hilbfock.series import (
     negate_argument,
     reciprocal,
     scale_argument,
-    series_exp,
     series_log,
     shift_down,
     shift_up,
 )
 
+from exp_oracle import series_exp
 from lagrange_good import divide_by_x, divide_by_y, lagrange_good_extract
 
 
