@@ -17,12 +17,13 @@ as integer or "p/q" strings, never as floats.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+
+# json and csv are imported inside the output branches that use them:
+# every run pays for its imports, one run needs at most one of the two,
+# and verify needs neither.
 
 from . import __version__
 from .closedform import (
@@ -35,6 +36,7 @@ from .closedform import (
     to_universal,
 )
 from .localisation import equivariant_class_coeffs
+from .rings import Frozen
 from .series import Series1
 from .verification import verify_chern_character, verify_multiplicative
 
@@ -52,8 +54,7 @@ class ResourceLimitError(Exception):
     """Request beyond the configured budget; maps to exit code 3."""
 
 
-@dataclass(frozen=True)
-class ClassSpec:
+class ClassSpec(Frozen):
     """A parsed --class argument.
 
     Either one of the named presets (``preset`` is set) or an explicit
@@ -61,9 +62,17 @@ class ClassSpec:
     (``coefficients`` is set).  ``label`` is what the user typed.
     """
 
-    label: str
-    preset: str | None = None
-    coefficients: tuple[Fraction, ...] | None = None
+    __slots__ = ("label", "preset", "coefficients")
+
+    def __init__(
+        self,
+        label: str,
+        preset: str | None = None,
+        coefficients: tuple[Fraction, ...] | None = None,
+    ) -> None:
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "preset", preset)
+        object.__setattr__(self, "coefficients", coefficients)
 
     @property
     def is_chern_character(self) -> bool:
@@ -107,6 +116,8 @@ def _ordered_pairs(table: CoeffTable) -> list[tuple[int, int]]:
 
 
 def _table_json(label: str, max_degree: int, a_k: dict[int, Fraction], table: CoeffTable) -> str:
+    import json
+
     payload = {
         "class": label,
         "max_degree": max_degree,
@@ -120,6 +131,8 @@ def _table_json(label: str, max_degree: int, a_k: dict[int, Fraction], table: Co
 
 
 def _table_csv(a_k: dict[int, Fraction], table: CoeffTable, max_degree: int) -> str:
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["k", "l", "value"])
@@ -266,6 +279,8 @@ def cmd_equivariant(args: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from None
 
     if args.format == "json":
+        import json
+
         payload = {
             "class": spec.label,
             "gamma": args.gamma,
@@ -281,6 +296,8 @@ def cmd_equivariant(args: argparse.Namespace) -> int:
         }
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     elif args.format == "csv":
+        import csv
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["lambda0", "lambda1", "value"])

@@ -31,11 +31,10 @@ InsufficientOrderError rather than returning silently wrong tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .rings import DUALS, DualNumber
+from .rings import DUALS, DualNumber, Frozen
 from .series import (
     InsufficientOrderError,
     Series1,
@@ -63,24 +62,23 @@ ALL_KINDS = (KIND_THEOREM, KIND_UNIVERSAL, KIND_CHERN_CHARACTER, KIND_TAUTOLOGIC
 _EVEN_KINDS = frozenset({KIND_THEOREM, KIND_UNIVERSAL, KIND_CHERN_CHARACTER})
 
 
-@dataclass(frozen=True)
-class MultiplicativeClass:
+class MultiplicativeClass(Frozen):
     """A multiplicative characteristic class, determined by one series.
 
     The class of a bundle is the product of f evaluated at the Chern
     roots, so f must start with constant term 1.
     """
 
-    name: str
-    f: Series1
+    __slots__ = ("name", "f")
 
-    def __post_init__(self) -> None:
-        if self.f.constant_term != self.f.ring.one:
+    def __init__(self, name: str, f: Series1) -> None:
+        if f.constant_term != f.ring.one:
             raise ValueError("a multiplicative class series must have constant term 1")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "f", f)
 
 
-@dataclass(frozen=True)
-class CoeffTable:
+class CoeffTable(Frozen):
     """Coefficients indexed by pairs (k, l) with k >= l >= 1.
 
     Only the k >= l half is stored; the full table is the symmetric
@@ -89,22 +87,25 @@ class CoeffTable:
     total degree must vanish, which is checked on construction.
     """
 
-    kind: str
-    max_degree: int
-    entries: Mapping[tuple[int, int], Fraction | DualNumber]
+    __slots__ = ("kind", "max_degree", "entries")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ALL_KINDS:
-            raise ValueError(f"unknown coefficient table kind: {self.kind!r}")
-        for (k, l), value in self.entries.items():
+    def __init__(
+        self, kind: str, max_degree: int, entries: Mapping[tuple[int, int], Fraction | DualNumber]
+    ) -> None:
+        if kind not in ALL_KINDS:
+            raise ValueError(f"unknown coefficient table kind: {kind!r}")
+        for (k, l), value in entries.items():
             if not (isinstance(k, int) and isinstance(l, int) and k >= l >= 1):
                 raise ValueError(f"bad table index {(k, l)}: need integers k >= l >= 1")
-            if k + l > self.max_degree:
-                raise ValueError(f"table index {(k, l)} exceeds max degree {self.max_degree}")
-            if self.kind in _EVEN_KINDS and (k + l) % 2 and value != 0:
+            if k + l > max_degree:
+                raise ValueError(f"table index {(k, l)} exceeds max degree {max_degree}")
+            if kind in _EVEN_KINDS and (k + l) % 2 and value != 0:
                 raise ValueError(
-                    f"entry {(k, l)} of odd total degree must vanish in a {self.kind} table"
+                    f"entry {(k, l)} of odd total degree must vanish in a {kind} table"
                 )
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "max_degree", max_degree)
+        object.__setattr__(self, "entries", entries)
 
     def value(self, k: int, l: int) -> Fraction | DualNumber:
         """Symmetric lookup: value(k, l) == value(l, k)."""

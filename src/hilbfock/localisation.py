@@ -48,7 +48,6 @@ agreement is the package's central correctness check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Sequence
@@ -61,7 +60,7 @@ from .partitions import (
     hook_product,
     weight_multiset,
 )
-from .rings import QQ
+from .rings import QQ, Frozen
 from .series import (
     InsufficientOrderError,
     Series1,
@@ -75,12 +74,14 @@ from .series import (
 from .symfun import schur_two_vars
 
 
-@dataclass(frozen=True)
-class FixedPointBasisVector:
+class FixedPointBasisVector(Frozen):
     """A fixed point of the circle action, indexed by two partitions."""
 
-    lambda0: Partition
-    lambda1: Partition
+    __slots__ = ("lambda0", "lambda1")
+
+    def __init__(self, lambda0: Partition, lambda1: Partition) -> None:
+        object.__setattr__(self, "lambda0", lambda0)
+        object.__setattr__(self, "lambda1", lambda1)
 
     @property
     def level(self) -> int:
@@ -90,16 +91,20 @@ class FixedPointBasisVector:
         return f"[{self.lambda0}, {self.lambda1}]"
 
 
-@dataclass(frozen=True)
-class EquivariantClassVector:
+class EquivariantClassVector(Frozen):
     """A class at level n expanded over the fixed-point basis.
 
     ``entries`` keeps the deterministic enumeration order of
     ``level_pairs``; use ``as_dict`` for order-independent lookups.
     """
 
-    n: int
-    entries: tuple[tuple[FixedPointBasisVector, Fraction], ...]
+    __slots__ = ("n", "entries")
+
+    def __init__(
+        self, n: int, entries: tuple[tuple[FixedPointBasisVector, Fraction], ...]
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "entries", entries)
 
     def as_dict(self) -> dict[FixedPointBasisVector, Fraction]:
         return dict(self.entries)

@@ -20,23 +20,23 @@ formula to a pure hook-length expression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
+
+from .rings import Frozen
 
 # A cell is a 1-based (row, column) pair inside the Young diagram.
 Cell = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Frozen):
     """A weakly decreasing tuple of positive integers.
 
     Trailing zeros in the input are stripped so that every partition
     has exactly one stored representation.
     """
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
     def __init__(self, parts=()) -> None:
         parts = tuple(int(p) for p in parts)

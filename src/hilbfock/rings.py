@@ -12,7 +12,6 @@ is either a ``Fraction`` or a ``DualNumber`` built from two of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
 
@@ -26,8 +25,47 @@ def to_fraction(value: Any) -> Fraction:
     raise TypeError(f"expected a rational number, got {value!r}")
 
 
-@dataclass(frozen=True)
-class DualNumber:
+class Frozen:
+    """Base of the package's immutable value types.
+
+    A subclass lists its fields in ``__slots__``, in constructor order,
+    and sets them in ``__init__`` through ``object.__setattr__``.  The
+    base supplies field-wise equality (only within one class), a hash
+    over the fields, a ``Name(field=value, ...)`` repr, immutability,
+    and a ``__reduce__`` that rebuilds through the constructor, which is
+    what ``copy`` and ``pickle`` use.  It stands in for frozen
+    dataclasses, whose machinery costs about 10 ms of start-up in every
+    CLI process.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields()
+
+
+class DualNumber(Frozen):
     """An element ``value + infinitesimal * eps`` of Q[eps]/(eps^2).
 
     Arithmetic follows the single defining relation eps^2 = 0, so
@@ -35,12 +73,11 @@ class DualNumber:
     Ints and Fractions mix freely with dual numbers in expressions.
     """
 
-    value: Fraction
-    infinitesimal: Fraction = Fraction(0)
+    __slots__ = ("value", "infinitesimal")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", to_fraction(self.value))
-        object.__setattr__(self, "infinitesimal", to_fraction(self.infinitesimal))
+    def __init__(self, value: Fraction, infinitesimal: Fraction = Fraction(0)) -> None:
+        object.__setattr__(self, "value", to_fraction(value))
+        object.__setattr__(self, "infinitesimal", to_fraction(infinitesimal))
 
     @staticmethod
     def lift(other: Any) -> "DualNumber | None":
@@ -134,19 +171,28 @@ def _to_dual(value: Any) -> DualNumber:
     return lifted
 
 
-@dataclass(frozen=True)
-class Ring:
+class Ring(Frozen):
     """Descriptor bundling the constants and predicates the series layer needs.
 
     Series code never inspects coefficient types directly; it asks the
     ring to coerce incoming values and to decide invertibility.
     """
 
-    name: str
-    zero: Any
-    one: Any
-    coerce: Callable[[Any], Any]
-    is_unit: Callable[[Any], bool]
+    __slots__ = ("name", "zero", "one", "coerce", "is_unit")
+
+    def __init__(
+        self,
+        name: str,
+        zero: Any,
+        one: Any,
+        coerce: Callable[[Any], Any],
+        is_unit: Callable[[Any], bool],
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "zero", zero)
+        object.__setattr__(self, "one", one)
+        object.__setattr__(self, "coerce", coerce)
+        object.__setattr__(self, "is_unit", is_unit)
 
     def __repr__(self) -> str:
         return self.name

@@ -19,11 +19,10 @@ of the rings in ``rings``: plain rationals or dual numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Any, Iterable
 
-from .rings import QQ, Ring
+from .rings import QQ, Frozen, Ring
 
 
 class SeriesError(ValueError):
@@ -42,25 +41,24 @@ class NotInvertibleError(SeriesError):
 # one variable
 
 
-@dataclass(frozen=True)
-class Series1:
+class Series1(Frozen):
     """A power series in one variable, truncated after degree ``order``.
 
     ``coefficients[k]`` is the coefficient of x^k for 0 <= k <= order.
     The tuple always has length order + 1.
     """
 
-    coefficients: tuple
-    order: int
-    ring: Ring = QQ
+    __slots__ = ("coefficients", "order", "ring")
 
-    def __post_init__(self) -> None:
-        if self.order < 0:
+    def __init__(self, coefficients: tuple, order: int, ring: Ring = QQ) -> None:
+        if order < 0:
             raise SeriesError("truncation order must be non-negative")
-        coerce = self.ring.coerce
-        padded = list(self.coefficients[: self.order + 1])
-        padded.extend(self.ring.zero for _ in range(self.order + 1 - len(padded)))
+        coerce = ring.coerce
+        padded = list(coefficients[: order + 1])
+        padded.extend(ring.zero for _ in range(order + 1 - len(padded)))
         object.__setattr__(self, "coefficients", tuple(coerce(c) for c in padded))
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "ring", ring)
 
     @classmethod
     def from_coefficients(cls, values: Iterable, order: int | None = None, ring: Ring = QQ) -> "Series1":
@@ -188,31 +186,30 @@ class Series1:
 # two variables
 
 
-@dataclass(frozen=True)
-class Series2:
+class Series2(Frozen):
     """A power series in two variables, truncated by total degree.
 
     Storage is a dense triangle: ``rows[d][i]`` is the coefficient of
     x^i y^(d-i), for 0 <= d <= order and 0 <= i <= d.
     """
 
-    rows: tuple
-    order: int
-    ring: Ring = QQ
+    __slots__ = ("rows", "order", "ring")
 
-    def __post_init__(self) -> None:
-        if self.order < 0:
+    def __init__(self, rows: tuple, order: int, ring: Ring = QQ) -> None:
+        if order < 0:
             raise SeriesError("truncation order must be non-negative")
-        coerce = self.ring.coerce
-        zero = self.ring.zero
+        coerce = ring.coerce
+        zero = ring.zero
         fixed = []
-        given = self.rows[: self.order + 1]
-        for d in range(self.order + 1):
+        given = rows[: order + 1]
+        for d in range(order + 1):
             row = list(given[d]) if d < len(given) else []
             row = row[: d + 1]
             row.extend(zero for _ in range(d + 1 - len(row)))
             fixed.append(tuple(coerce(c) for c in row))
         object.__setattr__(self, "rows", tuple(fixed))
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "ring", ring)
 
     @classmethod
     def zero(cls, order: int, ring: Ring = QQ) -> "Series2":

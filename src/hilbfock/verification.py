@@ -13,7 +13,6 @@ otherwise) and its wall-clock duration.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from typing import Callable
@@ -37,6 +36,7 @@ from .localisation import (
     z_series_hookform,
     z_series_residue,
 )
+from .rings import Frozen
 from .series import InsufficientOrderError, Series1, Series2, series_log
 
 # Frozen universal coefficients for the two presets whose tables are
@@ -62,12 +62,14 @@ KNOWN_UNIVERSAL_VALUES: dict[str, dict[tuple[int, int], Fraction]] = {
 }
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
+class CheckResult(Frozen):
+    __slots__ = ("name", "passed", "detail", "seconds")
+
+    def __init__(self, name: str, passed: bool, detail: str, seconds: float) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "seconds", seconds)
 
 
 def _run(name: str, check: Callable[[], str]) -> CheckResult:

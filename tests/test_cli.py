@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 
+from hilbfock import cli
 from hilbfock.cli import MAX_TABLE_DEGREE, MAX_VERIFY_ORDER, main, parse_class_spec, UsageError
 
 
@@ -226,13 +231,6 @@ def test_cheap_class_at_the_degree_cap_succeeds(capsys, argv):
     payload = json.loads(out)
     assert len(payload["a_k"]) == MAX_TABLE_DEGREE
     assert max(row["k"] + row["l"] for row in payload["a_kl"]) == MAX_TABLE_DEGREE
-
-
-def test_table_rejects_unknown_class(capsys):
-    for class_spec in ("pontryagin", "1/10^40"):
-        code, _, err = run(capsys, "table", "--class", class_spec, "--max-degree", "4")
-        assert code == 2
-        assert "cannot parse class" in err
 
 
 def test_large_height_class_table(capsys):
@@ -469,3 +467,53 @@ def test_no_arguments_is_a_usage_error(capsys):
 
 def test_unknown_subcommand_is_a_usage_error(capsys):
     assert run(capsys, "tabulate")[0] == 2
+
+
+@pytest.mark.parametrize("class_spec", ["pontryagin", "1/10^40", "1,,2"])
+@pytest.mark.parametrize(
+    "command",
+    [("table", "--max-degree", "4"), ("verify", "--order", "4"), ("equivariant", "--level", "2")],
+    ids=lambda command: command[0],
+)
+def test_unparsable_class_exits_two(capsys, command, class_spec):
+    code, out, err = run(capsys, *command, "--class", class_spec)
+    assert code == 2
+    assert out == ""
+    assert "cannot parse class" in err
+
+
+def _modules_after(*argv):
+    """Modules loaded by one CLI run in a fresh interpreter without site hooks.
+
+    ``-S`` keeps site-packages hooks from preloading modules, so the set
+    is what the package itself imports.
+    """
+    script = (
+        "import sys\n"
+        "from hilbfock.cli import main\n"
+        f"code = main({list(argv)!r})\n"
+        "sys.stderr.write(' '.join(sys.modules))\n"
+        "sys.exit(code)\n"
+    )
+    source = Path(cli.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(source)},
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return set(result.stderr.split())
+
+
+def test_cli_imports_only_what_its_output_uses():
+    unwanted = {"dataclasses", "inspect"}
+    csv_run = _modules_after("equivariant", "--class", "todd", "--level", "3", "--format", "csv")
+    assert "csv" in csv_run
+    assert not (unwanted | {"json"}) & csv_run
+    json_run = _modules_after("table", "--class", "todd", "--max-degree", "6", "--format", "json")
+    assert "json" in json_run
+    assert not (unwanted | {"csv"}) & json_run
+    verify_run = _modules_after("verify", "--class", "todd", "--order", "4")
+    assert not (unwanted | {"csv", "json"}) & verify_run

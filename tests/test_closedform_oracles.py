@@ -29,6 +29,7 @@ from hilbfock.closedform import (
     a_kl_table,
     big_g,
     preset_class,
+    small_g,
     tangent_tables,
     taut_tables,
     z_closed,
@@ -257,3 +258,33 @@ def test_localisation_keeps_its_own_composition(monkeypatch):
     f = preset_class("todd", 6).f
     localisation.z_series_residue(f, 4)
     assert Series2 in calls
+
+
+@pytest.mark.parametrize(
+    "label, coefficients",
+    [("todd", None), ("2/3,-4/9,-1/7", (Fr(2, 3), Fr(-4, 9), Fr(-1, 7)))],
+)
+def test_small_g_matches_sympy_series_reversion(label, coefficients):
+    """small_g against sympy: G = z/(f(z)f(-z)) expanded and reverted there."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.ring_series import rs_series_reversion
+
+    N = 8
+    R, x, y = sympy.ring("x, y", sympy.QQ)
+    z = sympy.Symbol("x")
+    if coefficients is None:
+        f_expr = z / (1 - sympy.exp(-z))
+        f = preset_class(label, N).f
+    else:
+        f_expr = 1 + sum(
+            sympy.Rational(c.numerator, c.denominator) * z ** (k + 1)
+            for k, c in enumerate(coefficients)
+        )
+        f = Series1.from_coefficients((1, *coefficients), N)
+    G = sympy.series(z / (f_expr * f_expr.subs(z, -z)), z, 0, N + 1).removeO()
+    reverted = rs_series_reversion(R.from_expr(G), x, N + 1, y)
+    expected = [Fr(0)] * (N + 1)
+    for (i, j), c in reverted.terms():
+        assert i == 0
+        expected[j] = Fr(int(c.numerator), int(c.denominator))
+    assert small_g(f, N).coefficients == tuple(expected)

@@ -1,0 +1,85 @@
+"""Value semantics of the package's immutable types.
+
+Each type compares by its fields, hashes equal values alike, refuses
+assignment, survives ``copy`` and ``deepcopy``, and, where its fields
+pickle, a ``pickle`` round trip.  ``Series1`` and ``Series2`` carry a
+ring whose predicates are lambdas, so they do not pickle.
+"""
+
+import copy
+import pickle
+from fractions import Fraction as Fr
+
+import pytest
+
+from hilbfock.closedform import KIND_THEOREM, CoeffTable
+from hilbfock.localisation import FixedPointBasisVector
+from hilbfock.partitions import Partition
+from hilbfock.rings import DualNumber
+from hilbfock.series import Series1, Series2
+
+# name: (build one value, a field to assign, hashable, picklable, repr)
+CASES = {
+    "Series1": (
+        lambda: Series1(coefficients=(1, Fr(1, 2)), order=1),
+        "order",
+        True,
+        False,
+        "Series1(coefficients=(Fraction(1, 1), Fraction(1, 2)), order=1, ring=QQ)",
+    ),
+    "Series2": (
+        lambda: Series2(((1,),), 0),
+        "rows",
+        True,
+        False,
+        "Series2(rows=((Fraction(1, 1),),), order=0, ring=QQ)",
+    ),
+    "Partition": (
+        lambda: Partition((2, 1, 0)),
+        "parts",
+        True,
+        True,
+        "Partition(parts=(2, 1))",
+    ),
+    "FixedPointBasisVector": (
+        lambda: FixedPointBasisVector(lambda0=Partition((1,)), lambda1=Partition()),
+        "lambda1",
+        True,
+        True,
+        "FixedPointBasisVector(lambda0=Partition(parts=(1,)), lambda1=Partition(parts=()))",
+    ),
+    "DualNumber": (
+        lambda: DualNumber(Fr(1, 2), infinitesimal=3),
+        "value",
+        True,
+        True,
+        "DualNumber(1/2, 3)",
+    ),
+    "CoeffTable": (
+        lambda: CoeffTable(KIND_THEOREM, 2, {(1, 1): Fr(1, 2)}),
+        "entries",
+        False,
+        True,
+        "CoeffTable(kind='theorem_a_kl', max_degree=2, entries={(1, 1): Fraction(1, 2)})",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_value_semantics(name):
+    build, field, hashable, picklable, shown = CASES[name]
+    a, b = build(), build()
+    assert a is not b
+    assert a == b
+    assert a.__eq__(object()) is NotImplemented
+    assert repr(a) == shown
+    if hashable:
+        assert hash(a) == hash(b)
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    assert copy.copy(a) == a
+    assert copy.deepcopy(a) == a
+    if picklable:
+        assert pickle.loads(pickle.dumps(a)) == a
