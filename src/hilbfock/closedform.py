@@ -9,10 +9,13 @@ module is a corollary of that fact.
 Three families of coefficients are produced.
 
 * ``a_k_table`` and ``a_kl_table``: the raw one- and two-index
-  coefficients read off from g and from a bivariate logarithm built out
-  of g; ``tangent_tables`` returns both from one inversion.  These feed
-  the generating series ``z_closed`` and must match the localisation
-  sums exactly.
+  coefficients read off from g and from the mixed coefficients of a
+  bivariate logarithm built out of g, which are its Grunsky
+  coefficients and come from an identity for the mixed second
+  derivative of that log, with no two-variable log or product;
+  ``tangent_tables`` returns both from one inversion.  These feed the
+  generating series ``z_closed`` and must match the localisation sums
+  exactly.
 * ``chern_character_tables`` and ``corollary_via_dual``: the Chern
   character specialisation, once through explicit factorial formulas
   and once through dual-number (square-zero) coefficients, which acts
@@ -41,6 +44,7 @@ from .series import (
     Series2,
     compose_difference,
     compositional_inverse,
+    congruence,
     differentiate,
     divide_by_x_minus_y,
     negate_argument,
@@ -195,7 +199,7 @@ def small_g(f: Series1, N: int) -> Series1:
         raise InsufficientOrderError(
             f"insufficient precision: order {N} requested, class series has order {f.order}"
         )
-    return compositional_inverse(big_g(f.truncate(N)))
+    return compositional_inverse(big_g(f.truncate(N)))[0]
 
 
 def a_k_table(f: Series1, N: int) -> dict[int, Fraction]:
@@ -204,22 +208,66 @@ def a_k_table(f: Series1, N: int) -> dict[int, Fraction]:
     return {k: g.coefficient(k) / k for k in range(1, N + 1)}
 
 
-def _pair_log_entries(g: Series1, N: int, outer_log: Series1 | None = None) -> dict:
-    """The mixed coefficients of a bivariate log built out of g.
+def _pair_log_entries(
+    G: Series1, powers: tuple[Series1, ...], N: int, outer_log: Series1 | None = None
+) -> dict:
+    """The mixed coefficients of a bivariate log built out of g = G^(-1).
 
     With d = g(x) - g(y), collects [x^k y^l] of log(d / (x - y)), less
-    outer_log(d) when given, over k >= l >= 1 and k + l <= N.  The
-    division by (x - y) costs one degree, so g must have order N + 1.
+    outer_log(d) when given, over k >= l >= 1 and k + l <= N.  These are
+    the Grunsky coefficients of g, read off the identity
+
+        d/dx d/dy log(d / (x - y)) = (g'(x) g'(y) D(g(x), g(y)) - 1) / (x - y)^2
+
+    with D(u, v) = ((G(u) - G(v)) / (u - v))^2, which holds because
+    x - y = G(g(x)) - G(g(y)).  D costs one square of G and two
+    divisions by (u - v).  Since g' g^a = (g^(a+1))' / (a+1), the
+    numerator is (i+1)(j+1) times the ``congruence`` of
+    D[a][b] / ((a+1)(b+1)) on the table [x^(i+1)] g^(a+1), so no
+    two-variable product or log is formed.  G and its powers g^a from
+    ``compositional_inverse`` must have order N + 1.
     """
-    delta = Series2.from_series1_in_x(g) - Series2.from_series1_in_y(g)
-    logarithm = series_log(divide_by_x_minus_y(delta))
-    if outer_log is not None:
-        logarithm = logarithm - compose_difference(outer_log.truncate(N), g)
-    return {
-        (k, total - k): logarithm.coefficient(k, total - k)
+    if N < 2:
+        return {}
+    ring = G.ring
+    # (G(u) - G(v))^2 to total degree N + 2.  G_0 = 0, so the padded
+    # zero at degree N + 2 never meets a nonzero coefficient.
+    padded = Series1(G.coefficients, N + 2, ring)
+    square = (padded * padded).coefficients
+    G_c = padded.coefficients
+    rows = []
+    for d in range(N + 3):
+        row = [-2 * G_c[i] * G_c[d - i] for i in range(d + 1)]
+        row[0] = row[0] + square[d]
+        row[d] = row[d] + square[d]
+        rows.append(row)
+    D = divide_by_x_minus_y(divide_by_x_minus_y(Series2(tuple(rows), N + 2, ring)))
+    scaled = Series2(
+        tuple(
+            tuple(c / ((a + 1) * (d - a + 1)) for a, c in enumerate(row))
+            for d, row in enumerate(D.rows)
+        ),
+        N,
+        ring,
+    )
+    shifted = [power.coefficients[1:] for power in powers[1 : N + 2]]
+    product = congruence(scaled, shifted)
+    numerator = [
+        [c * ((i + 1) * (d - i + 1)) for i, c in enumerate(row)]
+        for d, row in enumerate(product.rows)
+    ]
+    numerator[0][0] = numerator[0][0] - ring.one
+    H = divide_by_x_minus_y(divide_by_x_minus_y(Series2(tuple(numerator), N, ring)))
+    entries = {
+        (k, total - k): H.rows[total - 2][k - 1] / (k * (total - k))
         for total in range(2, N + 1)
         for k in range((total + 1) // 2, total)
     }
+    if outer_log is not None:
+        composite = compose_difference(outer_log.truncate(N), powers).rows
+        for (k, l) in entries:
+            entries[(k, l)] = entries[(k, l)] - composite[k + l][k]
+    return entries
 
 
 def tangent_tables(f: Series1, N: int) -> tuple[dict[int, Fraction], CoeffTable]:
@@ -237,9 +285,10 @@ def tangent_tables(f: Series1, N: int) -> tuple[dict[int, Fraction], CoeffTable]
             f"class series to degree {N + 1}, got order {f.order}"
         )
     fine = f.truncate(N + 1)
-    g = small_g(fine, N + 1)
+    G = big_g(fine)
+    g, powers = compositional_inverse(G)
     a_k = {k: g.coefficient(k) / k for k in range(1, N + 1)}
-    entries = _pair_log_entries(g, N, series_log(fine * negate_argument(fine)))
+    entries = _pair_log_entries(G, powers, N, series_log(fine * negate_argument(fine)))
     return a_k, CoeffTable(KIND_THEOREM, N, entries)
 
 
@@ -258,8 +307,10 @@ def z_closed(f: Series1, N: int) -> Series2:
     """The closed form of the generating series Z(x, y).
 
     Z = g'(x) g'(y) (G(g(x) - g(y)) / (x - y))^2, which the localisation
-    module must reproduce by independent means.  Needs f one degree
-    beyond N for the same reason as ``a_kl_table``.
+    module must reproduce by independent means.  G(g(x) - g(y)) is the
+    congruence of ``compose_difference`` on the powers of g that the
+    inversion returns.  Needs f one degree beyond N for the same reason
+    as ``a_kl_table``.
     """
     if f.order < N + 1:
         raise InsufficientOrderError(
@@ -268,8 +319,8 @@ def z_closed(f: Series1, N: int) -> Series2:
         )
     fine = f.truncate(N + 1)
     G = big_g(fine)
-    g = compositional_inverse(G)
-    ratio = divide_by_x_minus_y(compose_difference(G, g))
+    g, powers = compositional_inverse(G)
+    ratio = divide_by_x_minus_y(compose_difference(G, powers))
     derivative = differentiate(g)
     return (
         Series2.from_series1_in_x(derivative)
@@ -364,6 +415,6 @@ def taut_tables(f: Series1, N: int) -> tuple[dict[int, Fraction], CoeffTable]:
     if fine.constant_term != fine.ring.one:
         raise ValueError("a multiplicative class series must have constant term 1")
     base = shift_up(reciprocal(negate_argument(fine)).truncate(N), 1)
-    g = compositional_inverse(base)
+    g, powers = compositional_inverse(base)
     a_k = {k: g.coefficient(k) / k for k in range(1, N + 1)}
-    return a_k, CoeffTable(KIND_TAUTOLOGICAL, N, _pair_log_entries(g, N))
+    return a_k, CoeffTable(KIND_TAUTOLOGICAL, N, _pair_log_entries(base, powers, N))

@@ -197,6 +197,14 @@ class Ring(Frozen):
     def __repr__(self) -> str:
         return self.name
 
+    def __reduce__(self) -> str | tuple:
+        # Series code compares rings by identity, so copy, deepcopy and
+        # pickle hand back the module-level rings by name.
+        for name in ("QQ", "DUALS"):
+            if globals().get(name) is self:
+                return name
+        return super().__reduce__()
+
 
 QQ = Ring("QQ", Fraction(0), Fraction(1), to_fraction, lambda c: c != 0)
 

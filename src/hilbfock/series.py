@@ -10,17 +10,20 @@ holds for ``Series2`` with total degree playing the role of degree.
 The analytic operations all live here as module-level functions:
 reciprocal (one variable only), log (a recurrence on coefficients, or
 on homogeneous rows in two variables), composition (Horner's scheme in
-general, and a congruence of triangular matrices for the difference
-g(x) - g(y)), compositional inversion by the Lagrange formula, and the
-two-variable division by x - y.  The exponentials of the fixed-point
-sums run on integers in ``localisation``.  Coefficients come from one
-of the rings in ``rings``: plain rationals or dual numbers.
+general; a two-variable series C(u, v) at u = g(x), v = g(y) as a
+congruence of triangular matrices over the powers of g, with
+outer(g(x) - g(y)) as one case), compositional inversion by the
+Lagrange formula, which also returns the powers of the inverse and
+checks it against them, and the two-variable division by x - y.  The
+exponentials of the fixed-point sums run on integers in
+``localisation``.  Coefficients come from one of the rings in
+``rings``: plain rationals or dual numbers.
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from .rings import QQ, Frozen, Ring
 
@@ -456,48 +459,53 @@ def compose(outer: Series1, inner: Series1 | Series2):
     return result
 
 
-def compose_difference(outer: Series1, g: Series1) -> Series2:
-    """outer(g(x) - g(y)) for a one-variable g with zero constant term.
+def power_table(g: Series1) -> tuple[Series1, ...]:
+    """g^0, g^1, ..., g^n for a series g of order n with zero constant term.
 
-    Expanding each (g(x) - g(y))^c binomially gives the congruence
-    P^T M P: the coefficient of x^i y^j is the sum over a, b of
-    P[a][i] M[a][b] P[b][j], where P[a][i] = [x^i] g^a and
-    M[a][b] = outer_(a+b) binom(a+b, a) (-1)^b.  P is triangular, since
-    g^a starts at x^a, so the powers of g and both matrix products cost
-    O(N^3) coefficient operations, against one two-variable product per
-    outer coefficient for ``compose``.  The order is the smaller of the
-    two operand orders, as for ``compose``.
+    Built by repeated multiplication, n - 1 one-variable products.  The
+    table is triangular, since g^a starts at x^a.
     """
-    ring = outer.ring
-    if g.ring is not ring:
-        raise SeriesError("operands live over different coefficient rings")
+    ring = g.ring
     if g.constant_term != ring.zero:
         raise SeriesError("composition requires the inner series to have zero constant term")
-    n = min(outer.order, g.order)
+    powers = [Series1.one(g.order, ring), g]
+    for _ in range(1, g.order):
+        powers.append(powers[-1] * g)
+    return tuple(powers[: g.order + 1])
+
+
+def congruence(matrix: Series2, table: Sequence[Sequence]) -> Series2:
+    """The coefficients sum over a, b of table[a][i] C[a][b] table[b][j].
+
+    Here C[a][b] is the coefficient of x^a y^b in ``matrix`` and
+    ``table[a][i]`` is a triangular table, zero for i < a.  When
+    ``table[a][i] = [x^i] g^a`` the result is matrix(g(x), g(y)).  The
+    two matrix products cost O(N^3) coefficient operations, and the
+    order is the smaller of the matrix order and the table order.
+    """
+    ring = matrix.ring
     zero = ring.zero
-    inner = g.truncate(n)
-    power = Series1.one(n, ring)
-    powers = [power.coefficients]
-    for _ in range(n):
-        power = power * inner
-        powers.append(power.coefficients)
-    # half[a][j] = (M P)[a][j]; only a + j <= n is ever read.
+    n = min(matrix.order, len(table[0]) - 1)
+    entries = matrix.rows
+    # half[a][j] = (C T)[a][j]; only a + j <= n is ever read.
     half = []
     for a in range(n + 1):
         row = [zero] * (n - a + 1)
         for b in range(n - a + 1):
-            c = outer.coefficients[a + b]
+            c = entries[a + b][a]
             if not c:
                 continue
-            weight = c * ring.coerce(comb(a + b, a) * (-1) ** b)
-            for j, p in enumerate(powers[b][: n - a + 1]):
+            power = table[b]
+            for j in range(b, n - a + 1):
+                p = power[j]
                 if p:
-                    row[j] = row[j] + weight * p
+                    row[j] = row[j] + c * p
         half.append(row)
     rows = [[zero] * (d + 1) for d in range(n + 1)]
     for a in range(n + 1):
+        power = table[a]
         for i in range(a, n + 1):
-            p = powers[a][i]
+            p = power[i]
             if not p:
                 continue
             for j, h in enumerate(half[a][: n - i + 1]):
@@ -506,14 +514,36 @@ def compose_difference(outer: Series1, g: Series1) -> Series2:
     return Series2(tuple(tuple(row) for row in rows), n, ring)
 
 
-def compositional_inverse(series: Series1) -> Series1:
-    """The inverse under composition of a series x*(unit + ...).
+def compose_difference(outer: Series1, powers: tuple[Series1, ...]) -> Series2:
+    """outer(g(x) - g(y)), given the powers of g from ``power_table``.
 
-    By the Lagrange inversion formula: writing series = x / phi, the
-    inverse has g_m = [x^(m-1)] phi^m / m, so the whole inverse costs
-    the m - 1 one-variable products that build the powers of phi.
-    Both round-trips are verified before returning; a failed round-trip
-    would indicate a bug here, not bad input, and raises RuntimeError.
+    Expanding each (g(x) - g(y))^c binomially gives ``congruence`` with
+    C[a][b] = outer_(a+b) binom(a+b, a) (-1)^b, the coefficients of
+    outer(x - y), at O(N^3) coefficient operations against one
+    two-variable product per outer coefficient for ``compose``.  The
+    order is the smaller of the two operand orders, as for ``compose``.
+    """
+    ring = outer.ring
+    if powers[0].ring is not ring:
+        raise SeriesError("operands live over different coefficient rings")
+    rows = tuple(
+        tuple(c * ring.coerce(comb(d, a) * (-1) ** (d - a)) for a in range(d + 1))
+        for d, c in enumerate(outer.coefficients)
+    )
+    return congruence(Series2(rows, outer.order, ring), [p.coefficients for p in powers])
+
+
+def compositional_inverse(series: Series1) -> tuple[Series1, tuple[Series1, ...]]:
+    """The inverse g of G = x*(unit + ...) under composition, and its powers.
+
+    The powers g^0, ..., g^n come from ``power_table``.  By the Lagrange inversion formula: writing G = x / phi, the inverse
+    has g_m = [x^(m-1)] phi^m / m, so the inverse costs the m - 1
+    one-variable products that build the powers of phi.  The powers of
+    g come from multiplying g, never from the same formula, and give the
+    check sum over a of G_a g^a = x at O(N^2).  Series of the form
+    x*(unit) form a group under composition, so this one-sided check
+    also gives g(G) = x.  A failed check would indicate a bug here, not
+    bad input, and raises RuntimeError.
     """
     ring = series.ring
     if series.order < 1:
@@ -530,10 +560,15 @@ def compositional_inverse(series: Series1) -> Series1:
         power = power * phi
         coeffs.append(power.coefficients[m - 1] / ring.coerce(m))
     result = Series1(tuple(coeffs), n, ring)
-    identity = Series1.identity(n, ring)
-    if compose(series, result) != identity or compose(result, series) != identity:
+    powers = power_table(result)
+    composite = [ring.zero] * (n + 1)
+    for a, c in enumerate(series.coefficients):
+        if c:
+            for i, p in enumerate(powers[a].coefficients[a:], a):
+                composite[i] = composite[i] + c * p
+    if tuple(composite) != Series1.identity(n, ring).coefficients:
         raise RuntimeError("internal error: compositional inverse failed its round-trip check")
-    return result
+    return result, powers
 
 
 def differentiate(series: Series1) -> Series1:

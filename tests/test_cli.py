@@ -195,7 +195,7 @@ def test_table_degree_limits(capsys):
     code, _, err = run(capsys, "table", "--class", "todd", "--max-degree", "1")
     assert code == 2
     assert "at least 2" in err
-    code, _, err = run(capsys, "table", "--class", "todd", "--max-degree", "50")
+    code, _, err = run(capsys, "table", "--class", "todd", "--max-degree", str(2 * MAX_TABLE_DEGREE))
     assert code == 3
     assert "exceeds the limit" in err
 

@@ -3,6 +3,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from hilbfock import series
 from hilbfock.closedform import (
     KIND_CHERN_CHARACTER,
     KIND_TAUTOLOGICAL,
@@ -212,6 +213,30 @@ def test_pair_table_needs_one_extra_order():
         taut_tables(one_plus_x(6), 6)
     with pytest.raises(InsufficientOrderError, match="insufficient precision"):
         small_g(one_plus_x(6), 7)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda f: small_g(f, 12),
+        lambda f: taut_tables(f, 12),
+        lambda f: z_closed(f, 12),
+    ],
+    ids=["small_g", "taut_tables", "z_closed"],
+)
+def test_corrupted_inverse_fails_its_round_trip_check(monkeypatch, build):
+    """A wrong inverse is caught by the check in compositional_inverse."""
+    exact = series.reciprocal
+
+    def corrupted(s):
+        good = exact(s)
+        values = list(good.coefficients)
+        values[2] = values[2] + 1
+        return Series1(tuple(values), good.order, good.ring)
+
+    monkeypatch.setattr(series, "reciprocal", corrupted)
+    with pytest.raises(RuntimeError, match="round-trip check"):
+        build(preset_class("todd", 13).f)
 
 
 # --------------------------------------------------------------- generating series

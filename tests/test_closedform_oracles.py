@@ -3,23 +3,26 @@
 The oracles below are the earlier pipelines taken literally: the
 inverse solved degree by degree through Horner compositions, the
 composite F(g(x) - g(y)) by Horner's scheme over two-variable series,
-the two-variable log summed as the power series in f - 1, and the pair
-table as the log of one two-variable quotient.  The library inverts by
+the two-variable log summed as the power series in f - 1, the pair
+table as the log of one two-variable quotient, and the pair table as
+the two-variable log recurrence on (g(x) - g(y)) / (x - y), less
+(log F)(g(x) - g(y)) for the tangent target.  The library inverts by
 the Lagrange formula, composes the difference as a congruence of
-triangular matrices, splits the log of the quotient into a difference
-of logs, and runs the log as a recurrence on homogeneous rows; the two
-must agree exactly.
+triangular matrices, and reads the pair tables off the Grunsky
+identity for the mixed second derivative of the log, with no
+two-variable log at all; the routes must agree exactly.
 """
 
 import ast
 import inspect
+import math
 from fractions import Fraction as Fr
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbfock import localisation
+from hilbfock import closedform, localisation, series
 from hilbfock.closedform import (
     KIND_TAUTOLOGICAL,
     KIND_THEOREM,
@@ -28,6 +31,7 @@ from hilbfock.closedform import (
     a_k_table,
     a_kl_table,
     big_g,
+    corollary_via_dual,
     preset_class,
     small_g,
     tangent_tables,
@@ -45,6 +49,7 @@ from hilbfock.series import (
     differentiate,
     divide_by_x_minus_y,
     negate_argument,
+    power_table,
     reciprocal,
     series_log,
     shift_down,
@@ -113,6 +118,26 @@ def oracle_taut_tables(f: Series1, N: int):
     return a_k, CoeffTable(KIND_TAUTOLOGICAL, N, _mixed_entries(oracle_log2(argument), N))
 
 
+def _log_pipeline_entries(g: Series1, N: int, outer_log: Series1 | None = None) -> dict:
+    """The pair table as the two-variable log of (g(x) - g(y)) / (x - y)."""
+    logarithm = series_log(divide_by_x_minus_y(_difference(g)))
+    if outer_log is not None:
+        logarithm = logarithm - compose_difference(outer_log.truncate(N), power_table(g))
+    return _mixed_entries(logarithm, N)
+
+
+def log_pipeline_tangent_table(f: Series1, N: int) -> CoeffTable:
+    fine = f.truncate(N + 1)
+    outer_log = series_log(fine * negate_argument(fine))
+    return CoeffTable(KIND_THEOREM, N, _log_pipeline_entries(small_g(fine, N + 1), N, outer_log))
+
+
+def log_pipeline_taut_table(f: Series1, N: int) -> CoeffTable:
+    fine = f.truncate(N + 1)
+    g, _ = compositional_inverse(shift_up(reciprocal(negate_argument(fine)).truncate(N), 1))
+    return CoeffTable(KIND_TAUTOLOGICAL, N, _log_pipeline_entries(g, N))
+
+
 def oracle_z_closed(f: Series1, N: int) -> Series2:
     G = big_g(f.truncate(N + 1))
     g = oracle_inverse(G)
@@ -131,7 +156,10 @@ def assert_all_routes_match(f: Series1, N: int) -> None:
     assert (a_k, table) == oracle_tangent_tables(f, N)
     assert a_k_table(f, N) == a_k
     assert a_kl_table(f, N) == table
-    assert taut_tables(f, N) == oracle_taut_tables(f, N)
+    assert table == log_pipeline_tangent_table(f, N)
+    taut = taut_tables(f, N)
+    assert taut == oracle_taut_tables(f, N)
+    assert taut[1] == log_pipeline_taut_table(f, N)
     assert z_closed(f, N) == oracle_z_closed(f, N)
 
 
@@ -161,6 +189,19 @@ def test_dual_number_classes_match_the_horner_pipelines(n):
     assert_all_routes_match(f, 8)
 
 
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+def test_corollary_via_dual_matches_the_log_pipeline(n):
+    f = Series1.one(n + 1, DUALS) + Series1.monomial(EPS, n, n + 1, DUALS)
+    table = log_pipeline_tangent_table(f, n)
+    scale = Fr(1, math.factorial(n))
+    expected = {
+        pair: value.infinitesimal * scale
+        for pair, value in table.entries.items()
+        if pair[0] + pair[1] == n
+    }
+    assert corollary_via_dual(n).entries == expected
+
+
 # ----------------------------------------------------------------- inverse
 
 
@@ -168,14 +209,16 @@ def test_dual_number_classes_match_the_horner_pipelines(n):
 @settings(max_examples=30, deadline=None)
 def test_lagrange_inverse_matches_degree_by_degree(tail, linear):
     series = Series1.from_coefficients((Fr(0), linear, *tail))
-    assert compositional_inverse(series) == oracle_inverse(series)
+    g, powers = compositional_inverse(series)
+    assert g == oracle_inverse(series)
+    assert powers == power_table(g)
 
 
 def test_lagrange_inverse_over_duals():
     series = Series1.from_coefficients(
         (0, 1 + EPS, Fr(1, 2), -3 * EPS, Fr(2, 3) + EPS, 0, 1), ring=DUALS
     )
-    assert compositional_inverse(series) == oracle_inverse(series)
+    assert compositional_inverse(series)[0] == oracle_inverse(series)
 
 
 # ------------------------------------------------------ compose_difference
@@ -189,7 +232,7 @@ def test_lagrange_inverse_over_duals():
 def test_compose_difference_matches_horner(outer_values, inner_tail):
     outer = Series1.from_coefficients(outer_values)
     g = Series1.from_coefficients((Fr(0), *inner_tail))
-    result = compose_difference(outer, g)
+    result = compose_difference(outer, power_table(g))
     assert result == compose(outer, _difference(g))
     assert result.order == min(outer.order, g.order)
 
@@ -197,16 +240,17 @@ def test_compose_difference_matches_horner(outer_values, inner_tail):
 def test_compose_difference_over_duals():
     outer = Series1.from_coefficients((1 + EPS, 2, -EPS, Fr(1, 3), 0, 5 * EPS, -1), ring=DUALS)
     g = Series1.from_coefficients((0, 1, EPS, Fr(-1, 2) + EPS, 0, 2), 7, ring=DUALS)
-    assert compose_difference(outer, g) == compose(outer, _difference(g))
-    assert compose_difference(outer.truncate(3), g) == compose(outer.truncate(3), _difference(g))
+    powers = power_table(g)
+    assert compose_difference(outer, powers) == compose(outer, _difference(g))
+    assert compose_difference(outer.truncate(3), powers) == compose(outer.truncate(3), _difference(g))
 
 
 def test_compose_difference_rejects_bad_inner_series():
     outer = Series1.from_coefficients((Fr(1), Fr(1), Fr(1)))
     with pytest.raises(SeriesError, match="zero constant term"):
-        compose_difference(outer, Series1.from_coefficients((Fr(1), Fr(1), Fr(0))))
+        compose_difference(outer, power_table(Series1.from_coefficients((Fr(1), Fr(1), Fr(0)))))
     with pytest.raises(SeriesError, match="different coefficient rings"):
-        compose_difference(outer, Series1.identity(2, DUALS))
+        compose_difference(outer, power_table(Series1.identity(2, DUALS)))
 
 
 # --------------------------------------------------------- two-variable log
@@ -258,6 +302,39 @@ def test_localisation_keeps_its_own_composition(monkeypatch):
     f = preset_class("todd", 6).f
     localisation.z_series_residue(f, 4)
     assert Series2 in calls
+
+
+@pytest.mark.parametrize("build", [tangent_tables, taut_tables, z_closed])
+def test_closed_form_runs_no_horner_composition_or_bivariate_log(monkeypatch, build):
+    """The closed form composes by congruences and logs in one variable only.
+
+    ``z_closed`` still squares its ratio and multiplies by g'(x) g'(y)
+    as two-variable series; the tables form no two-variable product.
+    """
+    calls = {"compose": 0, "series_log": 0, "mul": 0}
+    multiply = Series2.__mul__
+
+    def counting_compose(outer, inner):
+        calls["compose"] += 1
+        return compose(outer, inner)
+
+    def counting_log(argument):
+        calls["series_log"] += isinstance(argument, Series2)
+        return series_log(argument)
+
+    def counting_mul(self, other):
+        calls["mul"] += 1
+        return multiply(self, other)
+
+    for module in (series, closedform):
+        monkeypatch.setattr(module, "compose", counting_compose, raising=False)
+        monkeypatch.setattr(module, "series_log", counting_log)
+    monkeypatch.setattr(Series2, "__mul__", counting_mul)
+    build(preset_class("todd", 13).f, 12)
+    assert calls["compose"] == 0
+    assert calls["series_log"] == 0
+    if build is not z_closed:
+        assert calls["mul"] == 0
 
 
 @pytest.mark.parametrize(

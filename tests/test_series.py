@@ -16,6 +16,7 @@ from hilbfock.series import (
     differentiate,
     divide_by_x_minus_y,
     negate_argument,
+    power_table,
     reciprocal,
     scale_argument,
     series_log,
@@ -208,12 +209,14 @@ def test_compose_rejects_nonzero_inner_constant():
 
 
 def test_inverse_of_identity():
-    assert compositional_inverse(Series1.identity(5)) == Series1.identity(5)
+    g, powers = compositional_inverse(Series1.identity(5))
+    assert g == Series1.identity(5)
+    assert powers == tuple(Series1.monomial(1, a, 5) for a in range(6))
 
 
 def test_inverse_of_x_over_one_minus_x_squared():
     base = shift_up(reciprocal(s1(1, 0, -1, 0, 0, 0, 0)).truncate(6), 1)
-    inverse = compositional_inverse(base)
+    inverse, _ = compositional_inverse(base)
     assert inverse == s1(0, 1, 0, -1, 0, 2, 0, -5)
 
 
@@ -222,7 +225,7 @@ def test_inverse_over_dual_numbers():
     eps = DualNumber(0, 1)
     base = Series1.identity(7, DUALS) + Series1.monomial(-2 * eps, 3, 7, DUALS)
     expected = Series1.identity(7, DUALS) + Series1.monomial(2 * eps, 3, 7, DUALS)
-    assert compositional_inverse(base) == expected
+    assert compositional_inverse(base)[0] == expected
 
 
 def test_inverse_requires_unit_linear_coefficient():
@@ -236,15 +239,16 @@ def test_inverse_requires_unit_linear_coefficient():
 @settings(max_examples=40)
 def test_compositional_round_trip(tail):
     s = Series1.from_coefficients((Fr(0), Fr(1), *tail))
-    inverse = compositional_inverse(s)
+    inverse, powers = compositional_inverse(s)
+    assert powers == power_table(inverse)
     assert compose(s, inverse) == Series1.identity(s.order)
     assert compose(inverse, s) == Series1.identity(s.order)
 
 
 def test_truncation_monotonicity():
     f = s1(1, 1, 0, 0, 0, 0, 0, 0, 0, 0)
-    coarse = compositional_inverse(shift_up(reciprocal(f * negate_argument(f)).truncate(5), 1))
-    fine = compositional_inverse(shift_up(reciprocal(f * negate_argument(f)).truncate(8), 1))
+    coarse, _ = compositional_inverse(shift_up(reciprocal(f * negate_argument(f)).truncate(5), 1))
+    fine, _ = compositional_inverse(shift_up(reciprocal(f * negate_argument(f)).truncate(8), 1))
     assert fine.truncate(coarse.order) == coarse
 
 

@@ -3,7 +3,8 @@
 Each type compares by its fields, hashes equal values alike, refuses
 assignment, survives ``copy`` and ``deepcopy``, and, where its fields
 pickle, a ``pickle`` round trip.  ``Series1`` and ``Series2`` carry a
-ring whose predicates are lambdas, so they do not pickle.
+ring, which copies and pickles by name as the module-level singleton,
+so a copied series still multiplies with the original.
 """
 
 import copy
@@ -12,10 +13,10 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from hilbfock.closedform import KIND_THEOREM, CoeffTable
-from hilbfock.localisation import FixedPointBasisVector
+from hilbfock.closedform import KIND_THEOREM, CoeffTable, preset_class
+from hilbfock.localisation import FixedPointBasisVector, _integer_log
 from hilbfock.partitions import Partition
-from hilbfock.rings import DualNumber
+from hilbfock.rings import DUALS, QQ, DualNumber
 from hilbfock.series import Series1, Series2
 
 # name: (build one value, a field to assign, hashable, picklable, repr)
@@ -24,14 +25,14 @@ CASES = {
         lambda: Series1(coefficients=(1, Fr(1, 2)), order=1),
         "order",
         True,
-        False,
+        True,
         "Series1(coefficients=(Fraction(1, 1), Fraction(1, 2)), order=1, ring=QQ)",
     ),
     "Series2": (
         lambda: Series2(((1,),), 0),
         "rows",
         True,
-        False,
+        True,
         "Series2(rows=((Fraction(1, 1),),), order=0, ring=QQ)",
     ),
     "Partition": (
@@ -83,3 +84,24 @@ def test_value_semantics(name):
     assert copy.deepcopy(a) == a
     if picklable:
         assert pickle.loads(pickle.dumps(a)) == a
+
+
+@pytest.mark.parametrize("ring", [QQ, DUALS])
+def test_rings_copy_and_pickle_as_themselves(ring):
+    assert copy.copy(ring) is ring
+    assert copy.deepcopy(ring) is ring
+    assert pickle.loads(pickle.dumps(ring)) is ring
+
+
+def test_deep_copied_series_multiplies_with_the_original():
+    todd = preset_class("todd", 8).f
+    twin = copy.deepcopy(todd)
+    assert twin.ring is QQ
+    assert twin * todd == todd * todd
+
+
+def test_deep_copied_series_keeps_the_integer_log():
+    todd = preset_class("todd", 8).f
+    scale, weights = _integer_log(todd, 8)
+    assert scale > 1
+    assert _integer_log(copy.deepcopy(todd), 8) == (scale, weights)
