@@ -27,8 +27,10 @@ Three families of coefficients are produced.
 
 All arithmetic is exact.  Functions accept series over the rational
 field or over the dual numbers; preconditions on the truncation order
-are documented per function and violations raise
-InsufficientOrderError rather than returning silently wrong tables.
+are documented per function.  Each function truncates the class series
+to the order it needs first, and ``truncate`` raises
+InsufficientOrderError for a shorter series rather than returning
+silently wrong tables.
 """
 
 from __future__ import annotations
@@ -194,16 +196,18 @@ def big_g(f: Series1) -> Series1:
 
 
 def small_g(f: Series1, N: int) -> Series1:
-    """The compositional inverse of big_g(f), truncated at order N."""
-    if f.order < N:
-        raise InsufficientOrderError(
-            f"insufficient precision: order {N} requested, class series has order {f.order}"
-        )
+    """The compositional inverse of big_g(f), truncated at order N.
+
+    Needs f to degree N.
+    """
     return compositional_inverse(big_g(f.truncate(N)))[0]
 
 
 def a_k_table(f: Series1, N: int) -> dict[int, Fraction]:
-    """The single-index coefficients a_k = [x^k] g / k for 1 <= k <= N."""
+    """The single-index coefficients a_k = [x^k] g / k for 1 <= k <= N.
+
+    Needs f to degree N, as ``small_g`` does.
+    """
     g = small_g(f, N)
     return {k: g.coefficient(k) / k for k in range(1, N + 1)}
 
@@ -279,11 +283,6 @@ def tangent_tables(f: Series1, N: int) -> tuple[dict[int, Fraction], CoeffTable]
     composite of the log, so no two-variable reciprocal or product is
     needed.  Like ``a_kl_table``, needs f one degree beyond N.
     """
-    if f.order < N + 1:
-        raise InsufficientOrderError(
-            f"insufficient precision: the pair table to total degree {N} needs the "
-            f"class series to degree {N + 1}, got order {f.order}"
-        )
     fine = f.truncate(N + 1)
     G = big_g(fine)
     g, powers = compositional_inverse(G)
@@ -312,11 +311,6 @@ def z_closed(f: Series1, N: int) -> Series2:
     inversion returns.  Needs f one degree beyond N for the same reason
     as ``a_kl_table``.
     """
-    if f.order < N + 1:
-        raise InsufficientOrderError(
-            f"insufficient precision: Z to total degree {N} needs the class series "
-            f"to degree {N + 1}, got order {f.order}"
-        )
     fine = f.truncate(N + 1)
     G = big_g(fine)
     g, powers = compositional_inverse(G)
@@ -406,11 +400,6 @@ def taut_tables(f: Series1, N: int) -> tuple[dict[int, Fraction], CoeffTable]:
     log((g(x) - g(y)) / (x - y)) alone.  No parity or positivity is
     imposed: this g is not odd.
     """
-    if f.order < N + 1:
-        raise InsufficientOrderError(
-            f"insufficient precision: the pair table to total degree {N} needs the "
-            f"class series to degree {N + 1}, got order {f.order}"
-        )
     fine = f.truncate(N + 1)
     if fine.constant_term != fine.ring.one:
         raise ValueError("a multiplicative class series must have constant term 1")

@@ -38,12 +38,17 @@ over pairs.
 
 Two independent constructions of Z are provided: the direct fixed-point
 sum (``z_series_hookform``) and a coefficient-extraction route through
-a bivariate auxiliary series (``z_series_residue``), which reads every
-coefficient it needs off one Horner composition, one two-variable
-product and the one-variable powers of F, rather than forming a
-two-variable product per coefficient.  They must agree, and the
-closed form in ``closedform`` must agree with both; that triple
-agreement is the package's central correctness check.
+a bivariate auxiliary series (``z_series_residue``), which builds that
+series with one Horner composition and one two-variable product and
+then reads every coefficient it needs off one ``congruence`` of it with
+the one-variable powers of F, rather than forming a two-variable
+product per coefficient.  They must agree, and the closed form in
+``closedform`` must agree with both; that triple agreement is the
+package's central correctness check.  The closed form runs the same
+``congruence`` kernel, the fixed-point sum does not.
+
+Each entry point truncates the class series to the order its docstring
+states first, so ``truncate`` is the precision check.
 """
 
 from __future__ import annotations
@@ -62,10 +67,10 @@ from .partitions import (
 )
 from .rings import QQ, Frozen
 from .series import (
-    InsufficientOrderError,
     Series1,
     Series2,
     compose,
+    congruence,
     divide_by_x_minus_y,
     negate_argument,
     reciprocal,
@@ -155,6 +160,8 @@ def _power_sums(values: Sequence[int], n: int) -> list[int]:
 def _integer_log(f: Series1, n: int) -> tuple[int, list]:
     """The scale c and the weights w_m = m [u^m] log f(c u) for m <= n.
 
+    Truncating f to n is the precision check of every caller.
+
     c is the lcm of the denominators of f_1, ..., f_n, so h_k = c^k f_k
     is an integer and w_m = m h_m - sum over 1 <= k < m of w_k h_(m-k)
     (the log recurrence for f(c u)) never divides.  Over the dual
@@ -162,9 +169,9 @@ def _integer_log(f: Series1, n: int) -> tuple[int, list]:
     holds h_0 = 1 in whichever of the two it runs on; it seeds e_0 in
     ``_power_sum_exp``.
     """
-    if f.constant_term != f.ring.one:
+    coefficients = f.truncate(n).coefficients
+    if coefficients[0] != f.ring.one:
         raise ValueError("a multiplicative class series must have constant term 1")
-    coefficients = f.coefficients[: n + 1]
     if f.ring is QQ:
         c = lcm(*(a.denominator for a in coefficients))
         h = [a.numerator * (c**k // a.denominator) for k, a in enumerate(coefficients)]
@@ -248,14 +255,9 @@ def pair_coefficient(f: Series1, pair: FixedPointBasisVector, gamma: int) -> Fra
     all tangent weights w, divided by the product of the primed cell
     polynomials of the two partitions, evaluated at (-1, -1) and
     (gamma - 1, 1) respectively.  The class series f must have
-    constant term 1.
+    constant term 1 and be known to degree n.
     """
     n = pair.level
-    if f.order < n:
-        raise InsufficientOrderError(
-            f"insufficient precision: level {n} needs the class series to degree {n}, "
-            f"got order {f.order}"
-        )
     return _pair_value(
         _integer_log(f, n),
         pair,
@@ -266,12 +268,10 @@ def pair_coefficient(f: Series1, pair: FixedPointBasisVector, gamma: int) -> Fra
 
 
 def equivariant_class_coeffs(f: Series1, gamma: int, n: int) -> EquivariantClassVector:
-    """Expand the level-n equivariant class over the fixed-point basis."""
-    if f.order < n:
-        raise InsufficientOrderError(
-            f"insufficient precision: level {n} needs the class series to degree {n}, "
-            f"got order {f.order}"
-        )
+    """Expand the level-n equivariant class over the fixed-point basis.
+
+    The class series must be known to degree n.
+    """
     scaled_log = _integer_log(f, n)
     partitions = [p for size in range(n + 1) for p in enumerate_partitions(size)]
     at_zero = {p: _fixed_point_data(p, -1, -1, n) for p in partitions}
@@ -298,14 +298,10 @@ def hook_coefficient(f: Series1, pair: FixedPointBasisVector) -> Fraction:
     the product of F(h(w) u) over all cells of both diagrams, divided by
     the two hook products, where F(u) = f(u) f(-u).  Cross-checked in
     the verification suite against ``pair_coefficient`` at gamma = 2.
-    The class series f must have constant term 1.
+    The class series f must have constant term 1 and be known to
+    degree n.
     """
     n = pair.level
-    if f.order < n:
-        raise InsufficientOrderError(
-            f"insufficient precision: level {n} needs the class series to degree {n}, "
-            f"got order {f.order}"
-        )
     c, w = _integer_log(f, n)
     sums0, h0 = _hook_data(pair.lambda0, n)
     sums1, h1 = _hook_data(pair.lambda1, n)
@@ -321,7 +317,8 @@ def z_series_hookform(f: Series1, N: int) -> Series2:
     polynomial.  Each pair of partitions contributes its hook-length
     coefficient times the product of the two-variable Schur
     specialisations; only two-row partitions enter, because the Schur
-    factor of any other vanishes identically.
+    factor of any other vanishes identically.  The class series must be
+    known to degree N.
 
     The exponential of a pair's hook power sums is the product of the
     exponentials of its two partitions, so each two-row partition of m
@@ -335,10 +332,6 @@ def z_series_hookform(f: Series1, N: int) -> Series2:
     C(n, m) C(n, i) puts it over (n!)^2 c^n, and one Fraction is formed
     per coefficient.
     """
-    if f.order < N:
-        raise InsufficientOrderError(
-            f"insufficient precision: requested total degree {N}, class series has order {f.order}"
-        )
     c, w = _integer_log(f, N)
     w = _even_doubled(w)
     S = []
@@ -394,57 +387,29 @@ def z_series_residue(f: Series1, N: int) -> Series2:
     With M = N + 2, P takes one Horner composition on a - b (M + 1
     two-variable products by the two-term a - b; G(b - a) is its swap)
     and one full two-variable product.  The one-variable powers F^k for
-    k <= M + 1 (O(M^3)) then give every c(r, s) in two O(M^3)
-    contractions, Q[i][s] = sum over j of P[i][j] [b^(s-j)] F^(s+1) and
-    c(r, s) = sum over i of [a^(r-i)] F^(r+1) Q[i][s], instead of a
-    two-variable product per cell, which cost O(M^6) in all.
+    1 <= k <= M + 1 (O(M^3)) give the triangular table T[i][r] =
+    [a^(r-i)] F^(r+1), and c(r, s) is the sum over i and j of
+    T[i][r] P[i][j] T[j][s], which is ``congruence(P, T)``: two O(M^3)
+    matrix products instead of a two-variable product per cell, which
+    cost O(M^6) in all.  The closed form runs the same kernel on the
+    powers of g; the fixed-point sum does not, so a fault in the kernel
+    still shows in the triple agreement.
     """
     M = N + 2
-    if f.order < M:
-        raise InsufficientOrderError(
-            f"insufficient precision: requested total degree {N} needs the class "
-            f"series to degree {M}, got order {f.order}"
-        )
     fM = f.truncate(M)
     F = fM * negate_argument(fM)
     G = shift_up(reciprocal(F).truncate(M - 1), 1)
-    ring = F.ring
-    zero = ring.zero
-
     a_minus_b = Series2.from_dict({(1, 0): Fraction(1), (0, 1): Fraction(-1)}, M)
     G_a_minus_b = compose(G, a_minus_b)
     P = G_a_minus_b * G_a_minus_b.swap()
-    # F_powers[k] holds the coefficients of F^k.
-    power = Series1.one(M, ring)
+    # F_powers[k] holds the coefficients of F^(k+1).
+    power = F
     F_powers = [power.coefficients]
-    for _ in range(M + 1):
+    for _ in range(M):
         power = power * F
         F_powers.append(power.coefficients)
-
-    # Q[i][s] = [a^i b^s] P(a, b) F(b)^(s+1), for i + s <= M.
-    Q = []
-    for i in range(M + 1):
-        Q_row = []
-        for s in range(M + 1 - i):
-            column = F_powers[s + 1]
-            acc = zero
-            for j in range(s + 1):
-                p = P.rows[i + j][i]
-                if p:
-                    acc = acc + p * column[s - j]
-            Q_row.append(acc)
-        Q.append(Q_row)
-
-    signed = {}
-    for r in range(M + 1):
-        row = F_powers[r + 1]
-        for s in range(M + 1 - r):
-            value = zero
-            for i in range(r + 1):
-                q = Q[i][s]
-                if q:
-                    value = value + row[r - i] * q
-            if value:
-                signed[(r, s)] = -value if (r + s) % 2 else value
-    summed = Series2.from_dict(signed, M)
-    return -divide_by_x_minus_y(divide_by_x_minus_y(summed))
+    zeros = (P.ring.zero,) * M
+    T = [zeros[:i] + tuple(F_powers[r][r - i] for r in range(i, M + 1)) for i in range(M + 1)]
+    c = congruence(P, T)
+    signed = tuple(tuple(-v for v in row) if d % 2 else row for d, row in enumerate(c.rows))
+    return -divide_by_x_minus_y(divide_by_x_minus_y(Series2(signed, M, c.ring)))

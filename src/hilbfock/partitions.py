@@ -21,6 +21,7 @@ formula to a pure hook-length expression.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import index
 from typing import Iterator
 
 from .rings import Frozen
@@ -33,13 +34,14 @@ class Partition(Frozen):
     """A weakly decreasing tuple of positive integers.
 
     Trailing zeros in the input are stripped so that every partition
-    has exactly one stored representation.
+    has exactly one stored representation.  Parts must be integers
+    (anything with ``__index__``); anything else raises TypeError.
     """
 
     __slots__ = ("parts",)
 
     def __init__(self, parts=()) -> None:
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(index(p) for p in parts)
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         for p in parts:

@@ -6,6 +6,9 @@ nothing beyond degree N; asking for a higher coefficient raises
 ``InsufficientOrderError`` instead of returning a silent zero.  Binary
 operations truncate to the smaller operand order.  The same contract
 holds for ``Series2`` with total degree playing the role of degree.
+``truncate`` never extends and raises the same error, so it is the
+precision check of every function that needs a series to a given
+order: such a function truncates its input to that order first.
 
 The analytic operations all live here as module-level functions:
 reciprocal (one variable only), log (a recurrence on coefficients, or
@@ -40,11 +43,61 @@ class NotInvertibleError(SeriesError):
     """The series has no inverse of the requested kind."""
 
 
+class _Series(Frozen):
+    """What ``Series1`` and ``Series2`` share: the members that do not
+    depend on how the coefficients are stored.  Both constructors take
+    the stored coefficients, the order and the ring, in the order of
+    ``__slots__``, and cut the coefficients at the order.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls, order: int, ring: Ring = QQ):
+        return cls((), order, ring)
+
+    def truncate(self, order: int):
+        """Forget the terms above ``order``.  Never extends: a larger
+        ``order`` raises InsufficientOrderError (the precision check)."""
+        if order > self.order:
+            raise InsufficientOrderError(
+                f"insufficient precision: order {order} requested from a series truncated "
+                f"at order {self.order}; cannot extend it, rebuild it at higher order"
+            )
+        return type(self)(self._fields()[0], order, self.ring)
+
+    def _coerce_scalar(self, other: Any):
+        try:
+            return self.ring.coerce(other)
+        except TypeError:
+            return None
+
+    def _require_same_ring(self, other: "_Series") -> None:
+        if self.ring is not other.ring:
+            raise SeriesError("operands live over different coefficient rings")
+
+    def __radd__(self, other: Any):
+        return self.__add__(other)
+
+    def __sub__(self, other: Any):
+        if not isinstance(other, type(self)):
+            other = self._coerce_scalar(other)
+            if other is None:
+                return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other: Any):
+        return (-self) + other
+
+    def __rmul__(self, other: Any):
+        return self.__mul__(other)
+
+
 # ---------------------------------------------------------------------------
 # one variable
 
 
-class Series1(Frozen):
+class Series1(_Series):
     """A power series in one variable, truncated after degree ``order``.
 
     ``coefficients[k]`` is the coefficient of x^k for 0 <= k <= order.
@@ -74,10 +127,6 @@ class Series1(Frozen):
         if order is None:
             order = len(values) - 1
         return cls(values, order, ring)
-
-    @classmethod
-    def zero(cls, order: int, ring: Ring = QQ) -> "Series1":
-        return cls((), order, ring)
 
     @classmethod
     def one(cls, order: int, ring: Ring = QQ) -> "Series1":
@@ -113,23 +162,7 @@ class Series1(Frozen):
     def constant_term(self):
         return self.coefficients[0]
 
-    def truncate(self, order: int) -> "Series1":
-        """Forget coefficients above ``order``.  Never extends."""
-        if order > self.order:
-            raise SeriesError("cannot extend a truncated series; rebuild it at higher order")
-        return Series1(self.coefficients[: order + 1], order, self.ring)
-
     # -- arithmetic ----------------------------------------------------------
-
-    def _coerce_scalar(self, other: Any):
-        try:
-            return self.ring.coerce(other)
-        except TypeError:
-            return None
-
-    def _require_same_ring(self, other: "Series1") -> None:
-        if self.ring is not other.ring:
-            raise SeriesError("operands live over different coefficient rings")
 
     def __add__(self, other: Any) -> "Series1":
         if isinstance(other, Series1):
@@ -146,22 +179,8 @@ class Series1(Frozen):
         values = (self.coefficients[0] + scalar,) + self.coefficients[1:]
         return Series1(values, self.order, self.ring)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "Series1":
         return Series1(tuple(-c for c in self.coefficients), self.order, self.ring)
-
-    def __sub__(self, other: Any) -> "Series1":
-        if isinstance(other, Series1):
-            return self + (-other)
-        scalar = self._coerce_scalar(other)
-        if scalar is None:
-            return NotImplemented
-        values = (self.coefficients[0] - scalar,) + self.coefficients[1:]
-        return Series1(values, self.order, self.ring)
-
-    def __rsub__(self, other: Any) -> "Series1":
-        return (-self) + other
 
     def __mul__(self, other: Any) -> "Series1":
         if isinstance(other, Series1):
@@ -182,14 +201,12 @@ class Series1(Frozen):
             return NotImplemented
         return Series1(tuple(c * scalar for c in self.coefficients), self.order, self.ring)
 
-    __rmul__ = __mul__
-
 
 # ---------------------------------------------------------------------------
 # two variables
 
 
-class Series2(Frozen):
+class Series2(_Series):
     """A power series in two variables, truncated by total degree.
 
     Storage is a dense triangle: ``rows[d][i]`` is the coefficient of
@@ -213,10 +230,6 @@ class Series2(Frozen):
         object.__setattr__(self, "rows", tuple(fixed))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "ring", ring)
-
-    @classmethod
-    def zero(cls, order: int, ring: Ring = QQ) -> "Series2":
-        return cls((), order, ring)
 
     @classmethod
     def one(cls, order: int, ring: Ring = QQ) -> "Series2":
@@ -278,26 +291,11 @@ class Series2(Frozen):
     def constant_term(self):
         return self.rows[0][0]
 
-    def truncate(self, order: int) -> "Series2":
-        if order > self.order:
-            raise SeriesError("cannot extend a truncated series; rebuild it at higher order")
-        return Series2(self.rows[: order + 1], order, self.ring)
-
     def swap(self) -> "Series2":
         """Exchange the two variables."""
         return Series2(tuple(tuple(reversed(row)) for row in self.rows), self.order, self.ring)
 
     # -- arithmetic ----------------------------------------------------------
-
-    def _coerce_scalar(self, other: Any):
-        try:
-            return self.ring.coerce(other)
-        except TypeError:
-            return None
-
-    def _require_same_ring(self, other: "Series2") -> None:
-        if self.ring is not other.ring:
-            raise SeriesError("operands live over different coefficient rings")
 
     def __add__(self, other: Any) -> "Series2":
         if isinstance(other, Series2):
@@ -314,22 +312,8 @@ class Series2(Frozen):
         rows = ((self.rows[0][0] + scalar,),) + self.rows[1:]
         return Series2(rows, self.order, self.ring)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "Series2":
         return Series2(tuple(tuple(-c for c in row) for row in self.rows), self.order, self.ring)
-
-    def __sub__(self, other: Any) -> "Series2":
-        if isinstance(other, Series2):
-            return self + (-other)
-        scalar = self._coerce_scalar(other)
-        if scalar is None:
-            return NotImplemented
-        rows = ((self.rows[0][0] - scalar,),) + self.rows[1:]
-        return Series2(rows, self.order, self.ring)
-
-    def __rsub__(self, other: Any) -> "Series2":
-        return (-self) + other
 
     def __mul__(self, other: Any) -> "Series2":
         if isinstance(other, Series2):
@@ -356,8 +340,6 @@ class Series2(Frozen):
             return NotImplemented
         rows = tuple(tuple(c * scalar for c in row) for row in self.rows)
         return Series2(rows, self.order, self.ring)
-
-    __rmul__ = __mul__
 
 
 # ---------------------------------------------------------------------------
@@ -443,16 +425,11 @@ def compose(outer: Series1, inner: Series1 | Series2):
     Series2.  Evaluation is by Horner's scheme, so the cost is one
     series multiplication per outer coefficient.
     """
-    ring = outer.ring
-    if inner.ring is not ring:
-        raise SeriesError("operands live over different coefficient rings")
-    if inner.constant_term != ring.zero:
+    outer._require_same_ring(inner)
+    if inner.constant_term != inner.ring.zero:
         raise SeriesError("composition requires the inner series to have zero constant term")
     n = min(outer.order, inner.order)
-    if isinstance(inner, Series1):
-        result = Series1.zero(n, ring)
-    else:
-        result = Series2.zero(n, ring)
+    result = type(inner).zero(n, outer.ring)
     truncated_inner = inner.truncate(n)
     for k in range(min(outer.order, n), -1, -1):
         result = result * truncated_inner + outer.coefficients[k]
@@ -523,9 +500,8 @@ def compose_difference(outer: Series1, powers: tuple[Series1, ...]) -> Series2:
     two-variable product per outer coefficient for ``compose``.  The
     order is the smaller of the two operand orders, as for ``compose``.
     """
+    outer._require_same_ring(powers[0])
     ring = outer.ring
-    if powers[0].ring is not ring:
-        raise SeriesError("operands live over different coefficient rings")
     rows = tuple(
         tuple(c * ring.coerce(comb(d, a) * (-1) ** (d - a)) for a in range(d + 1))
         for d, c in enumerate(outer.coefficients)

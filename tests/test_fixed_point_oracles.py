@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbfock import localisation, verification
+from hilbfock import closedform, localisation, series, verification
 from hilbfock.closedform import PRESET_NAMES, preset_class
 from hilbfock.localisation import (
     FixedPointBasisVector,
@@ -403,3 +403,33 @@ def test_verify_builds_the_closed_form_and_tangent_tables_once(monkeypatch):
     assert all(result.passed for result in results)
     assert calls.count(("z_closed", True)) == 1
     assert calls.count(("tangent_tables", True)) == 1
+
+
+def test_a_fault_in_the_shared_congruence_fails_the_triple_agreement(monkeypatch):
+    # The closed form and the residue route both run series.congruence;
+    # the fixed-point sum runs neither, so a fault in that kernel is
+    # reported against the fixed-point sum.
+    congruence = series.congruence
+    calls = []
+
+    def perturbed(matrix, table):
+        # one entry too high: on a table of powers of g, the top
+        # coefficient of g, so the result stays divisible by x - y
+        n = min(matrix.order, len(table[0]) - 1)
+        rows = [list(row) for row in table]
+        rows[1][n] = rows[1][n] + 1
+        calls.append(n)
+        return congruence(matrix, rows)
+
+    f = preset_class("todd", 10).f
+    for module in (series, closedform, localisation):
+        monkeypatch.setattr(module, "congruence", perturbed)
+    z_series_hookform(f, 8)
+    assert calls == []
+    results = verification.verify_multiplicative(f, "todd", 8)
+    assert calls
+    triple = results[0]
+    assert triple.name == "triple-agreement"
+    assert not triple.passed
+    assert "closed form" in triple.detail
+    assert "fixed-point sum" in triple.detail

@@ -49,6 +49,18 @@ def test_construction_rejects_bad_parts():
         Partition((2, -1))
 
 
+@pytest.mark.parametrize("parts", [(2.7, 1), ("3",), (Fr(5, 2),)])
+def test_construction_rejects_non_integer_parts(parts):
+    # int() would cut these to (2, 1), (3,) and (2,)
+    with pytest.raises(TypeError):
+        Partition(parts)
+
+
+def test_construction_accepts_integer_like_parts():
+    assert Partition((2, 1)).parts == (2, 1)
+    assert Partition((True,)).parts == (1,)
+
+
 def test_size_length_str_iteration():
     p = Partition((2, 1))
     assert p.size == 3
