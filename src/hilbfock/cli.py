@@ -40,7 +40,7 @@ from .rings import Frozen
 from .series import Series1
 from .verification import verify_chern_character, verify_multiplicative
 
-MAX_TABLE_DEGREE = 56
+MAX_TABLE_DEGREE = 104
 MAX_VERIFY_ORDER = 21
 MAX_EQUIVARIANT_LEVEL = 17
 DEFAULT_EQUIVARIANT_BOUND = 10

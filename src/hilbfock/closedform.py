@@ -44,9 +44,12 @@ from .series import (
     InsufficientOrderError,
     Series1,
     Series2,
+    _congruence,
+    _convolve,
+    _divide_rows,
+    check_class_series,
     compose_difference,
     compositional_inverse,
-    congruence,
     differentiate,
     divide_by_x_minus_y,
     negate_argument,
@@ -78,8 +81,7 @@ class MultiplicativeClass(Frozen):
     __slots__ = ("name", "f")
 
     def __init__(self, name: str, f: Series1) -> None:
-        if f.constant_term != f.ring.one:
-            raise ValueError("a multiplicative class series must have constant term 1")
+        check_class_series(f)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "f", f)
 
@@ -184,9 +186,7 @@ def preset_class(name: str, order: int) -> MultiplicativeClass:
 
 def big_g(f: Series1) -> Series1:
     """G(z) = z / (f(z) f(-z)), an odd series with linear coefficient 1."""
-    ring = f.ring
-    if f.constant_term != ring.one:
-        raise ValueError("a multiplicative class series must have constant term 1")
+    check_class_series(f)
     if f.order < 1:
         raise InsufficientOrderError(
             "insufficient precision: at least the linear coefficient of f is needed"
@@ -228,45 +228,46 @@ def _pair_log_entries(
     divisions by (u - v).  Since g' g^a = (g^(a+1))' / (a+1), the
     numerator is (i+1)(j+1) times the ``congruence`` of
     D[a][b] / ((a+1)(b+1)) on the table [x^(i+1)] g^(a+1), so no
-    two-variable product or log is formed.  G and its powers g^a from
-    ``compositional_inverse`` must have order N + 1.
+    two-variable product or log is formed.  All of it runs on the
+    numerators of the series kernels, and one join forms the entries.
+    G and its powers g^a from ``compositional_inverse`` must have order
+    N + 1.
     """
     if N < 2:
         return {}
     ring = G.ring
-    # (G(u) - G(v))^2 to total degree N + 2.  G_0 = 0, so the padded
-    # zero at degree N + 2 never meets a nonzero coefficient.
-    padded = Series1(G.coefficients, N + 2, ring)
-    square = (padded * padded).coefficients
-    G_c = padded.coefficients
+    # (G(u) - G(v))^2 to total degree N + 2, on numerators over d^2.
+    # G_0 = 0, so the padded zero at degree N + 2 never meets a nonzero
+    # coefficient.
+    G_n, d = ring.split(Series1(G.coefficients, N + 2, ring).coefficients)
+    square = _convolve(G_n, G_n, N + 2)
     rows = []
-    for d in range(N + 3):
-        row = [-2 * G_c[i] * G_c[d - i] for i in range(d + 1)]
-        row[0] = row[0] + square[d]
-        row[d] = row[d] + square[d]
+    for e in range(N + 3):
+        row = [-2 * G_n[i] * G_n[e - i] for i in range(e + 1)]
+        row[0] += square[e]
+        row[e] += square[e]
         rows.append(row)
-    D = divide_by_x_minus_y(divide_by_x_minus_y(Series2(tuple(rows), N + 2, ring)))
-    scaled = Series2(
-        tuple(
-            tuple(c / ((a + 1) * (d - a + 1)) for a, c in enumerate(row))
-            for d, row in enumerate(D.rows)
-        ),
-        N,
-        ring,
-    )
-    shifted = [power.coefficients[1:] for power in powers[1 : N + 2]]
-    product = congruence(scaled, shifted)
-    numerator = [
-        [c * ((i + 1) * (d - i + 1)) for i, c in enumerate(row)]
-        for d, row in enumerate(product.rows)
+    # With L = lcm(1, ..., N + 1), the factors 1 / ((a + 1)(b + 1)) of D
+    # and 1 / (k l) of the entries become integers over L^2.
+    L = math.lcm(*range(1, N + 2))
+    D = _divide_rows(_divide_rows(rows))
+    scaled = [
+        [c * (L // (a + 1)) * (L // (e - a + 1)) for a, c in enumerate(row)]
+        for e, row in enumerate(D[: N + 1])
     ]
-    numerator[0][0] = numerator[0][0] - ring.one
-    H = divide_by_x_minus_y(divide_by_x_minus_y(Series2(tuple(numerator), N, ring)))
-    entries = {
-        (k, total - k): H.rows[total - 2][k - 1] / (k * (total - k))
-        for total in range(2, N + 1)
-        for k in range((total + 1) // 2, total)
-    }
+    shifted = [power.coefficients[1:] for power in powers[1 : N + 2]]
+    product, t = _congruence(ring, scaled, shifted, N)
+    denominator = d * d * L * L * t
+    for e, row in enumerate(product):
+        for i in range(e + 1):
+            row[i] *= (i + 1) * (e - i + 1)
+    product[0][0] -= denominator
+    H = _divide_rows(_divide_rows(product))
+    pairs = [(k, total - k) for total in range(2, N + 1) for k in range((total + 1) // 2, total)]
+    values = ring.join(
+        [H[k + l - 2][k - 1] * (L // k) * (L // l) for k, l in pairs], denominator * L * L
+    )
+    entries = dict(zip(pairs, values))
     if outer_log is not None:
         composite = compose_difference(outer_log.truncate(N), powers).rows
         for (k, l) in entries:
@@ -401,8 +402,7 @@ def taut_tables(f: Series1, N: int) -> tuple[dict[int, Fraction], CoeffTable]:
     imposed: this g is not odd.
     """
     fine = f.truncate(N + 1)
-    if fine.constant_term != fine.ring.one:
-        raise ValueError("a multiplicative class series must have constant term 1")
+    check_class_series(fine)
     base = shift_up(reciprocal(negate_argument(fine)).truncate(N), 1)
     g, powers = compositional_inverse(base)
     a_k = {k: g.coefficient(k) / k for k in range(1, N + 1)}

@@ -39,10 +39,9 @@ over pairs.
 Two independent constructions of Z are provided: the direct fixed-point
 sum (``z_series_hookform``) and a coefficient-extraction route through
 a bivariate auxiliary series (``z_series_residue``), which builds that
-series with one Horner composition and one two-variable product and
-then reads every coefficient it needs off one ``congruence`` of it with
-the one-variable powers of F, rather than forming a two-variable
-product per coefficient.  They must agree, and the closed form in
+series with one Horner composition and then reads every coefficient it
+needs off one ``congruence`` of it with the one-variable powers of F,
+rather than forming a two-variable product per coefficient.  They must agree, and the closed form in
 ``closedform`` must agree with both; that triple agreement is the
 package's central correctness check.  The closed form runs the same
 ``congruence`` kernel, the fixed-point sum does not.
@@ -54,7 +53,7 @@ states first, so ``truncate`` is the precision check.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 from typing import Sequence
 
 from .partitions import (
@@ -65,10 +64,11 @@ from .partitions import (
     hook_product,
     weight_multiset,
 )
-from .rings import QQ, Frozen
+from .rings import Frozen
 from .series import (
     Series1,
     Series2,
+    check_class_series,
     compose,
     congruence,
     divide_by_x_minus_y,
@@ -162,21 +162,20 @@ def _integer_log(f: Series1, n: int) -> tuple[int, list]:
 
     Truncating f to n is the precision check of every caller.
 
-    c is the lcm of the denominators of f_1, ..., f_n, so h_k = c^k f_k
-    is an integer and w_m = m h_m - sum over 1 <= k < m of w_k h_(m-k)
-    (the log recurrence for f(c u)) never divides.  Over the dual
-    numbers c = 1 and the same recurrence runs on ring elements.  w[0]
-    holds h_0 = 1 in whichever of the two it runs on; it seeds e_0 in
+    ``Ring.split`` writes f as F / c with c the lcm of the denominators
+    of f_1, ..., f_n, so h_k = c^k f_k = c^(k-1) F_k is an integer and
+    w_m = m h_m - sum over 1 <= k < m of w_k h_(m-k) (the log recurrence
+    for f(c u)) never divides.  Over the dual numbers c = 1 and the same
+    recurrence runs on ring elements.  w[0] holds h_0 = 1, the numerator
+    of one in whichever of the two it runs on; it seeds e_0 in
     ``_power_sum_exp``.
     """
-    coefficients = f.truncate(n).coefficients
-    if coefficients[0] != f.ring.one:
-        raise ValueError("a multiplicative class series must have constant term 1")
-    if f.ring is QQ:
-        c = lcm(*(a.denominator for a in coefficients))
-        h = [a.numerator * (c**k // a.denominator) for k, a in enumerate(coefficients)]
-    else:
-        c, h = 1, coefficients
+    truncated = f.truncate(n)
+    check_class_series(truncated)
+    ring = f.ring
+    F, c = ring.split(truncated.coefficients)
+    (one,), _ = ring.split((ring.one,))
+    h = [one] + [b * c ** (k - 1) for k, b in enumerate(F[1:], 1)]
     w = [h[0]]
     for m in range(1, n + 1):
         acc = m * h[m]
@@ -384,24 +383,26 @@ def z_series_residue(f: Series1, N: int) -> Series2:
     division, which is why the class series must be known two degrees
     beyond the requested truncation.
 
-    With M = N + 2, P takes one Horner composition on a - b (M + 1
-    two-variable products by the two-term a - b; G(b - a) is its swap)
-    and one full two-variable product.  The one-variable powers F^k for
-    1 <= k <= M + 1 (O(M^3)) give the triangular table T[i][r] =
-    [a^(r-i)] F^(r+1), and c(r, s) is the sum over i and j of
-    T[i][r] P[i][j] T[j][s], which is ``congruence(P, T)``: two O(M^3)
-    matrix products instead of a two-variable product per cell, which
-    cost O(M^6) in all.  The closed form runs the same kernel on the
-    powers of g; the fixed-point sum does not, so a fault in the kernel
-    still shows in the triple agreement.
+    With M = N + 2, G is odd, so P = -(G G)(a - b): one one-variable
+    square and one Horner composition on a - b (M + 1 two-variable
+    products by the two-term a - b), with no full two-variable product.
+    The one-variable powers F^k for 1 <= k <= M + 1 (O(M^3)) give the
+    triangular table T[i][r] = [a^(r-i)] F^(r+1), and c(r, s) is the
+    sum over i and j of T[i][r] P[i][j] T[j][s], which is
+    ``congruence(P, T)``: two O(M^3) matrix products instead of a
+    two-variable product per cell, which cost O(M^6) in all.  The closed
+    form runs the same kernel on the powers of g; the fixed-point sum
+    does not, so a fault in the kernel still shows in the triple
+    agreement.  Every step runs over the ring of f.
     """
     M = N + 2
     fM = f.truncate(M)
     F = fM * negate_argument(fM)
     G = shift_up(reciprocal(F).truncate(M - 1), 1)
-    a_minus_b = Series2.from_dict({(1, 0): Fraction(1), (0, 1): Fraction(-1)}, M)
-    G_a_minus_b = compose(G, a_minus_b)
-    P = G_a_minus_b * G_a_minus_b.swap()
+    one = f.ring.one
+    a_minus_b = Series2.from_dict({(1, 0): one, (0, 1): -one}, M, f.ring)
+    # G is odd, so G(b - a) = -G(a - b) and P = -(G G)(a - b).
+    P = -compose(G * G, a_minus_b)
     # F_powers[k] holds the coefficients of F^(k+1).
     power = F
     F_powers = [power.coefficients]

@@ -13,7 +13,8 @@ is either a ``Fraction`` or a ``DualNumber`` built from two of them.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Callable
+from math import gcd, lcm
+from typing import Any, Callable, Sequence
 
 
 def to_fraction(value: Any) -> Fraction:
@@ -176,9 +177,21 @@ class Ring(Frozen):
 
     Series code never inspects coefficient types directly; it asks the
     ring to coerce incoming values and to decide invertibility.
+
+    ``split``, ``cancel`` and ``join`` give the series kernels one body
+    for both rings.  ``split(values)`` returns numerators and one
+    denominator, a positive int, with values[i] = numerators[i] /
+    denominator; the numerators support +, -, * and truth tests, and mix
+    with ints.  ``cancel(numerators, denominator)`` divides both by
+    their common factor, which keeps a chain of products at the size of
+    its reduced terms.  ``join(numerators, denominator)`` returns the
+    tuple of ring elements numerators[i] / denominator, for any positive
+    int denominator.  A kernel splits its operands, runs on the
+    numerators and keeps track of the denominator as an int, and joins
+    once, where it returns coefficients.
     """
 
-    __slots__ = ("name", "zero", "one", "coerce", "is_unit")
+    __slots__ = ("name", "zero", "one", "coerce", "is_unit", "split", "cancel", "join")
 
     def __init__(
         self,
@@ -187,12 +200,18 @@ class Ring(Frozen):
         one: Any,
         coerce: Callable[[Any], Any],
         is_unit: Callable[[Any], bool],
+        split: Callable[[Sequence], tuple[list, int]],
+        cancel: Callable[[Sequence, int], tuple[list, int]],
+        join: Callable[[Sequence, int], tuple],
     ) -> None:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "zero", zero)
         object.__setattr__(self, "one", one)
         object.__setattr__(self, "coerce", coerce)
         object.__setattr__(self, "is_unit", is_unit)
+        object.__setattr__(self, "split", split)
+        object.__setattr__(self, "cancel", cancel)
+        object.__setattr__(self, "join", join)
 
     def __repr__(self) -> str:
         return self.name
@@ -206,7 +225,50 @@ class Ring(Frozen):
         return super().__reduce__()
 
 
-QQ = Ring("QQ", Fraction(0), Fraction(1), to_fraction, lambda c: c != 0)
+def _split_rationals(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators over the lcm of the denominators."""
+    denominators = [v.denominator for v in values]
+    denominator = lcm(*denominators)
+    return [v.numerator * (denominator // q) for v, q in zip(values, denominators)], denominator
+
+
+def _cancel_rationals(numerators: Sequence[int], denominator: int) -> tuple[list[int], int]:
+    common = gcd(denominator, *numerators)
+    return [v // common for v in numerators], denominator // common
+
+
+def _join_rationals(numerators: Sequence[int], denominator: int) -> tuple[Fraction, ...]:
+    zero = Fraction(0)
+    return tuple(Fraction(v, denominator) if v else zero for v in numerators)
+
+
+def _split_duals(values: Sequence[DualNumber]) -> tuple[list[DualNumber], int]:
+    """Dual numbers pass through as their own numerators, over 1."""
+    return list(values), 1
+
+
+def _cancel_duals(numerators: Sequence, denominator: int) -> tuple[list, int]:
+    """Nothing to cancel: dual-number numerators have no integer content."""
+    return list(numerators), denominator
+
+
+def _join_duals(numerators: Sequence, denominator: int) -> tuple[DualNumber, ...]:
+    if denominator == 1:
+        return tuple(map(_to_dual, numerators))
+    scale = Fraction(1, denominator)
+    return tuple(_to_dual(v) * scale for v in numerators)
+
+
+QQ = Ring(
+    "QQ",
+    Fraction(0),
+    Fraction(1),
+    to_fraction,
+    lambda c: c != 0,
+    _split_rationals,
+    _cancel_rationals,
+    _join_rationals,
+)
 
 DUALS = Ring(
     "QQ[eps]",
@@ -214,4 +276,7 @@ DUALS = Ring(
     DualNumber(Fraction(1)),
     _to_dual,
     lambda c: c.value != 0,
+    _split_duals,
+    _cancel_duals,
+    _join_duals,
 )

@@ -21,11 +21,28 @@ checks it against them, and the two-variable division by x - y.  The
 exponentials of the fixed-point sums run on integers in
 ``localisation``.  Coefficients come from one of the rings in
 ``rings``: plain rationals or dual numbers.
+
+The kernels run on numerators over one common denominator, the
+representation of FLINT's fmpq_poly.  ``Ring.split`` writes a sequence
+of coefficients as numerators over one int denominator (for the
+rationals, integers over the lcm of the denominators; dual numbers pass
+through over 1), and ``Ring.join`` forms ring elements again.  The
+products of ``Series1`` and ``Series2``, ``reciprocal``, the powers in
+``power_table`` and inside ``compositional_inverse``, its check,
+``congruence``, ``compose_difference`` and ``divide_by_x_minus_y``
+split their operands, do every coefficient operation on the numerators
+with no normalisation, and join where they return coefficients: one
+gcd per coefficient returned instead of one per coefficient operation.
+Chains of products (the powers, the recursion of ``reciprocal``) pass
+each new term through ``Ring.cancel``, so their denominator stays the
+lcm of the reduced ones instead of growing as a power.  One body serves
+both rings.  ``series_log``, ``compose`` and the one-pass operations
+still work on ring elements.
 """
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, lcm
 from typing import Any, Iterable, Sequence
 
 from .rings import QQ, Frozen, Ring
@@ -41,6 +58,118 @@ class InsufficientOrderError(SeriesError):
 
 class NotInvertibleError(SeriesError):
     """The series has no inverse of the requested kind."""
+
+
+def check_class_series(f: "Series1") -> None:
+    """The precondition of a multiplicative class series: constant term 1."""
+    if f.constant_term != f.ring.one:
+        raise ValueError("a multiplicative class series must have constant term 1")
+
+
+# ---------------------------------------------------------------------------
+# numerator kernels: each runs on the numerators from ``Ring.split``
+
+
+def _regroup(flat: Sequence, rows: Sequence[Sequence]) -> list:
+    """Cut ``flat`` into pieces of the lengths of ``rows``."""
+    out, start = [], 0
+    for row in rows:
+        out.append(flat[start : start + len(row)])
+        start += len(row)
+    return out
+
+
+def _split_rows(ring: Ring, rows: Sequence[Sequence]) -> tuple[list[list], int]:
+    """``Ring.split`` of a table: numerator rows over one denominator."""
+    flat, denominator = ring.split([c for row in rows for c in row])
+    return _regroup(flat, rows), denominator
+
+
+def _join_rows(ring: Ring, rows: Sequence[Sequence], denominator: int) -> tuple[tuple, ...]:
+    """``Ring.join`` of a table of numerator rows."""
+    return tuple(_regroup(ring.join([c for row in rows for c in row], denominator), rows))
+
+
+def _convolve(a: Sequence, b: Sequence, n: int) -> list:
+    """Degrees 0 to n of the product of two numerator sequences."""
+    out = [0] * (n + 1)
+    for i, x in enumerate(a[: n + 1]):
+        if x:
+            for j, y in enumerate(b[: n + 1 - i], i):
+                if y:
+                    out[j] += x * y
+    return out
+
+
+def _divide_rows(rows: Sequence[Sequence]) -> list[list]:
+    """Numerator rows of a two-variable series divided by (x - y).
+
+    Within the layer of total degree d, writing c_j for the coefficient
+    of x^j y^(d-j), the quotient layer b of degree d-1 satisfies
+    c_j = b_(j-1) - b_j, which is solved from the top down.  The
+    leftover at j = 0 is the division remainder and must vanish.  Only
+    additions, so the denominator does not change.
+    """
+    if rows[0][0]:
+        raise SeriesError("not divisible by (x - y)")
+    out = []
+    for d in range(1, len(rows)):
+        c = rows[d]
+        b = [0] * d
+        b[d - 1] = c[d]
+        for j in range(d - 1, 0, -1):
+            b[j - 1] = c[j] + b[j]
+        if c[0] + b[0]:
+            raise SeriesError("not divisible by (x - y)")
+        out.append(b)
+    return out
+
+
+def _congruence(
+    ring: Ring, C: Sequence[Sequence], table: Sequence[Sequence], n: int
+) -> tuple[list[list], int]:
+    """Numerator rows of the sum over a, b of table[a][i] C[a][b] table[b][j].
+
+    ``C`` holds numerator rows by total degree, C[a + b][a] for x^a y^b;
+    ``table`` holds ring elements, triangular, and its entries at i >= a
+    are split here over one denominator t.  Returns the rows to total
+    degree n and t^2, the factor the table adds to the denominator of C.
+    """
+    # T[a][i - a] is table[a][i].
+    T, t = _split_rows(ring, [row[a : n + 1] for a, row in enumerate(table[: n + 1])])
+    # half[a][j] = (C T)[a][j]; only a + j <= n is ever read.
+    half = []
+    for a in range(n + 1):
+        row = [0] * (n - a + 1)
+        for b in range(n - a + 1):
+            c = C[a + b][a]
+            if c:
+                for j, p in enumerate(T[b][: n - a - b + 1], b):
+                    if p:
+                        row[j] += c * p
+        half.append(row)
+    rows = [[0] * (d + 1) for d in range(n + 1)]
+    for a in range(n + 1):
+        for i, p in enumerate(T[a], a):
+            if p:
+                for j, h in enumerate(half[a][: n - i + 1]):
+                    if h:
+                        rows[i + j][i] += p * h
+    return rows, t * t
+
+
+def _powers(ring: Ring, coefficients: Sequence, n: int):
+    """Numerators and denominator of the series' powers 2, ..., n to degree n.
+
+    Each product is cancelled to the reduced denominator of its power
+    before it takes the next factor, so the numerators grow with the
+    coefficients of the powers, not with d^a.
+    """
+    F, d = ring.split(coefficients)
+    P, D = F, d
+    for _ in range(2, n + 1):
+        P, D = ring.cancel(_convolve(P, F, n), D * d)
+        yield P, D
 
 
 class _Series(Frozen):
@@ -186,16 +315,10 @@ class Series1(_Series):
         if isinstance(other, Series1):
             self._require_same_ring(other)
             n = min(self.order, other.order)
-            zero = self.ring.zero
-            out = [zero] * (n + 1)
-            for i, a in enumerate(self.coefficients[: n + 1]):
-                if not a:
-                    continue
-                for j in range(n + 1 - i):
-                    b = other.coefficients[j]
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-            return Series1(tuple(out), n, self.ring)
+            ring = self.ring
+            a, da = ring.split(self.coefficients[: n + 1])
+            b, db = ring.split(other.coefficients[: n + 1])
+            return Series1(ring.join(_convolve(a, b, n), da * db), n, ring)
         scalar = self._coerce_scalar(other)
         if scalar is None:
             return NotImplemented
@@ -319,22 +442,20 @@ class Series2(_Series):
         if isinstance(other, Series2):
             self._require_same_ring(other)
             n = min(self.order, other.order)
-            zero = self.ring.zero
-            out = [[zero] * (d + 1) for d in range(n + 1)]
-            for d1 in range(n + 1):
-                row1 = self.rows[d1]
-                for i1 in range(d1 + 1):
-                    a = row1[i1]
+            ring = self.ring
+            A, da = _split_rows(ring, self.rows[: n + 1])
+            B, db = _split_rows(ring, other.rows[: n + 1])
+            out = [[0] * (d + 1) for d in range(n + 1)]
+            for d1, row1 in enumerate(A):
+                for i1, a in enumerate(row1):
                     if not a:
                         continue
                     for d2 in range(n + 1 - d1):
-                        row2 = other.rows[d2]
                         target = out[d1 + d2]
-                        for i2 in range(d2 + 1):
-                            b = row2[i2]
+                        for i, b in enumerate(B[d2], i1):
                             if b:
-                                target[i1 + i2] = target[i1 + i2] + a * b
-            return Series2(tuple(tuple(row) for row in out), n, self.ring)
+                                target[i] += a * b
+            return Series2(_join_rows(ring, out, da * db), n, ring)
         scalar = self._coerce_scalar(other)
         if scalar is None:
             return NotImplemented
@@ -348,25 +469,37 @@ class Series2(_Series):
 
 def reciprocal(series: Series1) -> Series1:
     """Multiplicative inverse of a one-variable series, by the usual
-    triangular recursion.
+    triangular recursion out_k = -(1/c_0) sum over 1 <= i <= k of
+    c_i out_(k-i).
 
-    The constant term must be a unit of the coefficient ring.
+    The constant term must be a unit of the coefficient ring.  The
+    series is split as F / d and 1/c_0 as u / w, and the coefficients
+    found so far are kept as numerators R over their common denominator
+    L, so out_k = -u (sum of F_j R_(k-j)) / (w d L) is formed on
+    numerators.  Cancelling each out_k before L takes it in keeps L the
+    lcm of the reduced denominators: a fraction-free recursion would
+    carry d^k, which for a series like the Todd one dwarfs them.
     """
     ring = series.ring
     c0 = series.constant_term
     if not ring.is_unit(c0):
         raise NotInvertibleError("constant term is not a unit, no multiplicative inverse")
-    inv0 = ring.one / c0
-    n = series.order
-    out = [inv0] + [ring.zero] * n
-    for k in range(1, n + 1):
-        acc = ring.zero
-        for i in range(1, k + 1):
-            a = series.coefficients[i]
+    F, d = ring.split(series.coefficients)
+    (u,), w = ring.split((ring.one / c0,))
+    R, L = [u], w
+    for k in range(1, series.order + 1):
+        acc = 0
+        for j in range(1, k + 1):
+            a = F[j]
             if a:
-                acc = acc + a * out[k - i]
-        out[k] = -inv0 * acc
-    return Series1(tuple(out), n, ring)
+                acc += a * R[k - j]
+        (numerator,), e = ring.cancel((-u * acc,), w * d * L)
+        if L % e:
+            grown = lcm(L, e)
+            R = [r * (grown // L) for r in R]
+            L = grown
+        R.append(numerator * (L // e))
+    return Series1(ring.join(R, L), series.order, ring)
 
 
 def series_log(series: Series1 | Series2):
@@ -439,16 +572,17 @@ def compose(outer: Series1, inner: Series1 | Series2):
 def power_table(g: Series1) -> tuple[Series1, ...]:
     """g^0, g^1, ..., g^n for a series g of order n with zero constant term.
 
-    Built by repeated multiplication, n - 1 one-variable products.  The
-    table is triangular, since g^a starts at x^a.
+    Built by repeated multiplication on numerators, n - 1 one-variable
+    products, each cancelled to its reduced denominator.  The table is
+    triangular, since g^a starts at x^a.
     """
     ring = g.ring
     if g.constant_term != ring.zero:
         raise SeriesError("composition requires the inner series to have zero constant term")
-    powers = [Series1.one(g.order, ring), g]
-    for _ in range(1, g.order):
-        powers.append(powers[-1] * g)
-    return tuple(powers[: g.order + 1])
+    n = g.order
+    powers = [Series1.one(n, ring), g]
+    powers.extend(Series1(ring.join(P, D), n, ring) for P, D in _powers(ring, g.coefficients, n))
+    return tuple(powers[: n + 1])
 
 
 def congruence(matrix: Series2, table: Sequence[Sequence]) -> Series2:
@@ -461,34 +595,10 @@ def congruence(matrix: Series2, table: Sequence[Sequence]) -> Series2:
     order is the smaller of the matrix order and the table order.
     """
     ring = matrix.ring
-    zero = ring.zero
     n = min(matrix.order, len(table[0]) - 1)
-    entries = matrix.rows
-    # half[a][j] = (C T)[a][j]; only a + j <= n is ever read.
-    half = []
-    for a in range(n + 1):
-        row = [zero] * (n - a + 1)
-        for b in range(n - a + 1):
-            c = entries[a + b][a]
-            if not c:
-                continue
-            power = table[b]
-            for j in range(b, n - a + 1):
-                p = power[j]
-                if p:
-                    row[j] = row[j] + c * p
-        half.append(row)
-    rows = [[zero] * (d + 1) for d in range(n + 1)]
-    for a in range(n + 1):
-        power = table[a]
-        for i in range(a, n + 1):
-            p = power[i]
-            if not p:
-                continue
-            for j, h in enumerate(half[a][: n - i + 1]):
-                if h:
-                    rows[i + j][i] = rows[i + j][i] + p * h
-    return Series2(tuple(tuple(row) for row in rows), n, ring)
+    C, c = _split_rows(ring, matrix.rows[: n + 1])
+    rows, t = _congruence(ring, C, table, n)
+    return Series2(_join_rows(ring, rows, c * t), n, ring)
 
 
 def compose_difference(outer: Series1, powers: tuple[Series1, ...]) -> Series2:
@@ -502,11 +612,13 @@ def compose_difference(outer: Series1, powers: tuple[Series1, ...]) -> Series2:
     """
     outer._require_same_ring(powers[0])
     ring = outer.ring
-    rows = tuple(
-        tuple(c * ring.coerce(comb(d, a) * (-1) ** (d - a)) for a in range(d + 1))
-        for d, c in enumerate(outer.coefficients)
-    )
-    return congruence(Series2(rows, outer.order, ring), [p.coefficients for p in powers])
+    n = min(outer.order, powers[0].order)
+    numerators, c = ring.split(outer.coefficients[: n + 1])
+    matrix = [
+        [v * (comb(d, a) * (-1) ** (d - a)) for a in range(d + 1)] for d, v in enumerate(numerators)
+    ]
+    rows, t = _congruence(ring, matrix, [p.coefficients for p in powers], n)
+    return Series2(_join_rows(ring, rows, c * t), n, ring)
 
 
 def compositional_inverse(series: Series1) -> tuple[Series1, tuple[Series1, ...]]:
@@ -530,19 +642,20 @@ def compositional_inverse(series: Series1) -> tuple[Series1, tuple[Series1, ...]
         raise NotInvertibleError("not invertible under composition")
     n = series.order
     phi = reciprocal(shift_down(series, 1))
-    power = phi
     coeffs = [ring.zero, phi.coefficients[0]]
-    for m in range(2, n + 1):
-        power = power * phi
-        coeffs.append(power.coefficients[m - 1] / ring.coerce(m))
+    for m, (P, D) in enumerate(_powers(ring, phi.coefficients, n), 2):
+        coeffs.append(ring.join((P[m - 1],), m * D)[0])
     result = Series1(tuple(coeffs), n, ring)
     powers = power_table(result)
-    composite = [ring.zero] * (n + 1)
-    for a, c in enumerate(series.coefficients):
+    G, d = ring.split(series.coefficients)
+    P, t = _split_rows(ring, [p.coefficients[a:] for a, p in enumerate(powers)])
+    composite = [0] * (n + 1)
+    for a, c in enumerate(G):
         if c:
-            for i, p in enumerate(powers[a].coefficients[a:], a):
-                composite[i] = composite[i] + c * p
-    if tuple(composite) != Series1.identity(n, ring).coefficients:
+            for i, p in enumerate(P[a], a):
+                if p:
+                    composite[i] += c * p
+    if ring.join(composite, d * t) != Series1.identity(n, ring).coefficients:
         raise RuntimeError("internal error: compositional inverse failed its round-trip check")
     return result, powers
 
@@ -595,25 +708,8 @@ def shift_down(series: Series1, k: int) -> Series1:
 
 
 def divide_by_x_minus_y(series: Series2) -> Series2:
-    """Exact division by (x - y), one homogeneous layer at a time.
-
-    Within the layer of total degree d, writing c_j for the coefficient
-    of x^j y^(d-j), the quotient layer b of degree d-1 satisfies
-    c_j = b_(j-1) - b_j, which is solved from the top down.  The
-    leftover at j = 0 is the division remainder and must vanish.
-    """
+    """Exact division by (x - y), one homogeneous layer at a time, on
+    numerators (see ``_divide_rows``)."""
     ring = series.ring
-    zero = ring.zero
-    if series.rows[0][0] != zero:
-        raise SeriesError("not divisible by (x - y)")
-    out_rows = []
-    for d in range(1, series.order + 1):
-        c = series.rows[d]
-        b = [zero] * d
-        b[d - 1] = c[d]
-        for j in range(d - 1, 0, -1):
-            b[j - 1] = c[j] + b[j]
-        if c[0] + b[0] != zero:
-            raise SeriesError("not divisible by (x - y)")
-        out_rows.append(tuple(b))
-    return Series2(tuple(out_rows), series.order - 1, ring)
+    rows, d = _split_rows(ring, series.rows)
+    return Series2(_join_rows(ring, _divide_rows(rows), d), series.order - 1, ring)

@@ -1,0 +1,194 @@
+"""The series kernels on ring elements, kept as test oracles.
+
+The package runs its series kernels on numerators over one common
+denominator (``Ring.split`` and ``Ring.join``).  These are the bodies
+they replaced, which do every coefficient operation on ring elements
+(``Fraction`` or ``DualNumber``), one normalisation each; the kernels
+must agree with them exactly.
+"""
+
+from __future__ import annotations
+
+from math import comb
+from typing import Sequence
+
+from hilbfock.series import Series1, Series2, SeriesError, shift_down
+
+
+def multiply1(left: Series1, right: Series1) -> Series1:
+    n = min(left.order, right.order)
+    out = [left.ring.zero] * (n + 1)
+    for i, a in enumerate(left.coefficients[: n + 1]):
+        if not a:
+            continue
+        for j in range(n + 1 - i):
+            b = right.coefficients[j]
+            if b:
+                out[i + j] = out[i + j] + a * b
+    return Series1(tuple(out), n, left.ring)
+
+
+def multiply2(left: Series2, right: Series2) -> Series2:
+    n = min(left.order, right.order)
+    out = [[left.ring.zero] * (d + 1) for d in range(n + 1)]
+    for d1 in range(n + 1):
+        row1 = left.rows[d1]
+        for i1 in range(d1 + 1):
+            a = row1[i1]
+            if not a:
+                continue
+            for d2 in range(n + 1 - d1):
+                row2 = right.rows[d2]
+                target = out[d1 + d2]
+                for i2 in range(d2 + 1):
+                    b = row2[i2]
+                    if b:
+                        target[i1 + i2] = target[i1 + i2] + a * b
+    return Series2(tuple(tuple(row) for row in out), n, left.ring)
+
+
+def reciprocal(series: Series1) -> Series1:
+    ring = series.ring
+    inv0 = ring.one / series.constant_term
+    n = series.order
+    out = [inv0] + [ring.zero] * n
+    for k in range(1, n + 1):
+        acc = ring.zero
+        for i in range(1, k + 1):
+            a = series.coefficients[i]
+            if a:
+                acc = acc + a * out[k - i]
+        out[k] = -inv0 * acc
+    return Series1(tuple(out), n, ring)
+
+
+def power_table(g: Series1) -> tuple[Series1, ...]:
+    powers = [Series1.one(g.order, g.ring), g]
+    for _ in range(1, g.order):
+        powers.append(multiply1(powers[-1], g))
+    return tuple(powers[: g.order + 1])
+
+
+def compositional_inverse(series: Series1) -> tuple[Series1, tuple[Series1, ...]]:
+    """Lagrange inversion with ring-element products, and its check."""
+    ring = series.ring
+    n = series.order
+    phi = reciprocal(shift_down(series, 1))
+    power = phi
+    coeffs = [ring.zero, phi.coefficients[0]]
+    for m in range(2, n + 1):
+        power = multiply1(power, phi)
+        coeffs.append(power.coefficients[m - 1] / ring.coerce(m))
+    result = Series1(tuple(coeffs), n, ring)
+    powers = power_table(result)
+    composite = [ring.zero] * (n + 1)
+    for a, c in enumerate(series.coefficients):
+        if c:
+            for i, p in enumerate(powers[a].coefficients[a:], a):
+                composite[i] = composite[i] + c * p
+    if tuple(composite) != Series1.identity(n, ring).coefficients:
+        raise RuntimeError("compositional inverse failed its round-trip check")
+    return result, powers
+
+
+def congruence(matrix: Series2, table: Sequence[Sequence]) -> Series2:
+    ring = matrix.ring
+    zero = ring.zero
+    n = min(matrix.order, len(table[0]) - 1)
+    entries = matrix.rows
+    half = []
+    for a in range(n + 1):
+        row = [zero] * (n - a + 1)
+        for b in range(n - a + 1):
+            c = entries[a + b][a]
+            if not c:
+                continue
+            power = table[b]
+            for j in range(b, n - a + 1):
+                p = power[j]
+                if p:
+                    row[j] = row[j] + c * p
+        half.append(row)
+    rows = [[zero] * (d + 1) for d in range(n + 1)]
+    for a in range(n + 1):
+        power = table[a]
+        for i in range(a, n + 1):
+            p = power[i]
+            if not p:
+                continue
+            for j, h in enumerate(half[a][: n - i + 1]):
+                if h:
+                    rows[i + j][i] = rows[i + j][i] + p * h
+    return Series2(tuple(tuple(row) for row in rows), n, ring)
+
+
+def compose_difference(outer: Series1, powers: tuple[Series1, ...]) -> Series2:
+    ring = outer.ring
+    rows = tuple(
+        tuple(c * ring.coerce(comb(d, a) * (-1) ** (d - a)) for a in range(d + 1))
+        for d, c in enumerate(outer.coefficients)
+    )
+    return congruence(Series2(rows, outer.order, ring), [p.coefficients for p in powers])
+
+
+def divide_by_x_minus_y(series: Series2) -> Series2:
+    ring = series.ring
+    zero = ring.zero
+    if series.rows[0][0] != zero:
+        raise SeriesError("not divisible by (x - y)")
+    out_rows = []
+    for d in range(1, series.order + 1):
+        c = series.rows[d]
+        b = [zero] * d
+        b[d - 1] = c[d]
+        for j in range(d - 1, 0, -1):
+            b[j - 1] = c[j] + b[j]
+        if c[0] + b[0] != zero:
+            raise SeriesError("not divisible by (x - y)")
+        out_rows.append(tuple(b))
+    return Series2(tuple(out_rows), series.order - 1, ring)
+
+
+def pair_log_entries(
+    G: Series1, powers: tuple[Series1, ...], N: int, outer_log: Series1 | None = None
+) -> dict:
+    """``closedform._pair_log_entries`` on ring elements."""
+    if N < 2:
+        return {}
+    ring = G.ring
+    padded = Series1(G.coefficients, N + 2, ring)
+    square = multiply1(padded, padded).coefficients
+    G_c = padded.coefficients
+    rows = []
+    for d in range(N + 3):
+        row = [-2 * G_c[i] * G_c[d - i] for i in range(d + 1)]
+        row[0] = row[0] + square[d]
+        row[d] = row[d] + square[d]
+        rows.append(row)
+    D = divide_by_x_minus_y(divide_by_x_minus_y(Series2(tuple(rows), N + 2, ring)))
+    scaled = Series2(
+        tuple(
+            tuple(c / ((a + 1) * (d - a + 1)) for a, c in enumerate(row))
+            for d, row in enumerate(D.rows)
+        ),
+        N,
+        ring,
+    )
+    shifted = [power.coefficients[1:] for power in powers[1 : N + 2]]
+    product = congruence(scaled, shifted)
+    numerator = [
+        [c * ((i + 1) * (d - i + 1)) for i, c in enumerate(row)]
+        for d, row in enumerate(product.rows)
+    ]
+    numerator[0][0] = numerator[0][0] - ring.one
+    H = divide_by_x_minus_y(divide_by_x_minus_y(Series2(tuple(numerator), N, ring)))
+    entries = {
+        (k, total - k): H.rows[total - 2][k - 1] / (k * (total - k))
+        for total in range(2, N + 1)
+        for k in range((total + 1) // 2, total)
+    }
+    if outer_log is not None:
+        composite = compose_difference(outer_log.truncate(N), powers).rows
+        for (k, l) in entries:
+            entries[(k, l)] = entries[(k, l)] - composite[k + l][k]
+    return entries

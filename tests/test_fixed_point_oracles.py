@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbfock import closedform, localisation, series, verification
-from hilbfock.closedform import PRESET_NAMES, preset_class
+from hilbfock.closedform import PRESET_NAMES, preset_class, z_closed
 from hilbfock.localisation import (
     FixedPointBasisVector,
     equivariant_class_coeffs,
@@ -326,6 +326,15 @@ def test_random_classes_match_residue_oracle(tail, N):
     assert expected == oracle_z_series_hookform(f, N)
 
 
+@pytest.mark.parametrize("N", range(1, 7))
+def test_all_three_routes_agree_over_dual_numbers(N):
+    eps = DualNumber(Fr(0), Fr(1))
+    f = Series1.one(N + 2, DUALS) + Series1.monomial(eps, 2, N + 2, DUALS)
+    Z = z_series_residue(f, N)
+    assert Z.ring is DUALS
+    assert Z == z_closed(f, N) == z_series_hookform(f, N)
+
+
 # ------------------------------------------------------------- operation counts
 
 
@@ -406,24 +415,24 @@ def test_verify_builds_the_closed_form_and_tangent_tables_once(monkeypatch):
 
 
 def test_a_fault_in_the_shared_congruence_fails_the_triple_agreement(monkeypatch):
-    # The closed form and the residue route both run series.congruence;
-    # the fixed-point sum runs neither, so a fault in that kernel is
-    # reported against the fixed-point sum.
-    congruence = series.congruence
+    # The closed form and the residue route both run the congruence
+    # kernel series._congruence (the residue route through
+    # series.congruence); the fixed-point sum runs neither, so a fault
+    # in that kernel is reported against the fixed-point sum.
+    congruence = series._congruence
     calls = []
 
-    def perturbed(matrix, table):
+    def perturbed(ring, C, table, n):
         # one entry too high: on a table of powers of g, the top
         # coefficient of g, so the result stays divisible by x - y
-        n = min(matrix.order, len(table[0]) - 1)
         rows = [list(row) for row in table]
         rows[1][n] = rows[1][n] + 1
         calls.append(n)
-        return congruence(matrix, rows)
+        return congruence(ring, C, rows, n)
 
     f = preset_class("todd", 10).f
-    for module in (series, closedform, localisation):
-        monkeypatch.setattr(module, "congruence", perturbed)
+    for module in (series, closedform):
+        monkeypatch.setattr(module, "_congruence", perturbed)
     z_series_hookform(f, 8)
     assert calls == []
     results = verification.verify_multiplicative(f, "todd", 8)

@@ -1,0 +1,179 @@
+"""The numerator kernels of ``series`` against the ring-element bodies.
+
+Each kernel splits its operands into numerators over one denominator,
+runs on the numerators and joins once; ``fraction_kernels`` holds the
+bodies it replaced.  They must agree exactly over the rationals (runs
+of zeros, negative coefficients, 40-digit heights), over all-integer
+series, over the dual numbers, and at order 0.
+"""
+
+from fractions import Fraction as Fr
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fraction_kernels as oracle
+from hilbfock.closedform import _pair_log_entries, big_g
+from hilbfock.rings import DUALS, QQ, DualNumber
+from hilbfock.series import (
+    Series1,
+    Series2,
+    SeriesError,
+    compose_difference,
+    compositional_inverse,
+    congruence,
+    divide_by_x_minus_y,
+    negate_argument,
+    power_table,
+    reciprocal,
+    series_log,
+)
+
+ZERO = st.just(Fr(0))
+SMALL = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+HUGE = st.builds(Fr, st.integers(-(10**40), 10**40), st.integers(1, 10**40))
+INTEGER = st.integers(-50, 50).map(Fr)
+
+ELEMENTS = {
+    "rational": st.one_of(ZERO, SMALL, HUGE, INTEGER),
+    "integer": st.one_of(ZERO, INTEGER),
+    "dual": st.one_of(
+        ZERO.map(DualNumber), st.builds(DualNumber, st.one_of(ZERO, SMALL, HUGE), SMALL)
+    ),
+}
+RINGS = {"rational": QQ, "integer": QQ, "dual": DUALS}
+KINDS = sorted(ELEMENTS)
+
+
+def values(kind, max_size=8):
+    """Up to max_size coefficients, with runs of zeros between single entries."""
+    pieces = st.one_of(
+        ELEMENTS[kind].map(lambda c: [c]),
+        st.integers(2, 4).map(lambda k: [Fr(0)] * k),
+    )
+    return st.lists(pieces, min_size=1, max_size=max_size).map(lambda ps: sum(ps, [])[:max_size])
+
+
+def series1(data, kind, max_size=8) -> Series1:
+    return Series1.from_coefficients(data.draw(values(kind, max_size)), ring=RINGS[kind])
+
+
+def series2(data, kind, order: int) -> Series2:
+    cells = (order + 1) * (order + 2) // 2
+    entries = data.draw(st.lists(ELEMENTS[kind], min_size=cells, max_size=cells))
+    rows, start = [], 0
+    for d in range(order + 1):
+        rows.append(tuple(entries[start : start + d + 1]))
+        start += d + 1
+    return Series2(tuple(rows), order, RINGS[kind])
+
+
+def unit(data, kind):
+    ring = RINGS[kind]
+    return ring.coerce(data.draw(ELEMENTS[kind].filter(ring.is_unit)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_series1_product(kind, data):
+    a, b = series1(data, kind), series1(data, kind)
+    product = a * b
+    assert product == oracle.multiply1(a, b)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data(), orders=st.tuples(st.integers(0, 4), st.integers(0, 4)))
+@settings(max_examples=30, deadline=None)
+def test_series2_product(kind, data, orders):
+    a, b = series2(data, kind, orders[0]), series2(data, kind, orders[1])
+    product = a * b
+    assert product == oracle.multiply2(a, b)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_reciprocal(kind, data):
+    tail = data.draw(values(kind, max_size=7))
+    series = Series1.from_coefficients([unit(data, kind)] + tail, ring=RINGS[kind])
+    inverse = reciprocal(series)
+    assert inverse == oracle.reciprocal(series)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_power_table_and_compositional_inverse(kind, data):
+    ring = RINGS[kind]
+    tail = data.draw(values(kind, max_size=6))
+    series = Series1.from_coefficients([ring.zero, unit(data, kind)] + tail, ring=ring)
+    g, powers = compositional_inverse(series)
+    assert (g, powers) == oracle.compositional_inverse(series)
+    assert power_table(series) == oracle.power_table(series)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data(), order=st.integers(0, 5))
+@settings(max_examples=30, deadline=None)
+def test_congruence_and_compose_difference(kind, data, order):
+    ring = RINGS[kind]
+    matrix = series2(data, kind, order)
+    g = Series1.from_coefficients([ring.zero] + data.draw(values(kind, max_size=5)), ring=ring)
+    powers = power_table(g)
+    table = [p.coefficients for p in powers]
+    result = congruence(matrix, table)
+    assert result == oracle.congruence(matrix, table)
+    outer = series1(data, kind, max_size=6)
+    assert compose_difference(outer, powers) == oracle.compose_difference(outer, powers)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data(), order=st.integers(0, 5), spoil=st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_divide_by_x_minus_y(kind, data, order, spoil):
+    ring = RINGS[kind]
+    x_minus_y = Series2(((ring.zero,), (-ring.one, ring.one)), order + 1, ring)
+    multiple = oracle.multiply2(x_minus_y, series2(data, kind, order + 1))
+    if spoil:
+        # a remainder in the top layer, or a constant term
+        row = list(multiple.rows[order + 1])
+        row[0] = row[0] + ring.one
+        multiple = Series2(multiple.rows[: order + 1] + (tuple(row),), order + 1, ring)
+        for divide in (divide_by_x_minus_y, oracle.divide_by_x_minus_y):
+            with pytest.raises(SeriesError, match="not divisible"):
+                divide(multiple)
+        with pytest.raises(SeriesError, match="not divisible"):
+            divide_by_x_minus_y(multiple + ring.one)
+        return
+    quotient = divide_by_x_minus_y(multiple)
+    assert quotient == oracle.divide_by_x_minus_y(multiple)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data(), N=st.integers(0, 6))
+@settings(max_examples=25, deadline=None)
+def test_pair_log_entries(kind, data, N):
+    ring = RINGS[kind]
+    tail = data.draw(values(kind, max_size=N + 1))
+    f = Series1.from_coefficients([ring.one] + tail, N + 1, ring)
+    G = big_g(f)
+    _, powers = compositional_inverse(G)
+    outer_log = series_log(f * negate_argument(f))
+    for log in (None, outer_log):
+        assert _pair_log_entries(G, powers, N, log) == oracle.pair_log_entries(G, powers, N, log)
+
+
+@pytest.mark.parametrize("ring", [QQ, DUALS])
+def test_order_zero(ring):
+    c = ring.coerce(Fr(-3, 7))
+    a = Series1((c,), 0, ring)
+    assert a * a == oracle.multiply1(a, a)
+    assert reciprocal(a) == oracle.reciprocal(a)
+    assert power_table(Series1.zero(0, ring)) == (Series1.one(0, ring),)
+    s = Series2(((c,),), 0, ring)
+    assert s * s == oracle.multiply2(s, s)
+    assert congruence(s, [(ring.one,)]) == oracle.congruence(s, [(ring.one,)])
+    line = Series2(((ring.zero,), (c, -c)), 1, ring)
+    assert divide_by_x_minus_y(line) == oracle.divide_by_x_minus_y(line)
