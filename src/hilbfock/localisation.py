@@ -14,9 +14,9 @@ A fixed point contributes the degree-n coefficient in u of the product
 of f(w u) over its 2n tangent weights w.  With L = log f that product
 is exp(sum over k of L_k p_k(W) u^k), where p_k(W) is the k-th power
 sum of the weights (Hirzebruch's description of a multiplicative
-genus).  So the logarithm is taken once per call, the power sums are
-computed once per partition (they add over the two partitions of a
-pair), and each pair costs one O(n^2) exponential.
+genus).  So the logarithm is taken once per class and level, the power
+sums are computed once per diagram and process (they add over the two
+partitions of a pair), and each pair costs one O(n^2) exponential.
 
 The logarithm and the exponentials run on integers.  With c the lcm
 of the denominators of f_1, ..., f_n, the coefficients h_k = c^k f_k of
@@ -24,9 +24,11 @@ f(c u) are integers, and so are w_m = m h_m - sum over k < m of
 w_k h_(m-k), which is m times [u^m] log f(c u), and e_0 = 1,
 e_m = sum over k <= m of w_k s_k e_(m-k) (m-1)!/(m-k)!.  Then
 [u^m] exp(sum of L_k s_k u^k) is e_m / (m! c^m): no step of either
-recurrence divides, and one Fraction is formed per coefficient asked
-for.  Dual-number classes run the same recurrences on ring elements
-with c = 1.
+recurrence divides, and one ring element is formed per coefficient
+asked for, by ``Ring.join``.  ``Ring.split`` gives the numerators and c
+for either ring, so dual-number classes run the same recurrences on
+integer pairs a + b eps over the lcm c of the denominators of both
+parts.
 
 The hook form uses F(u) = f(u) f(-u), whose log is twice the even part
 of log f, and the power sums of the hook lengths; when it sums Z it
@@ -53,6 +55,7 @@ states first, so ``truncate`` is the precision check.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 from typing import Sequence
 
@@ -157,25 +160,22 @@ def _power_sums(values: Sequence[int], n: int) -> list[int]:
     return sums
 
 
-def _integer_log(f: Series1, n: int) -> tuple[int, list]:
+def _integer_log(f: Series1, n: int) -> tuple[int, tuple]:
     """The scale c and the weights w_m = m [u^m] log f(c u) for m <= n.
 
     Truncating f to n is the precision check of every caller.
 
     ``Ring.split`` writes f as F / c with c the lcm of the denominators
-    of f_1, ..., f_n, so h_k = c^k f_k = c^(k-1) F_k is an integer and
-    w_m = m h_m - sum over 1 <= k < m of w_k h_(m-k) (the log recurrence
-    for f(c u)) never divides.  Over the dual numbers c = 1 and the same
-    recurrence runs on ring elements.  w[0] holds h_0 = 1, the numerator
-    of one in whichever of the two it runs on; it seeds e_0 in
-    ``_power_sum_exp``.
+    of f_1, ..., f_n, so h_k = c^k f_k = c^(k-1) F_k is a numerator (an
+    int over the rationals, an integer pair a + b eps over the dual
+    numbers) and w_m = m h_m - sum over 1 <= k < m of w_k h_(m-k) (the
+    log recurrence for f(c u)) never divides.  w[0] holds h_0 = 1, the
+    numerator of one over either ring; it seeds e_0 in ``_power_sum_exp``.
     """
     truncated = f.truncate(n)
     check_class_series(truncated)
-    ring = f.ring
-    F, c = ring.split(truncated.coefficients)
-    (one,), _ = ring.split((ring.one,))
-    h = [one] + [b * c ** (k - 1) for k, b in enumerate(F[1:], 1)]
+    F, c = f.ring.split(truncated.coefficients)
+    h = [1] + [b * c ** (k - 1) for k, b in enumerate(F[1:], 1)]
     w = [h[0]]
     for m in range(1, n + 1):
         acc = m * h[m]
@@ -184,10 +184,27 @@ def _integer_log(f: Series1, n: int) -> tuple[int, list]:
             if b:
                 acc = acc - w[k] * b
         w.append(acc)
-    return c, w
+    return c, tuple(w)
 
 
-def _even_doubled(w: list) -> list:
+_last_log: list = [None, -1, None]
+
+
+def _class_log(f: Series1, n: int) -> tuple[int, tuple]:
+    """``_integer_log(f, n)``, kept for the last series (by identity) and
+    level asked for.
+
+    The single-pair entry points take the log of one series at one level
+    once per pair; a cache keyed on the series' hash would cost more
+    than the log, since hashing a series hashes every coefficient.
+    """
+    memo = _last_log
+    if memo[0] is not f or memo[1] != n:
+        memo[:] = f, n, _integer_log(f, n)
+    return memo[2]
+
+
+def _even_doubled(w: Sequence) -> list:
     """Weights of F(u) = f(u) f(-u) from those of f.
 
     log F(u) = log f(u) + log f(-u) is twice the even part of log f,
@@ -196,7 +213,7 @@ def _even_doubled(w: list) -> list:
     return [w[0]] + [2 * w_k if k % 2 == 0 else 0 * w_k for k, w_k in enumerate(w) if k]
 
 
-def _power_sum_exp(w: list, sums: Sequence[int], n: int) -> list:
+def _power_sum_exp(w: Sequence, sums: Sequence[int], n: int) -> list:
     """e_0, ..., e_n with e_m / (m! c^m) = [u^m] exp(sum over k of L_k s_k u^k).
 
     L = log f, s_k = sums[k - 1], and (c, w) come from ``_integer_log``.
@@ -216,27 +233,31 @@ def _power_sum_exp(w: list, sums: Sequence[int], n: int) -> list:
 
 
 def _product_coefficient(
-    scaled_log, sums0: Sequence[int], sums1: Sequence[int], n: int, denominator
+    ring, scaled_log, sums0: Sequence[int], sums1: Sequence[int], n: int, denominator: int
 ):
     """[u^n] of the product of f(w u) over two multisets, divided by ``denominator``.
 
     The multisets enter through their power sums: the product is
     exp(sum over k of L_k (p_k + q_k) u^k) with L = log f, and
-    ``scaled_log`` is the pair (c, w) of ``_integer_log``.  One Fraction
-    is formed, at the end.
+    ``scaled_log`` is the pair (c, w) of ``_integer_log``.  One ring
+    element is formed, at the end.
     """
     c, w = scaled_log
     sums = [a + b for a, b in zip(sums0, sums1)]
-    return _power_sum_exp(w, sums, n)[n] * Fraction(1, denominator * factorial(n) * c**n)
+    e = _power_sum_exp(w, sums, n)[n]
+    scale = denominator * factorial(n) * c**n
+    return ring.join((e if scale > 0 else -e,), abs(scale))[0]
 
 
-def _fixed_point_data(partition: Partition, alpha, beta, n: int) -> tuple[list[int], int]:
-    """Weight power sums up to degree n and primed cell product of one diagram."""
+@cache
+def _fixed_point_data(partition: Partition, alpha, beta, n: int) -> tuple[tuple[int, ...], int]:
+    """Weight power sums up to degree n and primed cell product of one
+    diagram, computed once per process."""
     sums = _power_sums(weight_multiset(partition, alpha, beta), n)
-    return sums, c_prime_product(partition, alpha, beta)
+    return tuple(sums), c_prime_product(partition, alpha, beta)
 
 
-def _pair_value(scaled_log, pair: FixedPointBasisVector, gamma: int, data0, data1):
+def _pair_value(ring, scaled_log, pair: FixedPointBasisVector, gamma: int, data0, data1):
     sums0, c0 = data0
     sums1, c1 = data1
     denominator = c0 * c1
@@ -244,7 +265,7 @@ def _pair_value(scaled_log, pair: FixedPointBasisVector, gamma: int, data0, data
         raise ValueError(
             f"degenerate fixed-point denominator for {pair} at gamma={gamma}"
         )
-    return _product_coefficient(scaled_log, sums0, sums1, pair.level, denominator)
+    return _product_coefficient(ring, scaled_log, sums0, sums1, pair.level, denominator)
 
 
 def pair_coefficient(f: Series1, pair: FixedPointBasisVector, gamma: int) -> Fraction:
@@ -258,7 +279,8 @@ def pair_coefficient(f: Series1, pair: FixedPointBasisVector, gamma: int) -> Fra
     """
     n = pair.level
     return _pair_value(
-        _integer_log(f, n),
+        f.ring,
+        _class_log(f, n),
         pair,
         gamma,
         _fixed_point_data(pair.lambda0, -1, -1, n),
@@ -278,16 +300,20 @@ def equivariant_class_coeffs(f: Series1, gamma: int, n: int) -> EquivariantClass
     entries = tuple(
         (
             pair,
-            _pair_value(scaled_log, pair, gamma, at_zero[pair.lambda0], at_infinity[pair.lambda1]),
+            _pair_value(
+                f.ring, scaled_log, pair, gamma, at_zero[pair.lambda0], at_infinity[pair.lambda1]
+            ),
         )
         for pair in level_pairs(n)
     )
     return EquivariantClassVector(n, entries)
 
 
-def _hook_data(partition: Partition, n: int) -> tuple[list[int], int]:
-    """Hook-length power sums up to degree n and hook product of one diagram."""
-    return _power_sums(hook_multiset(partition), n), hook_product(partition)
+@cache
+def _hook_data(partition: Partition, n: int) -> tuple[tuple[int, ...], int]:
+    """Hook-length power sums up to degree n and hook product of one
+    diagram, computed once per process."""
+    return tuple(_power_sums(hook_multiset(partition), n)), hook_product(partition)
 
 
 def hook_coefficient(f: Series1, pair: FixedPointBasisVector) -> Fraction:
@@ -301,11 +327,11 @@ def hook_coefficient(f: Series1, pair: FixedPointBasisVector) -> Fraction:
     degree n.
     """
     n = pair.level
-    c, w = _integer_log(f, n)
+    c, w = _class_log(f, n)
     sums0, h0 = _hook_data(pair.lambda0, n)
     sums1, h1 = _hook_data(pair.lambda1, n)
     sign = -1 if pair.lambda0.size % 2 else 1
-    return _product_coefficient((c, _even_doubled(w)), sums0, sums1, n, sign * h0 * h1)
+    return _product_coefficient(f.ring, (c, _even_doubled(w)), sums0, sums1, n, sign * h0 * h1)
 
 
 def z_series_hookform(f: Series1, N: int) -> Series2:
@@ -328,8 +354,8 @@ def z_series_hookform(f: Series1, N: int) -> Series2:
     coefficients are integers), is an integer row over m! i! c^i.  Row n
     of Z is the sum over m and i of (-1)^m S[m][i] S[n - m][n - i],
     multiplied as homogeneous polynomials; weighting each term by
-    C(n, m) C(n, i) puts it over (n!)^2 c^n, and one Fraction is formed
-    per coefficient.
+    C(n, m) C(n, i) puts it over (n!)^2 c^n, and one ``Ring.join`` per
+    row forms the coefficients.
     """
     c, w = _integer_log(f, N)
     w = _even_doubled(w)
@@ -365,8 +391,7 @@ def z_series_hookform(f: Series1, N: int) -> Series2:
                         for j1, b in enumerate(right):
                             if b:
                                 target[j0 + j1] += a * b
-        scale = Fraction(1, factorial(n) ** 2 * c**n)
-        rows.append(tuple(t * scale for t in target))
+        rows.append(f.ring.join(target, factorial(n) ** 2 * c**n))
     return Series2(tuple(rows), N, f.ring)
 
 

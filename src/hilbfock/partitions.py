@@ -3,6 +3,8 @@
 Cells are addressed as 1-based (row, column) pairs.  For a cell w the
 arm a(w) counts the cells strictly to its right, the leg l(w) counts
 the cells strictly below, and the hook length is h(w) = a(w) + l(w) + 1.
+The statistics below read arms and legs off the row lengths and their
+conjugate (the column lengths), with no test of cell membership.
 
 The localisation formulas divide by the weighted cell product
 
@@ -82,45 +84,32 @@ class Partition(Frozen):
 EMPTY = Partition()
 
 
-def _check_cell(partition: Partition, cell: Cell) -> Cell:
-    if not partition.contains(cell):
-        raise ValueError(f"cell {cell} lies outside the diagram of {partition}")
-    return cell
-
-
-def arm(partition: Partition, cell: Cell) -> int:
-    """Number of cells strictly to the right of the cell."""
-    i, j = _check_cell(partition, cell)
-    return partition.parts[i - 1] - j
-
-
-def leg(partition: Partition, cell: Cell) -> int:
-    """Number of cells strictly below the cell."""
-    i, j = _check_cell(partition, cell)
-    return sum(1 for row_length in partition.parts[i:] if row_length >= j)
-
-
-def hook(partition: Partition, cell: Cell) -> int:
-    return arm(partition, cell) + leg(partition, cell) + 1
+def _arms_and_legs(partition: Partition) -> list[tuple[int, int]]:
+    """The (arm, leg) of every cell, row by row, from the row lengths and
+    their conjugate: the cell in 0-based row i and column j has arm
+    parts[i] - j - 1 and leg conjugate[j] - i - 1."""
+    parts = partition.parts
+    conjugate = [sum(1 for r in parts if r > j) for j in range(parts[0])] if parts else []
+    return [(r - j - 1, conjugate[j] - i - 1) for i, r in enumerate(parts) for j in range(r)]
 
 
 def hook_multiset(partition: Partition) -> tuple[int, ...]:
     """All hook lengths, sorted."""
-    return tuple(sorted(hook(partition, w) for w in partition.cells()))
+    return tuple(sorted(a + l + 1 for a, l in _arms_and_legs(partition)))
 
 
 def hook_product(partition: Partition) -> int:
     product = 1
-    for w in partition.cells():
-        product *= hook(partition, w)
+    for a, l in _arms_and_legs(partition):
+        product *= a + l + 1
     return product
 
 
 def c_prime_product(partition: Partition, alpha, beta):
     """c_prime(lambda; alpha, beta); an int for the integer alpha and beta of the fixed points."""
     product = 1
-    for w in partition.cells():
-        product *= alpha * leg(partition, w) + beta * (arm(partition, w) + 1)
+    for a, l in _arms_and_legs(partition):
+        product *= alpha * l + beta * (a + 1)
     return product
 
 
@@ -131,9 +120,7 @@ def weight_multiset(partition: Partition, alpha, beta) -> tuple:
     take products over the multiset, so the order carries no meaning.
     """
     weights = []
-    for w in partition.cells():
-        a = arm(partition, w)
-        l = leg(partition, w)
+    for a, l in _arms_and_legs(partition):
         weights.append(alpha * (l + 1) + beta * a)
         weights.append(-alpha * l - beta * (a + 1))
     return tuple(sorted(weights))

@@ -66,6 +66,9 @@ class Frozen:
         return type(self), self._fields()
 
 
+_ZERO = Fraction(0)
+
+
 class DualNumber(Frozen):
     """An element ``value + infinitesimal * eps`` of Q[eps]/(eps^2).
 
@@ -76,9 +79,13 @@ class DualNumber(Frozen):
 
     __slots__ = ("value", "infinitesimal")
 
-    def __init__(self, value: Fraction, infinitesimal: Fraction = Fraction(0)) -> None:
-        object.__setattr__(self, "value", to_fraction(value))
-        object.__setattr__(self, "infinitesimal", to_fraction(infinitesimal))
+    def __init__(self, value: Fraction, infinitesimal: Fraction = _ZERO) -> None:
+        if type(value) is not Fraction:
+            value = to_fraction(value)
+        if type(infinitesimal) is not Fraction:
+            infinitesimal = to_fraction(infinitesimal)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "infinitesimal", infinitesimal)
 
     @staticmethod
     def lift(other: Any) -> "DualNumber | None":
@@ -112,7 +119,7 @@ class DualNumber(Frozen):
         return lifted + (-self)
 
     def __mul__(self, other: Any) -> "DualNumber":
-        lifted = DualNumber.lift(other)
+        lifted = other if type(other) is DualNumber else DualNumber.lift(other)
         if lifted is None:
             return NotImplemented
         return DualNumber(
@@ -182,7 +189,10 @@ class Ring(Frozen):
     for both rings.  ``split(values)`` returns numerators and one
     denominator, a positive int, with values[i] = numerators[i] /
     denominator; the numerators support +, -, * and truth tests, and mix
-    with ints.  ``cancel(numerators, denominator)`` divides both by
+    with ints.  They are ints over the rationals, and integer pairs
+    a + b eps (``_DualNumerator``, or an int where b = 0) over the dual
+    numbers, so the kernels run on ints for both rings.
+    ``cancel(numerators, denominator)`` divides both by
     their common factor, which keeps a chain of products at the size of
     its reduced terms.  ``join(numerators, denominator)`` returns the
     tuple of ring elements numerators[i] / denominator, for any positive
@@ -238,25 +248,93 @@ def _cancel_rationals(numerators: Sequence[int], denominator: int) -> tuple[list
 
 
 def _join_rationals(numerators: Sequence[int], denominator: int) -> tuple[Fraction, ...]:
-    zero = Fraction(0)
-    return tuple(Fraction(v, denominator) if v else zero for v in numerators)
+    return tuple(Fraction(v, denominator) if v else _ZERO for v in numerators)
 
 
-def _split_duals(values: Sequence[DualNumber]) -> tuple[list[DualNumber], int]:
-    """Dual numbers pass through as their own numerators, over 1."""
-    return list(values), 1
+class _DualNumerator:
+    """The numerator a + b eps of a dual number in ``DUALS.split``, with
+    a and b ints and b nonzero.
+
+    It supplies what the series kernels ask of a numerator: +, -, * and
+    mixing with ints.  An int n stands for n + 0 eps, and every result
+    whose eps part cancels comes back as an int, so the real parts of a
+    kernel run on plain ints and an instance is never zero: it is true
+    in a truth test, and a zero is the int 0.
+    """
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int) -> None:
+        self.a = a
+        self.b = b
+
+    def __add__(self, other: Any) -> "_DualNumerator | int":
+        if type(other) is _DualNumerator:
+            b = self.b + other.b
+            return _DualNumerator(self.a + other.a, b) if b else self.a + other.a
+        if isinstance(other, int):
+            return _DualNumerator(self.a + other, self.b)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "_DualNumerator":
+        return _DualNumerator(-self.a, -self.b)
+
+    def __sub__(self, other: Any) -> "_DualNumerator | int":
+        if type(other) is _DualNumerator:
+            b = self.b - other.b
+            return _DualNumerator(self.a - other.a, b) if b else self.a - other.a
+        if isinstance(other, int):
+            return _DualNumerator(self.a - other, self.b)
+        return NotImplemented
+
+    def __rsub__(self, other: Any) -> "_DualNumerator":
+        if isinstance(other, int):
+            return _DualNumerator(other - self.a, -self.b)
+        return NotImplemented
+
+    def __mul__(self, other: Any) -> "_DualNumerator | int":
+        a = self.a
+        if type(other) is _DualNumerator:
+            c = other.a
+            b = a * other.b + self.b * c
+            return _DualNumerator(a * c, b) if b else a * c
+        if isinstance(other, int):
+            return _DualNumerator(a * other, self.b * other) if other else 0
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+
+def _unpack(numerators: Sequence) -> list[int]:
+    """a_0, b_0, a_1, b_1, ... of numerators a_i + b_i eps."""
+    flat = []
+    for v in numerators:
+        flat.extend((v.a, v.b) if type(v) is _DualNumerator else (v, 0))
+    return flat
+
+
+def _pack(flat: Sequence[int]) -> list:
+    """The numerators a_i + b_i eps of a_0, b_0, a_1, b_1, ..."""
+    return [_DualNumerator(a, b) if b else a for a, b in zip(flat[::2], flat[1::2])]
+
+
+def _split_duals(values: Sequence[DualNumber]) -> tuple[list, int]:
+    """Integer numerators a + b eps over the lcm of the denominators of
+    both parts of every value."""
+    flat, denominator = _split_rationals([x for v in values for x in (v.value, v.infinitesimal)])
+    return _pack(flat), denominator
 
 
 def _cancel_duals(numerators: Sequence, denominator: int) -> tuple[list, int]:
-    """Nothing to cancel: dual-number numerators have no integer content."""
-    return list(numerators), denominator
+    flat, denominator = _cancel_rationals(_unpack(numerators), denominator)
+    return _pack(flat), denominator
 
 
 def _join_duals(numerators: Sequence, denominator: int) -> tuple[DualNumber, ...]:
-    if denominator == 1:
-        return tuple(map(_to_dual, numerators))
-    scale = Fraction(1, denominator)
-    return tuple(_to_dual(v) * scale for v in numerators)
+    flat = _join_rationals(_unpack(numerators), denominator)
+    return tuple(map(DualNumber, flat[::2], flat[1::2]))
 
 
 QQ = Ring(

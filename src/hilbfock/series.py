@@ -24,9 +24,10 @@ exponentials of the fixed-point sums run on integers in
 
 The kernels run on numerators over one common denominator, the
 representation of FLINT's fmpq_poly.  ``Ring.split`` writes a sequence
-of coefficients as numerators over one int denominator (for the
-rationals, integers over the lcm of the denominators; dual numbers pass
-through over 1), and ``Ring.join`` forms ring elements again.  The
+of coefficients as numerators over one int denominator (integers over
+the lcm of the denominators; for dual numbers, integer pairs a + b eps
+over the lcm of the denominators of both parts), and ``Ring.join``
+forms ring elements again.  The
 products of ``Series1`` and ``Series2``, ``reciprocal``, the powers in
 ``power_table`` and inside ``compositional_inverse``, its check,
 ``congruence``, ``compose_difference`` and ``divide_by_x_minus_y``

@@ -202,6 +202,22 @@ def test_corollary_via_dual_matches_the_log_pipeline(n):
     assert corollary_via_dual(n).entries == expected
 
 
+def test_corollary_via_dual_runs_its_kernels_on_integer_pairs(monkeypatch):
+    # DUALS.split hands the kernels integer pairs, so DualNumbers are
+    # built only where a kernel returns coefficients; passing them
+    # through as their own numerators built 2372 here
+    built = []
+    init = DualNumber.__init__
+
+    def counting_init(self, *args):
+        built.append(None)
+        init(self, *args)
+
+    monkeypatch.setattr(DualNumber, "__init__", counting_init)
+    corollary_via_dual(12)
+    assert len(built) <= 1000
+
+
 # ----------------------------------------------------------------- inverse
 
 

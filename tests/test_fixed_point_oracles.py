@@ -31,7 +31,7 @@ from hilbfock.localisation import (
     z_series_hookform,
     z_series_residue,
 )
-from hilbfock.partitions import c_prime_product, enumerate_partitions, hook, hook_product
+from hilbfock.partitions import c_prime_product, enumerate_partitions, hook_product
 from hilbfock.rings import DUALS, DualNumber
 from hilbfock.series import (
     Series1,
@@ -46,6 +46,7 @@ from hilbfock.series import (
 )
 from hilbfock.symfun import schur_two_vars
 
+from cell_oracle import hook
 from exp_oracle import series_exp
 
 
@@ -248,7 +249,7 @@ def assert_integer_recurrence_matches(f: Series1, sums, n: int) -> None:
     for weights, series in ((w, fn), (localisation._even_doubled(w), fn * negate_argument(fn))):
         expected = oracle_power_sum_exp(series_log(series), sums, n)
         e = localisation._power_sum_exp(weights, sums, n)
-        values = [e[m] * Fr(1, factorial(m) * c**m) for m in range(n + 1)]
+        values = [f.ring.join((e[m],), factorial(m) * c**m)[0] for m in range(n + 1)]
         assert values == list(expected.coefficients)
 
 
@@ -282,11 +283,12 @@ def test_integer_recurrence_over_dual_numbers():
         (DualNumber(Fr(1)), Fr(1, 2) + eps, -3 * eps, DualNumber(Fr(-2, 3)), 0, eps, Fr(5, 7)),
         ring=DUALS,
     )
+    # the numerators run over the lcm of the denominators of both parts
     c, _ = localisation._integer_log(f, 6)
-    assert c == 1
+    assert c == 42
     assert_integer_recurrence_matches(f, [3, -1, 0, 10, -4, 2], 6)
-    _, w = localisation._integer_log(f, 0)
-    assert isinstance(localisation._power_sum_exp(w, [], 0)[0], DualNumber)
+    c, w = localisation._integer_log(f, 0)
+    assert DUALS.join(localisation._power_sum_exp(w, [], 0), c) == (DUALS.one,)
 
 
 def _odd_part(w):
@@ -370,6 +372,28 @@ def test_hook_form_takes_one_exponential_per_two_row_partition(monkeypatch):
     z_series_hookform(preset_class("todd", N).f, N)
     two_row = [p for size in range(N + 1) for p in enumerate_partitions(size) if p.length <= 2]
     assert len(calls) == len(two_row)
+
+
+def test_reduction_check_takes_one_log_per_level_and_each_diagram_once(monkeypatch):
+    # 139 pairs up to level 6 and two single-pair calls per pair: taking
+    # the log, or the weights and hooks, per call would do each 278 times
+    counts = dict.fromkeys(("_integer_log", "weight_multiset", "hook_multiset"), 0)
+    localisation._fixed_point_data.cache_clear()
+    localisation._hook_data.cache_clear()
+
+    def counting(name, original):
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(localisation, name, counting(name, getattr(localisation, name)))
+    assert verification._check_reduction(preset_class("todd", 6).f, 6) == ""
+    assert counts["_integer_log"] <= 7
+    assert counts["weight_multiset"] < 278
+    assert counts["hook_multiset"] < 278
 
 
 def test_reduction_check_names_the_first_differing_pair(monkeypatch):

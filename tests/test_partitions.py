@@ -3,16 +3,14 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from cell_oracle import arm, hook, leg
 from hilbfock.partitions import (
     EMPTY,
     Partition,
-    arm,
     c_prime_product,
     enumerate_partitions,
-    hook,
     hook_multiset,
     hook_product,
-    leg,
     weight_multiset,
 )
 
@@ -244,3 +242,23 @@ def test_weight_multiset_cardinality_and_product():
                     * c_prime_product(p, alpha, beta)
                 )
                 assert product == expected
+
+
+# ------------------------------------- row-length statistics against cells
+
+
+def test_row_length_statistics_match_the_per_cell_definitions():
+    # the package reads arms and legs off the row lengths and their
+    # conjugate; the oracle walks the cells with arm and leg
+    for n in range(11):
+        for p in enumerate_partitions(n):
+            cells = [(arm(p, w), leg(p, w)) for w in p.cells()]
+            assert hook_multiset(p) == tuple(sorted(a + l + 1 for a, l in cells))
+            assert hook_product(p) == math.prod(a + l + 1 for a, l in cells)
+            for alpha in range(-3, 4):
+                for beta in range(-3, 4):
+                    weights = [alpha * (l + 1) + beta * a for a, l in cells]
+                    weights += [-alpha * l - beta * (a + 1) for a, l in cells]
+                    assert weight_multiset(p, alpha, beta) == tuple(sorted(weights))
+                    expected = math.prod(alpha * l + beta * (a + 1) for a, l in cells)
+                    assert c_prime_product(p, alpha, beta) == expected

@@ -1,13 +1,29 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbfock.rings import DUALS, QQ, DualNumber, to_fraction
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=16)
 duals = st.builds(DualNumber, rationals, rationals)
+
+# Coefficients as the kernels meet them: zeros, small values and
+# 40-digit heights, with runs of zeros between single entries.
+ZERO = st.just(Fraction(0))
+HUGE = st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40))
+RATIONAL = st.one_of(ZERO, rationals, HUGE)
+ELEMENTS = {QQ: RATIONAL, DUALS: st.builds(DualNumber, RATIONAL, RATIONAL)}
+
+
+def ring_values(ring):
+    pieces = st.one_of(
+        ELEMENTS[ring].map(lambda c: [c]),
+        st.integers(2, 4).map(lambda k: [ring.zero] * k),
+    )
+    return st.lists(pieces, min_size=1, max_size=6).map(lambda ps: sum(ps, []))
 
 
 def test_to_fraction_accepts_exact_inputs_only():
@@ -103,3 +119,43 @@ def test_ring_descriptors():
     assert DUALS.is_unit(DualNumber(0, 3)) is False
     assert DUALS.zero == DualNumber(0, 0)
     assert DUALS.one == DualNumber(1, 0)
+
+
+# -------------------------------------------- split, cancel and join
+
+
+def _denominators(ring, values):
+    if ring is DUALS:
+        return [q for v in values for q in (v.value.denominator, v.infinitesimal.denominator)]
+    return [v.denominator for v in values]
+
+
+@pytest.mark.parametrize("ring", [QQ, DUALS])
+@given(data=st.data(), content=st.integers(1, 10**12))
+@settings(max_examples=60, deadline=None)
+def test_split_cancel_join_contract(ring, data, content):
+    values = tuple(data.draw(ring_values(ring)))
+    numerators, denominator = ring.split(values)
+    # the denominator is the lcm over every part of every value
+    assert denominator == lcm(*_denominators(ring, values))
+    assert ring.join(numerators, denominator) == values
+    # cancel keeps the values and divides the denominator it was given
+    inflated = [v * content for v in numerators]
+    cancelled, reduced = ring.cancel(inflated, denominator * content)
+    assert (denominator * content) % reduced == 0
+    assert ring.join(cancelled, reduced) == values
+
+
+@given(st.lists(ELEMENTS[DUALS], min_size=2, max_size=2), st.integers(-(10**20), 10**20))
+@settings(max_examples=60, deadline=None)
+def test_dual_numerators_follow_dual_arithmetic(pair, k):
+    # numerators from one split share the denominator d, and an int k
+    # stands for the numerator of k / d
+    a, b = pair
+    (x, y), d = DUALS.split(pair)
+    shift = Fraction(k, d)
+    assert bool(x) == bool(a)
+    assert DUALS.join([x + y, x - y, -x], d) == (a + b, a - b, -a)
+    assert DUALS.join([x * y], d * d) == (a * b,)
+    assert DUALS.join([x + k, k + x, x - k, k - x], d) == (a + shift, a + shift, a - shift, shift - a)
+    assert DUALS.join([x * k, k * x], d) == (a * k, a * k)
