@@ -90,11 +90,15 @@ def parse_class_spec(text: str) -> ClassSpec:
             f"({', '.join(PRESET_NAMES)}, chern-character) or a comma-separated "
             f"list of rationals like 1,-1/2"
         )
-    try:
-        coefficients = tuple(Fraction(piece) for piece in parts)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"cannot parse class {text!r}: {exc}") from None
-    return ClassSpec(cleaned, coefficients=coefficients)
+    coefficients = []
+    for piece in parts:
+        try:
+            coefficients.append(Fraction(piece))
+        except ValueError as exc:
+            raise UsageError(f"cannot parse class {text!r}: {exc}") from None
+        except ZeroDivisionError:
+            raise UsageError(f"cannot parse class {text!r}: the denominator of {piece!r} is zero") from None
+    return ClassSpec(cleaned, coefficients=tuple(coefficients))
 
 
 def class_series(spec: ClassSpec, order: int) -> Series1:

@@ -15,7 +15,8 @@ Three families of coefficients are produced.
   derivative of that log, with no two-variable log or product;
   ``tangent_tables`` returns both from one inversion.  These feed the
   generating series ``z_closed`` and must match the localisation sums
-  exactly.
+  exactly.  They run on the numerator kernels of ``series``, and take
+  the one log of the package, ``series_log``, of f(z) f(-z).
 * ``chern_character_tables`` and ``corollary_via_dual``: the Chern
   character specialisation, once through explicit factorial formulas
   and once through dual-number (square-zero) coefficients, which acts
@@ -44,14 +45,14 @@ from .series import (
     InsufficientOrderError,
     Series1,
     Series2,
-    _congruence,
-    _convolve,
-    _divide_rows,
     check_class_series,
     compose_difference,
     compositional_inverse,
+    congruence_numerators,
+    convolve_numerators,
     differentiate,
     divide_by_x_minus_y,
+    divide_numerators_by_x_minus_y,
     negate_argument,
     reciprocal,
     series_log,
@@ -240,7 +241,7 @@ def _pair_log_entries(
     # G_0 = 0, so the padded zero at degree N + 2 never meets a nonzero
     # coefficient.
     G_n, d = ring.split(Series1(G.coefficients, N + 2, ring).coefficients)
-    square = _convolve(G_n, G_n, N + 2)
+    square = convolve_numerators(G_n, G_n, N + 2)
     rows = []
     for e in range(N + 3):
         row = [-2 * G_n[i] * G_n[e - i] for i in range(e + 1)]
@@ -250,19 +251,19 @@ def _pair_log_entries(
     # With L = lcm(1, ..., N + 1), the factors 1 / ((a + 1)(b + 1)) of D
     # and 1 / (k l) of the entries become integers over L^2.
     L = math.lcm(*range(1, N + 2))
-    D = _divide_rows(_divide_rows(rows))
+    D = divide_numerators_by_x_minus_y(divide_numerators_by_x_minus_y(rows))
     scaled = [
         [c * (L // (a + 1)) * (L // (e - a + 1)) for a, c in enumerate(row)]
         for e, row in enumerate(D[: N + 1])
     ]
     shifted = [power.coefficients[1:] for power in powers[1 : N + 2]]
-    product, t = _congruence(ring, scaled, shifted, N)
+    product, t = congruence_numerators(ring, scaled, shifted, N)
     denominator = d * d * L * L * t
     for e, row in enumerate(product):
         for i in range(e + 1):
             row[i] *= (i + 1) * (e - i + 1)
     product[0][0] -= denominator
-    H = _divide_rows(_divide_rows(product))
+    H = divide_numerators_by_x_minus_y(divide_numerators_by_x_minus_y(product))
     pairs = [(k, total - k) for total in range(2, N + 1) for k in range((total + 1) // 2, total)]
     values = ring.join(
         [H[k + l - 2][k - 1] * (L // k) * (L // l) for k, l in pairs], denominator * L * L
@@ -309,20 +310,17 @@ def z_closed(f: Series1, N: int) -> Series2:
     Z = g'(x) g'(y) (G(g(x) - g(y)) / (x - y))^2, which the localisation
     module must reproduce by independent means.  G(g(x) - g(y)) is the
     congruence of ``compose_difference`` on the powers of g that the
-    inversion returns.  Needs f one degree beyond N for the same reason
-    as ``a_kl_table``.
+    inversion returns, and g'(x) g'(y) an outer product, so Z costs two
+    two-variable products.  Needs f one degree beyond N for the same
+    reason as ``a_kl_table``.
     """
     fine = f.truncate(N + 1)
     G = big_g(fine)
     g, powers = compositional_inverse(G)
     ratio = divide_by_x_minus_y(compose_difference(G, powers))
-    derivative = differentiate(g)
-    return (
-        Series2.from_series1_in_x(derivative)
-        * Series2.from_series1_in_y(derivative)
-        * ratio
-        * ratio
-    )
+    d = differentiate(g).coefficients
+    outer = tuple(tuple(d[i] * d[e - i] for i in range(e + 1)) for e in range(N + 1))
+    return Series2(outer, N, g.ring) * ratio * ratio
 
 
 def chern_character_tables(N: int) -> tuple[dict[int, Fraction], CoeffTable]:

@@ -18,13 +18,13 @@ genus).  So the logarithm is taken once per class and level, the power
 sums are computed once per diagram and process (they add over the two
 partitions of a pair), and each pair costs one O(n^2) exponential.
 
-The logarithm and the exponentials run on integers.  With c the lcm
-of the denominators of f_1, ..., f_n, the coefficients h_k = c^k f_k of
-f(c u) are integers, and so are w_m = m h_m - sum over k < m of
-w_k h_(m-k), which is m times [u^m] log f(c u), and e_0 = 1,
+The logarithm and the exponentials run on integers.  The log comes
+from the package's one log recurrence, ``series.log_numerators``.  With
+c the lcm of the denominators of f_1, ..., f_n, its weights scaled to
+w_m = m [u^m] log f(c u) are integers, and so are e_0 = 1,
 e_m = sum over k <= m of w_k s_k e_(m-k) (m-1)!/(m-k)!.  Then
-[u^m] exp(sum of L_k s_k u^k) is e_m / (m! c^m): no step of either
-recurrence divides, and one ring element is formed per coefficient
+[u^m] exp(sum of L_k s_k u^k) is e_m / (m! c^m): no step of the
+exponential divides, and one ring element is formed per coefficient
 asked for, by ``Ring.join``.  ``Ring.split`` gives the numerators and c
 for either ring, so dual-number classes run the same recurrences on
 integer pairs a + b eps over the lcm c of the denominators of both
@@ -71,10 +71,10 @@ from .rings import Frozen
 from .series import (
     Series1,
     Series2,
-    check_class_series,
     compose,
     congruence,
     divide_by_x_minus_y,
+    log_numerators,
     negate_argument,
     reciprocal,
     shift_up,
@@ -160,47 +160,28 @@ def _power_sums(values: Sequence[int], n: int) -> list[int]:
     return sums
 
 
-def _integer_log(f: Series1, n: int) -> tuple[int, tuple]:
-    """The scale c and the weights w_m = m [u^m] log f(c u) for m <= n.
-
-    Truncating f to n is the precision check of every caller.
-
-    ``Ring.split`` writes f as F / c with c the lcm of the denominators
-    of f_1, ..., f_n, so h_k = c^k f_k = c^(k-1) F_k is a numerator (an
-    int over the rationals, an integer pair a + b eps over the dual
-    numbers) and w_m = m h_m - sum over 1 <= k < m of w_k h_(m-k) (the
-    log recurrence for f(c u)) never divides.  w[0] holds h_0 = 1, the
-    numerator of one over either ring; it seeds e_0 in ``_power_sum_exp``.
-    """
-    truncated = f.truncate(n)
-    check_class_series(truncated)
-    F, c = f.ring.split(truncated.coefficients)
-    h = [1] + [b * c ** (k - 1) for k, b in enumerate(F[1:], 1)]
-    w = [h[0]]
-    for m in range(1, n + 1):
-        acc = m * h[m]
-        for k in range(1, m):
-            b = h[m - k]
-            if b:
-                acc = acc - w[k] * b
-        w.append(acc)
-    return c, tuple(w)
-
-
 _last_log: list = [None, -1, None]
 
 
 def _class_log(f: Series1, n: int) -> tuple[int, tuple]:
-    """``_integer_log(f, n)``, kept for the last series (by identity) and
-    level asked for.
+    """The scale c and the weights w_m = m [u^m] log f(c u) = c^m R_m / Q
+    for m <= n, with R and Q from ``log_numerators``.
 
-    The single-pair entry points take the log of one series at one level
-    once per pair; a cache keyed on the series' hash would cost more
-    than the log, since hashing a series hashes every coefficient.
+    c is the lcm of the denominators of f_1, ..., f_n, so f(c u) and its
+    weights have numerators for coefficients, over either ring.  w[0]
+    holds 1, the numerator of one, which seeds e_0 in ``_power_sum_exp``.
+    The result is kept for the last series (by identity) and level asked
+    for: the single-pair entry points take the log of one series at one
+    level once per pair, and a cache keyed on the series' hash would cost
+    more than the log, since hashing a series hashes every coefficient.
     """
     memo = _last_log
     if memo[0] is not f or memo[1] != n:
-        memo[:] = f, n, _integer_log(f, n)
+        ring = f.ring
+        R, Q = log_numerators(f, n)
+        c = ring.split(f.truncate(n).coefficients)[1]
+        w, _ = ring.split(ring.join([r * c**m for m, r in enumerate(R)], Q))
+        memo[:] = f, n, (c, (1, *w[1:]))
     return memo[2]
 
 
@@ -216,7 +197,7 @@ def _even_doubled(w: Sequence) -> list:
 def _power_sum_exp(w: Sequence, sums: Sequence[int], n: int) -> list:
     """e_0, ..., e_n with e_m / (m! c^m) = [u^m] exp(sum over k of L_k s_k u^k).
 
-    L = log f, s_k = sums[k - 1], and (c, w) come from ``_integer_log``.
+    L = log f, s_k = sums[k - 1], and (c, w) come from ``_class_log``.
     With u scaled by c, m E_m = sum over k of w_k s_k E_(m-k); times
     (m - 1)! that is e_m = sum over k of w_k s_k e_(m-k) (m-1)!/(m-k)!,
     summed by Horner's rule in m - k, so no step divides.
@@ -239,7 +220,7 @@ def _product_coefficient(
 
     The multisets enter through their power sums: the product is
     exp(sum over k of L_k (p_k + q_k) u^k) with L = log f, and
-    ``scaled_log`` is the pair (c, w) of ``_integer_log``.  One ring
+    ``scaled_log`` is the pair (c, w) of ``_class_log``.  One ring
     element is formed, at the end.
     """
     c, w = scaled_log
@@ -293,7 +274,7 @@ def equivariant_class_coeffs(f: Series1, gamma: int, n: int) -> EquivariantClass
 
     The class series must be known to degree n.
     """
-    scaled_log = _integer_log(f, n)
+    scaled_log = _class_log(f, n)
     partitions = [p for size in range(n + 1) for p in enumerate_partitions(size)]
     at_zero = {p: _fixed_point_data(p, -1, -1, n) for p in partitions}
     at_infinity = {p: _fixed_point_data(p, gamma - 1, 1, n) for p in partitions}
@@ -357,7 +338,7 @@ def z_series_hookform(f: Series1, N: int) -> Series2:
     C(n, m) C(n, i) puts it over (n!)^2 c^n, and one ``Ring.join`` per
     row forms the coefficients.
     """
-    c, w = _integer_log(f, N)
+    c, w = _class_log(f, N)
     w = _even_doubled(w)
     S = []
     for m in range(N + 1):

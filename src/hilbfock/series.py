@@ -11,34 +11,35 @@ precision check of every function that needs a series to a given
 order: such a function truncates its input to that order first.
 
 The analytic operations all live here as module-level functions:
-reciprocal (one variable only), log (a recurrence on coefficients, or
-on homogeneous rows in two variables), composition (Horner's scheme in
-general; a two-variable series C(u, v) at u = g(x), v = g(y) as a
-congruence of triangular matrices over the powers of g, with
-outer(g(x) - g(y)) as one case), compositional inversion by the
-Lagrange formula, which also returns the powers of the inverse and
-checks it against them, and the two-variable division by x - y.  The
-exponentials of the fixed-point sums run on integers in
-``localisation``.  Coefficients come from one of the rings in
-``rings``: plain rationals or dual numbers.
+reciprocal and log (one variable only, both recurrences on
+numerators), composition (Horner's scheme in general; a two-variable
+series C(u, v) at u = g(x), v = g(y) as a congruence of triangular
+matrices over the powers of g, with outer(g(x) - g(y)) as one case),
+compositional inversion by the Lagrange formula, which also returns the
+powers of the inverse and checks it against them, and the two-variable
+division by x - y.  The fixed-point sums in ``localisation`` take
+their logs from the same ``log_numerators`` and exponentiate on
+integers there.  Coefficients come from one of the rings in ``rings``:
+plain rationals or dual numbers.
 
 The kernels run on numerators over one common denominator, the
 representation of FLINT's fmpq_poly.  ``Ring.split`` writes a sequence
 of coefficients as numerators over one int denominator (integers over
 the lcm of the denominators; for dual numbers, integer pairs a + b eps
 over the lcm of the denominators of both parts), and ``Ring.join``
-forms ring elements again.  The
-products of ``Series1`` and ``Series2``, ``reciprocal``, the powers in
-``power_table`` and inside ``compositional_inverse``, its check,
-``congruence``, ``compose_difference`` and ``divide_by_x_minus_y``
-split their operands, do every coefficient operation on the numerators
-with no normalisation, and join where they return coefficients: one
-gcd per coefficient returned instead of one per coefficient operation.
-Chains of products (the powers, the recursion of ``reciprocal``) pass
-each new term through ``Ring.cancel``, so their denominator stays the
-lcm of the reduced ones instead of growing as a power.  One body serves
-both rings.  ``series_log``, ``compose`` and the one-pass operations
-still work on ring elements.
+forms ring elements again.  ``convolve_numerators``,
+``congruence_numerators``, ``divide_numerators_by_x_minus_y`` and
+``log_numerators`` are the public numerator interface: they take and
+return numerators, and the caller keeps track of the denominator.  The
+products, the analytic operations except ``compose``, and the kernels
+behind them split their operands, do every coefficient operation on
+the numerators with no normalisation, and join where they return
+coefficients: one gcd per coefficient returned instead of one per
+coefficient operation.  Chains of products (the powers) and the
+recursions of ``reciprocal`` and the log cancel each new term, so their
+denominator stays the lcm of the reduced ones instead of growing as a
+power.  One body serves both rings.  ``compose`` and the one-pass
+operations still work on ring elements.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def _join_rows(ring: Ring, rows: Sequence[Sequence], denominator: int) -> tuple[
     return tuple(_regroup(ring.join([c for row in rows for c in row], denominator), rows))
 
 
-def _convolve(a: Sequence, b: Sequence, n: int) -> list:
+def convolve_numerators(a: Sequence, b: Sequence, n: int) -> list:
     """Degrees 0 to n of the product of two numerator sequences."""
     out = [0] * (n + 1)
     for i, x in enumerate(a[: n + 1]):
@@ -102,7 +103,7 @@ def _convolve(a: Sequence, b: Sequence, n: int) -> list:
     return out
 
 
-def _divide_rows(rows: Sequence[Sequence]) -> list[list]:
+def divide_numerators_by_x_minus_y(rows: Sequence[Sequence]) -> list[list]:
     """Numerator rows of a two-variable series divided by (x - y).
 
     Within the layer of total degree d, writing c_j for the coefficient
@@ -126,7 +127,7 @@ def _divide_rows(rows: Sequence[Sequence]) -> list[list]:
     return out
 
 
-def _congruence(
+def congruence_numerators(
     ring: Ring, C: Sequence[Sequence], table: Sequence[Sequence], n: int
 ) -> tuple[list[list], int]:
     """Numerator rows of the sum over a, b of table[a][i] C[a][b] table[b][j].
@@ -169,8 +170,45 @@ def _powers(ring: Ring, coefficients: Sequence, n: int):
     F, d = ring.split(coefficients)
     P, D = F, d
     for _ in range(2, n + 1):
-        P, D = ring.cancel(_convolve(P, F, n), D * d)
+        P, D = ring.cancel(convolve_numerators(P, F, n), D * d)
         yield P, D
+
+
+def _append_cancelled(ring: Ring, R: list, L: int, numerator, denominator: int):
+    """Append numerator / denominator to the numerators R over L, cancelled
+    first, so that L stays the lcm of the reduced denominators."""
+    (numerator,), e = ring.cancel((numerator,), denominator)
+    if L % e:
+        grown = lcm(L, e)
+        R = [r * (grown // L) for r in R]
+        L = grown
+    R.append(numerator * (L // e))
+    return R, L
+
+
+def log_numerators(f: "Series1", n: int) -> tuple[list, int]:
+    """Numerators R and one denominator Q of the weights W_m = m [x^m] log f.
+
+    Truncating f to n is the precision check; R[0] = 0.  L = log f
+    solves f L' = f', so W_m = m f_m - sum over 1 <= k < m of
+    W_k f_(m-k), at O(n^2) operations on numerators: with f = F / d and
+    W_k = R_k / Q, W_m = (m F_m Q - sum of R_k F_(m-k)) / (d Q), which
+    is cancelled before Q takes it in, as in ``reciprocal``.
+    """
+    ring = f.ring
+    truncated = f.truncate(n)
+    if truncated.constant_term != ring.one:
+        raise SeriesError("log requires constant term 1")
+    F, d = ring.split(truncated.coefficients)
+    R, Q = [0], 1
+    for m in range(1, n + 1):
+        acc = m * F[m] * Q
+        for k in range(1, m):
+            b = F[m - k]
+            if b:
+                acc = acc - R[k] * b
+        R, Q = _append_cancelled(ring, R, Q, acc, d * Q)
+    return R, Q
 
 
 class _Series(Frozen):
@@ -319,7 +357,7 @@ class Series1(_Series):
             ring = self.ring
             a, da = ring.split(self.coefficients[: n + 1])
             b, db = ring.split(other.coefficients[: n + 1])
-            return Series1(ring.join(_convolve(a, b, n), da * db), n, ring)
+            return Series1(ring.join(convolve_numerators(a, b, n), da * db), n, ring)
         scalar = self._coerce_scalar(other)
         if scalar is None:
             return NotImplemented
@@ -370,25 +408,6 @@ class Series2(_Series):
             if i + j <= order:
                 rows[i + j][i] = rows[i + j][i] + value
         return cls(tuple(tuple(row) for row in rows), order, ring)
-
-    @classmethod
-    def from_series1_in_x(cls, series: Series1) -> "Series2":
-        """View f(x) as a two-variable series (y never appears)."""
-        rows = []
-        for d in range(series.order + 1):
-            row = [series.ring.zero] * (d + 1)
-            row[d] = series.coefficients[d]
-            rows.append(tuple(row))
-        return cls(tuple(rows), series.order, series.ring)
-
-    @classmethod
-    def from_series1_in_y(cls, series: Series1) -> "Series2":
-        rows = []
-        for d in range(series.order + 1):
-            row = [series.ring.zero] * (d + 1)
-            row[0] = series.coefficients[d]
-            rows.append(tuple(row))
-        return cls(tuple(rows), series.order, series.ring)
 
     # -- access ------------------------------------------------------------
 
@@ -477,9 +496,10 @@ def reciprocal(series: Series1) -> Series1:
     series is split as F / d and 1/c_0 as u / w, and the coefficients
     found so far are kept as numerators R over their common denominator
     L, so out_k = -u (sum of F_j R_(k-j)) / (w d L) is formed on
-    numerators.  Cancelling each out_k before L takes it in keeps L the
-    lcm of the reduced denominators: a fraction-free recursion would
-    carry d^k, which for a series like the Todd one dwarfs them.
+    numerators.  Cancelling each out_k before L takes it in
+    (``_append_cancelled``) keeps L the lcm of the reduced denominators:
+    a fraction-free recursion would carry d^k, which for a series like
+    the Todd one dwarfs them.
     """
     ring = series.ring
     c0 = series.constant_term
@@ -494,62 +514,18 @@ def reciprocal(series: Series1) -> Series1:
             a = F[j]
             if a:
                 acc += a * R[k - j]
-        (numerator,), e = ring.cancel((-u * acc,), w * d * L)
-        if L % e:
-            grown = lcm(L, e)
-            R = [r * (grown // L) for r in R]
-            L = grown
-        R.append(numerator * (L // e))
+        R, L = _append_cancelled(ring, R, L, -u * acc, w * d * L)
     return Series1(ring.join(R, L), series.order, ring)
 
 
-def series_log(series: Series1 | Series2):
-    """Logarithm of a series with constant term one.
-
-    One variable: L = log f solves f L' = f', so its coefficients follow
-    m L_m = m f_m - sum over 1 <= k < m of k L_k f_(m-k), the inverse of
-    the exponential's recurrence m E_m = sum over k of k L_k E_(m-k), at
-    O(N^2) coefficient operations.  Two
-    variables: the same recurrence with the Euler operator x d/dx + y d/dy
-    in place of the derivative, which multiplies the homogeneous row of
-    total degree d by d.  So d L_d = d S_d - sum over 1 <= e < d of
-    e L_e S_(d-e), where the rows are multiplied as homogeneous
-    polynomials; the cost is that of one two-variable product, O(N^4).
-    """
-    ring = series.ring
-    if series.constant_term != ring.one:
-        raise SeriesError("log requires constant term 1")
-    if isinstance(series, Series1):
-        n = series.order
-        f = series.coefficients
-        weighted = [ring.zero] * (n + 1)
-        for m in range(1, n + 1):
-            acc = ring.coerce(m) * f[m]
-            for k in range(1, m):
-                a = f[m - k]
-                if a:
-                    acc = acc - weighted[k] * a
-            weighted[m] = acc
-        out = [ring.zero] + [weighted[m] / ring.coerce(m) for m in range(1, n + 1)]
-        return Series1(tuple(out), n, ring)
+def series_log(series: Series1) -> Series1:
+    """Logarithm of a one-variable series with constant term one:
+    [x^m] log f = R_m / (m Q) with R and Q from ``log_numerators``, all
+    over lcm(1, ..., N) Q and formed by one ``Ring.join``."""
     n = series.order
-    rows = series.rows
-    weighted = [(ring.zero,)]
-    for d in range(1, n + 1):
-        acc = [ring.coerce(d) * c for c in rows[d]]
-        for e in range(1, d):
-            factor = rows[d - e]
-            for p, a in enumerate(weighted[e]):
-                if not a:
-                    continue
-                for q, b in enumerate(factor):
-                    if b:
-                        acc[p + q] = acc[p + q] - a * b
-        weighted.append(acc)
-    out = [weighted[0]] + [
-        tuple(c / ring.coerce(d) for c in weighted[d]) for d in range(1, n + 1)
-    ]
-    return Series2(tuple(out), n, ring)
+    R, Q = log_numerators(series, n)
+    L = lcm(*range(1, n + 1))
+    return Series1(series.ring.join([0] + [R[m] * (L // m) for m in range(1, n + 1)], L * Q), n, series.ring)
 
 
 def compose(outer: Series1, inner: Series1 | Series2):
@@ -598,7 +574,7 @@ def congruence(matrix: Series2, table: Sequence[Sequence]) -> Series2:
     ring = matrix.ring
     n = min(matrix.order, len(table[0]) - 1)
     C, c = _split_rows(ring, matrix.rows[: n + 1])
-    rows, t = _congruence(ring, C, table, n)
+    rows, t = congruence_numerators(ring, C, table, n)
     return Series2(_join_rows(ring, rows, c * t), n, ring)
 
 
@@ -618,7 +594,7 @@ def compose_difference(outer: Series1, powers: tuple[Series1, ...]) -> Series2:
     matrix = [
         [v * (comb(d, a) * (-1) ** (d - a)) for a in range(d + 1)] for d, v in enumerate(numerators)
     ]
-    rows, t = _congruence(ring, matrix, [p.coefficients for p in powers], n)
+    rows, t = congruence_numerators(ring, matrix, [p.coefficients for p in powers], n)
     return Series2(_join_rows(ring, rows, c * t), n, ring)
 
 
@@ -670,21 +646,10 @@ def differentiate(series: Series1) -> Series1:
     return Series1(values, series.order - 1, ring)
 
 
-def scale_argument(series: Series1, factor: Any) -> Series1:
-    """x -> factor * x."""
-    ring = series.ring
-    factor = ring.coerce(factor)
-    values = []
-    power = ring.one
-    for c in series.coefficients:
-        values.append(c * power)
-        power = power * factor
-    return Series1(tuple(values), series.order, ring)
-
-
 def negate_argument(series: Series1) -> Series1:
-    """x -> -x."""
-    return scale_argument(series, -series.ring.one)
+    """x -> -x: the odd coefficients change sign."""
+    values = tuple(-c if k % 2 else c for k, c in enumerate(series.coefficients))
+    return Series1(values, series.order, series.ring)
 
 
 def shift_up(series: Series1, k: int) -> Series1:
@@ -710,7 +675,7 @@ def shift_down(series: Series1, k: int) -> Series1:
 
 def divide_by_x_minus_y(series: Series2) -> Series2:
     """Exact division by (x - y), one homogeneous layer at a time, on
-    numerators (see ``_divide_rows``)."""
+    numerators (see ``divide_numerators_by_x_minus_y``)."""
     ring = series.ring
     rows, d = _split_rows(ring, series.rows)
-    return Series2(_join_rows(ring, _divide_rows(rows), d), series.order - 1, ring)
+    return Series2(_join_rows(ring, divide_numerators_by_x_minus_y(rows), d), series.order - 1, ring)

@@ -4,13 +4,15 @@ The package runs its series kernels on numerators over one common
 denominator (``Ring.split`` and ``Ring.join``).  These are the bodies
 they replaced, which do every coefficient operation on ring elements
 (``Fraction`` or ``DualNumber``), one normalisation each; the kernels
-must agree with them exactly.
+must agree with them exactly.  The log recurrence here also keeps its
+two-variable branch, which the package no longer has: the log-exp check
+of ``verification`` tests E(Z) = Z E(R) instead of taking log Z.
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import Sequence
+from typing import Any, Sequence
 
 from hilbfock.series import Series1, Series2, SeriesError, shift_down
 
@@ -192,3 +194,74 @@ def pair_log_entries(
         for (k, l) in entries:
             entries[(k, l)] = entries[(k, l)] - composite[k + l][k]
     return entries
+
+
+def in_x(series: Series1) -> Series2:
+    """f(x) as a two-variable series (y never appears)."""
+    zero = series.ring.zero
+    rows = tuple((zero,) * d + (c,) for d, c in enumerate(series.coefficients))
+    return Series2(rows, series.order, series.ring)
+
+
+def in_y(series: Series1) -> Series2:
+    """f(y) as a two-variable series (x never appears)."""
+    return in_x(series).swap()
+
+
+def scale_argument(series: Series1, factor: Any) -> Series1:
+    """x -> factor * x, one ring power of the factor per coefficient."""
+    ring = series.ring
+    factor = ring.coerce(factor)
+    values = []
+    power = ring.one
+    for c in series.coefficients:
+        values.append(c * power)
+        power = power * factor
+    return Series1(tuple(values), series.order, ring)
+
+
+def series_log(series: Series1 | Series2):
+    """Logarithm of a series with constant term one, on ring elements.
+
+    One variable: L = log f solves f L' = f', so
+    m L_m = m f_m - sum over 1 <= k < m of k L_k f_(m-k).  Two
+    variables: the same recurrence with the Euler operator
+    x d/dx + y d/dy in place of the derivative, which multiplies the
+    homogeneous row of total degree d by d, so
+    d L_d = d S_d - sum over 1 <= e < d of e L_e S_(d-e), with the rows
+    multiplied as homogeneous polynomials.
+    """
+    ring = series.ring
+    if series.constant_term != ring.one:
+        raise SeriesError("log requires constant term 1")
+    if isinstance(series, Series1):
+        n = series.order
+        f = series.coefficients
+        weighted = [ring.zero] * (n + 1)
+        for m in range(1, n + 1):
+            acc = ring.coerce(m) * f[m]
+            for k in range(1, m):
+                a = f[m - k]
+                if a:
+                    acc = acc - weighted[k] * a
+            weighted[m] = acc
+        out = [ring.zero] + [weighted[m] / ring.coerce(m) for m in range(1, n + 1)]
+        return Series1(tuple(out), n, ring)
+    n = series.order
+    rows = series.rows
+    weighted = [(ring.zero,)]
+    for d in range(1, n + 1):
+        acc = [ring.coerce(d) * c for c in rows[d]]
+        for e in range(1, d):
+            factor = rows[d - e]
+            for p, a in enumerate(weighted[e]):
+                if not a:
+                    continue
+                for q, b in enumerate(factor):
+                    if b:
+                        acc[p + q] = acc[p + q] - a * b
+        weighted.append(acc)
+    out = [weighted[0]] + [
+        tuple(c / ring.coerce(d) for c in weighted[d]) for d in range(1, n + 1)
+    ]
+    return Series2(tuple(out), n, ring)

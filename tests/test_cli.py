@@ -37,8 +37,17 @@ def test_parse_rejects_garbage():
         parse_class_spec("gauss-bonnet")
     with pytest.raises(UsageError, match="cannot parse class"):
         parse_class_spec("1,,2")
-    with pytest.raises(UsageError, match="cannot parse class"):
+    with pytest.raises(UsageError, match=r"cannot parse class '1/0': the denominator of '1/0' is zero"):
         parse_class_spec("1/0")
+    with pytest.raises(UsageError, match=r"class '2,-1/0,3': the denominator of '-1/0' is zero"):
+        parse_class_spec("2,-1/0,3")
+
+
+def test_a_zero_denominator_exits_2_and_names_the_piece(capsys):
+    code, out, err = run(capsys, "table", "--class", "1,1/0", "--max-degree", "4")
+    assert code == 2
+    assert out == ""
+    assert "the denominator of '1/0' is zero" in err
 
 
 # ----------------------------------------------------------- table command

@@ -28,7 +28,6 @@ from hilbfock.rings import DUALS, DualNumber
 from hilbfock.series import (
     InsufficientOrderError,
     Series1,
-    Series2,
     differentiate,
     divide_by_x_minus_y,
     negate_argument,
@@ -36,6 +35,9 @@ from hilbfock.series import (
     series_log,
     shift_down,
 )
+
+import fraction_kernels
+from fraction_kernels import in_x, in_y
 
 
 def one_plus_x(order):
@@ -408,14 +410,10 @@ def test_taut_tables_for_todd_against_logarithm_oracle():
         assert a_k[k] == mercator.coefficient(k) / k
     assert a_k[2] == Fr(-1, 4)
 
-    delta = Series2.from_series1_in_x(mercator) - Series2.from_series1_in_y(mercator)
+    delta = in_x(mercator) - in_y(mercator)
     unit = reciprocal(shift_down(mercator, 1))
-    argument = (
-        divide_by_x_minus_y(delta)
-        * Series2.from_series1_in_x(unit)
-        * Series2.from_series1_in_y(unit)
-    )
-    logarithm = series_log(argument)
+    argument = divide_by_x_minus_y(delta) * in_x(unit) * in_y(unit)
+    logarithm = fraction_kernels.series_log(argument)
     for (k, l), value in table.entries.items():
         assert value == logarithm.coefficient(k, l), (k, l)
 

@@ -40,14 +40,13 @@ from hilbfock.series import (
     divide_by_x_minus_y,
     negate_argument,
     reciprocal,
-    scale_argument,
-    series_log,
     shift_up,
 )
 from hilbfock.symfun import schur_two_vars
 
 from cell_oracle import hook
 from exp_oracle import series_exp
+from fraction_kernels import in_x, in_y, scale_argument, series_log
 
 
 def oracle_pair_coefficient(f: Series1, pair: FixedPointBasisVector, gamma: int):
@@ -101,8 +100,8 @@ def oracle_z_series_residue(f: Series1, N: int) -> Series2:
     G = shift_up(reciprocal(F).truncate(M - 1), 1)
     a_minus_b = Series2.from_dict({(1, 0): Fr(1), (0, 1): Fr(-1)}, M)
     P = compose(G, a_minus_b) * compose(G, -a_minus_b)
-    F_in_a = Series2.from_series1_in_x(F)
-    F_in_b = Series2.from_series1_in_y(F)
+    F_in_a = in_x(F)
+    F_in_b = in_y(F)
     signed = {}
     row_product = P
     for r in range(M + 1):
@@ -244,7 +243,7 @@ def oracle_power_sum_exp(log_f: Series1, sums, n: int) -> Series1:
 
 
 def assert_integer_recurrence_matches(f: Series1, sums, n: int) -> None:
-    c, w = localisation._integer_log(f, n)
+    c, w = localisation._class_log(f, n)
     fn = f.truncate(n)
     for weights, series in ((w, fn), (localisation._even_doubled(w), fn * negate_argument(fn))):
         expected = oracle_power_sum_exp(series_log(series), sums, n)
@@ -284,10 +283,10 @@ def test_integer_recurrence_over_dual_numbers():
         ring=DUALS,
     )
     # the numerators run over the lcm of the denominators of both parts
-    c, _ = localisation._integer_log(f, 6)
+    c, _ = localisation._class_log(f, 6)
     assert c == 42
     assert_integer_recurrence_matches(f, [3, -1, 0, 10, -4, 2], 6)
-    c, w = localisation._integer_log(f, 0)
+    c, w = localisation._class_log(f, 0)
     assert DUALS.join(localisation._power_sum_exp(w, [], 0), c) == (DUALS.one,)
 
 
@@ -377,7 +376,7 @@ def test_hook_form_takes_one_exponential_per_two_row_partition(monkeypatch):
 def test_reduction_check_takes_one_log_per_level_and_each_diagram_once(monkeypatch):
     # 139 pairs up to level 6 and two single-pair calls per pair: taking
     # the log, or the weights and hooks, per call would do each 278 times
-    counts = dict.fromkeys(("_integer_log", "weight_multiset", "hook_multiset"), 0)
+    counts = dict.fromkeys(("log_numerators", "weight_multiset", "hook_multiset"), 0)
     localisation._fixed_point_data.cache_clear()
     localisation._hook_data.cache_clear()
 
@@ -391,7 +390,7 @@ def test_reduction_check_takes_one_log_per_level_and_each_diagram_once(monkeypat
     for name in counts:
         monkeypatch.setattr(localisation, name, counting(name, getattr(localisation, name)))
     assert verification._check_reduction(preset_class("todd", 6).f, 6) == ""
-    assert counts["_integer_log"] <= 7
+    assert counts["log_numerators"] <= 7
     assert counts["weight_multiset"] < 278
     assert counts["hook_multiset"] < 278
 
@@ -440,10 +439,10 @@ def test_verify_builds_the_closed_form_and_tangent_tables_once(monkeypatch):
 
 def test_a_fault_in_the_shared_congruence_fails_the_triple_agreement(monkeypatch):
     # The closed form and the residue route both run the congruence
-    # kernel series._congruence (the residue route through
+    # kernel series.congruence_numerators (the residue route through
     # series.congruence); the fixed-point sum runs neither, so a fault
     # in that kernel is reported against the fixed-point sum.
-    congruence = series._congruence
+    congruence = series.congruence_numerators
     calls = []
 
     def perturbed(ring, C, table, n):
@@ -456,7 +455,7 @@ def test_a_fault_in_the_shared_congruence_fails_the_triple_agreement(monkeypatch
 
     f = preset_class("todd", 10).f
     for module in (series, closedform):
-        monkeypatch.setattr(module, "_congruence", perturbed)
+        monkeypatch.setattr(module, "congruence_numerators", perturbed)
     z_series_hookform(f, 8)
     assert calls == []
     results = verification.verify_multiplicative(f, "todd", 8)

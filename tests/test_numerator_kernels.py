@@ -104,6 +104,15 @@ def test_reciprocal(kind, data):
 
 @pytest.mark.parametrize("kind", KINDS)
 @given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_series_log(kind, data):
+    ring = RINGS[kind]
+    series = Series1.from_coefficients([ring.one] + data.draw(values(kind)), ring=ring)
+    assert series_log(series) == oracle.series_log(series)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
 @settings(max_examples=30, deadline=None)
 def test_power_table_and_compositional_inverse(kind, data):
     ring = RINGS[kind]
@@ -172,6 +181,7 @@ def test_order_zero(ring):
     assert a * a == oracle.multiply1(a, a)
     assert reciprocal(a) == oracle.reciprocal(a)
     assert power_table(Series1.zero(0, ring)) == (Series1.one(0, ring),)
+    assert series_log(Series1.one(0, ring)) == oracle.series_log(Series1.one(0, ring))
     s = Series2(((c,),), 0, ring)
     assert s * s == oracle.multiply2(s, s)
     assert congruence(s, [(ring.one,)]) == oracle.congruence(s, [(ring.one,)])

@@ -18,13 +18,13 @@ from hilbfock.series import (
     negate_argument,
     power_table,
     reciprocal,
-    scale_argument,
     series_log,
     shift_down,
     shift_up,
 )
 
 from exp_oracle import series_exp
+from fraction_kernels import in_x, in_y, scale_argument
 from lagrange_good import divide_by_x, divide_by_y, lagrange_good_extract
 
 
@@ -259,6 +259,16 @@ def test_scale_and_negate_argument():
     s = s1(1, 2, 3)
     assert scale_argument(s, 2) == s1(1, 4, 12)
     assert negate_argument(s) == s1(1, -2, 3)
+    eps = DualNumber(0, 1)
+    d = Series1.from_coefficients((DUALS.one, Fr(1, 2) + eps, -3 * eps, 0, eps), ring=DUALS)
+    assert negate_argument(d) == scale_argument(d, -1)
+    assert negate_argument(d).coefficients[1] == Fr(-1, 2) - eps
+
+
+@given(coefficient_lists)
+def test_negate_argument_matches_scaling_by_minus_one(tail):
+    s = Series1.from_coefficients((Fr(1), *tail))
+    assert negate_argument(s) == scale_argument(s, -1)
 
 
 def test_shift_up_and_down():
@@ -320,7 +330,7 @@ def test_divide_cubic_example():
 def test_divide_difference_quotient_of_odd_cubic():
     # g = x - x^3: (g(x) - g(y)) / (x - y) = 1 - x^2 - xy - y^2
     g = s1(0, 1, 0, -1)
-    numerator = Series2.from_series1_in_x(g) - Series2.from_series1_in_y(g)
+    numerator = in_x(g) - in_y(g)
     expected = Series2.from_dict(
         {(0, 0): Fr(1), (2, 0): Fr(-1), (1, 1): Fr(-1), (0, 2): Fr(-1)}, 2
     )

@@ -14,10 +14,10 @@ from fractions import Fraction as Fr
 import pytest
 
 from hilbfock.closedform import KIND_THEOREM, CoeffTable, preset_class
-from hilbfock.localisation import FixedPointBasisVector, _integer_log
+from hilbfock.localisation import FixedPointBasisVector
 from hilbfock.partitions import Partition
 from hilbfock.rings import DUALS, QQ, DualNumber
-from hilbfock.series import Series1, Series2
+from hilbfock.series import Series1, Series2, log_numerators
 
 # name: (build one value, a field to assign, hashable, picklable, repr)
 CASES = {
@@ -102,6 +102,6 @@ def test_deep_copied_series_multiplies_with_the_original():
 
 def test_deep_copied_series_keeps_the_integer_log():
     todd = preset_class("todd", 8).f
-    scale, weights = _integer_log(todd, 8)
-    assert scale > 1
-    assert _integer_log(copy.deepcopy(todd), 8) == (scale, weights)
+    weights, denominator = log_numerators(todd, 8)
+    assert denominator > 1
+    assert log_numerators(copy.deepcopy(todd), 8) == (weights, denominator)
