@@ -20,6 +20,7 @@ import argparse
 import io
 import sys
 from fractions import Fraction
+from typing import Any, Callable
 
 # json and csv are imported inside the output branches that use them:
 # every run pays for its imports, one run needs at most one of the two,
@@ -35,7 +36,7 @@ from .closedform import (
     taut_tables,
     to_universal,
 )
-from .localisation import equivariant_class_coeffs
+from .localisation import EquivariantClassVector, equivariant_class_coeffs
 from .rings import Frozen
 from .series import Series1
 from .verification import verify_chern_character, verify_multiplicative
@@ -92,6 +93,13 @@ def parse_class_spec(text: str) -> ClassSpec:
         )
     coefficients = []
     for piece in parts:
+        if "e" in piece or "E" in piece:
+            # 1e20000 is six characters but a 20001-digit integer, past the
+            # interpreter's limit on the digits of a decimal integer.
+            raise UsageError(
+                f"cannot parse class {text!r}: exponent notation in {piece!r} is not "
+                f"accepted; write the number as an integer, a decimal or p/q"
+            )
         try:
             coefficients.append(Fraction(piece))
         except ValueError as exc:
@@ -112,6 +120,22 @@ def class_series(spec: ClassSpec, order: int) -> Series1:
         return preset_class(spec.preset, order).f
     leading = (Fraction(1),) + spec.coefficients
     return Series1.from_coefficients(leading[: order + 1], order)
+
+
+def _unlimited_digits(compute: Callable[[], Any]) -> Any:
+    """``compute()`` with no limit on the digits of an int turned to text.
+
+    Exact values may have more digits than the interpreter's limit on
+    int-to-str conversion (4300 by default), which guards the parsing of
+    untrusted decimal input; ``parse_class_spec`` runs before this and
+    keeps the limit.
+    """
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return compute()
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _ordered_pairs(table: CoeffTable) -> list[tuple[int, int]]:
@@ -218,11 +242,12 @@ def cmd_table(args: argparse.Namespace) -> int:
         table = to_universal(table)
 
     if args.format == "json":
-        sys.stdout.write(_table_json(spec.label, max_degree, a_k, table))
+        text = _unlimited_digits(lambda: _table_json(spec.label, max_degree, a_k, table))
     elif args.format == "csv":
-        sys.stdout.write(_table_csv(a_k, table, max_degree))
+        text = _unlimited_digits(lambda: _table_csv(a_k, table, max_degree))
     else:
-        sys.stdout.write(_table_pretty(spec.label, max_degree, a_k, table))
+        text = _unlimited_digits(lambda: _table_pretty(spec.label, max_degree, a_k, table))
+    sys.stdout.write(text)
     return 0
 
 
@@ -238,7 +263,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         results = verify_chern_character(order)
     else:
         f = class_series(spec, order + 2)
-        results = verify_multiplicative(f, spec.label, order)
+        # A failing check names the values it compared.
+        results = _unlimited_digits(lambda: verify_multiplicative(f, spec.label, order))
 
     width = max(len(result.name) for result in results)
     for result in results:
@@ -282,13 +308,18 @@ def cmd_equivariant(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
+    sys.stdout.write(_unlimited_digits(lambda: _equivariant_text(spec.label, args, vector)))
+    return 0
+
+
+def _equivariant_text(label: str, args: argparse.Namespace, vector: EquivariantClassVector) -> str:
     if args.format == "json":
         import json
 
         payload = {
-            "class": spec.label,
+            "class": label,
             "gamma": args.gamma,
-            "level": level,
+            "level": vector.n,
             "entries": [
                 {
                     "lambda0": list(pair.lambda0.parts),
@@ -298,8 +329,8 @@ def cmd_equivariant(args: argparse.Namespace) -> int:
                 for pair, value in vector.entries
             ],
         }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    elif args.format == "csv":
+        return json.dumps(payload, indent=2) + "\n"
+    if args.format == "csv":
         import csv
 
         buffer = io.StringIO()
@@ -307,13 +338,11 @@ def cmd_equivariant(args: argparse.Namespace) -> int:
         writer.writerow(["lambda0", "lambda1", "value"])
         for pair, value in vector.entries:
             writer.writerow([str(pair.lambda0), str(pair.lambda1), str(value)])
-        sys.stdout.write(buffer.getvalue())
-    else:
-        width = max(len(str(pair)) for pair, _ in vector.entries)
-        sys.stdout.write(f"class {spec.label}, twist gamma={args.gamma}, level {level}\n\n")
-        for pair, value in vector.entries:
-            sys.stdout.write(f"{str(pair).ljust(width)}  {value}\n")
-    return 0
+        return buffer.getvalue()
+    width = max(len(str(pair)) for pair, _ in vector.entries)
+    lines = [f"class {label}, twist gamma={args.gamma}, level {vector.n}\n\n"]
+    lines.extend(f"{str(pair).ljust(width)}  {value}\n" for pair, value in vector.entries)
+    return "".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:

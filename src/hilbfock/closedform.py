@@ -47,12 +47,13 @@ from .series import (
     Series2,
     check_class_series,
     compose_difference,
+    compose_difference_numerators,
     compositional_inverse,
     congruence_numerators,
     convolve_numerators,
     differentiate,
-    divide_by_x_minus_y,
     divide_numerators_by_x_minus_y,
+    multiply_graded_rows,
     negate_argument,
     reciprocal,
     series_log,
@@ -310,17 +311,26 @@ def z_closed(f: Series1, N: int) -> Series2:
     Z = g'(x) g'(y) (G(g(x) - g(y)) / (x - y))^2, which the localisation
     module must reproduce by independent means.  G(g(x) - g(y)) is the
     congruence of ``compose_difference`` on the powers of g that the
-    inversion returns, and g'(x) g'(y) an outer product, so Z costs two
-    two-variable products.  Needs f one degree beyond N for the same
-    reason as ``a_kl_table``.
+    inversion returns.  The ratio is divided by x - y, squared and
+    multiplied by g'(x) and then by g'(y) on numerator rows, each row
+    over its own denominator (``multiply_graded_rows``), and each row is
+    joined once.  Needs f one degree beyond N for the same reason as
+    ``a_kl_table``.
     """
     fine = f.truncate(N + 1)
+    ring = fine.ring
     G = big_g(fine)
     g, powers = compositional_inverse(G)
-    ratio = divide_by_x_minus_y(compose_difference(G, powers))
-    d = differentiate(g).coefficients
-    outer = tuple(tuple(d[i] * d[e - i] for i in range(e + 1)) for e in range(N + 1))
-    return Series2(outer, N, g.ring) * ratio * ratio
+    difference, c = compose_difference_numerators(G, powers)
+    R, r = zip(*(ring.cancel(row, c) for row in divide_numerators_by_x_minus_y(difference)))
+    rows, q = multiply_graded_rows(ring, R, r, R, r, N)
+    # g'(x) and g'(y) as tables with one entry per row, at x^k and at y^k
+    slope, s = zip(*(ring.split((v,)) for v in differentiate(g).coefficients))
+    in_x = [[0] * k + v for k, v in enumerate(slope)]
+    in_y = [v + [0] * k for k, v in enumerate(slope)]
+    rows, q = multiply_graded_rows(ring, rows, q, in_x, s, N)
+    rows, q = multiply_graded_rows(ring, rows, q, in_y, s, N)
+    return Series2(tuple(map(ring.join, rows, q)), N, ring)
 
 
 def chern_character_tables(N: int) -> tuple[dict[int, Fraction], CoeffTable]:
@@ -342,27 +352,29 @@ def chern_character_tables(N: int) -> tuple[dict[int, Fraction], CoeffTable]:
 
 
 def corollary_via_dual(n: int) -> CoeffTable:
-    """The degree-n slice of the Chern-character table, by dual numbers.
+    """The Chern-character table up to total degree n, by dual numbers.
 
-    Runs the generic ``a_kl_table`` machinery over the square-zero
-    extension of the rationals with f = 1 + eps*x^n, then reads off the
-    eps-part and divides by n!.  The factorial is forced by the fact
-    that the class of a bundle built from f = 1 + eps*x^n equals
-    1 + eps * n! * (degree-n Chern character): expanding the product
-    over Chern roots, eps^2 = 0 kills everything except the power sum.
-    Must agree with ``chern_character_tables``; the acceptance suite
-    checks every even n up to 12.
+    Runs the generic ``a_kl_table`` machinery once, over the square-zero
+    extension of the rationals, with f = 1 + eps*(x^2 + x^4 + ... + x^n),
+    and reads off the eps-parts.  The class of a bundle built from
+    f = 1 + eps*x^m equals 1 + eps * m! * (degree-m Chern character):
+    expanding the product over Chern roots, eps^2 = 0 kills everything
+    except the power sum.  The eps-part is linear in the perturbation
+    and graded: scaling x by t scales an entry of total degree k + l by
+    t^(k+l) and eps*x^m by t^m, so only x^(k+l) reaches it, and the
+    eps-part of an entry of total degree m is divided by m!.  Must agree
+    with ``chern_character_tables``; the acceptance suite checks every
+    even n up to 12.
     """
     if n < 2 or n % 2:
         raise ValueError("the dual-number route needs an even total degree n >= 2")
     eps = DualNumber(Fraction(0), Fraction(1))
-    f = Series1.one(n + 1, DUALS) + Series1.monomial(eps, n, n + 1, DUALS)
+    zero = DUALS.zero
+    f = Series1((DUALS.one, zero) + (eps, zero) * (n // 2), n + 1, DUALS)
     table = a_kl_table(f, n)
-    scale = Fraction(1, math.factorial(n))
     entries = {
-        pair: value.infinitesimal * scale
-        for pair, value in table.entries.items()
-        if pair[0] + pair[1] == n
+        (k, l): value.infinitesimal / math.factorial(k + l)
+        for (k, l), value in table.entries.items()
     }
     return CoeffTable(KIND_CHERN_CHARACTER, n, entries)
 

@@ -390,8 +390,8 @@ def z_series_residue(f: Series1, N: int) -> Series2:
     beyond the requested truncation.
 
     With M = N + 2, G is odd, so P = -(G G)(a - b): one one-variable
-    square and one Horner composition on a - b (M + 1 two-variable
-    products by the two-term a - b), with no full two-variable product.
+    square and one Horner composition on a - b (M steps that each visit
+    the two terms of a - b, O(M^3) in all), with no two-variable product.
     The one-variable powers F^k for 1 <= k <= M + 1 (O(M^3)) give the
     triangular table T[i][r] = [a^(r-i)] F^(r+1), and c(r, s) is the
     sum over i and j of T[i][r] P[i][j] T[j][s], which is

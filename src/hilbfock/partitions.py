@@ -22,7 +22,7 @@ formula to a pure hook-length expression.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
 from operator import index
 from typing import Iterator
 
@@ -52,6 +52,11 @@ class Partition(Frozen):
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts must be weakly decreasing, got {parts}")
         object.__setattr__(self, "parts", parts)
+
+    def __hash__(self) -> int:
+        # The key of the per-diagram caches: hash the parts directly,
+        # without the generic field tuple.
+        return hash(self.parts)
 
     @property
     def size(self) -> int:
@@ -84,13 +89,15 @@ class Partition(Frozen):
 EMPTY = Partition()
 
 
-def _arms_and_legs(partition: Partition) -> list[tuple[int, int]]:
+@cache
+def _arms_and_legs(partition: Partition) -> tuple[tuple[int, int], ...]:
     """The (arm, leg) of every cell, row by row, from the row lengths and
     their conjugate: the cell in 0-based row i and column j has arm
-    parts[i] - j - 1 and leg conjugate[j] - i - 1."""
+    parts[i] - j - 1 and leg conjugate[j] - i - 1.  Computed once per
+    diagram and process: each statistic below reads it."""
     parts = partition.parts
     conjugate = [sum(1 for r in parts if r > j) for j in range(parts[0])] if parts else []
-    return [(r - j - 1, conjugate[j] - i - 1) for i, r in enumerate(parts) for j in range(r)]
+    return tuple((r - j - 1, conjugate[j] - i - 1) for i, r in enumerate(parts) for j in range(r))
 
 
 def hook_multiset(partition: Partition) -> tuple[int, ...]:

@@ -28,18 +28,21 @@ of coefficients as numerators over one int denominator (integers over
 the lcm of the denominators; for dual numbers, integer pairs a + b eps
 over the lcm of the denominators of both parts), and ``Ring.join``
 forms ring elements again.  ``convolve_numerators``,
-``congruence_numerators``, ``divide_numerators_by_x_minus_y`` and
-``log_numerators`` are the public numerator interface: they take and
-return numerators, and the caller keeps track of the denominator.  The
-products, the analytic operations except ``compose``, and the kernels
-behind them split their operands, do every coefficient operation on
-the numerators with no normalisation, and join where they return
-coefficients: one gcd per coefficient returned instead of one per
-coefficient operation.  Chains of products (the powers) and the
+``multiply_graded_rows``, ``congruence_numerators``,
+``compose_difference_numerators``, ``divide_numerators_by_x_minus_y``
+and ``log_numerators`` are the public numerator interface: they take
+and return numerators, and the caller keeps track of the denominator.
+The products, the analytic operations and the kernels behind them split
+their operands, do every coefficient operation on the numerators with
+no normalisation, and join where they return coefficients: one gcd per
+coefficient returned instead of one per coefficient operation.  Chains
+of products (the powers, the Horner steps of ``compose``) and the
 recursions of ``reciprocal`` and the log cancel each new term, so their
 denominator stays the lcm of the reduced ones instead of growing as a
-power.  One body serves both rings.  ``compose`` and the one-pass
-operations still work on ring elements.
+power.  The two-variable product keeps one denominator per row of total
+degree, since the denominators of a series often grow with the degree.
+One body serves both rings.  Only the one-pass operations (sums, sign
+flips, shifts, the derivative) work on ring elements.
 """
 
 from __future__ import annotations
@@ -92,6 +95,12 @@ def _join_rows(ring: Ring, rows: Sequence[Sequence], denominator: int) -> tuple[
     return tuple(_regroup(ring.join([c for row in rows for c in row], denominator), rows))
 
 
+def _cancel_rows(ring: Ring, rows: Sequence[Sequence], denominator: int) -> tuple[list[list], int]:
+    """``Ring.cancel`` of a table of numerator rows."""
+    flat, denominator = ring.cancel([c for row in rows for c in row], denominator)
+    return _regroup(flat, rows), denominator
+
+
 def convolve_numerators(a: Sequence, b: Sequence, n: int) -> list:
     """Degrees 0 to n of the product of two numerator sequences."""
     out = [0] * (n + 1)
@@ -101,6 +110,40 @@ def convolve_numerators(a: Sequence, b: Sequence, n: int) -> list:
                 if y:
                     out[j] += x * y
     return out
+
+
+def multiply_graded_rows(
+    ring: Ring, A: Sequence[Sequence], a: Sequence[int], B: Sequence[Sequence], b: Sequence[int], n: int
+) -> tuple[list[list], list[int]]:
+    """Product to total degree n of two tables of numerator rows, row d
+    of A over the denominator a[d] and row d of B over b[d].
+
+    rows[d][i] is the numerator of x^i y^(d-i).  Row e of the product is
+    formed over the lcm of a[d] b[e - d] and cancelled, so each row keeps
+    the size of its own terms: for a series whose denominators grow with
+    the degree, one denominator for the whole table would inflate the
+    low rows to the size of the top one.  Only the nonzero entries of B
+    are visited.  Returns the rows and their denominators.
+    """
+    nonzero = [[(i, v) for i, v in enumerate(row) if v] for row in B]
+    live = [d for d, row in enumerate(A) if any(row)]
+    rows, denominators = [], []
+    for e in range(n + 1):
+        pairs = [(d, e - d) for d in live if d <= e < d + len(B) and nonzero[e - d]]
+        L = lcm(*(a[d] * b[k] for d, k in pairs))
+        target = [0] * (e + 1)
+        for d, k in pairs:
+            scale = L // (a[d] * b[k])
+            terms = nonzero[k]
+            for i, x in enumerate(A[d]):
+                if x:
+                    x = x * scale
+                    for j, y in terms:
+                        target[i + j] += x * y
+        target, L = ring.cancel(target, L)
+        rows.append(target)
+        denominators.append(L)
+    return rows, denominators
 
 
 def divide_numerators_by_x_minus_y(rows: Sequence[Sequence]) -> list[list]:
@@ -277,10 +320,10 @@ class Series1(_Series):
     def __init__(self, coefficients: tuple, order: int, ring: Ring = QQ) -> None:
         if order < 0:
             raise SeriesError("truncation order must be non-negative")
-        coerce = ring.coerce
-        padded = list(coefficients[: order + 1])
-        padded.extend(ring.zero for _ in range(order + 1 - len(padded)))
-        object.__setattr__(self, "coefficients", tuple(coerce(c) for c in padded))
+        values = tuple(map(ring.coerce, coefficients[: order + 1]))
+        if len(values) <= order:
+            values += (ring.zero,) * (order + 1 - len(values))
+        object.__setattr__(self, "coefficients", values)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "ring", ring)
 
@@ -383,12 +426,10 @@ class Series2(_Series):
         coerce = ring.coerce
         zero = ring.zero
         fixed = []
-        given = rows[: order + 1]
-        for d in range(order + 1):
-            row = list(given[d]) if d < len(given) else []
-            row = row[: d + 1]
-            row.extend(zero for _ in range(d + 1 - len(row)))
-            fixed.append(tuple(coerce(c) for c in row))
+        for d, row in enumerate(rows[: order + 1]):
+            row = tuple(map(coerce, row[: d + 1]))
+            fixed.append(row if len(row) > d else row + (zero,) * (d + 1 - len(row)))
+        fixed.extend((zero,) * (d + 1) for d in range(len(fixed), order + 1))
         object.__setattr__(self, "rows", tuple(fixed))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "ring", ring)
@@ -401,10 +442,13 @@ class Series2(_Series):
     def from_dict(cls, entries: dict, order: int, ring: Ring = QQ) -> "Series2":
         """Build from a map (i, j) -> coefficient.  Entries beyond the
         order are dropped, which is the truncation semantic."""
-        rows = [[ring.zero] * (d + 1) for d in range(order + 1)]
-        for (i, j), value in entries.items():
+        for i, j in entries:
             if i < 0 or j < 0:
                 raise SeriesError("exponents must be non-negative")
+        # Rows above the highest degree given are left to the constructor's padding.
+        top = max((i + j for i, j in entries if i + j <= order), default=-1)
+        rows = [[ring.zero] * (d + 1) for d in range(top + 1)]
+        for (i, j), value in entries.items():
             if i + j <= order:
                 rows[i + j][i] = rows[i + j][i] + value
         return cls(tuple(tuple(row) for row in rows), order, ring)
@@ -463,19 +507,10 @@ class Series2(_Series):
             self._require_same_ring(other)
             n = min(self.order, other.order)
             ring = self.ring
-            A, da = _split_rows(ring, self.rows[: n + 1])
-            B, db = _split_rows(ring, other.rows[: n + 1])
-            out = [[0] * (d + 1) for d in range(n + 1)]
-            for d1, row1 in enumerate(A):
-                for i1, a in enumerate(row1):
-                    if not a:
-                        continue
-                    for d2 in range(n + 1 - d1):
-                        target = out[d1 + d2]
-                        for i, b in enumerate(B[d2], i1):
-                            if b:
-                                target[i] += a * b
-            return Series2(_join_rows(ring, out, da * db), n, ring)
+            A, a = zip(*map(ring.split, self.rows[: n + 1]))
+            B, b = zip(*map(ring.split, other.rows[: n + 1]))
+            rows, d = multiply_graded_rows(ring, A, a, B, b, n)
+            return Series2(tuple(map(ring.join, rows, d)), n, ring)
         scalar = self._coerce_scalar(other)
         if scalar is None:
             return NotImplemented
@@ -528,22 +563,59 @@ def series_log(series: Series1) -> Series1:
     return Series1(series.ring.join([0] + [R[m] * (L // m) for m in range(1, n + 1)], L * Q), n, series.ring)
 
 
+def _times_terms(rows: Sequence[Sequence], terms: Sequence[tuple], n: int) -> list[list]:
+    """Numerator rows times the series whose nonzero numerators are the
+    terms (e, j, v), v at row e and place j, to total degree n."""
+    out = [[0] * len(row) for row in rows]
+    for d, row in enumerate(rows):
+        for i, h in enumerate(row):
+            if h:
+                for e, j, v in terms:
+                    if d + e > n:
+                        break
+                    out[d + e][i + j] += h * v
+    return out
+
+
 def compose(outer: Series1, inner: Series1 | Series2):
     """Substitute ``inner`` (zero constant term) into ``outer``.
 
     The one-variable form yields a Series1, the two-variable form a
-    Series2.  Evaluation is by Horner's scheme, so the cost is one
-    series multiplication per outer coefficient.
+    Series2.  Evaluation is by Horner's scheme on numerators: h starts
+    at outer_n and becomes h inner + outer_k for k = n - 1, ..., 1, and
+    the composite is h inner + outer_0.  h is kept as numerator rows
+    over one running denominator, and each step is cancelled before it
+    takes the next factor, as in ``_powers``.  The product by ``inner``
+    visits only its nonzero entries, so a sparse inner series such as
+    x - y costs O(N^2) per step.  A one-variable series runs as rows of
+    one entry each.
     """
     outer._require_same_ring(inner)
-    if inner.constant_term != inner.ring.zero:
+    ring = outer.ring
+    if inner.constant_term != ring.zero:
         raise SeriesError("composition requires the inner series to have zero constant term")
     n = min(outer.order, inner.order)
-    result = type(inner).zero(n, outer.ring)
-    truncated_inner = inner.truncate(n)
-    for k in range(min(outer.order, n), -1, -1):
-        result = result * truncated_inner + outer.coefficients[k]
-    return result
+    two_vars = isinstance(inner, Series2)
+    rows = inner.rows[: n + 1] if two_vars else [(v,) for v in inner.coefficients[: n + 1]]
+    I, d = _split_rows(ring, rows)
+    terms = [(e, j, v) for e, row in enumerate(I) for j, v in enumerate(row) if v]
+    # O[k - 1] / c is outer_k; outer_0 is added to the joined series.
+    O, c = ring.split(outer.coefficients[1 : n + 1])
+    H, D = [[0] * len(row) for row in rows], c
+    if n:
+        H[0][0] = O[n - 1]
+    for k in range(n - 1, 0, -1):
+        H, D = _times_terms(H, terms, n), D * d
+        if D % c:
+            grown = lcm(D, c)
+            H = [[h * (grown // D) for h in row] for row in H]
+            D = grown
+        H[0][0] += O[k - 1] * (D // c)
+        H, D = _cancel_rows(ring, H, D)
+    joined = _join_rows(ring, _times_terms(H, terms, n), D * d)
+    if two_vars:
+        return Series2(joined, n, ring) + outer.coefficients[0]
+    return Series1([row[0] for row in joined], n, ring) + outer.coefficients[0]
 
 
 def power_table(g: Series1) -> tuple[Series1, ...]:
@@ -578,6 +650,19 @@ def congruence(matrix: Series2, table: Sequence[Sequence]) -> Series2:
     return Series2(_join_rows(ring, rows, c * t), n, ring)
 
 
+def compose_difference_numerators(outer: Series1, powers: tuple[Series1, ...]) -> tuple[list[list], int]:
+    """Numerator rows and one denominator of ``compose_difference(outer, powers)``."""
+    outer._require_same_ring(powers[0])
+    ring = outer.ring
+    n = min(outer.order, powers[0].order)
+    numerators, c = ring.split(outer.coefficients[: n + 1])
+    matrix = [
+        [v * (comb(d, a) * (-1) ** (d - a)) for a in range(d + 1)] for d, v in enumerate(numerators)
+    ]
+    rows, t = congruence_numerators(ring, matrix, [p.coefficients for p in powers], n)
+    return rows, c * t
+
+
 def compose_difference(outer: Series1, powers: tuple[Series1, ...]) -> Series2:
     """outer(g(x) - g(y)), given the powers of g from ``power_table``.
 
@@ -587,15 +672,8 @@ def compose_difference(outer: Series1, powers: tuple[Series1, ...]) -> Series2:
     two-variable product per outer coefficient for ``compose``.  The
     order is the smaller of the two operand orders, as for ``compose``.
     """
-    outer._require_same_ring(powers[0])
-    ring = outer.ring
-    n = min(outer.order, powers[0].order)
-    numerators, c = ring.split(outer.coefficients[: n + 1])
-    matrix = [
-        [v * (comb(d, a) * (-1) ** (d - a)) for a in range(d + 1)] for d, v in enumerate(numerators)
-    ]
-    rows, t = congruence_numerators(ring, matrix, [p.coefficients for p in powers], n)
-    return Series2(_join_rows(ring, rows, c * t), n, ring)
+    rows, denominator = compose_difference_numerators(outer, powers)
+    return Series2(_join_rows(outer.ring, rows, denominator), len(rows) - 1, outer.ring)
 
 
 def compositional_inverse(series: Series1) -> tuple[Series1, tuple[Series1, ...]]:

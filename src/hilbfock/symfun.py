@@ -8,9 +8,8 @@ product of their two-variable Schur polynomials.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .partitions import Partition
+from .rings import QQ
 from .series import Series2
 
 
@@ -26,7 +25,7 @@ def schur_two_vars(partition: Partition, order: int | None = None) -> Series2:
         order = partition.size
     if partition.length > 2:
         return Series2.zero(order)
-    a = partition.parts[0] if partition.length >= 1 else 0
-    b = partition.parts[1] if partition.length >= 2 else 0
-    entries = {(i, a + b - i): Fraction(1) for i in range(b, a + 1)}
-    return Series2.from_dict(entries, order)
+    a, b = (*partition.parts, 0, 0)[:2]
+    # The one nonzero row; the rows below it, and its tail, are zero padding.
+    row = (QQ.zero,) * b + (QQ.one,) * (a - b + 1)
+    return Series2(((),) * (a + b) + (row,), order)

@@ -1,12 +1,13 @@
 """The series kernels on ring elements, kept as test oracles.
 
-The package runs its series kernels on numerators over one common
-denominator (``Ring.split`` and ``Ring.join``).  These are the bodies
-they replaced, which do every coefficient operation on ring elements
-(``Fraction`` or ``DualNumber``), one normalisation each; the kernels
-must agree with them exactly.  The log recurrence here also keeps its
-two-variable branch, which the package no longer has: the log-exp check
-of ``verification`` tests E(Z) = Z E(R) instead of taking log Z.
+The package runs its series kernels, Horner's ``compose`` among them,
+on numerators over one common denominator (``Ring.split`` and
+``Ring.join``).  These are the bodies they replaced, which do every
+coefficient operation on ring elements (``Fraction`` or
+``DualNumber``), one normalisation each; the kernels must agree with
+them exactly.  The log recurrence here also keeps its two-variable
+branch, which the package no longer has: the log-exp check of
+``verification`` tests E(Z) = Z E(R) instead of taking log Z.
 """
 
 from __future__ import annotations
@@ -47,6 +48,20 @@ def multiply2(left: Series2, right: Series2) -> Series2:
                     if b:
                         target[i1 + i2] = target[i1 + i2] + a * b
     return Series2(tuple(tuple(row) for row in out), n, left.ring)
+
+
+def compose(outer: Series1, inner: Series1 | Series2):
+    """Horner's scheme on ring elements: one series product per outer
+    coefficient, result = result * inner + outer_k from k = n down to 0."""
+    if inner.constant_term != inner.ring.zero:
+        raise SeriesError("composition requires the inner series to have zero constant term")
+    multiply = multiply2 if isinstance(inner, Series2) else multiply1
+    n = min(outer.order, inner.order)
+    result = type(inner).zero(n, outer.ring)
+    truncated_inner = inner.truncate(n)
+    for k in range(n, -1, -1):
+        result = multiply(result, truncated_inner) + outer.coefficients[k]
+    return result
 
 
 def reciprocal(series: Series1) -> Series1:

@@ -252,6 +252,38 @@ def test_large_height_class_table(capsys):
     assert payload["a_k"][:3] == ["1", "0", "-1/3" + "0" * 80]
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+def test_values_longer_than_the_int_digit_limit_are_printed(capsys, fmt):
+    # f = 1 + 10^300 x: at degree 16 some entries have more digits than
+    # the interpreter's int-to-str limit, which output must not hit
+    big = "1" + "0" * 300
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "table", "--class", big, "--max-degree", "16", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    a_k, table = cli.tangent_tables(cli.class_series(parse_class_spec(big), 17), 16)
+    values = list(a_k.values()) + list(table.entries.values())
+    assert max(abs(v.numerator) for v in values).bit_length() > limit * 3.33
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = {str(v) for v in values if v}
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert all(text in out for text in expected)
+
+
+@pytest.mark.parametrize("class_spec", ["1e20000", "2,1E3", "1.5e-2", "1e5/2"])
+def test_exponent_notation_is_refused(capsys, class_spec):
+    code, out, err = run(capsys, "table", "--class", class_spec, "--max-degree", "12")
+    assert (code, out) == (2, "")
+    assert "exponent notation" in err
+    assert "cannot parse class" in err
+
+
+def test_plain_decimals_are_accepted():
+    assert parse_class_spec("0.5,-1.25,3").coefficients == (Fr(1, 2), Fr(-5, 4), Fr(3))
+
+
 def test_target_and_class_compatibility(capsys):
     code, _, err = run(
         capsys,
@@ -351,6 +383,23 @@ def test_verify_exits_one_and_names_the_failing_pair(capsys, monkeypatch):
     detail = lines[failing[0] + 1].strip()
     assert detail.startswith(f"pair {skewed_pair}: general twist-2 coefficient")
     assert lines[-1] == "6/7 checks passed (class todd, order 6)"
+
+
+def test_a_failing_check_names_values_beyond_the_int_digit_limit(capsys, monkeypatch):
+    from hilbfock import verification
+    from hilbfock.localisation import hook_coefficient, level_pairs
+
+    skewed_pair, huge = level_pairs(3)[1], 10**5000
+
+    def skewed(f, pair):
+        value = hook_coefficient(f, pair)
+        return value + huge if pair == skewed_pair else value
+
+    monkeypatch.setattr(verification, "hook_coefficient", skewed)
+    code, out, err = run(capsys, "verify", "--class", "todd", "--order", "6")
+    assert (code, err) == (1, "")
+    detail = next(line for line in out.splitlines() if line.startswith("      pair"))
+    assert len(detail) > 5000
 
 
 # ----------------------------------------------------------- equivariant command

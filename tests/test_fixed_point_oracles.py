@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbfock import closedform, localisation, series, verification
+from hilbfock import closedform, localisation, partitions, series, verification
 from hilbfock.closedform import PRESET_NAMES, preset_class, z_closed
 from hilbfock.localisation import (
     FixedPointBasisVector,
@@ -355,7 +355,9 @@ def test_residue_route_makes_linearly_many_two_variable_products(monkeypatch):
         z_series_residue(f, N)
         counts[N] = len(calls)
     # M = N + 2 is 6 and 14; per-cell products would grow quadratically.
+    # Horner's scheme on numerators forms no Series2 product at all.
     assert counts[12] * 6 <= counts[4] * 14
+    assert counts == {4: 0, 12: 0}
 
 
 def test_hook_form_takes_one_exponential_per_two_row_partition(monkeypatch):
@@ -393,6 +395,19 @@ def test_reduction_check_takes_one_log_per_level_and_each_diagram_once(monkeypat
     assert counts["log_numerators"] <= 7
     assert counts["weight_multiset"] < 278
     assert counts["hook_multiset"] < 278
+
+
+def test_reduction_check_finds_each_diagrams_cells_once():
+    # weight_multiset, c_prime_product, hook_multiset and hook_product
+    # read every diagram at every level; its arms and legs are found once
+    partitions._arms_and_legs.cache_clear()
+    localisation._fixed_point_data.cache_clear()
+    localisation._hook_data.cache_clear()
+    assert verification._check_reduction(preset_class("todd", 6).f, 6) == ""
+    diagrams = sum(len(enumerate_partitions(size)) for size in range(7))
+    info = partitions._arms_and_legs.cache_info()
+    assert (info.misses, info.currsize) == (diagrams, diagrams)
+    assert info.hits > 10 * diagrams
 
 
 def test_reduction_check_names_the_first_differing_pair(monkeypatch):

@@ -20,6 +20,7 @@ from hilbfock.series import (
     Series1,
     Series2,
     SeriesError,
+    compose,
     compose_difference,
     compositional_inverse,
     congruence,
@@ -67,6 +68,19 @@ def series2(data, kind, order: int) -> Series2:
         rows.append(tuple(entries[start : start + d + 1]))
         start += d + 1
     return Series2(tuple(rows), order, RINGS[kind])
+
+
+def sparse_series2(data, kind, order: int) -> Series2:
+    """A two-variable series whose entries, row by row, come in runs of zeros."""
+    cells = (order + 1) * (order + 2) // 2
+    entries = data.draw(values(kind, max_size=cells))
+    entries += [Fr(0)] * (cells - len(entries))
+    ring = RINGS[kind]
+    rows, start = [], 0
+    for d in range(order + 1):
+        rows.append(tuple(map(ring.coerce, entries[start : start + d + 1])))
+        start += d + 1
+    return Series2(tuple(rows), order, ring)
 
 
 def unit(data, kind):
@@ -139,6 +153,21 @@ def test_congruence_and_compose_difference(kind, data, order):
 
 
 @pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data(), order=st.integers(0, 6), two_variables=st.booleans(), sparse=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_compose(kind, data, order, two_variables, sparse):
+    ring = RINGS[kind]
+    outer = series1(data, kind)
+    if two_variables:
+        rows = (sparse_series2 if sparse else series2)(data, kind, order).rows
+        inner = Series2(((ring.zero,),) + rows[1:], order, ring)
+    else:
+        tail = data.draw(values(kind, max_size=order + 1))
+        inner = Series1.from_coefficients([ring.zero] + tail, ring=ring)
+    assert compose(outer, inner) == oracle.compose(outer, inner)
+
+
+@pytest.mark.parametrize("kind", KINDS)
 @given(data=st.data(), order=st.integers(0, 5), spoil=st.booleans())
 @settings(max_examples=30, deadline=None)
 def test_divide_by_x_minus_y(kind, data, order, spoil):
@@ -187,3 +216,5 @@ def test_order_zero(ring):
     assert congruence(s, [(ring.one,)]) == oracle.congruence(s, [(ring.one,)])
     line = Series2(((ring.zero,), (c, -c)), 1, ring)
     assert divide_by_x_minus_y(line) == oracle.divide_by_x_minus_y(line)
+    assert compose(a, line) == oracle.compose(a, line) == Series2(((c,),), 0, ring)
+    assert compose(a, Series1.zero(3, ring)) == oracle.compose(a, Series1.zero(3, ring))
