@@ -33,7 +33,6 @@ from .localisation import (
     hook_coefficient,
     level_pairs,
     pair_coefficient,
-    tangent_weights,
     z_series_hookform,
     z_series_residue,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "preset_class",
     "small_g",
     "tangent_tables",
-    "tangent_weights",
     "taut_tables",
     "to_universal",
     "z_closed",

@@ -122,18 +122,18 @@ def class_series(spec: ClassSpec, order: int) -> Series1:
     return Series1.from_coefficients(leading[: order + 1], order)
 
 
-def _unlimited_digits(compute: Callable[[], Any]) -> Any:
-    """``compute()`` with no limit on the digits of an int turned to text.
+def _unlimited_digits(command: Callable[..., int], *args: Any) -> int:
+    """``command(*args)`` with no limit on the digits of an int turned to text.
 
     Exact values may have more digits than the interpreter's limit on
     int-to-str conversion (4300 by default), which guards the parsing of
-    untrusted decimal input; ``parse_class_spec`` runs before this and
-    keeps the limit.
+    untrusted decimal input: ``main`` parses the arguments and ``--class``
+    with the limit, then computes and prints under this.
     """
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return compute()
+        return command(*args)
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -143,9 +143,23 @@ def _ordered_pairs(table: CoeffTable) -> list[tuple[int, int]]:
     return sorted(table.entries, key=lambda pair: (pair[0] + pair[1], -pair[0]))
 
 
-def _table_json(label: str, max_degree: int, a_k: dict[int, Fraction], table: CoeffTable) -> str:
+def _json_text(payload: dict) -> str:
     import json
 
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _csv_text(header: list[str], rows: list[list]) -> str:
+    import csv
+
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+def _table_json(label: str, max_degree: int, a_k: dict[int, Fraction], table: CoeffTable) -> str:
     payload = {
         "class": label,
         "max_degree": max_degree,
@@ -155,21 +169,14 @@ def _table_json(label: str, max_degree: int, a_k: dict[int, Fraction], table: Co
             for k, l in _ordered_pairs(table)
         ],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return _json_text(payload)
 
 
 def _table_csv(a_k: dict[int, Fraction], table: CoeffTable, max_degree: int) -> str:
-    import csv
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["k", "l", "value"])
     rows = [(k, 0, a_k[k]) for k in range(1, max_degree + 1)]
     rows.extend((k, l, table.entries[(k, l)]) for k, l in _ordered_pairs(table))
     rows.sort(key=lambda row: (row[0] + row[1], -row[0]))
-    for k, l, value in rows:
-        writer.writerow([k, l, str(value)])
-    return buffer.getvalue()
+    return _csv_text(["k", "l", "value"], [[k, l, str(value)] for k, l, value in rows])
 
 
 def _aligned_rows(header: list[str], values: list[str], names: tuple[str, str]) -> str:
@@ -212,8 +219,7 @@ def _table_pretty(label: str, max_degree: int, a_k: dict[int, Fraction], table: 
     return "\n".join(lines)
 
 
-def cmd_table(args: argparse.Namespace) -> int:
-    spec = parse_class_spec(args.class_spec)
+def cmd_table(args: argparse.Namespace, spec: ClassSpec) -> int:
     max_degree = args.max_degree
     if max_degree < 2:
         raise UsageError("--max-degree must be at least 2")
@@ -242,17 +248,16 @@ def cmd_table(args: argparse.Namespace) -> int:
         table = to_universal(table)
 
     if args.format == "json":
-        text = _unlimited_digits(lambda: _table_json(spec.label, max_degree, a_k, table))
+        text = _table_json(spec.label, max_degree, a_k, table)
     elif args.format == "csv":
-        text = _unlimited_digits(lambda: _table_csv(a_k, table, max_degree))
+        text = _table_csv(a_k, table, max_degree)
     else:
-        text = _unlimited_digits(lambda: _table_pretty(spec.label, max_degree, a_k, table))
+        text = _table_pretty(spec.label, max_degree, a_k, table)
     sys.stdout.write(text)
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    spec = parse_class_spec(args.class_spec)
+def cmd_verify(args: argparse.Namespace, spec: ClassSpec) -> int:
     order = args.order
     if order < 2:
         raise UsageError("--order must be at least 2")
@@ -262,9 +267,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if spec.is_chern_character:
         results = verify_chern_character(order)
     else:
-        f = class_series(spec, order + 2)
-        # A failing check names the values it compared.
-        results = _unlimited_digits(lambda: verify_multiplicative(f, spec.label, order))
+        results = verify_multiplicative(class_series(spec, order + 2), spec.label, order)
 
     width = max(len(result.name) for result in results)
     for result in results:
@@ -280,8 +283,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if failed == 0 else 1
 
 
-def cmd_equivariant(args: argparse.Namespace) -> int:
-    spec = parse_class_spec(args.class_spec)
+def cmd_equivariant(args: argparse.Namespace, spec: ClassSpec) -> int:
     if spec.is_chern_character:
         raise UsageError(
             "equivariant sums need a multiplicative class; "
@@ -308,14 +310,12 @@ def cmd_equivariant(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    sys.stdout.write(_unlimited_digits(lambda: _equivariant_text(spec.label, args, vector)))
+    sys.stdout.write(_equivariant_text(spec.label, args, vector))
     return 0
 
 
 def _equivariant_text(label: str, args: argparse.Namespace, vector: EquivariantClassVector) -> str:
     if args.format == "json":
-        import json
-
         payload = {
             "class": label,
             "gamma": args.gamma,
@@ -329,16 +329,10 @@ def _equivariant_text(label: str, args: argparse.Namespace, vector: EquivariantC
                 for pair, value in vector.entries
             ],
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return _json_text(payload)
     if args.format == "csv":
-        import csv
-
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["lambda0", "lambda1", "value"])
-        for pair, value in vector.entries:
-            writer.writerow([str(pair.lambda0), str(pair.lambda1), str(value)])
-        return buffer.getvalue()
+        rows = [[str(pair.lambda0), str(pair.lambda1), str(value)] for pair, value in vector.entries]
+        return _csv_text(["lambda0", "lambda1", "value"], rows)
     width = max(len(str(pair)) for pair, _ in vector.entries)
     lines = [f"class {label}, twist gamma={args.gamma}, level {vector.n}\n\n"]
     lines.extend(f"{str(pair).ljust(width)}  {value}\n" for pair, value in vector.entries)
@@ -409,13 +403,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
-    except UsageError as exc:
+        spec = parse_class_spec(args.class_spec)
+        return _unlimited_digits(args.func, args, spec)
+    except (UsageError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, UsageError) else 3
 
 
 if __name__ == "__main__":

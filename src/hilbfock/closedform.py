@@ -118,9 +118,18 @@ class CoeffTable(Frozen):
         object.__setattr__(self, "entries", entries)
 
     def value(self, k: int, l: int) -> Fraction | DualNumber:
-        """Symmetric lookup: value(k, l) == value(l, k)."""
+        """Symmetric lookup: value(k, l) == value(l, k).  An index below 1
+        raises ValueError, a total degree beyond ``max_degree``
+        InsufficientOrderError."""
         if k < l:
             k, l = l, k
+        if l < 1:
+            raise ValueError(f"bad table index {(k, l)}: need indices >= 1")
+        if k + l > self.max_degree:
+            raise InsufficientOrderError(
+                f"insufficient precision: entry {(k, l)} has total degree {k + l}, "
+                f"the table stops at {self.max_degree}"
+            )
         return self.entries[(k, l)]
 
 
@@ -210,8 +219,16 @@ def a_k_table(f: Series1, N: int) -> dict[int, Fraction]:
 
     Needs f to degree N, as ``small_g`` does.
     """
-    g = small_g(f, N)
-    return {k: g.coefficient(k) / k for k in range(1, N + 1)}
+    return _a_k(small_g(f, N), N)
+
+
+def _a_k(g: Series1, N: int) -> dict[int, Fraction]:
+    """a_k = [x^k] g / k for 1 <= k <= N, over lcm(1, ..., N) and one join."""
+    ring = g.ring
+    L = math.lcm(*range(1, N + 1))
+    numerators, d = ring.split(g.truncate(N).coefficients[1:])
+    values = ring.join([v * (L // k) for k, v in enumerate(numerators, 1)], d * L)
+    return dict(enumerate(values, 1))
 
 
 def _pair_log_entries(
@@ -289,9 +306,8 @@ def tangent_tables(f: Series1, N: int) -> tuple[dict[int, Fraction], CoeffTable]
     fine = f.truncate(N + 1)
     G = big_g(fine)
     g, powers = compositional_inverse(G)
-    a_k = {k: g.coefficient(k) / k for k in range(1, N + 1)}
     entries = _pair_log_entries(G, powers, N, series_log(fine * negate_argument(fine)))
-    return a_k, CoeffTable(KIND_THEOREM, N, entries)
+    return _a_k(g, N), CoeffTable(KIND_THEOREM, N, entries)
 
 
 def a_kl_table(f: Series1, N: int) -> CoeffTable:
@@ -415,5 +431,4 @@ def taut_tables(f: Series1, N: int) -> tuple[dict[int, Fraction], CoeffTable]:
     check_class_series(fine)
     base = shift_up(reciprocal(negate_argument(fine)).truncate(N), 1)
     g, powers = compositional_inverse(base)
-    a_k = {k: g.coefficient(k) / k for k in range(1, N + 1)}
-    return a_k, CoeffTable(KIND_TAUTOLOGICAL, N, _pair_log_entries(base, powers, N))
+    return _a_k(g, N), CoeffTable(KIND_TAUTOLOGICAL, N, _pair_log_entries(base, powers, N))

@@ -15,7 +15,7 @@ of f(w u) over its 2n tangent weights w.  With L = log f that product
 is exp(sum over k of L_k p_k(W) u^k), where p_k(W) is the k-th power
 sum of the weights (Hirzebruch's description of a multiplicative
 genus).  So the logarithm is taken once per class and level, the power
-sums are computed once per diagram and process (they add over the two
+sums are computed once per diagram and level (they add over the two
 partitions of a pair), and each pair costs one O(n^2) exponential.
 
 The logarithm and the exponentials run on integers.  The log comes
@@ -103,7 +103,7 @@ class EquivariantClassVector(Frozen):
     """A class at level n expanded over the fixed-point basis.
 
     ``entries`` keeps the deterministic enumeration order of
-    ``level_pairs``; use ``as_dict`` for order-independent lookups.
+    ``level_pairs``.
     """
 
     __slots__ = ("n", "entries")
@@ -114,15 +114,6 @@ class EquivariantClassVector(Frozen):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", entries)
 
-    def as_dict(self) -> dict[FixedPointBasisVector, Fraction]:
-        return dict(self.entries)
-
-    def coefficient(self, pair: FixedPointBasisVector) -> Fraction:
-        for key, value in self.entries:
-            if key == pair:
-                return value
-        raise KeyError(f"{pair} is not a level-{self.n} basis vector")
-
 
 def level_pairs(n: int) -> tuple[FixedPointBasisVector, ...]:
     """All partition pairs with sizes summing to n, in a fixed order.
@@ -130,23 +121,14 @@ def level_pairs(n: int) -> tuple[FixedPointBasisVector, ...]:
     The first partition's size descends from n to 0; within a size,
     partitions come in reverse lexicographic order.
     """
+    if n < 0:
+        raise ValueError("cannot partition a negative integer")
     pairs = []
     for size0 in range(n, -1, -1):
         for lambda0 in enumerate_partitions(size0):
             for lambda1 in enumerate_partitions(n - size0):
                 pairs.append(FixedPointBasisVector(lambda0, lambda1))
     return tuple(pairs)
-
-
-def tangent_weights(pair: FixedPointBasisVector, gamma: int) -> tuple[int, ...]:
-    """Tangent weights of the Hilbert scheme at the fixed point.
-
-    The component supported at the zero section's negative fixed point
-    contributes the weight multiset of lambda0 at (-1, -1); the other
-    fixed point contributes that of lambda1 at (gamma - 1, 1).
-    """
-    combined = weight_multiset(pair.lambda0, -1, -1) + weight_multiset(pair.lambda1, gamma - 1, 1)
-    return tuple(sorted(combined))
 
 
 def _power_sums(values: Sequence[int], n: int) -> list[int]:
@@ -233,7 +215,7 @@ def _product_coefficient(
 @cache
 def _fixed_point_data(partition: Partition, alpha, beta, n: int) -> tuple[tuple[int, ...], int]:
     """Weight power sums up to degree n and primed cell product of one
-    diagram, computed once per process."""
+    diagram, computed once per diagram and level."""
     sums = _power_sums(weight_multiset(partition, alpha, beta), n)
     return tuple(sums), c_prime_product(partition, alpha, beta)
 
@@ -293,7 +275,7 @@ def equivariant_class_coeffs(f: Series1, gamma: int, n: int) -> EquivariantClass
 @cache
 def _hook_data(partition: Partition, n: int) -> tuple[tuple[int, ...], int]:
     """Hook-length power sums up to degree n and hook product of one
-    diagram, computed once per process."""
+    diagram, computed once per diagram and level."""
     return tuple(_power_sums(hook_multiset(partition), n)), hook_product(partition)
 
 
@@ -322,9 +304,9 @@ def z_series_hookform(f: Series1, N: int) -> Series2:
     multiplicative class with series f, recorded as a two-variable
     polynomial.  Each pair of partitions contributes its hook-length
     coefficient times the product of the two-variable Schur
-    specialisations; only two-row partitions enter, because the Schur
-    factor of any other vanishes identically.  The class series must be
-    known to degree N.
+    specialisations; only the two-row partitions (m - j, j) enter, and
+    they are built directly, because the Schur factor of any other
+    vanishes identically.  The class series must be known to degree N.
 
     The exponential of a pair's hook power sums is the product of the
     exponentials of its two partitions, so each two-row partition of m
@@ -343,9 +325,8 @@ def z_series_hookform(f: Series1, N: int) -> Series2:
     S = []
     for m in range(N + 1):
         by_degree = [[0] * (m + 1) for _ in range(N + 1)]
-        for p in enumerate_partitions(m):
-            if p.length > 2:
-                continue
+        for j in range(m // 2 + 1):
+            p = Partition((m - j, j))
             sums, h = _hook_data(p, N)
             tableaux = factorial(m) // h
             schur_row = [s.numerator for s in schur_two_vars(p).homogeneous(m)]

@@ -22,14 +22,10 @@ formula to a pure hook-length expression.
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
+from functools import cache
 from operator import index
-from typing import Iterator
 
 from .rings import Frozen
-
-# A cell is a 1-based (row, column) pair inside the Young diagram.
-Cell = tuple[int, int]
 
 
 class Partition(Frozen):
@@ -66,27 +62,8 @@ class Partition(Frozen):
     def length(self) -> int:
         return len(self.parts)
 
-    def cells(self) -> Iterator[Cell]:
-        """All cells of the diagram, row by row."""
-        for i, row_length in enumerate(self.parts, start=1):
-            for j in range(1, row_length + 1):
-                yield (i, j)
-
-    def contains(self, cell: Cell) -> bool:
-        i, j = cell
-        return 1 <= i <= len(self.parts) and 1 <= j <= self.parts[i - 1]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
-
-
-EMPTY = Partition()
 
 
 @cache
@@ -133,25 +110,24 @@ def weight_multiset(partition: Partition, alpha, beta) -> tuple:
     return tuple(sorted(weights))
 
 
+_partitions: dict[int, tuple[Partition, ...]] = {0: (Partition(),)}
+
+
 def enumerate_partitions(n: int) -> tuple[Partition, ...]:
-    """All partitions of n in reverse lexicographic order, (n) first."""
+    """All partitions of n in reverse lexicographic order, (n) first.
+
+    A partition of n is a first part p followed by a partition of n - p
+    whose parts are at most p.  Each tuple is built once per process and
+    kept in a dict: behind ``functools.cache`` the function would not be
+    a plain function, and ``perfbench/tracer.py`` wraps only those.
+    """
     if n < 0:
         raise ValueError("cannot partition a negative integer")
-    return _partitions_cached(n)
-
-
-@lru_cache(maxsize=None)
-def _partitions_cached(n: int) -> tuple[Partition, ...]:
-    result: list[Partition] = []
-
-    def build(remaining: int, bound: int, prefix: list[int]) -> None:
-        if remaining == 0:
-            result.append(Partition(prefix))
-            return
-        for part in range(min(remaining, bound), 0, -1):
-            prefix.append(part)
-            build(remaining - part, part, prefix)
-            prefix.pop()
-
-    build(n, n, [])
-    return tuple(result)
+    if n not in _partitions:
+        _partitions[n] = tuple(
+            Partition((first, *rest.parts))
+            for first in range(n, 0, -1)
+            for rest in enumerate_partitions(n - first)
+            if not rest.parts or rest.parts[0] <= first
+        )
+    return _partitions[n]

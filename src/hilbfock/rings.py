@@ -141,12 +141,6 @@ class DualNumber(Frozen):
             return NotImplemented
         return self * lifted.inverse()
 
-    def __rtruediv__(self, other: Any) -> "DualNumber":
-        lifted = DualNumber.lift(other)
-        if lifted is None:
-            return NotImplemented
-        return lifted * self.inverse()
-
     def __eq__(self, other: Any) -> bool:
         lifted = DualNumber.lift(other)
         if lifted is None:

@@ -467,6 +467,8 @@ class Series2(_Series):
 
     def homogeneous(self, degree: int) -> tuple:
         """The row of coefficients of total degree ``degree``."""
+        if degree < 0:
+            raise SeriesError("exponents must be non-negative")
         if degree > self.order:
             raise InsufficientOrderError(
                 f"insufficient precision: total degree {degree} requested from a "

@@ -272,6 +272,19 @@ def test_values_longer_than_the_int_digit_limit_are_printed(capsys, fmt):
     assert all(text in out for text in expected)
 
 
+@pytest.mark.parametrize("command", ["table", "verify", "equivariant"])
+def test_class_digits_beyond_the_int_digit_limit_are_refused(capsys, command):
+    # --class is parsed under the interpreter's limit; only computing and
+    # printing run without it
+    limit = sys.get_int_max_str_digits()
+    huge = "1" + "0" * limit
+    level = ["--level", "1"] if command == "equivariant" else []
+    code, out, err = run(capsys, command, "--class", huge, *level)
+    assert (code, out) == (2, "")
+    assert "cannot parse class" in err
+    assert sys.get_int_max_str_digits() == limit
+
+
 @pytest.mark.parametrize("class_spec", ["1e20000", "2,1E3", "1.5e-2", "1e5/2"])
 def test_exponent_notation_is_refused(capsys, class_spec):
     code, out, err = run(capsys, "table", "--class", class_spec, "--max-degree", "12")

@@ -27,11 +27,17 @@ from hilbfock.localisation import (
     hook_coefficient,
     level_pairs,
     pair_coefficient,
-    tangent_weights,
     z_series_hookform,
     z_series_residue,
 )
-from hilbfock.partitions import c_prime_product, enumerate_partitions, hook_product
+from hilbfock.partitions import (
+    Partition,
+    c_prime_product,
+    enumerate_partitions,
+    hook_multiset,
+    hook_product,
+    weight_multiset,
+)
 from hilbfock.rings import DUALS, DualNumber
 from hilbfock.series import (
     Series1,
@@ -44,9 +50,20 @@ from hilbfock.series import (
 )
 from hilbfock.symfun import schur_two_vars
 
-from cell_oracle import hook
+from cell_oracle import cells, hook
 from exp_oracle import series_exp
 from fraction_kernels import in_x, in_y, scale_argument, series_log
+
+
+def tangent_weights(pair: FixedPointBasisVector, gamma: int) -> tuple[int, ...]:
+    """Tangent weights of the Hilbert scheme at the fixed point.
+
+    The component supported at the zero section's negative fixed point
+    contributes the weight multiset of lambda0 at (-1, -1); the other
+    fixed point contributes that of lambda1 at (gamma - 1, 1).
+    """
+    combined = weight_multiset(pair.lambda0, -1, -1) + weight_multiset(pair.lambda1, gamma - 1, 1)
+    return tuple(sorted(combined))
 
 
 def oracle_pair_coefficient(f: Series1, pair: FixedPointBasisVector, gamma: int):
@@ -68,7 +85,7 @@ def oracle_hook_from_even_part(F: Series1, pair: FixedPointBasisVector):
     truncated = F.truncate(n)
     numerator = Series1.one(n, F.ring)
     for partition in (pair.lambda0, pair.lambda1):
-        for cell in partition.cells():
+        for cell in cells(partition):
             numerator = numerator * scale_argument(truncated, hook(partition, cell))
     sign = -1 if pair.lambda0.size % 2 else 1
     denominator = hook_product(pair.lambda0) * hook_product(pair.lambda1)
@@ -129,6 +146,29 @@ def error_or_vector(compute):
         return compute()
     except ValueError as exc:
         return str(exc)
+
+
+# ------------------------------------------------------------- tangent weights
+
+
+def pair(parts0, parts1):
+    return FixedPointBasisVector(Partition(parts0), Partition(parts1))
+
+
+def test_tangent_weights_single_box():
+    assert tangent_weights(pair((1,), ()), 3) == (-1, 1)
+    assert tangent_weights(pair((), (1,)), 3) == (-1, 2)
+    assert tangent_weights(pair((), (1,)), 2) == (-1, 1)
+
+
+def test_tangent_weights_at_gamma_two_are_signed_hooks():
+    for n in range(5):
+        for fixture in level_pairs(n):
+            hooks = list(hook_multiset(fixture.lambda0)) + list(
+                hook_multiset(fixture.lambda1)
+            )
+            expected = tuple(sorted([-h for h in hooks] + hooks))
+            assert tangent_weights(fixture, 2) == expected
 
 
 # ------------------------------------------------------------- general twist

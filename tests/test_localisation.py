@@ -2,19 +2,18 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from cell_oracle import EMPTY
 from hilbfock.closedform import preset_class
 from hilbfock.localisation import (
-    EquivariantClassVector,
     FixedPointBasisVector,
     equivariant_class_coeffs,
     hook_coefficient,
     level_pairs,
     pair_coefficient,
-    tangent_weights,
     z_series_hookform,
     z_series_residue,
 )
-from hilbfock.partitions import EMPTY, Partition, hook_multiset
+from hilbfock.partitions import Partition, enumerate_partitions
 from hilbfock.series import InsufficientOrderError, Series1
 
 
@@ -52,32 +51,10 @@ def test_basis_vector_str_and_level():
     assert str(v) == "[(2,1), (1)]"
 
 
-def test_class_vector_lookup():
-    v = pair((1,), ())
-    vec = EquivariantClassVector(1, ((v, Fr(3)),))
-    assert vec.coefficient(v) == Fr(3)
-    assert vec.as_dict() == {v: Fr(3)}
-    with pytest.raises(KeyError):
-        vec.coefficient(pair((), (1,)))
-
-
-# ---------------------------------------------------------- tangent weights
-
-
-def test_tangent_weights_single_box():
-    assert tangent_weights(pair((1,), ()), 3) == (-1, 1)
-    assert tangent_weights(pair((), (1,)), 3) == (-1, 2)
-    assert tangent_weights(pair((), (1,)), 2) == (-1, 1)
-
-
-def test_tangent_weights_at_gamma_two_are_signed_hooks():
-    for n in range(5):
-        for fixture in level_pairs(n):
-            hooks = list(hook_multiset(fixture.lambda0)) + list(
-                hook_multiset(fixture.lambda1)
-            )
-            expected = tuple(sorted([-h for h in hooks] + hooks))
-            assert tangent_weights(fixture, 2) == expected
+def test_level_pairs_rejects_a_negative_level_as_enumerate_partitions_does():
+    for enumerate_level in (enumerate_partitions, level_pairs):
+        with pytest.raises(ValueError, match="cannot partition a negative integer"):
+            enumerate_level(-1)
 
 
 # ---------------------------------------------------------- single coefficients
@@ -103,18 +80,18 @@ def test_equivariant_vector_examples():
     vec = equivariant_class_coeffs(one_plus_x(2), 2, 1)
     assert [value for _, value in vec.entries] == [0, 0]
 
-    vec = equivariant_class_coeffs(one_plus_x(2), 3, 1)
-    assert vec.coefficient(pair((1,), ())) == 0
-    assert vec.coefficient(pair((), (1,))) == 1
+    vec = dict(equivariant_class_coeffs(one_plus_x(2), 3, 1).entries)
+    assert vec[pair((1,), ())] == 0
+    assert vec[pair((), (1,))] == 1
 
 
 def test_gamma_three_level_two_chern_values():
-    vec = equivariant_class_coeffs(one_plus_x(4), 3, 2)
-    assert vec.coefficient(pair((2,), ())) == Fr(-5, 2)
-    assert vec.coefficient(pair((1, 1), ())) == Fr(-5, 2)
-    assert vec.coefficient(pair((1,), (1,))) == 3
-    assert vec.coefficient(pair((), (2,))) == Fr(-7, 2)
-    assert vec.coefficient(pair((), (1, 1))) == Fr(-13, 3)
+    vec = dict(equivariant_class_coeffs(one_plus_x(4), 3, 2).entries)
+    assert vec[pair((2,), ())] == Fr(-5, 2)
+    assert vec[pair((1, 1), ())] == Fr(-5, 2)
+    assert vec[pair((1,), (1,))] == 3
+    assert vec[pair((), (2,))] == Fr(-7, 2)
+    assert vec[pair((), (1, 1))] == Fr(-13, 3)
 
 
 def test_coefficient_preconditions():

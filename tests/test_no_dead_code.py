@@ -1,13 +1,17 @@
-"""Every top-level function or class in the package has a caller.
+"""Every definition in the package has a caller.
 
-A public name counts as live when it is exported in ``hilbfock.__all__``
-or appears as a ``Name`` or ``Attribute`` somewhere in the package
-source outside its own definition; a private name only in the second
-way.  Code that only tests use belongs in ``tests/``, and a private
-helper that a refactor leaves without a caller fails here.
+The definitions are the top-level functions and classes, and the
+methods and properties (dunders aside) of the top-level classes.  A
+public top-level name counts as live when it is exported in
+``hilbfock.__all__`` or appears as a ``Name`` or ``Attribute`` somewhere
+in the package source outside its own definition; a private name, and
+every method, only in the second way.  Code that only tests use belongs
+in ``tests/``, and a helper that a refactor leaves without a caller
+fails here.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import hilbfock
@@ -15,45 +19,67 @@ import hilbfock
 SOURCE = Path(hilbfock.__file__).parent
 
 
+def _names(node) -> Counter:
+    """How often each name is referenced as a ``Name`` or ``Attribute`` under node."""
+    counts = Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            counts[child.id] += 1
+        elif isinstance(child, ast.Attribute):
+            counts[child.attr] += 1
+    return counts
+
+
 def _definitions_and_references():
-    """Top-level definitions, and each name referenced from outside them."""
+    """Each definition as (module:qualified name, name, is top-level,
+    is referenced from outside its own body)."""
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(SOURCE.glob("*.py"))
+    }
+    references = sum((_names(tree) for tree in trees.values()), Counter())
     definitions = []
-    references = set()
-    for path in sorted(SOURCE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for module, tree in trees.items():
         for top in tree.body:
-            owner = None
-            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("__"):
-                owner = top.name
-                definitions.append((path.name, owner))
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                else:
-                    continue
-                if name != owner:
-                    references.add(name)
-    return definitions, references
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            members = [(top, top.name, True)]
+            if isinstance(top, ast.ClassDef):
+                members += [
+                    (member, f"{top.name}.{member.name}", False)
+                    for member in top.body
+                    if isinstance(member, ast.FunctionDef)
+                ]
+            for node, qualified, top_level in members:
+                if not node.name.startswith("__"):
+                    called = references[node.name] > _names(node)[node.name]
+                    definitions.append((f"{module}:{qualified}", node.name, top_level, called))
+    return definitions
 
 
 def test_every_public_definition_is_exported_or_called():
-    definitions, references = _definitions_and_references()
     exported = set(hilbfock.__all__)
     dead = [
-        f"{module}:{name}"
-        for module, name in definitions
-        if not name.startswith("_") and name not in exported and name not in references
+        label
+        for label, name, top_level, called in _definitions_and_references()
+        if top_level and not name.startswith("_") and name not in exported and not called
     ]
     assert dead == []
 
 
 def test_every_private_definition_is_called():
-    definitions, references = _definitions_and_references()
     dead = [
-        f"{module}:{name}"
-        for module, name in definitions
-        if name.startswith("_") and name not in references
+        label
+        for label, name, top_level, called in _definitions_and_references()
+        if top_level and name.startswith("_") and not called
+    ]
+    assert dead == []
+
+
+def test_every_method_and_property_is_called():
+    dead = [
+        label
+        for label, name, top_level, called in _definitions_and_references()
+        if not top_level and not called
     ]
     assert dead == []

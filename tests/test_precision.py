@@ -11,6 +11,7 @@ import pytest
 from hilbfock.closedform import (
     a_k_table,
     a_kl_table,
+    chern_character_tables,
     preset_class,
     small_g,
     tangent_tables,
@@ -26,7 +27,7 @@ from hilbfock.localisation import (
     z_series_residue,
 )
 from hilbfock.partitions import Partition
-from hilbfock.series import InsufficientOrderError
+from hilbfock.series import InsufficientOrderError, SeriesError
 from hilbfock.verification import verify_multiplicative
 
 N = 5
@@ -67,3 +68,25 @@ def test_the_documented_order_suffices(call, need):
 def test_a_negative_level_is_a_value_error():
     with pytest.raises(ValueError):
         equivariant_class_coeffs(preset_class("todd", 4).f, 2, -1)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [a_kl_table(preset_class("todd", 7).f, 6), chern_character_tables(6)[1]],
+    ids=["a_kl_table", "chern_character_tables"],
+)
+def test_a_table_entry_beyond_its_degree_is_refused(table):
+    assert table.value(5, 1) == table.value(1, 5)
+    for k, l in ((5, 5), (6, 1), (1, 6)):
+        with pytest.raises(InsufficientOrderError, match="insufficient precision"):
+            table.value(k, l)
+    for k, l in ((0, 1), (3, 0), (2, -1)):
+        with pytest.raises(ValueError, match="bad table index"):
+            table.value(k, l)
+
+
+def test_a_negative_total_degree_is_refused():
+    z = z_closed(preset_class("todd", 5).f, 4)
+    assert z.homogeneous(0) == (1,)
+    with pytest.raises(SeriesError, match="exponents must be non-negative"):
+        z.homogeneous(-1)

@@ -1,6 +1,7 @@
 from fractions import Fraction as Fr
 
-from hilbfock.partitions import EMPTY, Partition, enumerate_partitions
+from cell_oracle import EMPTY
+from hilbfock.partitions import Partition, enumerate_partitions
 from hilbfock.series import Series2, divide_by_x_minus_y
 from hilbfock.symfun import schur_two_vars
 
