@@ -43,7 +43,7 @@ from .verification import verify_chern_character, verify_multiplicative
 
 MAX_TABLE_DEGREE = 104
 MAX_VERIFY_ORDER = 21
-MAX_EQUIVARIANT_LEVEL = 17
+MAX_EQUIVARIANT_LEVEL = 18
 DEFAULT_EQUIVARIANT_BOUND = 10
 
 
@@ -60,20 +60,11 @@ class ClassSpec(Frozen):
 
     Either one of the named presets (``preset`` is set) or an explicit
     coefficient list c1, c2, ... defining f = 1 + c1 x + c2 x^2 + ...
-    (``coefficients`` is set).  ``label`` is what the user typed.
+    (``coefficients`` is set); the other field is None.  ``label`` is
+    what the user typed.
     """
 
     __slots__ = ("label", "preset", "coefficients")
-
-    def __init__(
-        self,
-        label: str,
-        preset: str | None = None,
-        coefficients: tuple[Fraction, ...] | None = None,
-    ) -> None:
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "preset", preset)
-        object.__setattr__(self, "coefficients", coefficients)
 
     @property
     def is_chern_character(self) -> bool:
@@ -83,7 +74,7 @@ class ClassSpec(Frozen):
 def parse_class_spec(text: str) -> ClassSpec:
     cleaned = text.strip()
     if cleaned in PRESET_NAMES or cleaned == "chern-character":
-        return ClassSpec(cleaned, preset=cleaned)
+        return ClassSpec(cleaned, cleaned, None)
     parts = [piece.strip() for piece in cleaned.split(",")]
     if not cleaned or any(piece == "" for piece in parts):
         raise UsageError(
@@ -106,7 +97,7 @@ def parse_class_spec(text: str) -> ClassSpec:
             raise UsageError(f"cannot parse class {text!r}: {exc}") from None
         except ZeroDivisionError:
             raise UsageError(f"cannot parse class {text!r}: the denominator of {piece!r} is zero") from None
-    return ClassSpec(cleaned, coefficients=tuple(coefficients))
+    return ClassSpec(cleaned, None, tuple(coefficients))
 
 
 def class_series(spec: ClassSpec, order: int) -> Series1:
@@ -179,42 +170,27 @@ def _table_csv(a_k: dict[int, Fraction], table: CoeffTable, max_degree: int) -> 
     return _csv_text(["k", "l", "value"], [[k, l, str(value)] for k, l, value in rows])
 
 
-def _aligned_rows(header: list[str], values: list[str], names: tuple[str, str]) -> str:
-    widths = [max(len(h), len(v)) for h, v in zip(header, values)]
+def _aligned_rows(columns: list[tuple[str, str]], names: tuple[str, str]) -> str:
+    """Two lines, headed by the two names, with each (index, value)
+    column right-aligned."""
+    widths = [max(len(index), len(value)) for index, value in columns]
     label_width = max(len(names[0]), len(names[1]))
-    top = names[0].ljust(label_width) + "  " + "  ".join(
-        h.rjust(w) for h, w in zip(header, widths)
-    )
-    bottom = names[1].ljust(label_width) + "  " + "  ".join(
-        v.rjust(w) for v, w in zip(values, widths)
-    )
-    return top + "\n" + bottom + "\n"
+    lines = []
+    for name, cells in zip(names, zip(*columns)):
+        padded = (cell.rjust(w) for cell, w in zip(cells, widths))
+        lines.append(name.ljust(label_width) + "  " + "  ".join(padded) + "\n")
+    return "".join(lines)
 
 
 def _table_pretty(label: str, max_degree: int, a_k: dict[int, Fraction], table: CoeffTable) -> str:
     lines = [f"class {label}, table kind {table.kind}, total degree <= {max_degree}", ""]
-    kept_k = [k for k in range(1, max_degree + 1) if a_k[k] != 0]
-    if kept_k:
-        lines.append(
-            _aligned_rows(
-                [str(k) for k in kept_k],
-                [str(a_k[k]) for k in kept_k],
-                ("k", "a_k"),
-            )
-        )
-    else:
-        lines.append("a_k: all zero\n")
-    kept_kl = [(k, l) for k, l in _ordered_pairs(table) if table.entries[(k, l)] != 0]
-    if kept_kl:
-        lines.append(
-            _aligned_rows(
-                [f"({k},{l})" for k, l in kept_kl],
-                [str(table.entries[(k, l)]) for k, l in kept_kl],
-                ("(k,l)", "a_kl"),
-            )
-        )
-    else:
-        lines.append("a_kl: all zero\n")
+    blocks = (
+        (("k", "a_k"), [(str(k), a_k[k]) for k in range(1, max_degree + 1)]),
+        (("(k,l)", "a_kl"), [(f"({k},{l})", table.entries[k, l]) for k, l in _ordered_pairs(table)]),
+    )
+    for names, cells in blocks:
+        kept = [(index, str(value)) for index, value in cells if value != 0]
+        lines.append(_aligned_rows(kept, names) if kept else f"{names[1]}: all zero\n")
     lines.append("zero entries suppressed; use --format json or csv for the dense table\n")
     return "\n".join(lines)
 

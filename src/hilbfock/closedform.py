@@ -84,8 +84,7 @@ class MultiplicativeClass(Frozen):
 
     def __init__(self, name: str, f: Series1) -> None:
         check_class_series(f)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "f", f)
+        super().__init__(name, f)
 
 
 class CoeffTable(Frozen):
@@ -113,9 +112,7 @@ class CoeffTable(Frozen):
                 raise ValueError(
                     f"entry {(k, l)} of odd total degree must vanish in a {kind} table"
                 )
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "max_degree", max_degree)
-        object.__setattr__(self, "entries", entries)
+        super().__init__(kind, max_degree, entries)
 
     def value(self, k: int, l: int) -> Fraction | DualNumber:
         """Symmetric lookup: value(k, l) == value(l, k).  An index below 1

@@ -14,9 +14,12 @@ A fixed point contributes the degree-n coefficient in u of the product
 of f(w u) over its 2n tangent weights w.  With L = log f that product
 is exp(sum over k of L_k p_k(W) u^k), where p_k(W) is the k-th power
 sum of the weights (Hirzebruch's description of a multiplicative
-genus).  So the logarithm is taken once per class and level, the power
-sums are computed once per diagram and level (they add over the two
-partitions of a pair), and each pair costs one O(n^2) exponential.
+genus).  The weights of a pair are those of its two diagrams, so the
+power sums add and the exponential of the pair is the product of the
+two diagrams' exponentials.  So the logarithm is taken once per class
+and level, the power sums are computed once per diagram and level, each
+diagram at each fixed point costs one O(n^2) exponential, and each pair
+one O(n) convolution of its two diagrams' rows, ``_pair_value``.
 
 The logarithm and the exponentials run on integers.  The log comes
 from the package's one log recurrence, ``series.log_numerators``.  With
@@ -32,11 +35,9 @@ parts.
 
 The hook form uses F(u) = f(u) f(-u), whose log is twice the even part
 of log f, and the power sums of the hook lengths; when it sums Z it
-goes one step further, since the exponential of a pair's power sums is
-the product of the two partitions' exponentials: one O(N^2) exponential
-per two-row partition, summed with its Schur polynomial by size as an
-integer row, and one convolution of those sums per level, with no loop
-over pairs.
+goes one step further: each two-row partition's row is summed with its
+Schur polynomial by size as an integer row, and one convolution of
+those sums per level replaces the loop over pairs.
 
 Two independent constructions of Z are provided: the direct fixed-point
 sum (``z_series_hookform``) and a coefficient-extraction route through
@@ -87,10 +88,6 @@ class FixedPointBasisVector(Frozen):
 
     __slots__ = ("lambda0", "lambda1")
 
-    def __init__(self, lambda0: Partition, lambda1: Partition) -> None:
-        object.__setattr__(self, "lambda0", lambda0)
-        object.__setattr__(self, "lambda1", lambda1)
-
     @property
     def level(self) -> int:
         return self.lambda0.size + self.lambda1.size
@@ -102,17 +99,11 @@ class FixedPointBasisVector(Frozen):
 class EquivariantClassVector(Frozen):
     """A class at level n expanded over the fixed-point basis.
 
-    ``entries`` keeps the deterministic enumeration order of
-    ``level_pairs``.
+    ``entries`` is a tuple of (pair, value), in the deterministic
+    enumeration order of ``level_pairs``.
     """
 
     __slots__ = ("n", "entries")
-
-    def __init__(
-        self, n: int, entries: tuple[tuple[FixedPointBasisVector, Fraction], ...]
-    ) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", entries)
 
 
 def level_pairs(n: int) -> tuple[FixedPointBasisVector, ...]:
@@ -195,23 +186,6 @@ def _power_sum_exp(w: Sequence, sums: Sequence[int], n: int) -> list:
     return e
 
 
-def _product_coefficient(
-    ring, scaled_log, sums0: Sequence[int], sums1: Sequence[int], n: int, denominator: int
-):
-    """[u^n] of the product of f(w u) over two multisets, divided by ``denominator``.
-
-    The multisets enter through their power sums: the product is
-    exp(sum over k of L_k (p_k + q_k) u^k) with L = log f, and
-    ``scaled_log`` is the pair (c, w) of ``_class_log``.  One ring
-    element is formed, at the end.
-    """
-    c, w = scaled_log
-    sums = [a + b for a, b in zip(sums0, sums1)]
-    e = _power_sum_exp(w, sums, n)[n]
-    scale = denominator * factorial(n) * c**n
-    return ring.join((e if scale > 0 else -e,), abs(scale))[0]
-
-
 @cache
 def _fixed_point_data(partition: Partition, alpha, beta, n: int) -> tuple[tuple[int, ...], int]:
     """Weight power sums up to degree n and primed cell product of one
@@ -220,15 +194,33 @@ def _fixed_point_data(partition: Partition, alpha, beta, n: int) -> tuple[tuple[
     return tuple(sums), c_prime_product(partition, alpha, beta)
 
 
-def _pair_value(ring, scaled_log, pair: FixedPointBasisVector, gamma: int, data0, data1):
-    sums0, c0 = data0
-    sums1, c1 = data1
-    denominator = c0 * c1
+def _diagram_row(w: Sequence, n: int, data: tuple) -> tuple[list, int]:
+    """(power sums, factor) of one diagram to (``_power_sum_exp`` row, factor)."""
+    sums, factor = data
+    return _power_sum_exp(w, sums, n), factor
+
+
+def _pair_value(ring, c: int, pair: FixedPointBasisVector, gamma: int, row0, row1):
+    """[u^n] of the product of the two diagrams' exponentials, divided by
+    the product of their factors, for a pair at level n.
+
+    Each row is a pair (e, d) of ``_diagram_row``, with E_i = e_i / (i! c^i),
+    so [u^n] E0 E1 = sum over i of C(n, i) e0_i e1_(n-i) / (n! c^n): an
+    O(n) sum and one ring element, formed at the end.  A zero product of
+    factors is a degenerate twist: ValueError, naming the pair.
+    """
+    (e0, d0), (e1, d1) = row0, row1
+    denominator = d0 * d1
     if denominator == 0:
-        raise ValueError(
-            f"degenerate fixed-point denominator for {pair} at gamma={gamma}"
-        )
-    return _product_coefficient(ring, scaled_log, sums0, sums1, pair.level, denominator)
+        raise ValueError(f"degenerate fixed-point denominator for {pair} at gamma={gamma}")
+    n = pair.level
+    total = 0
+    for i in range(n + 1):
+        a, b = e0[i], e1[n - i]
+        if a and b:
+            total += comb(n, i) * a * b
+    scale = denominator * factorial(n) * c**n
+    return ring.join((total if scale > 0 else -total,), abs(scale))[0]
 
 
 def pair_coefficient(f: Series1, pair: FixedPointBasisVector, gamma: int) -> Fraction:
@@ -241,32 +233,24 @@ def pair_coefficient(f: Series1, pair: FixedPointBasisVector, gamma: int) -> Fra
     constant term 1 and be known to degree n.
     """
     n = pair.level
-    return _pair_value(
-        f.ring,
-        _class_log(f, n),
-        pair,
-        gamma,
-        _fixed_point_data(pair.lambda0, -1, -1, n),
-        _fixed_point_data(pair.lambda1, gamma - 1, 1, n),
-    )
+    c, w = _class_log(f, n)
+    row0 = _diagram_row(w, n, _fixed_point_data(pair.lambda0, -1, -1, n))
+    row1 = _diagram_row(w, n, _fixed_point_data(pair.lambda1, gamma - 1, 1, n))
+    return _pair_value(f.ring, c, pair, gamma, row0, row1)
 
 
 def equivariant_class_coeffs(f: Series1, gamma: int, n: int) -> EquivariantClassVector:
     """Expand the level-n equivariant class over the fixed-point basis.
 
-    The class series must be known to degree n.
+    Each diagram's row is built once, at each fixed point.  The class
+    series must be known to degree n.
     """
-    scaled_log = _class_log(f, n)
+    c, w = _class_log(f, n)
     partitions = [p for size in range(n + 1) for p in enumerate_partitions(size)]
-    at_zero = {p: _fixed_point_data(p, -1, -1, n) for p in partitions}
-    at_infinity = {p: _fixed_point_data(p, gamma - 1, 1, n) for p in partitions}
+    at_zero = {p: _diagram_row(w, n, _fixed_point_data(p, -1, -1, n)) for p in partitions}
+    at_infinity = {p: _diagram_row(w, n, _fixed_point_data(p, gamma - 1, 1, n)) for p in partitions}
     entries = tuple(
-        (
-            pair,
-            _pair_value(
-                f.ring, scaled_log, pair, gamma, at_zero[pair.lambda0], at_infinity[pair.lambda1]
-            ),
-        )
+        (pair, _pair_value(f.ring, c, pair, gamma, at_zero[pair.lambda0], at_infinity[pair.lambda1]))
         for pair in level_pairs(n)
     )
     return EquivariantClassVector(n, entries)
@@ -291,10 +275,10 @@ def hook_coefficient(f: Series1, pair: FixedPointBasisVector) -> Fraction:
     """
     n = pair.level
     c, w = _class_log(f, n)
-    sums0, h0 = _hook_data(pair.lambda0, n)
-    sums1, h1 = _hook_data(pair.lambda1, n)
-    sign = -1 if pair.lambda0.size % 2 else 1
-    return _product_coefficient(f.ring, (c, _even_doubled(w)), sums0, sums1, n, sign * h0 * h1)
+    w = _even_doubled(w)
+    e0, h0 = _diagram_row(w, n, _hook_data(pair.lambda0, n))
+    row0 = (e0, -h0 if pair.lambda0.size % 2 else h0)
+    return _pair_value(f.ring, c, pair, 2, row0, _diagram_row(w, n, _hook_data(pair.lambda1, n)))
 
 
 def z_series_hookform(f: Series1, N: int) -> Series2:

@@ -29,17 +29,32 @@ def to_fraction(value: Any) -> Fraction:
 class Frozen:
     """Base of the package's immutable value types.
 
-    A subclass lists its fields in ``__slots__``, in constructor order,
-    and sets them in ``__init__`` through ``object.__setattr__``.  The
-    base supplies field-wise equality (only within one class), a hash
-    over the fields, a ``Name(field=value, ...)`` repr, immutability,
-    and a ``__reduce__`` that rebuilds through the constructor, which is
-    what ``copy`` and ``pickle`` use.  It stands in for frozen
-    dataclasses, whose machinery costs about 10 ms of start-up in every
-    CLI process.
+    A subclass lists its fields in ``__slots__``, in constructor order.
+    The base supplies the constructor, which takes every field,
+    positionally or by name, and sets them in order; a subclass writes
+    its own ``__init__`` only to check or coerce its arguments, and then
+    calls this one.  The base also supplies field-wise equality (only
+    within one class), a hash over the fields, a ``Name(field=value,
+    ...)`` repr, immutability, and a ``__reduce__`` that rebuilds
+    through the constructor, which is what ``copy`` and ``pickle`` use.
+    It stands in for frozen dataclasses, whose machinery costs about
+    10 ms of start-up in every CLI process.
     """
 
     __slots__ = ()
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        names = self.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__qualname__} takes {len(names)} fields, got {len(args)}")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        for name in names[len(args):]:
+            if name not in kwargs:
+                raise TypeError(f"{type(self).__qualname__} is missing the field {name!r}")
+            object.__setattr__(self, name, kwargs.pop(name))
+        if kwargs:
+            raise TypeError(f"{type(self).__qualname__} got an unknown or repeated field {sorted(kwargs)[0]!r}")
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -196,26 +211,6 @@ class Ring(Frozen):
     """
 
     __slots__ = ("name", "zero", "one", "coerce", "is_unit", "split", "cancel", "join")
-
-    def __init__(
-        self,
-        name: str,
-        zero: Any,
-        one: Any,
-        coerce: Callable[[Any], Any],
-        is_unit: Callable[[Any], bool],
-        split: Callable[[Sequence], tuple[list, int]],
-        cancel: Callable[[Sequence, int], tuple[list, int]],
-        join: Callable[[Sequence, int], tuple],
-    ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "zero", zero)
-        object.__setattr__(self, "one", one)
-        object.__setattr__(self, "coerce", coerce)
-        object.__setattr__(self, "is_unit", is_unit)
-        object.__setattr__(self, "split", split)
-        object.__setattr__(self, "cancel", cancel)
-        object.__setattr__(self, "join", join)
 
     def __repr__(self) -> str:
         return self.name

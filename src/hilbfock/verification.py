@@ -65,12 +65,6 @@ KNOWN_UNIVERSAL_VALUES: dict[str, dict[tuple[int, int], Fraction]] = {
 class CheckResult(Frozen):
     __slots__ = ("name", "passed", "detail", "seconds")
 
-    def __init__(self, name: str, passed: bool, detail: str, seconds: float) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
-        object.__setattr__(self, "seconds", seconds)
-
 
 def _run(name: str, check: Callable[[], str]) -> CheckResult:
     """Time one check; the check returns an empty string on success."""

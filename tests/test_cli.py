@@ -491,7 +491,14 @@ def test_equivariant_level_budget(capsys):
     assert "raise --bound" in err
 
     code, _, err = run(
-        capsys, "equivariant", "--class", "todd", "--level", "12", "--bound", "20"
+        capsys,
+        "equivariant",
+        "--class",
+        "todd",
+        "--level",
+        "12",
+        "--bound",
+        str(cli.MAX_EQUIVARIANT_LEVEL + 1),
     )
     assert code == 3
     assert "hard limit" in err

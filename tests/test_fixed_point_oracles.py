@@ -330,6 +330,92 @@ def test_integer_recurrence_over_dual_numbers():
     assert DUALS.join(localisation._power_sum_exp(w, [], 0), c) == (DUALS.one,)
 
 
+# ------------------------------------------------------------- per-pair exponentials
+
+
+def per_pair_value(ring, scaled_log, sums0, sums1, n: int, denominator: int):
+    """[u^n] of the product over a pair's weights, taken the direct way:
+    add the two diagrams' power sums, then one exponential per pair."""
+    c, w = scaled_log
+    sums = [a + b for a, b in zip(sums0, sums1)]
+    e = localisation._power_sum_exp(w, sums, n)[n]
+    scale = denominator * factorial(n) * c**n
+    return ring.join((e if scale > 0 else -e,), abs(scale))[0]
+
+
+def per_pair_coefficient(f: Series1, pair: FixedPointBasisVector, gamma: int):
+    n = pair.level
+    sums0, c0 = localisation._fixed_point_data(pair.lambda0, -1, -1, n)
+    sums1, c1 = localisation._fixed_point_data(pair.lambda1, gamma - 1, 1, n)
+    if c0 * c1 == 0:
+        raise ValueError(f"degenerate fixed-point denominator for {pair} at gamma={gamma}")
+    return per_pair_value(f.ring, localisation._class_log(f, n), sums0, sums1, n, c0 * c1)
+
+
+def per_pair_hook_coefficient(f: Series1, pair: FixedPointBasisVector):
+    n = pair.level
+    c, w = localisation._class_log(f, n)
+    sums0, h0 = localisation._hook_data(pair.lambda0, n)
+    sums1, h1 = localisation._hook_data(pair.lambda1, n)
+    sign = -1 if pair.lambda0.size % 2 else 1
+    scaled_log = (c, localisation._even_doubled(w))
+    return per_pair_value(f.ring, scaled_log, sums0, sums1, n, sign * h0 * h1)
+
+
+def assert_matches_per_pair_path(f: Series1, gamma: int, n: int) -> None:
+    expected = [(p, per_pair_coefficient(f, p, gamma)) for p in level_pairs(n)]
+    assert list(equivariant_class_coeffs(f, gamma, n).entries) == expected
+    for fixture, value in expected:
+        assert pair_coefficient(f, fixture, gamma) == value
+        assert hook_coefficient(f, fixture) == per_pair_hook_coefficient(f, fixture)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_presets_match_the_per_pair_path_through_level_seven(name):
+    f = preset_class(name, 7).f
+    for gamma in range(1, 6):
+        for n in range(8):
+            assert_matches_per_pair_path(f, gamma, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    tail=st.lists(class_coefficients, min_size=1, max_size=6),
+    gamma=st.integers(min_value=1, max_value=5),
+    n=st.integers(min_value=0, max_value=6),
+)
+def test_random_classes_match_the_per_pair_path(tail, gamma, n):
+    f = Series1.from_coefficients((Fr(1), *tail), max(n, 1))
+    assert_matches_per_pair_path(f, gamma, n)
+
+
+def test_dual_number_class_matches_the_per_pair_path():
+    eps = DualNumber(Fr(0), Fr(1))
+    f = Series1.from_coefficients(
+        (DualNumber(Fr(1)), Fr(1, 2) + eps, -3 * eps, DualNumber(Fr(-2, 3)), 0, eps, Fr(5, 7)),
+        ring=DUALS,
+    )
+    for gamma in (1, 2, 3, 5):
+        for n in range(7):
+            assert_matches_per_pair_path(f, gamma, n)
+
+
+def test_equivariant_vector_takes_one_exponential_per_diagram_and_fixed_point(monkeypatch):
+    # one per pair would be 185 at level 8
+    calls = []
+    power_sum_exp = localisation._power_sum_exp
+
+    def counting_exp(w, sums, n):
+        calls.append(sums)
+        return power_sum_exp(w, sums, n)
+
+    monkeypatch.setattr(localisation, "_power_sum_exp", counting_exp)
+    equivariant_class_coeffs(preset_class("todd", 8).f, 3, 8)
+    diagrams = sum(len(enumerate_partitions(size)) for size in range(9))
+    assert len(calls) == 2 * diagrams == 134
+    assert len(level_pairs(8)) == 185
+
+
 def _odd_part(w):
     return [w[0]] + [0 * w_k if k % 2 == 0 else 2 * w_k for k, w_k in enumerate(w) if k]
 

@@ -4,10 +4,13 @@ The definitions are the top-level functions and classes, and the
 methods and properties (dunders aside) of the top-level classes.  A
 public top-level name counts as live when it is exported in
 ``hilbfock.__all__`` or appears as a ``Name`` or ``Attribute`` somewhere
-in the package source outside its own definition; a private name, and
-every method, only in the second way.  Code that only tests use belongs
-in ``tests/``, and a helper that a refactor leaves without a caller
-fails here.
+in the package source outside its own definition; a private name only
+in the second way.  A method or property is reached through an
+attribute, so it counts as live only when its name appears as an
+``Attribute`` outside its own definition: a parameter or local variable
+of the same name does not keep it alive.  Code that only tests use
+belongs in ``tests/``, and a helper that a refactor leaves without a
+caller fails here.
 """
 
 import ast
@@ -18,15 +21,22 @@ import hilbfock
 
 SOURCE = Path(hilbfock.__file__).parent
 
+# Public methods kept with no caller in the package: the coefficient
+# accessors of the series, which raise InsufficientOrderError for a
+# degree beyond the truncation order instead of returning a silent
+# zero.  The README promises them to library users.
+KEPT_FOR_LIBRARY_USE = ("series.py:Series1.coefficient", "series.py:Series2.coefficient")
 
-def _names(node) -> Counter:
-    """How often each name is referenced as a ``Name`` or ``Attribute`` under node."""
+
+def _names(node, attributes_only: bool) -> Counter:
+    """How often each name is referenced under node as an ``Attribute``,
+    or also as a ``Name``."""
     counts = Counter()
     for child in ast.walk(node):
-        if isinstance(child, ast.Name):
-            counts[child.id] += 1
-        elif isinstance(child, ast.Attribute):
+        if isinstance(child, ast.Attribute):
             counts[child.attr] += 1
+        elif isinstance(child, ast.Name) and not attributes_only:
+            counts[child.id] += 1
     return counts
 
 
@@ -37,7 +47,10 @@ def _definitions_and_references():
         path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for path in sorted(SOURCE.glob("*.py"))
     }
-    references = sum((_names(tree) for tree in trees.values()), Counter())
+    references = {
+        attributes_only: sum((_names(tree, attributes_only) for tree in trees.values()), Counter())
+        for attributes_only in (False, True)
+    }
     definitions = []
     for module, tree in trees.items():
         for top in tree.body:
@@ -52,7 +65,9 @@ def _definitions_and_references():
                 ]
             for node, qualified, top_level in members:
                 if not node.name.startswith("__"):
-                    called = references[node.name] > _names(node)[node.name]
+                    # a method is reached through an attribute
+                    only = not top_level
+                    called = references[only][node.name] > _names(node, only)[node.name]
                     definitions.append((f"{module}:{qualified}", node.name, top_level, called))
     return definitions
 
@@ -80,6 +95,11 @@ def test_every_method_and_property_is_called():
     dead = [
         label
         for label, name, top_level, called in _definitions_and_references()
-        if not top_level and not called
+        if not top_level and not called and label not in KEPT_FOR_LIBRARY_USE
     ]
     assert dead == []
+
+
+def test_methods_kept_for_library_use_exist_and_have_no_caller():
+    uncalled = {label for label, _, _, called in _definitions_and_references() if not called}
+    assert set(KEPT_FOR_LIBRARY_USE) <= uncalled

@@ -1,0 +1,59 @@
+"""Every job of the benchmark's universe prints what the benchmark's
+reference recorded.
+
+``perfbench/workloads.py`` lists the finite universe of CLI jobs that
+the benchmark can draw, and ``perfbench/reference.json`` holds the
+digest of each job's output (``perfbench/jobrun.py`` ``digest``: the
+output with ``verify``'s wall times dropped, hashed).  A change that
+keeps every output byte for byte passes here.  The jobs run in process
+through ``cli.main``; the perfbench files are read and never written.
+"""
+
+import contextlib
+import importlib.util
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from hilbfock import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
+
+
+def _load(name: str):
+    """A perfbench module, under a name of its own."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+jobrun = _load("jobrun")
+workloads = _load("workloads")
+
+
+def test_the_universe_has_847_jobs_each_with_a_reference():
+    sizes = {workload: len(workloads.universe(workload)) for workload in workloads.WORKLOADS}
+    assert sizes == {"closedform-tables": 396, "fixedpoint-vectors": 360, "verify-battery": 91}
+    for workload in workloads.WORKLOADS:
+        keys = {jobrun.job_key(argv) for argv in workloads.universe(workload)}
+        assert keys == set(REFERENCE[workload])
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_every_universe_job_prints_its_reference_output(workload):
+    reference = REFERENCE[workload]
+    differing = []
+    for argv in workloads.universe(workload):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(list(argv))
+        key = jobrun.job_key(argv)
+        if code != 0 or jobrun.digest(out.getvalue()) != reference[key]:
+            differing.append((key, code))
+    assert differing == []

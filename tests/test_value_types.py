@@ -13,11 +13,13 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from hilbfock.closedform import KIND_THEOREM, CoeffTable, preset_class
+from hilbfock.cli import ClassSpec
+from hilbfock.closedform import KIND_THEOREM, CoeffTable, MultiplicativeClass, preset_class
 from hilbfock.localisation import FixedPointBasisVector
 from hilbfock.partitions import Partition
 from hilbfock.rings import DUALS, QQ, DualNumber
 from hilbfock.series import Series1, Series2, log_numerators
+from hilbfock.verification import CheckResult
 
 # name: (build one value, a field to assign, hashable, picklable, repr)
 CASES = {
@@ -105,3 +107,42 @@ def test_deep_copied_series_keeps_the_integer_log():
     weights, denominator = log_numerators(todd, 8)
     assert denominator > 1
     assert log_numerators(copy.deepcopy(todd), 8) == (weights, denominator)
+
+
+def test_frozen_constructor_takes_every_field_by_position_or_name():
+    spec = ClassSpec("todd", preset="todd", coefficients=None)
+    assert spec == ClassSpec("todd", "todd", None)
+    assert (spec.label, spec.preset, spec.coefficients) == ("todd", "todd", None)
+    assert CheckResult(name="parity", passed=True, detail="", seconds=0.5).seconds == 0.5
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: FixedPointBasisVector(Partition((1,))), "missing the field 'lambda1'"),
+        (lambda: FixedPointBasisVector(lambda0=Partition()), "missing the field 'lambda1'"),
+        (lambda: ClassSpec("todd", "todd"), "missing the field 'coefficients'"),
+        (lambda: CheckResult("parity", True, "", 0.5, 1), "takes 4 fields, got 5"),
+        (
+            lambda: FixedPointBasisVector(Partition(), Partition(), level=0),
+            "unknown or repeated field 'level'",
+        ),
+        (
+            lambda: FixedPointBasisVector(Partition(), Partition(), lambda0=Partition()),
+            "unknown or repeated field 'lambda0'",
+        ),
+    ],
+)
+def test_frozen_constructor_refuses_a_missing_or_unknown_field(build, message):
+    with pytest.raises(TypeError, match=message):
+        build()
+
+
+def test_checking_constructors_check_then_set_every_field():
+    with pytest.raises(ValueError, match="unknown coefficient table kind"):
+        CoeffTable("no-such-kind", 2, {})
+    with pytest.raises(ValueError, match="constant term 1"):
+        MultiplicativeClass("twice", Series1.from_coefficients((2, 1)))
+    todd = preset_class("todd", 4)
+    assert (todd.name, todd.f) == ("todd", MultiplicativeClass("todd", todd.f).f)
+    assert CoeffTable(KIND_THEOREM, 2, {}).max_degree == 2
