@@ -17,9 +17,9 @@ sum of the weights (Hirzebruch's description of a multiplicative
 genus).  The weights of a pair are those of its two diagrams, so the
 power sums add and the exponential of the pair is the product of the
 two diagrams' exponentials.  So the logarithm is taken once per class
-and level, the power sums are computed once per diagram and level, each
-diagram at each fixed point costs one O(n^2) exponential, and each pair
-one O(n) convolution of its two diagrams' rows, ``_pair_value``.
+and level, each diagram at each fixed point costs one O(n^2)
+exponential, and each pair one O(n) convolution of its two diagrams'
+rows, ``_pair_value``.
 
 The logarithm and the exponentials run on integers.  The log comes
 from the package's one log recurrence, ``series.log_numerators``.  With
@@ -34,10 +34,12 @@ integer pairs a + b eps over the lcm c of the denominators of both
 parts.
 
 The hook form uses F(u) = f(u) f(-u), whose log is twice the even part
-of log f, and the power sums of the hook lengths; when it sums Z it
-goes one step further: each two-row partition's row is summed with its
-Schur polynomial by size as an integer row, and one convolution of
-those sums per level replaces the loop over pairs.
+of log f, and the power sums of the hook lengths.  ``hook_coefficient``
+takes one exponential of all of a pair's hooks, so it shares no
+convolution with ``pair_coefficient``, which it is checked against.
+``z_series_hookform`` sums each two-row partition's row with its Schur
+polynomial by size as an integer row, and one convolution of those
+sums per level replaces the loop over pairs.
 
 Two independent constructions of Z are provided: the direct fixed-point
 sum (``z_series_hookform``) and a coefficient-extraction route through
@@ -56,7 +58,6 @@ states first, so ``truncate`` is the precision check.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from math import comb, factorial
 from typing import Sequence
 
@@ -122,17 +123,6 @@ def level_pairs(n: int) -> tuple[FixedPointBasisVector, ...]:
     return tuple(pairs)
 
 
-def _power_sums(values: Sequence[int], n: int) -> list[int]:
-    """The power sums p_1, ..., p_n of a multiset of integers."""
-    sums = [0] * n
-    for v in values:
-        power = 1
-        for k in range(n):
-            power *= v
-            sums[k] += power
-    return sums
-
-
 _last_log: list = [None, -1, None]
 
 
@@ -167,15 +157,22 @@ def _even_doubled(w: Sequence) -> list:
     return [w[0]] + [2 * w_k if k % 2 == 0 else 0 * w_k for k, w_k in enumerate(w) if k]
 
 
-def _power_sum_exp(w: Sequence, sums: Sequence[int], n: int) -> list:
+def _power_sum_exp(w: Sequence, values: Sequence[int], n: int) -> list:
     """e_0, ..., e_n with e_m / (m! c^m) = [u^m] exp(sum over k of L_k s_k u^k).
 
-    L = log f, s_k = sums[k - 1], and (c, w) come from ``_class_log``.
-    With u scaled by c, m E_m = sum over k of w_k s_k E_(m-k); times
-    (m - 1)! that is e_m = sum over k of w_k s_k e_(m-k) (m-1)!/(m-k)!,
-    summed by Horner's rule in m - k, so no step divides.
+    L = log f, s_k is the k-th power sum of the multiset ``values``, and
+    (c, w) come from ``_class_log``.  With u scaled by c,
+    m E_m = sum over k of w_k s_k E_(m-k); times (m - 1)! that is
+    e_m = sum over k of w_k s_k e_(m-k) (m-1)!/(m-k)!, summed by
+    Horner's rule in m - k, so no step divides.
     """
-    weighted = [w[0]] + [w[k] * sums[k - 1] for k in range(1, n + 1)]
+    sums = [0] * (n + 1)
+    for v in values:
+        power = 1
+        for k in range(1, n + 1):
+            power *= v
+            sums[k] += power
+    weighted = [w[0]] + [w[k] * sums[k] for k in range(1, n + 1)]
     e = [w[0]]
     for m in range(1, n + 1):
         acc = weighted[m]
@@ -186,18 +183,11 @@ def _power_sum_exp(w: Sequence, sums: Sequence[int], n: int) -> list:
     return e
 
 
-@cache
-def _fixed_point_data(partition: Partition, alpha, beta, n: int) -> tuple[tuple[int, ...], int]:
-    """Weight power sums up to degree n and primed cell product of one
-    diagram, computed once per diagram and level."""
-    sums = _power_sums(weight_multiset(partition, alpha, beta), n)
-    return tuple(sums), c_prime_product(partition, alpha, beta)
-
-
-def _diagram_row(w: Sequence, n: int, data: tuple) -> tuple[list, int]:
-    """(power sums, factor) of one diagram to (``_power_sum_exp`` row, factor)."""
-    sums, factor = data
-    return _power_sum_exp(w, sums, n), factor
+def _diagram_row(w: Sequence, n: int, partition: Partition, alpha, beta) -> tuple[list, int]:
+    """The ``_power_sum_exp`` row of one diagram's tangent weights at the
+    fixed point (alpha, beta), and its primed cell product."""
+    weights = weight_multiset(partition, alpha, beta)
+    return _power_sum_exp(w, weights, n), c_prime_product(partition, alpha, beta)
 
 
 def _pair_value(ring, c: int, pair: FixedPointBasisVector, gamma: int, row0, row1):
@@ -234,8 +224,8 @@ def pair_coefficient(f: Series1, pair: FixedPointBasisVector, gamma: int) -> Fra
     """
     n = pair.level
     c, w = _class_log(f, n)
-    row0 = _diagram_row(w, n, _fixed_point_data(pair.lambda0, -1, -1, n))
-    row1 = _diagram_row(w, n, _fixed_point_data(pair.lambda1, gamma - 1, 1, n))
+    row0 = _diagram_row(w, n, pair.lambda0, -1, -1)
+    row1 = _diagram_row(w, n, pair.lambda1, gamma - 1, 1)
     return _pair_value(f.ring, c, pair, gamma, row0, row1)
 
 
@@ -247,8 +237,8 @@ def equivariant_class_coeffs(f: Series1, gamma: int, n: int) -> EquivariantClass
     """
     c, w = _class_log(f, n)
     partitions = [p for size in range(n + 1) for p in enumerate_partitions(size)]
-    at_zero = {p: _diagram_row(w, n, _fixed_point_data(p, -1, -1, n)) for p in partitions}
-    at_infinity = {p: _diagram_row(w, n, _fixed_point_data(p, gamma - 1, 1, n)) for p in partitions}
+    at_zero = {p: _diagram_row(w, n, p, -1, -1) for p in partitions}
+    at_infinity = {p: _diagram_row(w, n, p, gamma - 1, 1) for p in partitions}
     entries = tuple(
         (pair, _pair_value(f.ring, c, pair, gamma, at_zero[pair.lambda0], at_infinity[pair.lambda1]))
         for pair in level_pairs(n)
@@ -256,29 +246,22 @@ def equivariant_class_coeffs(f: Series1, gamma: int, n: int) -> EquivariantClass
     return EquivariantClassVector(n, entries)
 
 
-@cache
-def _hook_data(partition: Partition, n: int) -> tuple[tuple[int, ...], int]:
-    """Hook-length power sums up to degree n and hook product of one
-    diagram, computed once per diagram and level."""
-    return tuple(_power_sums(hook_multiset(partition), n)), hook_product(partition)
-
-
 def hook_coefficient(f: Series1, pair: FixedPointBasisVector) -> Fraction:
     """The gamma = 2 fixed-point coefficient in pure hook-length form.
 
     Equals (-1)^(size of lambda0) times the degree-n u-coefficient of
-    the product of F(h(w) u) over all cells of both diagrams, divided by
-    the two hook products, where F(u) = f(u) f(-u).  Cross-checked in
-    the verification suite against ``pair_coefficient`` at gamma = 2.
+    the product of F(h u) over the hook lengths h of both diagrams,
+    divided by the two hook products, where F(u) = f(u) f(-u): one
+    exponential of all the hooks' power sums, with no per-diagram rows.
     The class series f must have constant term 1 and be known to
     degree n.
     """
     n = pair.level
     c, w = _class_log(f, n)
-    w = _even_doubled(w)
-    e0, h0 = _diagram_row(w, n, _hook_data(pair.lambda0, n))
-    row0 = (e0, -h0 if pair.lambda0.size % 2 else h0)
-    return _pair_value(f.ring, c, pair, 2, row0, _diagram_row(w, n, _hook_data(pair.lambda1, n)))
+    hooks = hook_multiset(pair.lambda0) + hook_multiset(pair.lambda1)
+    e = _power_sum_exp(_even_doubled(w), hooks, n)[n]
+    scale = factorial(n) * c**n * hook_product(pair.lambda0) * hook_product(pair.lambda1)
+    return f.ring.join((-e if pair.lambda0.size % 2 else e,), scale)[0]
 
 
 def z_series_hookform(f: Series1, N: int) -> Series2:
@@ -311,25 +294,22 @@ def z_series_hookform(f: Series1, N: int) -> Series2:
         by_degree = [[0] * (m + 1) for _ in range(N + 1)]
         for j in range(m // 2 + 1):
             p = Partition((m - j, j))
-            sums, h = _hook_data(p, N)
-            tableaux = factorial(m) // h
+            tableaux = factorial(m) // hook_product(p)
             schur_row = [s.numerator for s in schur_two_vars(p).homogeneous(m)]
-            for i, e in enumerate(_power_sum_exp(w, sums, N)):
+            for i, e in enumerate(_power_sum_exp(w, hook_multiset(p), N)):
                 if e:
                     e = e * tableaux
                     target = by_degree[i]
-                    for j, s in enumerate(schur_row):
+                    for k, s in enumerate(schur_row):
                         if s:
-                            target[j] += e * s
+                            target[k] += e * s
         S.append(by_degree)
     rows = []
     for n in range(N + 1):
         target = [0] * (n + 1)
         for m in range(n + 1):
             for i in range(n + 1):
-                weight = comb(n, m) * comb(n, i)
-                if m % 2:
-                    weight = -weight
+                weight = (-1) ** m * comb(n, m) * comb(n, i)
                 right = S[n - m][n - i]
                 for j0, a in enumerate(S[m][i]):
                     if a:

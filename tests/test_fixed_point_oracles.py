@@ -282,14 +282,19 @@ def oracle_power_sum_exp(log_f: Series1, sums, n: int) -> Series1:
     return series_exp(Series1(tuple(exponent), n, log_f.ring))
 
 
-def assert_integer_recurrence_matches(f: Series1, sums, n: int) -> None:
+def power_sums(values, n: int) -> list:
+    """p_1, ..., p_n of a multiset of integers."""
+    return [sum(v**k for v in values) for k in range(1, n + 1)]
+
+
+def assert_integer_recurrence_matches(f: Series1, values, n: int) -> None:
     c, w = localisation._class_log(f, n)
     fn = f.truncate(n)
     for weights, series in ((w, fn), (localisation._even_doubled(w), fn * negate_argument(fn))):
-        expected = oracle_power_sum_exp(series_log(series), sums, n)
-        e = localisation._power_sum_exp(weights, sums, n)
-        values = [f.ring.join((e[m],), factorial(m) * c**m)[0] for m in range(n + 1)]
-        assert values == list(expected.coefficients)
+        expected = oracle_power_sum_exp(series_log(series), power_sums(values, n), n)
+        e = localisation._power_sum_exp(weights, values, n)
+        coefficients = [f.ring.join((e[m],), factorial(m) * c**m)[0] for m in range(n + 1)]
+        assert coefficients == list(expected.coefficients)
 
 
 class_coefficients = st.one_of(
@@ -306,14 +311,15 @@ class_coefficients = st.one_of(
 )
 def test_integer_recurrence_matches_rational_exponential(tail, n, data):
     f = Series1.from_coefficients((Fr(1), *tail), n)
-    sums = data.draw(st.lists(st.integers(min_value=-60, max_value=60), min_size=n, max_size=n))
-    assert_integer_recurrence_matches(f, sums, n)
+    values = data.draw(st.lists(st.integers(min_value=-60, max_value=60), max_size=2 * n))
+    assert_integer_recurrence_matches(f, values, n)
 
 
 def test_integer_recurrence_on_heights_and_signed_sums():
+    # power sums all zero, (-7)^k, and of a multiset of both signs
     f = Series1.from_coefficients((Fr(1), Fr(1, 10**40), Fr(-1, 10**40), Fr(10**40, 3)), 12)
-    for sums in ([0] * 12, [-k for k in range(1, 13)], [(-1) ** k * 7**k for k in range(1, 13)]):
-        assert_integer_recurrence_matches(f, sums, 12)
+    for values in ((), (0, 0), (-7,), (-5, -2, -1, 1, 3, 3, 4)):
+        assert_integer_recurrence_matches(f, values, 12)
 
 
 def test_integer_recurrence_over_dual_numbers():
@@ -333,41 +339,40 @@ def test_integer_recurrence_over_dual_numbers():
 # ------------------------------------------------------------- per-pair exponentials
 
 
-def per_pair_value(ring, scaled_log, sums0, sums1, n: int, denominator: int):
+def per_pair_value(log_series: Series1, values0, values1, n: int, denominator: int):
     """[u^n] of the product over a pair's weights, taken the direct way:
-    add the two diagrams' power sums, then one exponential per pair."""
-    c, w = scaled_log
-    sums = [a + b for a, b in zip(sums0, sums1)]
-    e = localisation._power_sum_exp(w, sums, n)[n]
-    scale = denominator * factorial(n) * c**n
-    return ring.join((e if scale > 0 else -e,), abs(scale))[0]
+    add the two diagrams' power sums, then one rational exponential per
+    pair."""
+    sums = [a + b for a, b in zip(power_sums(values0, n), power_sums(values1, n))]
+    return oracle_power_sum_exp(log_series, sums, n).coefficients[n] / denominator
 
 
-def per_pair_coefficient(f: Series1, pair: FixedPointBasisVector, gamma: int):
+def per_pair_coefficient(log_f: Series1, pair: FixedPointBasisVector, gamma: int):
     n = pair.level
-    sums0, c0 = localisation._fixed_point_data(pair.lambda0, -1, -1, n)
-    sums1, c1 = localisation._fixed_point_data(pair.lambda1, gamma - 1, 1, n)
+    c0 = c_prime_product(pair.lambda0, -1, -1)
+    c1 = c_prime_product(pair.lambda1, gamma - 1, 1)
     if c0 * c1 == 0:
         raise ValueError(f"degenerate fixed-point denominator for {pair} at gamma={gamma}")
-    return per_pair_value(f.ring, localisation._class_log(f, n), sums0, sums1, n, c0 * c1)
+    weights0 = weight_multiset(pair.lambda0, -1, -1)
+    weights1 = weight_multiset(pair.lambda1, gamma - 1, 1)
+    return per_pair_value(log_f, weights0, weights1, n, c0 * c1)
 
 
-def per_pair_hook_coefficient(f: Series1, pair: FixedPointBasisVector):
+def per_pair_hook_coefficient(log_F: Series1, pair: FixedPointBasisVector):
     n = pair.level
-    c, w = localisation._class_log(f, n)
-    sums0, h0 = localisation._hook_data(pair.lambda0, n)
-    sums1, h1 = localisation._hook_data(pair.lambda1, n)
     sign = -1 if pair.lambda0.size % 2 else 1
-    scaled_log = (c, localisation._even_doubled(w))
-    return per_pair_value(f.ring, scaled_log, sums0, sums1, n, sign * h0 * h1)
+    denominator = sign * hook_product(pair.lambda0) * hook_product(pair.lambda1)
+    return per_pair_value(log_F, hook_multiset(pair.lambda0), hook_multiset(pair.lambda1), n, denominator)
 
 
 def assert_matches_per_pair_path(f: Series1, gamma: int, n: int) -> None:
-    expected = [(p, per_pair_coefficient(f, p, gamma)) for p in level_pairs(n)]
+    fn = f.truncate(n)
+    log_f, log_F = series_log(fn), series_log(fn * negate_argument(fn))
+    expected = [(p, per_pair_coefficient(log_f, p, gamma)) for p in level_pairs(n)]
     assert list(equivariant_class_coeffs(f, gamma, n).entries) == expected
     for fixture, value in expected:
         assert pair_coefficient(f, fixture, gamma) == value
-        assert hook_coefficient(f, fixture) == per_pair_hook_coefficient(f, fixture)
+        assert hook_coefficient(f, fixture) == per_pair_hook_coefficient(log_F, fixture)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -405,9 +410,9 @@ def test_equivariant_vector_takes_one_exponential_per_diagram_and_fixed_point(mo
     calls = []
     power_sum_exp = localisation._power_sum_exp
 
-    def counting_exp(w, sums, n):
-        calls.append(sums)
-        return power_sum_exp(w, sums, n)
+    def counting_exp(w, values, n):
+        calls.append(values)
+        return power_sum_exp(w, values, n)
 
     monkeypatch.setattr(localisation, "_power_sum_exp", counting_exp)
     equivariant_class_coeffs(preset_class("todd", 8).f, 3, 8)
@@ -490,9 +495,9 @@ def test_hook_form_takes_one_exponential_per_two_row_partition(monkeypatch):
     calls = []
     power_sum_exp = localisation._power_sum_exp
 
-    def counting_exp(w, sums, n):
-        calls.append(sums)
-        return power_sum_exp(w, sums, n)
+    def counting_exp(w, values, n):
+        calls.append(values)
+        return power_sum_exp(w, values, n)
 
     N = 8
     monkeypatch.setattr(localisation, "_power_sum_exp", counting_exp)
@@ -501,39 +506,48 @@ def test_hook_form_takes_one_exponential_per_two_row_partition(monkeypatch):
     assert len(calls) == len(two_row)
 
 
-def test_reduction_check_takes_one_log_per_level_and_each_diagram_once(monkeypatch):
+def test_reduction_check_takes_one_log_per_level(monkeypatch):
     # 139 pairs up to level 6 and two single-pair calls per pair: taking
-    # the log, or the weights and hooks, per call would do each 278 times
-    counts = dict.fromkeys(("log_numerators", "weight_multiset", "hook_multiset"), 0)
-    localisation._fixed_point_data.cache_clear()
-    localisation._hook_data.cache_clear()
+    # the log per call would take it 278 times
+    calls = []
+    log = localisation.log_numerators
 
-    def counting(name, original):
-        def wrapper(*args):
-            counts[name] += 1
-            return original(*args)
+    def counting_log(f, n):
+        calls.append(n)
+        return log(f, n)
 
-        return wrapper
-
-    for name in counts:
-        monkeypatch.setattr(localisation, name, counting(name, getattr(localisation, name)))
+    monkeypatch.setattr(localisation, "log_numerators", counting_log)
     assert verification._check_reduction(preset_class("todd", 6).f, 6) == ""
-    assert counts["log_numerators"] <= 7
-    assert counts["weight_multiset"] < 278
-    assert counts["hook_multiset"] < 278
+    assert len(calls) <= 7
 
 
 def test_reduction_check_finds_each_diagrams_cells_once():
     # weight_multiset, c_prime_product, hook_multiset and hook_product
     # read every diagram at every level; its arms and legs are found once
     partitions._arms_and_legs.cache_clear()
-    localisation._fixed_point_data.cache_clear()
-    localisation._hook_data.cache_clear()
     assert verification._check_reduction(preset_class("todd", 6).f, 6) == ""
     diagrams = sum(len(enumerate_partitions(size)) for size in range(7))
     info = partitions._arms_and_legs.cache_info()
     assert (info.misses, info.currsize) == (diagrams, diagrams)
     assert info.hits > 10 * diagrams
+
+
+def _pair_value_without_binomials(ring, c, pair, gamma, row0, row1):
+    """``_pair_value`` with C(n, i) dropped from its convolution."""
+    (e0, d0), (e1, d1) = row0, row1
+    n = pair.level
+    total = sum(e0[i] * e1[n - i] for i in range(n + 1))
+    scale = d0 * d1 * factorial(n) * c**n
+    return ring.join((total if scale > 0 else -total,), abs(scale))[0]
+
+
+def test_reduction_check_fails_on_a_wrong_pair_convolution(monkeypatch):
+    # the hook form takes one exponential per pair, so it does not share
+    # the convolution that pair_coefficient runs, and a fault there fails
+    f = preset_class("todd", 10).f
+    monkeypatch.setattr(localisation, "_pair_value", _pair_value_without_binomials)
+    failed = [r.name for r in verification.verify_multiplicative(f, "todd", 8) if not r.passed]
+    assert failed == ["fixed-point-reduction"]
 
 
 def test_reduction_check_names_the_first_differing_pair(monkeypatch):

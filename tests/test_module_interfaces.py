@@ -52,3 +52,25 @@ def test_localisation_takes_the_log_from_series_and_defines_no_recurrence():
         and any(isinstance(inner, (ast.For, ast.While)) for inner in ast.walk(node))
     ]
     assert looping_logs == []
+
+
+def test_hook_form_shares_no_convolution_and_localisation_keeps_no_cache():
+    """``hook_coefficient`` is checked against ``pair_coefficient``, so it
+    runs none of that path's per-diagram rows or pair convolution; and
+    the fixed-point sums build every row from its diagram, with no table
+    behind ``functools.cache``."""
+    tree = _tree(SOURCE / "localisation.py")
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    (hook,) = [node for node in functions if node.name == "hook_coefficient"]
+    names = {node.id for node in ast.walk(hook) if isinstance(node, ast.Name)}
+    assert "_power_sum_exp" in names
+    assert names.isdisjoint({"_pair_value", "_diagram_row"})
+    decorators = [ast.unparse(d) for node in functions for d in node.decorator_list]
+    assert not any("cache" in d for d in decorators)
+    imported = {
+        alias.name if isinstance(node, ast.Import) else node.module
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert "functools" not in imported
