@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import re
 import sys
 from fractions import Fraction
 from typing import Any, Callable
@@ -76,7 +77,8 @@ def parse_class_spec(text: str) -> ClassSpec:
     if cleaned in PRESET_NAMES or cleaned == "chern-character":
         return ClassSpec(cleaned, cleaned, None)
     parts = [piece.strip() for piece in cleaned.split(",")]
-    if not cleaned or any(piece == "" for piece in parts):
+    # A number has a digit and nothing but digits, signs, '.', '/', '_' and an exponent.
+    if not all(re.fullmatch(r"[-+./_\deE]*\d[-+./_\deE]*", piece) for piece in parts):
         raise UsageError(
             f"cannot parse class {text!r}: expected a preset name "
             f"({', '.join(PRESET_NAMES)}, chern-character) or a comma-separated "

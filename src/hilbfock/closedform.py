@@ -46,7 +46,6 @@ from .series import (
     Series1,
     Series2,
     check_class_series,
-    compose_difference,
     compose_difference_numerators,
     compositional_inverse,
     congruence_numerators,
@@ -229,7 +228,7 @@ def _a_k(g: Series1, N: int) -> dict[int, Fraction]:
 
 
 def _pair_log_entries(
-    G: Series1, powers: tuple[Series1, ...], N: int, outer_log: Series1 | None = None
+    G: Series1, powers: tuple[list[list], int], N: int, outer_log: Series1 | None = None
 ) -> dict:
     """The mixed coefficients of a bivariate log built out of g = G^(-1).
 
@@ -242,12 +241,12 @@ def _pair_log_entries(
     with D(u, v) = ((G(u) - G(v)) / (u - v))^2, which holds because
     x - y = G(g(x)) - G(g(y)).  D costs one square of G and two
     divisions by (u - v).  Since g' g^a = (g^(a+1))' / (a+1), the
-    numerator is (i+1)(j+1) times the ``congruence`` of
-    D[a][b] / ((a+1)(b+1)) on the table [x^(i+1)] g^(a+1), so no
-    two-variable product or log is formed.  All of it runs on the
-    numerators of the series kernels, and one join forms the entries.
-    G and its powers g^a from ``compositional_inverse`` must have order
-    N + 1.
+    numerator is (i+1)(j+1) times the congruence of
+    D[a][b] / ((a+1)(b+1)) on the table [x^(i+1)] g^(a+1), which is T[1:]
+    for the powers (T, t) of g from ``compositional_inverse``, so no
+    two-variable product or log is formed.  All of it, outer_log(d)
+    too, runs on numerators, and one join forms the entries.  G and its
+    powers must have order N + 1.
     """
     if N < 2:
         return {}
@@ -271,24 +270,24 @@ def _pair_log_entries(
         [c * (L // (a + 1)) * (L // (e - a + 1)) for a, c in enumerate(row)]
         for e, row in enumerate(D[: N + 1])
     ]
-    shifted = [power.coefficients[1:] for power in powers[1 : N + 2]]
-    product, t = congruence_numerators(ring, scaled, shifted, N)
-    denominator = d * d * L * L * t
+    T, t = powers
+    product = congruence_numerators(scaled, T[1:], N)
+    denominator = d * d * L * L * t * t
     for e, row in enumerate(product):
         for i in range(e + 1):
             row[i] *= (i + 1) * (e - i + 1)
     product[0][0] -= denominator
     H = divide_numerators_by_x_minus_y(divide_numerators_by_x_minus_y(product))
     pairs = [(k, total - k) for total in range(2, N + 1) for k in range((total + 1) // 2, total)]
-    values = ring.join(
-        [H[k + l - 2][k - 1] * (L // k) * (L // l) for k, l in pairs], denominator * L * L
-    )
-    entries = dict(zip(pairs, values))
+    numerators = [H[k + l - 2][k - 1] * (L // k) * (L // l) for k, l in pairs]
+    denominator *= L * L
     if outer_log is not None:
-        composite = compose_difference(outer_log.truncate(N), powers).rows
-        for (k, l) in entries:
-            entries[(k, l)] = entries[(k, l)] - composite[k + l][k]
-    return entries
+        composite, c = compose_difference_numerators(outer_log.truncate(N), powers)
+        common = math.lcm(denominator, c)
+        a, b = common // denominator, common // c
+        numerators = [v * a - composite[k + l][k] * b for v, (k, l) in zip(numerators, pairs)]
+        denominator = common
+    return dict(zip(pairs, ring.join(numerators, denominator)))
 
 
 def tangent_tables(f: Series1, N: int) -> tuple[dict[int, Fraction], CoeffTable]:
@@ -323,12 +322,12 @@ def z_closed(f: Series1, N: int) -> Series2:
 
     Z = g'(x) g'(y) (G(g(x) - g(y)) / (x - y))^2, which the localisation
     module must reproduce by independent means.  G(g(x) - g(y)) is the
-    congruence of ``compose_difference`` on the powers of g that the
-    inversion returns.  The ratio is divided by x - y, squared and
-    multiplied by g'(x) and then by g'(y) on numerator rows, each row
-    over its own denominator (``multiply_graded_rows``), and each row is
-    joined once.  Needs f one degree beyond N for the same reason as
-    ``a_kl_table``.
+    congruence of ``compose_difference_numerators`` on the table of
+    powers of g that the inversion returns.  The ratio is divided by
+    x - y, squared and multiplied by g'(x) and then by g'(y) on numerator
+    rows, each row over its own denominator (``multiply_graded_rows``),
+    and each row is joined once.  Needs f one degree beyond N for the
+    same reason as ``a_kl_table``.
     """
     fine = f.truncate(N + 1)
     ring = fine.ring

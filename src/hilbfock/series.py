@@ -17,9 +17,10 @@ series C(u, v) at u = g(x), v = g(y) as a congruence of triangular
 matrices over the powers of g, with outer(g(x) - g(y)) as one case),
 compositional inversion by the Lagrange formula, which also returns the
 powers of the inverse and checks it against them, and the two-variable
-division by x - y.  The fixed-point sums in ``localisation`` take
-their logs from the same ``log_numerators`` and exponentiate on
-integers there.  Coefficients come from one of the rings in ``rings``:
+division by x - y.  The powers of g stay numerators: one triangular
+table over one denominator, which the congruence reads as it is.  The
+fixed-point sums in ``localisation`` take their logs from the same
+``log_numerators`` and exponentiate on integers there.  Coefficients come from one of the rings in ``rings``:
 plain rationals or dual numbers.
 
 The kernels run on numerators over one common denominator, the
@@ -30,8 +31,9 @@ over the lcm of the denominators of both parts), and ``Ring.join``
 forms ring elements again.  ``convolve_numerators``,
 ``multiply_graded_rows``, ``congruence_numerators``,
 ``compose_difference_numerators``, ``divide_numerators_by_x_minus_y``
-and ``log_numerators`` are the public numerator interface: they take
-and return numerators, and the caller keeps track of the denominator.
+and ``log_numerators`` are the public numerator interface, with the
+table of powers from ``compositional_inverse``: they take and return
+numerators, and the caller keeps track of the denominator.
 The products, the analytic operations and the kernels behind them split
 their operands, do every coefficient operation on the numerators with
 no normalisation, and join where they return coefficients: one gcd per
@@ -170,18 +172,15 @@ def divide_numerators_by_x_minus_y(rows: Sequence[Sequence]) -> list[list]:
     return out
 
 
-def congruence_numerators(
-    ring: Ring, C: Sequence[Sequence], table: Sequence[Sequence], n: int
-) -> tuple[list[list], int]:
-    """Numerator rows of the sum over a, b of table[a][i] C[a][b] table[b][j].
+def congruence_numerators(C: Sequence[Sequence], T: Sequence[Sequence], n: int) -> list[list]:
+    """Numerator rows of the sum over a, b of T[a][i - a] C[a][b] T[b][j - b].
 
-    ``C`` holds numerator rows by total degree, C[a + b][a] for x^a y^b;
-    ``table`` holds ring elements, triangular, and its entries at i >= a
-    are split here over one denominator t.  Returns the rows to total
-    degree n and t^2, the factor the table adds to the denominator of C.
+    ``C`` holds numerator rows by total degree, C[a + b][a] for x^a y^b.
+    ``T`` is a triangular table of numerators over one denominator t,
+    T[a][i - a] for the entry at i >= a, the form in which
+    ``compositional_inverse`` returns the powers of g.  Returns the rows
+    to total degree n; their denominator is that of C times t^2.
     """
-    # T[a][i - a] is table[a][i].
-    T, t = _split_rows(ring, [row[a : n + 1] for a, row in enumerate(table[: n + 1])])
     # half[a][j] = (C T)[a][j]; only a + j <= n is ever read.
     half = []
     for a in range(n + 1):
@@ -195,24 +194,24 @@ def congruence_numerators(
         half.append(row)
     rows = [[0] * (d + 1) for d in range(n + 1)]
     for a in range(n + 1):
-        for i, p in enumerate(T[a], a):
+        for i, p in enumerate(T[a][: n - a + 1], a):
             if p:
                 for j, h in enumerate(half[a][: n - i + 1]):
                     if h:
                         rows[i + j][i] += p * h
-    return rows, t * t
+    return rows
 
 
 def _powers(ring: Ring, coefficients: Sequence, n: int):
-    """Numerators and denominator of the series' powers 2, ..., n to degree n.
+    """Numerators and denominator of the series' powers 1, ..., n to degree n.
 
     Each product is cancelled to the reduced denominator of its power
     before it takes the next factor, so the numerators grow with the
     coefficients of the powers, not with d^a.
     """
     F, d = ring.split(coefficients)
-    P, D = F, d
-    for _ in range(2, n + 1):
+    P, D = [1], 1
+    for _ in range(n):
         P, D = ring.cancel(convolve_numerators(P, F, n), D * d)
         yield P, D
 
@@ -620,22 +619,6 @@ def compose(outer: Series1, inner: Series1 | Series2):
     return Series1([row[0] for row in joined], n, ring) + outer.coefficients[0]
 
 
-def power_table(g: Series1) -> tuple[Series1, ...]:
-    """g^0, g^1, ..., g^n for a series g of order n with zero constant term.
-
-    Built by repeated multiplication on numerators, n - 1 one-variable
-    products, each cancelled to its reduced denominator.  The table is
-    triangular, since g^a starts at x^a.
-    """
-    ring = g.ring
-    if g.constant_term != ring.zero:
-        raise SeriesError("composition requires the inner series to have zero constant term")
-    n = g.order
-    powers = [Series1.one(n, ring), g]
-    powers.extend(Series1(ring.join(P, D), n, ring) for P, D in _powers(ring, g.coefficients, n))
-    return tuple(powers[: n + 1])
-
-
 def congruence(matrix: Series2, table: Sequence[Sequence]) -> Series2:
     """The coefficients sum over a, b of table[a][i] C[a][b] table[b][j].
 
@@ -648,47 +631,43 @@ def congruence(matrix: Series2, table: Sequence[Sequence]) -> Series2:
     ring = matrix.ring
     n = min(matrix.order, len(table[0]) - 1)
     C, c = _split_rows(ring, matrix.rows[: n + 1])
-    rows, t = congruence_numerators(ring, C, table, n)
-    return Series2(_join_rows(ring, rows, c * t), n, ring)
+    T, t = _split_rows(ring, [row[a : n + 1] for a, row in enumerate(table[: n + 1])])
+    return Series2(_join_rows(ring, congruence_numerators(C, T, n), c * t * t), n, ring)
 
 
-def compose_difference_numerators(outer: Series1, powers: tuple[Series1, ...]) -> tuple[list[list], int]:
-    """Numerator rows and one denominator of ``compose_difference(outer, powers)``."""
-    outer._require_same_ring(powers[0])
-    ring = outer.ring
-    n = min(outer.order, powers[0].order)
-    numerators, c = ring.split(outer.coefficients[: n + 1])
-    matrix = [
-        [v * (comb(d, a) * (-1) ** (d - a)) for a in range(d + 1)] for d, v in enumerate(numerators)
-    ]
-    rows, t = congruence_numerators(ring, matrix, [p.coefficients for p in powers], n)
-    return rows, c * t
+def compose_difference_numerators(outer: Series1, powers: tuple[list[list], int]) -> tuple[list[list], int]:
+    """Numerator rows and one denominator of outer(g(x) - g(y)), given the
+    powers (T, t) of g from ``compositional_inverse``.
 
-
-def compose_difference(outer: Series1, powers: tuple[Series1, ...]) -> Series2:
-    """outer(g(x) - g(y)), given the powers of g from ``power_table``.
-
-    Expanding each (g(x) - g(y))^c binomially gives ``congruence`` with
+    Expanding each (g(x) - g(y))^c binomially gives the congruence with
     C[a][b] = outer_(a+b) binom(a+b, a) (-1)^b, the coefficients of
     outer(x - y), at O(N^3) coefficient operations against one
     two-variable product per outer coefficient for ``compose``.  The
     order is the smaller of the two operand orders, as for ``compose``.
     """
-    rows, denominator = compose_difference_numerators(outer, powers)
-    return Series2(_join_rows(outer.ring, rows, denominator), len(rows) - 1, outer.ring)
+    T, t = powers
+    ring = outer.ring
+    n = min(outer.order, len(T) - 1)
+    numerators, c = ring.split(outer.coefficients[: n + 1])
+    matrix = [
+        [v * (comb(d, a) * (-1) ** (d - a)) for a in range(d + 1)] for d, v in enumerate(numerators)
+    ]
+    return congruence_numerators(matrix, T, n), c * t * t
 
 
-def compositional_inverse(series: Series1) -> tuple[Series1, tuple[Series1, ...]]:
+def compositional_inverse(series: Series1) -> tuple[Series1, tuple[list[list], int]]:
     """The inverse g of G = x*(unit + ...) under composition, and its powers.
 
-    The powers g^0, ..., g^n come from ``power_table``.  By the Lagrange inversion formula: writing G = x / phi, the inverse
+    By the Lagrange inversion formula: writing G = x / phi, the inverse
     has g_m = [x^(m-1)] phi^m / m, so the inverse costs the m - 1
     one-variable products that build the powers of phi.  The powers of
-    g come from multiplying g, never from the same formula, and give the
-    check sum over a of G_a g^a = x at O(N^2).  Series of the form
-    x*(unit) form a group under composition, so this one-sided check
-    also gives g(G) = x.  A failed check would indicate a bug here, not
-    bad input, and raises RuntimeError.
+    g come from multiplying g, never from the same formula, as numerators
+    (T, t): T[a][i - a] / t is [x^i] g^a, and t is the lcm of the reduced
+    denominators of g^0, ..., g^n.  They give the check sum over a of
+    G_a g^a = x at O(N^2).  Series of the form x*(unit) form a group
+    under composition, so this one-sided check also gives g(G) = x.  A
+    failed check would indicate a bug here, not bad input, and raises
+    RuntimeError.
     """
     ring = series.ring
     if series.order < 1:
@@ -699,22 +678,19 @@ def compositional_inverse(series: Series1) -> tuple[Series1, tuple[Series1, ...]
         raise NotInvertibleError("not invertible under composition")
     n = series.order
     phi = reciprocal(shift_down(series, 1))
-    coeffs = [ring.zero, phi.coefficients[0]]
-    for m, (P, D) in enumerate(_powers(ring, phi.coefficients, n), 2):
+    coeffs = [ring.zero]
+    for m, (P, D) in enumerate(_powers(ring, phi.coefficients, n), 1):
         coeffs.append(ring.join((P[m - 1],), m * D)[0])
-    result = Series1(tuple(coeffs), n, ring)
-    powers = power_table(result)
+    g = Series1(tuple(coeffs), n, ring)
+    # Each P is cancelled, so D is the lcm of its reduced denominators.
+    powers = [([1] + [0] * n, 1), *_powers(ring, g.coefficients, n)]
+    t = lcm(*(D for _, D in powers))
+    T = [[p * (t // D) for p in P[a:]] for a, (P, D) in enumerate(powers)]
     G, d = ring.split(series.coefficients)
-    P, t = _split_rows(ring, [p.coefficients[a:] for a, p in enumerate(powers)])
-    composite = [0] * (n + 1)
-    for a, c in enumerate(G):
-        if c:
-            for i, p in enumerate(P[a], a):
-                if p:
-                    composite[i] += c * p
+    composite = [sum(G[a] * T[a][i - a] for a in range(i + 1)) for i in range(n + 1)]
     if ring.join(composite, d * t) != Series1.identity(n, ring).coefficients:
         raise RuntimeError("internal error: compositional inverse failed its round-trip check")
-    return result, powers
+    return g, (T, t)
 
 
 def differentiate(series: Series1) -> Series1:

@@ -15,7 +15,8 @@ from __future__ import annotations
 from math import comb
 from typing import Any, Sequence
 
-from hilbfock.series import Series1, Series2, SeriesError, shift_down
+from hilbfock.rings import Ring
+from hilbfock.series import Series1, Series2, SeriesError, _split_rows, shift_down
 
 
 def multiply1(left: Series1, right: Series1) -> Series1:
@@ -84,6 +85,24 @@ def power_table(g: Series1) -> tuple[Series1, ...]:
     for _ in range(1, g.order):
         powers.append(multiply1(powers[-1], g))
     return tuple(powers[: g.order + 1])
+
+
+def power_numerators(g: Series1) -> tuple[list[list], int]:
+    """``power_table(g)`` as the numerator table (T, t) of
+    ``series.compositional_inverse``: T[a][i - a] / t is [x^i] g^a."""
+    return _split_rows(g.ring, [p.coefficients[a:] for a, p in enumerate(power_table(g))])
+
+
+def joined_powers(powers: tuple[list[list], int], ring: Ring) -> tuple[Series1, ...]:
+    """The numerator table (T, t) of ``series.compositional_inverse`` as
+    the series g^0, ..., g^n."""
+    T, t = powers
+    return tuple(Series1((ring.zero,) * a + ring.join(row, t), len(T) - 1, ring) for a, row in enumerate(T))
+
+
+def joined_rows(rows: Sequence[Sequence], denominator: int, ring: Ring) -> Series2:
+    """Numerator rows by total degree over one denominator as a Series2."""
+    return Series2(tuple(ring.join(row, denominator) for row in rows), len(rows) - 1, ring)
 
 
 def compositional_inverse(series: Series1) -> tuple[Series1, tuple[Series1, ...]]:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from hilbfock import cli
+from hilbfock.closedform import PRESET_NAMES
 from hilbfock.cli import MAX_TABLE_DEGREE, MAX_VERIFY_ORDER, main, parse_class_spec, UsageError
 
 
@@ -286,11 +287,23 @@ def test_class_digits_beyond_the_int_digit_limit_are_refused(capsys, command):
 
 
 @pytest.mark.parametrize("class_spec", ["1e20000", "2,1E3", "1.5e-2", "1e5/2"])
-def test_exponent_notation_is_refused(capsys, class_spec):
+def test_exponent_notation_is_refused(capsys, monkeypatch, class_spec):
+    parsed = []
+    monkeypatch.setattr(cli, "Fraction", lambda piece: parsed.append(piece) or Fr(piece))
     code, out, err = run(capsys, "table", "--class", class_spec, "--max-degree", "12")
     assert (code, out) == (2, "")
     assert "exponent notation" in err
     assert "cannot parse class" in err
+    assert all("e" not in piece.lower() for piece in parsed)
+
+
+@pytest.mark.parametrize("class_spec", ["hello", "tod", "l-genuss"])
+def test_misspelt_presets_are_told_the_presets(capsys, class_spec):
+    code, out, err = run(capsys, "table", "--class", class_spec, "--max-degree", "12")
+    assert (code, out) == (2, "")
+    assert "cannot parse class" in err
+    assert "exponent notation" not in err
+    assert all(name in err for name in (*PRESET_NAMES, "chern-character"))
 
 
 def test_plain_decimals_are_accepted():

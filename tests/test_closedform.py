@@ -19,6 +19,7 @@ from hilbfock.closedform import (
     corollary_via_dual,
     preset_class,
     small_g,
+    tangent_tables,
     taut_tables,
     to_universal,
     z_closed,
@@ -239,6 +240,27 @@ def test_corrupted_inverse_fails_its_round_trip_check(monkeypatch, build):
     monkeypatch.setattr(series, "reciprocal", corrupted)
     with pytest.raises(RuntimeError, match="round-trip check"):
         build(preset_class("todd", 13).f)
+
+
+@pytest.mark.parametrize("build", [tangent_tables, taut_tables, z_closed])
+def test_the_closed_form_forms_no_series_per_power_of_g(monkeypatch, build):
+    """The powers of g stay numerators: the number of Series1 built does
+    not grow with the degree."""
+    classes = {N: preset_class("todd", N + 1).f for N in (12, 24)}
+    built = []
+    init = Series1.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Series1, "__init__", counting_init)
+    counts = []
+    for N, f in classes.items():
+        del built[:]
+        build(f, N)
+        counts.append(len(built))
+    assert counts[0] == counts[1]
 
 
 # --------------------------------------------------------------- generating series

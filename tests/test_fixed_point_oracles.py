@@ -600,13 +600,13 @@ def test_a_fault_in_the_shared_congruence_fails_the_triple_agreement(monkeypatch
     congruence = series.congruence_numerators
     calls = []
 
-    def perturbed(ring, C, table, n):
-        # one entry too high: on a table of powers of g, the top
+    def perturbed(C, T, n):
+        # one numerator too high: on a table of powers of g, the top
         # coefficient of g, so the result stays divisible by x - y
-        rows = [list(row) for row in table]
-        rows[1][n] = rows[1][n] + 1
+        rows = [list(row) for row in T]
+        rows[1][n - 1] = rows[1][n - 1] + 1
         calls.append(n)
-        return congruence(ring, C, rows, n)
+        return congruence(C, rows, n)
 
     f = preset_class("todd", 10).f
     for module in (series, closedform):

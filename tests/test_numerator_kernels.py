@@ -8,25 +8,28 @@ series, over the dual numbers, and at order 0.
 """
 
 from fractions import Fraction as Fr
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_kernels as oracle
+from fraction_kernels import joined_powers, joined_rows, power_numerators
 from hilbfock.closedform import _pair_log_entries, big_g
 from hilbfock.rings import DUALS, QQ, DualNumber
 from hilbfock.series import (
+    InsufficientOrderError,
     Series1,
     Series2,
     SeriesError,
     compose,
-    compose_difference,
+    compose_difference_numerators,
     compositional_inverse,
     congruence,
+    congruence_numerators,
     divide_by_x_minus_y,
     negate_argument,
-    power_table,
     reciprocal,
     series_log,
 )
@@ -133,8 +136,35 @@ def test_power_table_and_compositional_inverse(kind, data):
     tail = data.draw(values(kind, max_size=6))
     series = Series1.from_coefficients([ring.zero, unit(data, kind)] + tail, ring=ring)
     g, powers = compositional_inverse(series)
-    assert (g, powers) == oracle.compositional_inverse(series)
-    assert power_table(series) == oracle.power_table(series)
+    expected_g, expected_powers = oracle.compositional_inverse(series)
+    assert g == expected_g
+    assert joined_powers(powers, ring) == expected_powers
+    # the inverse of g is the series, so its table holds the powers of the series
+    inverse, powers = compositional_inverse(g)
+    assert inverse == series
+    assert joined_powers(powers, ring) == oracle.power_table(series)
+
+
+def _denominators(value) -> list[int]:
+    parts = (value.value, value.infinitesimal) if isinstance(value, DualNumber) else (value,)
+    return [part.denominator for part in parts]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_powers_denominator_is_the_lcm_of_the_reduced_ones(kind, data):
+    # t is the lcm over every entry of g^0, ..., g^n, so the table holds
+    # the same integers as a split of the powers as ring elements
+    ring = RINGS[kind]
+    tail = data.draw(values(kind, max_size=6))
+    series = Series1.from_coefficients([ring.zero, unit(data, kind)] + tail, ring=ring)
+    g, (T, t) = compositional_inverse(series)
+    powers = oracle.power_table(g)
+    assert t == lcm(*(q for p in powers for c in p.coefficients for q in _denominators(c)))
+    assert len(T) == len(powers) == g.order + 1
+    for a, (row, power) in enumerate(zip(T, powers)):
+        assert ring.join(row, t) == power.coefficients[a:]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -144,12 +174,13 @@ def test_congruence_and_compose_difference(kind, data, order):
     ring = RINGS[kind]
     matrix = series2(data, kind, order)
     g = Series1.from_coefficients([ring.zero] + data.draw(values(kind, max_size=5)), ring=ring)
-    powers = power_table(g)
+    powers = oracle.power_table(g)
     table = [p.coefficients for p in powers]
     result = congruence(matrix, table)
     assert result == oracle.congruence(matrix, table)
     outer = series1(data, kind, max_size=6)
-    assert compose_difference(outer, powers) == oracle.compose_difference(outer, powers)
+    difference = compose_difference_numerators(outer, power_numerators(g))
+    assert joined_rows(*difference, ring) == oracle.compose_difference(outer, powers)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -198,9 +229,10 @@ def test_pair_log_entries(kind, data, N):
     f = Series1.from_coefficients([ring.one] + tail, N + 1, ring)
     G = big_g(f)
     _, powers = compositional_inverse(G)
+    _, oracle_powers = oracle.compositional_inverse(G)
     outer_log = series_log(f * negate_argument(f))
     for log in (None, outer_log):
-        assert _pair_log_entries(G, powers, N, log) == oracle.pair_log_entries(G, powers, N, log)
+        assert _pair_log_entries(G, powers, N, log) == oracle.pair_log_entries(G, oracle_powers, N, log)
 
 
 @pytest.mark.parametrize("ring", [QQ, DUALS])
@@ -209,7 +241,11 @@ def test_order_zero(ring):
     a = Series1((c,), 0, ring)
     assert a * a == oracle.multiply1(a, a)
     assert reciprocal(a) == oracle.reciprocal(a)
-    assert power_table(Series1.zero(0, ring)) == (Series1.one(0, ring),)
+    with pytest.raises(InsufficientOrderError):
+        compositional_inverse(Series1.zero(0, ring))
+    assert congruence_numerators([[7]], [[2]], 0) == [[28]]
+    powers = compositional_inverse(Series1.identity(1, ring))[1]
+    assert joined_rows(*compose_difference_numerators(a, powers), ring) == Series2(((c,),), 0, ring)
     assert series_log(Series1.one(0, ring)) == oracle.series_log(Series1.one(0, ring))
     s = Series2(((c,),), 0, ring)
     assert s * s == oracle.multiply2(s, s)
