@@ -12,16 +12,23 @@ Three subcommands:
 Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 resource limit exceeded.  All rational values are printed exactly,
 as integer or "p/q" strings, never as floats.
+
+A command line ``COMMAND --flag VALUE ...`` is read straight from a flag
+table; argparse, whose import and parsers cost about 10 ms, is loaded only
+for help, ``--version``, usage errors and other spellings of a command.
 """
 
 from __future__ import annotations
 
-import argparse
 import io
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Callable
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, Callable
+
+if TYPE_CHECKING:
+    import argparse
 
 # json and csv are imported inside the output branches that use them:
 # every run pays for its imports, one run needs at most one of the two,
@@ -317,69 +324,92 @@ def _equivariant_text(label: str, args: argparse.Namespace, vector: EquivariantC
     return "".join(lines)
 
 
+_CLASSES_HELP = (
+    "preset name (trivial, chern-total, todd, l-genus, a-hat, chern-character) "
+    "or comma-separated rationals c1,c2,... for f = 1 + c1 x + c2 x^2 + ..."
+)
+_FORMATS = ("json", "csv", "pretty")
+
+# Each subcommand's help, handler and flags in parser order, a flag being (option,
+# dest, type, default, required, help); the type is int, str or a tuple of choices.
+_COMMANDS = {
+    "table": ("print coefficient tables", cmd_table, (
+        ("--class", "class_spec", str, None, True, _CLASSES_HELP),
+        ("--max-degree", "max_degree", int, 12, False, "largest total degree"),
+        ("--target", "target", ("tangent", "tautological", "chern-character"), None, False,
+         "which bundle family the table describes (default: inferred from the class)"),
+        ("--basis", "basis", ("theorem", "universal"), "theorem", False,
+         "raw coefficients or the operator-basis conversion"),
+        ("--format", "format", _FORMATS, "pretty", False, None),
+    )),
+    "verify": ("run the cross-check battery", cmd_verify, (
+        ("--class", "class_spec", str, None, True, _CLASSES_HELP),
+        ("--order", "order", int, 8, False, "total degree to check through"),
+    )),
+    "equivariant": ("fixed-point-basis coefficients at one level", cmd_equivariant, (
+        ("--class", "class_spec", str, None, True, _CLASSES_HELP),
+        ("--gamma", "gamma", int, 2, False, "twist of the line bundle"),
+        ("--level", "level", int, None, True, "number of points"),
+        ("--bound", "bound", int, DEFAULT_EQUIVARIANT_BOUND, False, "refuse levels above this (soft budget)"),
+        ("--format", "format", _FORMATS, "pretty", False, None),
+    )),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="hilbfock",
-        description=(
-            "Exact coefficient tables for characteristic classes of "
-            "Hilbert schemes of points."
-        ),
+        description="Exact coefficient tables for characteristic classes of Hilbert schemes of points.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    classes_help = (
-        "preset name (trivial, chern-total, todd, l-genus, a-hat, chern-character) "
-        "or comma-separated rationals c1,c2,... for f = 1 + c1 x + c2 x^2 + ..."
-    )
-
-    table = subparsers.add_parser("table", help="print coefficient tables")
-    table.add_argument("--class", dest="class_spec", required=True, help=classes_help)
-    table.add_argument("--max-degree", type=int, default=12, help="largest total degree")
-    table.add_argument(
-        "--target",
-        choices=("tangent", "tautological", "chern-character"),
-        default=None,
-        help="which bundle family the table describes (default: inferred from the class)",
-    )
-    table.add_argument(
-        "--basis",
-        choices=("theorem", "universal"),
-        default="theorem",
-        help="raw coefficients or the operator-basis conversion",
-    )
-    table.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
-    table.set_defaults(func=cmd_table)
-
-    verify = subparsers.add_parser("verify", help="run the cross-check battery")
-    verify.add_argument("--class", dest="class_spec", required=True, help=classes_help)
-    verify.add_argument("--order", type=int, default=8, help="total degree to check through")
-    verify.set_defaults(func=cmd_verify)
-
-    equivariant = subparsers.add_parser(
-        "equivariant", help="fixed-point-basis coefficients at one level"
-    )
-    equivariant.add_argument("--class", dest="class_spec", required=True, help=classes_help)
-    equivariant.add_argument("--gamma", type=int, default=2, help="twist of the line bundle")
-    equivariant.add_argument("--level", type=int, required=True, help="number of points")
-    equivariant.add_argument(
-        "--bound",
-        type=int,
-        default=DEFAULT_EQUIVARIANT_BOUND,
-        help="refuse levels above this (soft budget)",
-    )
-    equivariant.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
-    equivariant.set_defaults(func=cmd_equivariant)
-
+    for command, (command_help, func, flags) in _COMMANDS.items():
+        subparser = subparsers.add_parser(command, help=command_help)
+        for option, dest, kind, default, required, flag_help in flags:
+            choices = kind if isinstance(kind, tuple) else None
+            subparser.add_argument(option, dest=dest, type=int if kind is int else None, choices=choices,
+                                   default=default, required=required, help=flag_help)
+        subparser.set_defaults(func=func)
     return parser
 
 
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """``build_parser().parse_args(argv)`` for a subcommand and distinct ``--flag value``
+    pairs, each flag in full, no value starting with '-', each value valid and each
+    required flag given; None for any other command line, which argparse reads."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, flags = _COMMANDS[argv[0]]
+    given = dict(zip(argv[1::2], argv[2::2]))  # fewer than len(argv) // 2: a flag repeats or dangles
+    required = {option for option, _, _, _, is_required, _ in flags if is_required}
+    if len(given) < len(argv) // 2 or not required <= given.keys() <= {flag[0] for flag in flags}:
+        return None
+    values = {}
+    for option, dest, kind, default, _, _ in flags:
+        text = given.get(option)
+        if text is None:
+            values[dest] = default
+        elif text.startswith("-") or (isinstance(kind, tuple) and text not in kind):
+            return None
+        elif kind is int:
+            try:
+                values[dest] = int(text)
+            except ValueError:
+                return None
+        else:
+            values[dest] = text
+    return SimpleNamespace(command=argv[0], func=func, **values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
+    args = _plain_args(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code) if exc.code is not None else 0
     try:
         spec = parse_class_spec(args.class_spec)
         return _unlimited_digits(args.func, args, spec)

@@ -573,8 +573,9 @@ def test_unparsable_class_exits_two(capsys, command, class_spec):
     assert "cannot parse class" in err
 
 
-def _modules_after(*argv):
-    """Modules loaded by one CLI run in a fresh interpreter without site hooks.
+def _modules_after(*argv, code=0):
+    """Modules loaded by one CLI run, which exits with code, in a fresh
+    interpreter without site hooks.
 
     ``-S`` keeps site-packages hooks from preloading modules, so the set
     is what the package itself imports.
@@ -594,12 +595,13 @@ def _modules_after(*argv):
         env={**os.environ, "PYTHONPATH": str(source)},
         timeout=120,
     )
-    assert result.returncode == 0, result.stderr
+    assert result.returncode == code, result.stderr
     return set(result.stderr.split())
 
 
 def test_cli_imports_only_what_its_output_uses():
-    unwanted = {"dataclasses", "inspect"}
+    # argparse brings gettext and locale; a well-formed command line needs none of them.
+    unwanted = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
     csv_run = _modules_after("equivariant", "--class", "todd", "--level", "3", "--format", "csv")
     assert "csv" in csv_run
     assert not (unwanted | {"json"}) & csv_run
@@ -608,3 +610,5 @@ def test_cli_imports_only_what_its_output_uses():
     assert not (unwanted | {"csv"}) & json_run
     verify_run = _modules_after("verify", "--class", "todd", "--order", "4")
     assert not (unwanted | {"csv", "json"}) & verify_run
+    assert "argparse" in _modules_after("table", "--help")
+    assert "argparse" in _modules_after("table", "--class", "todd", "--format", "yaml", code=2)

@@ -7,6 +7,8 @@ digest of each job's output (``perfbench/jobrun.py`` ``digest``: the
 output with ``verify``'s wall times dropped, hashed).  A change that
 keeps every output byte for byte passes here.  The jobs run in process
 through ``cli.main``; the perfbench files are read and never written.
+Every job's command line is also read without argparse, into the
+namespace argparse would give.
 """
 
 import contextlib
@@ -43,6 +45,17 @@ def test_the_universe_has_847_jobs_each_with_a_reference():
     for workload in workloads.WORKLOADS:
         keys = {jobrun.job_key(argv) for argv in workloads.universe(workload)}
         assert keys == set(REFERENCE[workload])
+
+
+def test_every_universe_job_is_read_without_argparse():
+    parser = cli.build_parser()
+    differing = []
+    for workload in workloads.WORKLOADS:
+        for argv in workloads.universe(workload):
+            plain = cli._plain_args(list(argv))
+            if plain is None or vars(plain) != vars(parser.parse_args(list(argv))):
+                differing.append(jobrun.job_key(argv))
+    assert differing == []
 
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
