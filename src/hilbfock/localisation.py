@@ -45,11 +45,11 @@ Two independent constructions of Z are provided: the direct fixed-point
 sum (``z_series_hookform``) and a coefficient-extraction route through
 a bivariate auxiliary series (``z_series_residue``), which builds that
 series with one Horner composition and then reads every coefficient it
-needs off one ``congruence`` of it with the one-variable powers of F,
-rather than forming a two-variable product per coefficient.  They must agree, and the closed form in
-``closedform`` must agree with both; that triple agreement is the
-package's central correctness check.  The closed form runs the same
-``congruence`` kernel, the fixed-point sum does not.
+needs off one ``congruence_numerators`` of it with the numerators of
+the powers of F, not a two-variable product per coefficient.  They must
+agree, and the closed form in ``closedform`` must agree with both; that
+triple agreement is the package's central correctness check.  The
+closed form runs the same kernel, the fixed-point sum does not.
 
 Each entry point truncates the class series to the order its docstring
 states first, so ``truncate`` is the precision check.
@@ -58,7 +58,7 @@ states first, so ``truncate`` is the precision check.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Sequence
 
 from .partitions import (
@@ -74,12 +74,15 @@ from .series import (
     Series1,
     Series2,
     compose,
-    congruence,
+    congruence_numerators,
     divide_by_x_minus_y,
+    join_rows,
     log_numerators,
     negate_argument,
+    power_chain,
     reciprocal,
     shift_up,
+    split_rows,
 )
 from .symfun import schur_two_vars
 
@@ -130,9 +133,9 @@ def _class_log(f: Series1, n: int) -> tuple[int, tuple]:
     """The scale c and the weights w_m = m [u^m] log f(c u) = c^m R_m / Q
     for m <= n, with R and Q from ``log_numerators``.
 
-    c is the lcm of the denominators of f_1, ..., f_n, so f(c u) and its
-    weights have numerators for coefficients, over either ring.  w[0]
-    holds 1, the numerator of one, which seeds e_0 in ``_power_sum_exp``.
+    c is the lcm of the denominators of f_1, ..., f_n, so the weights are
+    integers over either ring; a remainder would be a bug here and raises
+    RuntimeError.  w[0] holds 1, which seeds e_0 in ``_power_sum_exp``.
     The result is kept for the last series (by identity) and level asked
     for: the single-pair entry points take the log of one series at one
     level once per pair, and a cache keyed on the series' hash would cost
@@ -143,7 +146,9 @@ def _class_log(f: Series1, n: int) -> tuple[int, tuple]:
         ring = f.ring
         R, Q = log_numerators(f, n)
         c = ring.split(f.truncate(n).coefficients)[1]
-        w, _ = ring.split(ring.join([r * c**m for m, r in enumerate(R)], Q))
+        w, q = ring.cancel([r * c**m for m, r in enumerate(R)], Q)
+        if q != 1:
+            raise RuntimeError("internal error: the scaled log weights are not integers")
         memo[:] = f, n, (c, (1, *w[1:]))
     return memo[2]
 
@@ -334,34 +339,31 @@ def z_series_residue(f: Series1, N: int) -> Series2:
     division, which is why the class series must be known two degrees
     beyond the requested truncation.
 
-    With M = N + 2, G is odd, so P = -(G G)(a - b): one one-variable
-    square and one Horner composition on a - b (M steps that each visit
-    the two terms of a - b, O(M^3) in all), with no two-variable product.
-    The one-variable powers F^k for 1 <= k <= M + 1 (O(M^3)) give the
-    triangular table T[i][r] = [a^(r-i)] F^(r+1), and c(r, s) is the
-    sum over i and j of T[i][r] P[i][j] T[j][s], which is
-    ``congruence(P, T)``: two O(M^3) matrix products instead of a
-    two-variable product per cell, which cost O(M^6) in all.  The closed
-    form runs the same kernel on the powers of g; the fixed-point sum
-    does not, so a fault in the kernel still shows in the triple
-    agreement.  Every step runs over the ring of f.
+    With M = N + 2, G is odd, so P = -Q with Q = (G G)(a - b), whose
+    sign cancels the one in front of Z.  Q costs one one-variable square
+    and one Horner composition on a - b (M steps that each visit its two
+    terms, O(M^3) in all), with no two-variable product.  ``power_chain``
+    gives the numerators of F^k for 1 <= k <= M + 1 (O(M^3)), laid out
+    over the lcm t of their denominators as T[i][r - i] = t [a^(r-i)]
+    F^(r+1), and with Q_ij = [a^i b^j] Q, t^2 c(r, s) is minus the sum
+    over i and j of T[i][r - i] Q_ij T[j][s - j]: ``congruence_numerators``,
+    two O(M^3) matrix products instead of a two-variable product per
+    cell, which cost O(M^6) in all.  The closed form runs the same kernel
+    on the powers of g; the fixed-point sum does not, so a fault in the
+    kernel still shows in the triple agreement.  Every step runs over the
+    ring of f.
     """
     M = N + 2
     fM = f.truncate(M)
     F = fM * negate_argument(fM)
     G = shift_up(reciprocal(F).truncate(M - 1), 1)
-    one = f.ring.one
-    a_minus_b = Series2.from_dict({(1, 0): one, (0, 1): -one}, M, f.ring)
-    # G is odd, so G(b - a) = -G(a - b) and P = -(G G)(a - b).
-    P = -compose(G * G, a_minus_b)
-    # F_powers[k] holds the coefficients of F^(k+1).
-    power = F
-    F_powers = [power.coefficients]
-    for _ in range(M):
-        power = power * F
-        F_powers.append(power.coefficients)
-    zeros = (P.ring.zero,) * M
-    T = [zeros[:i] + tuple(F_powers[r][r - i] for r in range(i, M + 1)) for i in range(M + 1)]
-    c = congruence(P, T)
-    signed = tuple(tuple(-v for v in row) if d % 2 else row for d, row in enumerate(c.rows))
-    return -divide_by_x_minus_y(divide_by_x_minus_y(Series2(signed, M, c.ring)))
+    ring = f.ring
+    a_minus_b = Series2.from_dict({(1, 0): ring.one, (0, 1): -ring.one}, M, ring)
+    C, q = split_rows(ring, compose(G * G, a_minus_b).rows)
+    # powers[r] holds the numerators of F^(r+1) over D.
+    powers = list(power_chain(ring, F.coefficients, M + 1, M))
+    t = lcm(*(D for _, D in powers))
+    T = [[P[r - i] * (t // D) for r, (P, D) in enumerate(powers[i:], i)] for i in range(M + 1)]
+    rows = congruence_numerators(C, T, M)
+    signed = [[-v for v in row] if d % 2 else row for d, row in enumerate(rows)]
+    return divide_by_x_minus_y(divide_by_x_minus_y(Series2(join_rows(ring, signed, q * t * t), M, ring)))

@@ -49,9 +49,13 @@ class Partition(Frozen):
             raise ValueError(f"parts must be weakly decreasing, got {parts}")
         object.__setattr__(self, "parts", parts)
 
+    # The per-diagram cache's key: compare and hash the parts, not the field tuple.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts == other.parts
+
     def __hash__(self) -> int:
-        # The key of the per-diagram caches: hash the parts directly,
-        # without the generic field tuple.
         return hash(self.parts)
 
     @property

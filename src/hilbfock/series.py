@@ -17,18 +17,19 @@ series C(u, v) at u = g(x), v = g(y) as a congruence of triangular
 matrices over the powers of g, with outer(g(x) - g(y)) as one case),
 compositional inversion by the Lagrange formula, which also returns the
 powers of the inverse and checks it against them, and the two-variable
-division by x - y.  The powers of g stay numerators: one triangular
-table over one denominator, which the congruence reads as it is.  The
-fixed-point sums in ``localisation`` take their logs from the same
-``log_numerators`` and exponentiate on integers there.  Coefficients come from one of the rings in ``rings``:
-plain rationals or dual numbers.
+division by x - y.  Powers stay numerators, cancelled one by one in
+``power_chain``, and ``congruence_numerators`` reads a triangular table
+of them over one denominator as it is.  ``localisation`` takes its logs
+from the same ``log_numerators``.  Coefficients come from one of the
+rings in ``rings``: plain rationals or dual numbers.
 
 The kernels run on numerators over one common denominator, the
 representation of FLINT's fmpq_poly.  ``Ring.split`` writes a sequence
 of coefficients as numerators over one int denominator (integers over
 the lcm of the denominators; for dual numbers, integer pairs a + b eps
 over the lcm of the denominators of both parts), and ``Ring.join``
-forms ring elements again.  ``convolve_numerators``,
+forms ring elements again.  ``split_rows`` and ``join_rows`` do the
+same for a table of rows.  ``convolve_numerators``, ``power_chain``,
 ``multiply_graded_rows``, ``congruence_numerators``,
 ``compose_difference_numerators``, ``divide_numerators_by_x_minus_y``
 and ``log_numerators`` are the public numerator interface, with the
@@ -86,13 +87,13 @@ def _regroup(flat: Sequence, rows: Sequence[Sequence]) -> list:
     return out
 
 
-def _split_rows(ring: Ring, rows: Sequence[Sequence]) -> tuple[list[list], int]:
+def split_rows(ring: Ring, rows: Sequence[Sequence]) -> tuple[list[list], int]:
     """``Ring.split`` of a table: numerator rows over one denominator."""
     flat, denominator = ring.split([c for row in rows for c in row])
     return _regroup(flat, rows), denominator
 
 
-def _join_rows(ring: Ring, rows: Sequence[Sequence], denominator: int) -> tuple[tuple, ...]:
+def join_rows(ring: Ring, rows: Sequence[Sequence], denominator: int) -> tuple[tuple, ...]:
     """``Ring.join`` of a table of numerator rows."""
     return tuple(_regroup(ring.join([c for row in rows for c in row], denominator), rows))
 
@@ -178,8 +179,9 @@ def congruence_numerators(C: Sequence[Sequence], T: Sequence[Sequence], n: int) 
     ``C`` holds numerator rows by total degree, C[a + b][a] for x^a y^b.
     ``T`` is a triangular table of numerators over one denominator t,
     T[a][i - a] for the entry at i >= a, the form in which
-    ``compositional_inverse`` returns the powers of g.  Returns the rows
-    to total degree n; their denominator is that of C times t^2.
+    ``compositional_inverse`` returns the powers of g; when
+    T[a][i - a] / t = [x^i] g^a the result is C(g(x), g(y)).  Returns
+    the rows to total degree n; their denominator is that of C times t^2.
     """
     # half[a][j] = (C T)[a][j]; only a + j <= n is ever read.
     half = []
@@ -202,8 +204,8 @@ def congruence_numerators(C: Sequence[Sequence], T: Sequence[Sequence], n: int) 
     return rows
 
 
-def _powers(ring: Ring, coefficients: Sequence, n: int):
-    """Numerators and denominator of the series' powers 1, ..., n to degree n.
+def power_chain(ring: Ring, coefficients: Sequence, count: int, n: int):
+    """Numerators and denominator of the series' powers 1, ..., count to degree n.
 
     Each product is cancelled to the reduced denominator of its power
     before it takes the next factor, so the numerators grow with the
@@ -211,7 +213,7 @@ def _powers(ring: Ring, coefficients: Sequence, n: int):
     """
     F, d = ring.split(coefficients)
     P, D = [1], 1
-    for _ in range(n):
+    for _ in range(count):
         P, D = ring.cancel(convolve_numerators(P, F, n), D * d)
         yield P, D
 
@@ -586,7 +588,7 @@ def compose(outer: Series1, inner: Series1 | Series2):
     at outer_n and becomes h inner + outer_k for k = n - 1, ..., 1, and
     the composite is h inner + outer_0.  h is kept as numerator rows
     over one running denominator, and each step is cancelled before it
-    takes the next factor, as in ``_powers``.  The product by ``inner``
+    takes the next factor, as in ``power_chain``.  The product by ``inner``
     visits only its nonzero entries, so a sparse inner series such as
     x - y costs O(N^2) per step.  A one-variable series runs as rows of
     one entry each.
@@ -598,7 +600,7 @@ def compose(outer: Series1, inner: Series1 | Series2):
     n = min(outer.order, inner.order)
     two_vars = isinstance(inner, Series2)
     rows = inner.rows[: n + 1] if two_vars else [(v,) for v in inner.coefficients[: n + 1]]
-    I, d = _split_rows(ring, rows)
+    I, d = split_rows(ring, rows)
     terms = [(e, j, v) for e, row in enumerate(I) for j, v in enumerate(row) if v]
     # O[k - 1] / c is outer_k; outer_0 is added to the joined series.
     O, c = ring.split(outer.coefficients[1 : n + 1])
@@ -613,26 +615,10 @@ def compose(outer: Series1, inner: Series1 | Series2):
             D = grown
         H[0][0] += O[k - 1] * (D // c)
         H, D = _cancel_rows(ring, H, D)
-    joined = _join_rows(ring, _times_terms(H, terms, n), D * d)
+    joined = join_rows(ring, _times_terms(H, terms, n), D * d)
     if two_vars:
         return Series2(joined, n, ring) + outer.coefficients[0]
     return Series1([row[0] for row in joined], n, ring) + outer.coefficients[0]
-
-
-def congruence(matrix: Series2, table: Sequence[Sequence]) -> Series2:
-    """The coefficients sum over a, b of table[a][i] C[a][b] table[b][j].
-
-    Here C[a][b] is the coefficient of x^a y^b in ``matrix`` and
-    ``table[a][i]`` is a triangular table, zero for i < a.  When
-    ``table[a][i] = [x^i] g^a`` the result is matrix(g(x), g(y)).  The
-    two matrix products cost O(N^3) coefficient operations, and the
-    order is the smaller of the matrix order and the table order.
-    """
-    ring = matrix.ring
-    n = min(matrix.order, len(table[0]) - 1)
-    C, c = _split_rows(ring, matrix.rows[: n + 1])
-    T, t = _split_rows(ring, [row[a : n + 1] for a, row in enumerate(table[: n + 1])])
-    return Series2(_join_rows(ring, congruence_numerators(C, T, n), c * t * t), n, ring)
 
 
 def compose_difference_numerators(outer: Series1, powers: tuple[list[list], int]) -> tuple[list[list], int]:
@@ -679,11 +665,11 @@ def compositional_inverse(series: Series1) -> tuple[Series1, tuple[list[list], i
     n = series.order
     phi = reciprocal(shift_down(series, 1))
     coeffs = [ring.zero]
-    for m, (P, D) in enumerate(_powers(ring, phi.coefficients, n), 1):
+    for m, (P, D) in enumerate(power_chain(ring, phi.coefficients, n, n), 1):
         coeffs.append(ring.join((P[m - 1],), m * D)[0])
     g = Series1(tuple(coeffs), n, ring)
     # Each P is cancelled, so D is the lcm of its reduced denominators.
-    powers = [([1] + [0] * n, 1), *_powers(ring, g.coefficients, n)]
+    powers = [([1] + [0] * n, 1), *power_chain(ring, g.coefficients, n, n)]
     t = lcm(*(D for _, D in powers))
     T = [[p * (t // D) for p in P[a:]] for a, (P, D) in enumerate(powers)]
     G, d = ring.split(series.coefficients)
@@ -733,5 +719,5 @@ def divide_by_x_minus_y(series: Series2) -> Series2:
     """Exact division by (x - y), one homogeneous layer at a time, on
     numerators (see ``divide_numerators_by_x_minus_y``)."""
     ring = series.ring
-    rows, d = _split_rows(ring, series.rows)
-    return Series2(_join_rows(ring, divide_numerators_by_x_minus_y(rows), d), series.order - 1, ring)
+    rows, d = split_rows(ring, series.rows)
+    return Series2(join_rows(ring, divide_numerators_by_x_minus_y(rows), d), series.order - 1, ring)

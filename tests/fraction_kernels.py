@@ -16,7 +16,7 @@ from math import comb
 from typing import Any, Sequence
 
 from hilbfock.rings import Ring
-from hilbfock.series import Series1, Series2, SeriesError, _split_rows, shift_down
+from hilbfock.series import Series1, Series2, SeriesError, shift_down, split_rows
 
 
 def multiply1(left: Series1, right: Series1) -> Series1:
@@ -90,7 +90,7 @@ def power_table(g: Series1) -> tuple[Series1, ...]:
 def power_numerators(g: Series1) -> tuple[list[list], int]:
     """``power_table(g)`` as the numerator table (T, t) of
     ``series.compositional_inverse``: T[a][i - a] / t is [x^i] g^a."""
-    return _split_rows(g.ring, [p.coefficients[a:] for a, p in enumerate(power_table(g))])
+    return split_rows(g.ring, [p.coefficients[a:] for a, p in enumerate(power_table(g))])
 
 
 def joined_powers(powers: tuple[list[list], int], ring: Ring) -> tuple[Series1, ...]:

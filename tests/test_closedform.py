@@ -24,7 +24,7 @@ from hilbfock.closedform import (
     to_universal,
     z_closed,
 )
-from hilbfock.localisation import z_series_hookform
+from hilbfock.localisation import z_series_hookform, z_series_residue
 from hilbfock.rings import DUALS, DualNumber
 from hilbfock.series import (
     InsufficientOrderError,
@@ -242,11 +242,12 @@ def test_corrupted_inverse_fails_its_round_trip_check(monkeypatch, build):
         build(preset_class("todd", 13).f)
 
 
-@pytest.mark.parametrize("build", [tangent_tables, taut_tables, z_closed])
+@pytest.mark.parametrize("build", [tangent_tables, taut_tables, z_closed, z_series_residue])
 def test_the_closed_form_forms_no_series_per_power_of_g(monkeypatch, build):
-    """The powers of g stay numerators: the number of Series1 built does
-    not grow with the degree."""
-    classes = {N: preset_class("todd", N + 1).f for N in (12, 24)}
+    """The powers of g, and the residue route's powers of F, stay
+    numerators: the number of Series1 built does not grow with the
+    degree.  The class is known to N + 2, as the residue route needs."""
+    classes = {N: preset_class("todd", N + 2).f for N in (12, 24)}
     built = []
     init = Series1.__init__
 

@@ -38,12 +38,13 @@ from hilbfock.partitions import (
     hook_product,
     weight_multiset,
 )
-from hilbfock.rings import DUALS, DualNumber
+from hilbfock.rings import DUALS, QQ, DualNumber
 from hilbfock.series import (
     Series1,
     Series2,
     compose,
     divide_by_x_minus_y,
+    log_numerators,
     negate_argument,
     reciprocal,
     shift_up,
@@ -336,6 +337,34 @@ def test_integer_recurrence_over_dual_numbers():
     assert DUALS.join(localisation._power_sum_exp(w, [], 0), c) == (DUALS.one,)
 
 
+@settings(max_examples=60, deadline=None)
+@given(ring=st.sampled_from([QQ, DUALS]), n=st.integers(min_value=0, max_value=12), data=st.data())
+def test_class_log_weights_are_the_split_of_the_joined_ones(ring, n, data):
+    # c^m R_m / Q is an integer, so cancelling by Q gives the numerators
+    # that joining to ring elements and splitting again gives
+    element = class_coefficients if ring is QQ else st.builds(DualNumber, class_coefficients, small_rationals)
+    f = Series1.from_coefficients((ring.one, *data.draw(st.lists(element, max_size=n))), n, ring)
+    c, w = localisation._class_log(f, n)
+    R, Q = log_numerators(f, n)
+    joined, _ = ring.split(ring.join([r * c**m for m, r in enumerate(R)], Q))
+    # over 1, equal ring elements are equal numerators
+    assert ring.join(w, 1) == ring.join((1, *joined[1:]), 1)
+
+
+def test_class_log_refuses_weights_that_are_not_integers(monkeypatch):
+    # log(1 + u) has the odd weights m [u^m] = (-1)^(m+1), so a doubled
+    # denominator leaves a remainder
+    log = localisation.log_numerators
+
+    def doubled(f, n):
+        R, Q = log(f, n)
+        return R, 2 * Q
+
+    monkeypatch.setattr(localisation, "log_numerators", doubled)
+    with pytest.raises(RuntimeError, match="not integers"):
+        localisation._class_log(Series1.from_coefficients([1, 1], 3), 3)
+
+
 # ------------------------------------------------------------- per-pair exponentials
 
 
@@ -594,27 +623,34 @@ def test_verify_builds_the_closed_form_and_tangent_tables_once(monkeypatch):
 
 def test_a_fault_in_the_shared_congruence_fails_the_triple_agreement(monkeypatch):
     # The closed form and the residue route both run the congruence
-    # kernel series.congruence_numerators (the residue route through
-    # series.congruence); the fixed-point sum runs neither, so a fault
-    # in that kernel is reported against the fixed-point sum.
+    # kernel series.congruence_numerators (the closed form also through
+    # series.compose_difference_numerators); the fixed-point sum runs
+    # neither, so a fault in that kernel is reported against the
+    # fixed-point sum.
     congruence = series.congruence_numerators
     calls = []
 
-    def perturbed(C, T, n):
-        # one numerator too high: on a table of powers of g, the top
-        # coefficient of g, so the result stays divisible by x - y
-        rows = [list(row) for row in T]
-        rows[1][n - 1] = rows[1][n - 1] + 1
-        calls.append(n)
-        return congruence(C, rows, n)
+    def perturbing(route):
+        def perturbed(C, T, n):
+            # one numerator too high: on a table of powers of g, the top
+            # coefficient of g, so the result stays divisible by x - y
+            rows = [list(row) for row in T]
+            rows[1][n - 1] = rows[1][n - 1] + 1
+            calls.append(route)
+            return congruence(C, rows, n)
+
+        return perturbed
 
     f = preset_class("todd", 10).f
-    for module in (series, closedform):
-        monkeypatch.setattr(module, "congruence_numerators", perturbed)
+    for module, route in ((series, "closed form"), (closedform, "closed form"), (localisation, "residue")):
+        monkeypatch.setattr(module, "congruence_numerators", perturbing(route))
     z_series_hookform(f, 8)
     assert calls == []
     results = verification.verify_multiplicative(f, "todd", 8)
-    assert calls
+    # The fault reaches both routes.  In the residue route the entry meets
+    # only the linear terms of (G G)(a - b), which vanish, so there it
+    # leaves Z unchanged; the closed form carries it to the check.
+    assert set(calls) == {"closed form", "residue"}
     triple = results[0]
     assert triple.name == "triple-agreement"
     assert not triple.passed

@@ -4,6 +4,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from cell_oracle import EMPTY, arm, cells, hook, leg
+from hilbfock import cli
 from hilbfock.partitions import (
     Partition,
     c_prime_product,
@@ -12,6 +13,7 @@ from hilbfock.partitions import (
     hook_product,
     weight_multiset,
 )
+from hilbfock.rings import Frozen
 
 
 def c_product(partition, alpha, beta):
@@ -260,3 +262,21 @@ def test_row_length_statistics_match_the_per_cell_definitions():
                     assert weight_multiset(p, alpha, beta) == tuple(sorted(weights))
                     expected = math.prod(alpha * l + beta * (a + 1) for a, l in stats)
                     assert c_prime_product(p, alpha, beta) == expected
+
+
+def test_a_verify_run_compares_partitions_by_their_parts(monkeypatch, capsys):
+    """The hook form builds fresh two-row partitions, which the per-diagram
+    cache compares with the enumerated ones on their parts alone: a
+    ``verify`` run forms no generic field tuple of a Partition."""
+    fields = Frozen._fields
+    seen = []
+
+    def counting(self):
+        seen.append(type(self))
+        return fields(self)
+
+    monkeypatch.setattr(Frozen, "_fields", counting)
+    assert cli.main(["verify", "--class", "todd", "--order", "8"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert Partition not in seen
+    assert Partition((2, 1)) == Partition((2, 1, 0)) != Partition((2,))
