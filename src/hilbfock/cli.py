@@ -16,16 +16,28 @@ as integer or "p/q" strings, never as floats.
 A command line ``COMMAND --flag VALUE ...`` is read straight from a flag
 table; argparse, whose import and parsers cost about 10 ms, is loaded only
 for help, ``--version``, usage errors and other spellings of a command.
+
+``python -m hilbfock.cli`` and the installed ``hilbfock`` script both
+call ``run``: it calls ``main``, flushes stdout and stderr and ends the
+process with ``os._exit``, so that the interpreter does not free every
+module and object one by one once the output is written, which costs
+more than the math of a small table.  The package holds no open file,
+thread, temporary file or ``atexit`` handler, so the two streams are all
+that teardown would finish.  If a flush raises, ``run`` exits through
+``sys.exit`` and the interpreter reports the stream as it always did; an
+exception out of ``main`` is left to the interpreter too.  ``main``
+itself returns the exit code, for tests and callers in process.
 """
 
 from __future__ import annotations
 
 import io
+import os
 import re
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, NoReturn
 
 if TYPE_CHECKING:
     import argparse
@@ -418,5 +430,21 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if isinstance(exc, UsageError) else 3
 
 
+def run() -> NoReturn:
+    """``sys.exit(main())`` without the interpreter's teardown.
+
+    Both streams are flushed first; a flush that fails (a reader that
+    closed the pipe, a closed stream) leaves the exit to ``sys.exit``,
+    whose teardown reports it as before.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbfock import closedform, localisation, partitions, series, verification
+from hilbfock import cli, closedform, localisation, partitions, series, verification
 from hilbfock.closedform import PRESET_NAMES, preset_class, z_closed
 from hilbfock.localisation import (
     FixedPointBasisVector,
@@ -656,3 +656,25 @@ def test_a_fault_in_the_shared_congruence_fails_the_triple_agreement(monkeypatch
     assert not triple.passed
     assert "closed form" in triple.detail
     assert "fixed-point sum" in triple.detail
+
+
+def test_a_residue_route_that_raises_fails_the_triple_agreement(monkeypatch, capsys):
+    # One numerator too high at T[2][n - 3] leaves the residue route's
+    # product not divisible by (x - y), so the route raises SeriesError;
+    # verify reports that as a failed check, with no traceback.
+    congruence = localisation.congruence_numerators
+
+    def perturbed(C, T, n):
+        rows = [list(row) for row in T]
+        rows[2][n - 3] = rows[2][n - 3] + 1
+        return congruence(C, rows, n)
+
+    monkeypatch.setattr(localisation, "congruence_numerators", perturbed)
+    with pytest.raises(series.SeriesError):
+        z_series_residue(preset_class("todd", 10).f, 8)
+    assert cli.main(["verify", "--class", "todd", "--order", "8"]) == 1
+    captured = capsys.readouterr()
+    failed = [line for line in captured.out.splitlines() if line.startswith("FAIL")]
+    assert [line.split()[1] for line in failed] == ["triple-agreement"]
+    assert "the residue extraction raised SeriesError: not divisible by (x - y)" in captured.out
+    assert captured.err == ""

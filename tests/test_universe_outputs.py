@@ -6,7 +6,8 @@ the benchmark can draw, and ``perfbench/reference.json`` holds the
 digest of each job's output (``perfbench/jobrun.py`` ``digest``: the
 output with ``verify``'s wall times dropped, hashed).  A change that
 keeps every output byte for byte passes here.  The jobs run in process
-through ``cli.main``; the perfbench files are read and never written.
+through ``cli.main``; a few also run as the benchmark runs them, each
+in a fresh process.  The perfbench files are read and never written.
 Every job's command line is also read without argparse, into the
 namespace argparse would give.
 """
@@ -70,3 +71,22 @@ def test_every_universe_job_prints_its_reference_output(workload):
         if code != 0 or jobrun.digest(out.getvalue()) != reference[key]:
             differing.append((key, code))
     assert differing == []
+
+
+@pytest.mark.parametrize(
+    "workload, argv",
+    [
+        ("closedform-tables", workloads.TABLE_TAIL),
+        ("closedform-tables", ("table", "--class", "l-genus", "--max-degree", "12", "--format", "csv")),
+        ("closedform-tables", ("table", "--class", "todd", "--max-degree", "12", "--target", "tautological",
+                               "--format", "json")),
+        ("fixedpoint-vectors", workloads.EQUIVARIANT_TAIL),
+        ("verify-battery", ("verify", "--class", "todd", "--order", "8")),
+    ],
+    ids=lambda value: value if isinstance(value, str) else jobrun.job_key(value),
+)
+def test_a_job_run_the_benchmarks_way_prints_its_reference_output(workload, argv):
+    # The benchmark's own path: a fresh ``python -m hilbfock.cli`` process
+    # in the benchmark's environment, judged by the benchmark's check.
+    result = jobrun.run_command(jobrun.cli_command(argv), argv, jobrun.job_env())
+    assert jobrun.failure(result, REFERENCE[workload]) == ""
