@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .rings import DUALS, DualNumber, Frozen
 from .series import (
@@ -56,7 +56,6 @@ from .series import (
     negate_argument,
     reciprocal,
     series_log,
-    shift_down,
     shift_up,
 )
 
@@ -139,42 +138,29 @@ def _dense(entries: dict, kind: str, max_degree: int) -> CoeffTable:
     return CoeffTable(kind, max_degree, full)
 
 
-def _exponential(rate: Fraction, order: int) -> Series1:
-    """The series of exp(rate * x), built termwise to avoid a log/exp round trip."""
-    coefficients = [Fraction(1)]
-    for k in range(1, order + 1):
-        coefficients.append(coefficients[-1] * rate / k)
-    return Series1.from_coefficients(tuple(coefficients), order)
+def _factorial_series(coefficient: Callable[[int], Fraction], order: int) -> Series1:
+    """The series with coefficient(k) at x^k for 0 <= k <= order."""
+    return Series1(tuple(map(coefficient, range(order + 1))), order)
 
 
-def _todd_series(order: int) -> Series1:
-    # x / (1 - exp(-x)); the denominator is divisible by x exactly once.
-    denominator = Series1.one(order + 1) - _exponential(Fraction(-1), order + 1)
-    return reciprocal(shift_down(denominator, 1))
-
-
-def _l_genus_series(order: int) -> Series1:
-    # x / tanh(x) = cosh(x) / (sinh(x)/x).
-    plus = _exponential(Fraction(1), order + 1)
-    minus = _exponential(Fraction(-1), order + 1)
-    sinh_over_x = shift_down((plus - minus) * Fraction(1, 2), 1)
-    cosh = ((plus + minus) * Fraction(1, 2)).truncate(order)
-    return cosh * reciprocal(sinh_over_x)
-
-
-def _a_hat_series(order: int) -> Series1:
-    # (x/2) / sinh(x/2) = (1/2) / (sinh(x/2)/x).
-    half = Fraction(1, 2)
-    sinh_half = (_exponential(half, order + 1) - _exponential(-half, order + 1)) * half
-    return reciprocal(shift_down(sinh_half, 1)) * half
-
-
+# The analytic presets are reciprocals of series with factorial
+# coefficients, times cosh x for l-genus; (1 - k % 2) keeps the even k.
 _PRESET_BUILDERS = {
     "trivial": lambda order: Series1.one(order),
     "chern-total": lambda order: Series1.one(order) + Series1.monomial(Fraction(1), 1, order),
-    "todd": _todd_series,
-    "l-genus": _l_genus_series,
-    "a-hat": _a_hat_series,
+    # x / (1 - e^(-x)) = 1 / (sum of (-x)^k / (k+1)!)
+    "todd": lambda order: reciprocal(
+        _factorial_series(lambda k: Fraction((-1) ** k, math.factorial(k + 1)), order)
+    ),
+    # x / tanh x = cosh x / (sinh x / x)
+    "l-genus": lambda order: (
+        _factorial_series(lambda k: Fraction(1 - k % 2, math.factorial(k)), order)
+        * reciprocal(_factorial_series(lambda k: Fraction(1 - k % 2, math.factorial(k + 1)), order))
+    ),
+    # (x/2) / sinh(x/2) = 1 / (sum of (x/2)^(2j) / (2j+1)!)
+    "a-hat": lambda order: reciprocal(
+        _factorial_series(lambda k: Fraction(1 - k % 2, 2**k * math.factorial(k + 1)), order)
+    ),
 }
 
 PRESET_NAMES = tuple(_PRESET_BUILDERS)

@@ -67,9 +67,14 @@ class CheckResult(Frozen):
 
 
 def _run(name: str, check: Callable[[], str]) -> CheckResult:
-    """Time one check; the check returns an empty string on success."""
+    """Time one check; the check returns an empty string on success.  A
+    check that raises SeriesError (a fault that leaves a numerator table
+    not divisible by x - y, say) fails with the error as its detail."""
     start = time.perf_counter()
-    detail = check()
+    try:
+        detail = check()
+    except SeriesError as exc:
+        detail = f"raised {type(exc).__name__}: {exc}"
     elapsed = time.perf_counter() - start
     return CheckResult(name, detail == "", detail, elapsed)
 
@@ -88,14 +93,19 @@ def _first_difference(a: Series2, b: Series2, label_a: str, label_b: str) -> str
     return ""
 
 
-def _check_triple(f: Series1, order: int, closed: Callable[[], Series2]) -> str:
-    """The three routes to Z agree; a route that raises a SeriesError
-    (a fault that leaves a numerator table not divisible by x - y) fails
+def _check_triple(
+    f: Series1, order: int, closed: Callable[[], Series2], tables: Callable[[], tuple]
+) -> str:
+    """The three routes to Z agree, and so does the closed-form a_k with
+    row 0 of Z: since g(0) = 0, g'(0) = 1 and G(g(x)) = x, Z(x, 0) = g'(x),
+    so [x^(k-1) y^0] Z = k^2 a_k.  A route that raises a SeriesError (a
+    fault that leaves a numerator table not divisible by x - y) fails
     the check under the route's name."""
     routes = (
         ("closed form", closed),
         ("fixed-point sum", lambda: z_series_hookform(f.truncate(order), order)),
         ("residue extraction", lambda: z_series_residue(f, order)),
+        ("closed-form tables", lambda: tables()[0]),
     )
     values = []
     for label, route in routes:
@@ -103,11 +113,18 @@ def _check_triple(f: Series1, order: int, closed: Callable[[], Series2]) -> str:
             values.append(route())
         except SeriesError as exc:
             return f"the {label} raised SeriesError: {exc}"
-    closed_z, hookform, residue = values
+    closed_z, hookform, residue, a_k = values
     if closed_z != hookform:
         return _first_difference(closed_z, hookform, "closed form", "fixed-point sum")
     if closed_z != residue:
         return _first_difference(closed_z, residue, "closed form", "residue extraction")
+    for k in range(1, order + 1):
+        row_zero, expected = hookform.rows[k - 1][-1], k * k * a_k[k]
+        if row_zero != expected:
+            return (
+                f"at x^{k - 1} y^0 the fixed-point sum gives {row_zero}, "
+                f"but {k}^2 a_{k} = {expected} from the closed form"
+            )
     return ""
 
 
@@ -234,7 +251,7 @@ def verify_multiplicative(f: Series1, name: str, order: int) -> list[CheckResult
     closed = cache(lambda: z_closed(f, order))
     tables = cache(lambda: tangent_tables(f, order))
     results = [
-        _run("triple-agreement", lambda: _check_triple(f, order, closed)),
+        _run("triple-agreement", lambda: _check_triple(f, order, closed, tables)),
         _run("log-exp-consistency", lambda: _check_log_exp(closed(), tables()[1], order)),
         _run("parity", lambda: _check_parity(tables()[0], closed(), order)),
         _run("symmetry", lambda: _check_symmetry(closed())),

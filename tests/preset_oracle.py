@@ -1,0 +1,46 @@
+"""The analytic presets from exponential series, kept as a test oracle.
+
+The package writes todd, l-genus and a-hat as reciprocals of series
+with factorial coefficients.  The builders here take the textbook
+route instead: sums, differences and scalar multiples of exp(x) and
+exp(-x) (or of exp(+-x/2)), divided by x with ``shift_down``.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from hilbfock.series import Series1, reciprocal, shift_down
+
+
+def _exponential(rate: Fraction, order: int) -> Series1:
+    """The series of exp(rate * x), built termwise to avoid a log/exp round trip."""
+    coefficients = [Fraction(1)]
+    for k in range(1, order + 1):
+        coefficients.append(coefficients[-1] * rate / k)
+    return Series1.from_coefficients(tuple(coefficients), order)
+
+
+def todd_series(order: int) -> Series1:
+    # x / (1 - exp(-x)); the denominator is divisible by x exactly once.
+    denominator = Series1.one(order + 1) - _exponential(Fraction(-1), order + 1)
+    return reciprocal(shift_down(denominator, 1))
+
+
+def l_genus_series(order: int) -> Series1:
+    # x / tanh(x) = cosh(x) / (sinh(x)/x).
+    plus = _exponential(Fraction(1), order + 1)
+    minus = _exponential(Fraction(-1), order + 1)
+    sinh_over_x = shift_down((plus - minus) * Fraction(1, 2), 1)
+    cosh = ((plus + minus) * Fraction(1, 2)).truncate(order)
+    return cosh * reciprocal(sinh_over_x)
+
+
+def a_hat_series(order: int) -> Series1:
+    # (x/2) / sinh(x/2) = (1/2) / (sinh(x/2)/x).
+    half = Fraction(1, 2)
+    sinh_half = (_exponential(half, order + 1) - _exponential(-half, order + 1)) * half
+    return reciprocal(shift_down(sinh_half, 1)) * half
+
+
+ORACLES = {"todd": todd_series, "l-genus": l_genus_series, "a-hat": a_hat_series}

@@ -39,6 +39,7 @@ from hilbfock.series import (
 
 import fraction_kernels
 from fraction_kernels import in_x, in_y
+from preset_oracle import ORACLES
 
 
 def one_plus_x(order):
@@ -99,6 +100,13 @@ def test_a_hat_series_coefficients():
         Fr(0),
         Fr(127, 154828800),
     )
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_analytic_presets_match_the_exponential_builders(name):
+    # every order a table can ask for: the cap of 104, plus one
+    for order in range(106):
+        assert preset_class(name, order).f == ORACLES[name](order)
 
 
 def test_trivial_and_chern_total_presets():
