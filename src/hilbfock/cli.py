@@ -58,7 +58,7 @@ from .closedform import (
 )
 from .localisation import EquivariantClassVector, equivariant_class_coeffs
 from .rings import Frozen
-from .series import Series1
+from .series import InternalCheckError, Series1
 from .verification import verify_chern_character, verify_multiplicative
 
 MAX_TABLE_DEGREE = 104
@@ -304,6 +304,8 @@ def cmd_equivariant(args: argparse.Namespace, spec: ClassSpec) -> int:
     f = class_series(spec, max(level, 1))
     try:
         vector = equivariant_class_coeffs(f, args.gamma, level)
+    except InternalCheckError:
+        raise  # a bug, not a usage error
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 

@@ -43,6 +43,7 @@ from typing import Callable, Mapping
 from .rings import DUALS, DualNumber, Frozen
 from .series import (
     InsufficientOrderError,
+    InternalCheckError,
     Series1,
     Series2,
     check_class_series,
@@ -91,7 +92,8 @@ class CoeffTable(Frozen):
     Only the k >= l half is stored; the full table is the symmetric
     extension.  ``kind`` records which construction produced the table,
     and for every kind except the tautological one the entries of odd
-    total degree must vanish, which is checked on construction.
+    total degree must vanish, which is checked on construction: a table
+    that breaks it raises InternalCheckError.
     """
 
     __slots__ = ("kind", "max_degree", "entries")
@@ -107,7 +109,7 @@ class CoeffTable(Frozen):
             if k + l > max_degree:
                 raise ValueError(f"table index {(k, l)} exceeds max degree {max_degree}")
             if kind in _EVEN_KINDS and (k + l) % 2 and value != 0:
-                raise ValueError(
+                raise InternalCheckError(
                     f"entry {(k, l)} of odd total degree must vanish in a {kind} table"
                 )
         super().__init__(kind, max_degree, entries)
@@ -147,7 +149,7 @@ def _factorial_series(coefficient: Callable[[int], Fraction], order: int) -> Ser
 # coefficients, times cosh x for l-genus; (1 - k % 2) keeps the even k.
 _PRESET_BUILDERS = {
     "trivial": lambda order: Series1.one(order),
-    "chern-total": lambda order: Series1.one(order) + Series1.monomial(Fraction(1), 1, order),
+    "chern-total": lambda order: Series1((Fraction(1), Fraction(1)), order),
     # x / (1 - e^(-x)) = 1 / (sum of (-x)^k / (k+1)!)
     "todd": lambda order: reciprocal(
         _factorial_series(lambda k: Fraction((-1) ** k, math.factorial(k + 1)), order)

@@ -71,6 +71,7 @@ from .partitions import (
 )
 from .rings import Frozen
 from .series import (
+    InternalCheckError,
     Series1,
     Series2,
     compose,
@@ -135,7 +136,7 @@ def _class_log(f: Series1, n: int) -> tuple[int, tuple]:
 
     c is the lcm of the denominators of f_1, ..., f_n, so the weights are
     integers over either ring; a remainder would be a bug here and raises
-    RuntimeError.  w[0] holds 1, which seeds e_0 in ``_power_sum_exp``.
+    InternalCheckError.  w[0] holds 1, which seeds e_0 in ``_power_sum_exp``.
     The result is kept for the last series (by identity) and level asked
     for: the single-pair entry points take the log of one series at one
     level once per pair, and a cache keyed on the series' hash would cost
@@ -148,7 +149,7 @@ def _class_log(f: Series1, n: int) -> tuple[int, tuple]:
         c = ring.split(f.truncate(n).coefficients)[1]
         w, q = ring.cancel([r * c**m for m, r in enumerate(R)], Q)
         if q != 1:
-            raise RuntimeError("internal error: the scaled log weights are not integers")
+            raise InternalCheckError("internal error: the scaled log weights are not integers")
         memo[:] = f, n, (c, (1, *w[1:]))
     return memo[2]
 

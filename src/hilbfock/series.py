@@ -3,25 +3,28 @@
 Every series carries an explicit truncation order.  A ``Series1`` of
 order N stores the coefficients of degrees 0 through N and knows
 nothing beyond degree N; asking for a higher coefficient raises
-``InsufficientOrderError`` instead of returning a silent zero.  Binary
-operations truncate to the smaller operand order.  The same contract
+``InsufficientOrderError`` instead of returning a silent zero.
+Products truncate to the smaller operand order.  The same contract
 holds for ``Series2`` with total degree playing the role of degree.
 ``truncate`` never extends and raises the same error, so it is the
 precision check of every function that needs a series to a given
 order: such a function truncates its input to that order first.
 
-The analytic operations all live here as module-level functions:
+``Series1`` and ``Series2`` are truncated coefficient containers: they
+offer the series-times-series product and, for ``Series2``, adding a
+constant.  Everything else lives here as module-level functions:
 reciprocal and log (one variable only, both recurrences on
-numerators), composition (Horner's scheme in general; a two-variable
-series C(u, v) at u = g(x), v = g(y) as a congruence of triangular
-matrices over the powers of g, with outer(g(x) - g(y)) as one case),
-compositional inversion by the Lagrange formula, which also returns the
-powers of the inverse and checks it against them, and the two-variable
-division by x - y.  Powers stay numerators, cancelled one by one in
-``power_chain``, and ``congruence_numerators`` reads a triangular table
-of them over one denominator as it is.  ``localisation`` takes its logs
-from the same ``log_numerators``.  Coefficients come from one of the
-rings in ``rings``: plain rationals or dual numbers.
+numerators), composition (a one-variable series of a two-variable one
+by Horner's scheme; a two-variable series C(u, v) at u = g(x),
+v = g(y) as a congruence of triangular matrices over the powers of g,
+with outer(g(x) - g(y)) as one case), compositional inversion by the
+Lagrange formula, which also returns the powers of the inverse and
+checks it against them, and the two-variable division by x - y.
+Powers stay numerators, cancelled one by one in ``power_chain``, and
+``congruence_numerators`` reads a triangular table of them over one
+denominator as it is.  ``localisation`` takes its logs from the same
+``log_numerators``.  Coefficients come from one of the rings in
+``rings``: plain rationals or dual numbers.
 
 The kernels run on numerators over one common denominator, the
 representation of FLINT's fmpq_poly.  ``Ring.split`` writes a sequence
@@ -44,8 +47,9 @@ recursions of ``reciprocal`` and the log cancel each new term, so their
 denominator stays the lcm of the reduced ones instead of growing as a
 power.  The two-variable product keeps one denominator per row of total
 degree, since the denominators of a series often grow with the degree.
-One body serves both rings.  Only the one-pass operations (sums, sign
-flips, shifts, the derivative) work on ring elements.
+One body serves both rings.  Only the one-pass operations (a constant
+added to a ``Series2``, x -> -x, the shifts, the derivative) work on
+ring elements.
 """
 
 from __future__ import annotations
@@ -66,6 +70,10 @@ class InsufficientOrderError(SeriesError):
 
 class NotInvertibleError(SeriesError):
     """The series has no inverse of the requested kind."""
+
+
+class InternalCheckError(SeriesError):
+    """A self-check of the package failed: a bug, not bad input."""
 
 
 def check_class_series(f: "Series1") -> None:
@@ -264,10 +272,6 @@ class _Series(Frozen):
 
     __slots__ = ()
 
-    @classmethod
-    def zero(cls, order: int, ring: Ring = QQ):
-        return cls((), order, ring)
-
     def truncate(self, order: int):
         """Forget the terms above ``order``.  Never extends: a larger
         ``order`` raises InsufficientOrderError (the precision check)."""
@@ -278,31 +282,9 @@ class _Series(Frozen):
             )
         return type(self)(self._fields()[0], order, self.ring)
 
-    def _coerce_scalar(self, other: Any):
-        try:
-            return self.ring.coerce(other)
-        except TypeError:
-            return None
-
     def _require_same_ring(self, other: "_Series") -> None:
         if self.ring is not other.ring:
             raise SeriesError("operands live over different coefficient rings")
-
-    def __radd__(self, other: Any):
-        return self.__add__(other)
-
-    def __sub__(self, other: Any):
-        if not isinstance(other, type(self)):
-            other = self._coerce_scalar(other)
-            if other is None:
-                return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: Any):
-        return (-self) + other
-
-    def __rmul__(self, other: Any):
-        return self.__mul__(other)
 
 
 # ---------------------------------------------------------------------------
@@ -349,15 +331,6 @@ class Series1(_Series):
         """The series x."""
         return cls((ring.zero, ring.one), order, ring)
 
-    @classmethod
-    def monomial(cls, coefficient: Any, exponent: int, order: int, ring: Ring = QQ) -> "Series1":
-        if exponent < 0:
-            raise SeriesError("exponents must be non-negative")
-        values = [ring.zero] * (exponent + 1)
-        if exponent <= order:
-            values[exponent] = coefficient
-        return cls(tuple(values), order, ring)
-
     # -- access ------------------------------------------------------------
 
     def coefficient(self, exponent: int):
@@ -376,36 +349,15 @@ class Series1(_Series):
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other: Any) -> "Series1":
-        if isinstance(other, Series1):
-            self._require_same_ring(other)
-            n = min(self.order, other.order)
-            return Series1(
-                tuple(self.coefficients[k] + other.coefficients[k] for k in range(n + 1)),
-                n,
-                self.ring,
-            )
-        scalar = self._coerce_scalar(other)
-        if scalar is None:
-            return NotImplemented
-        values = (self.coefficients[0] + scalar,) + self.coefficients[1:]
-        return Series1(values, self.order, self.ring)
-
-    def __neg__(self) -> "Series1":
-        return Series1(tuple(-c for c in self.coefficients), self.order, self.ring)
-
     def __mul__(self, other: Any) -> "Series1":
-        if isinstance(other, Series1):
-            self._require_same_ring(other)
-            n = min(self.order, other.order)
-            ring = self.ring
-            a, da = ring.split(self.coefficients[: n + 1])
-            b, db = ring.split(other.coefficients[: n + 1])
-            return Series1(ring.join(convolve_numerators(a, b, n), da * db), n, ring)
-        scalar = self._coerce_scalar(other)
-        if scalar is None:
+        if not isinstance(other, Series1):
             return NotImplemented
-        return Series1(tuple(c * scalar for c in self.coefficients), self.order, self.ring)
+        self._require_same_ring(other)
+        n = min(self.order, other.order)
+        ring = self.ring
+        a, da = ring.split(self.coefficients[: n + 1])
+        b, db = ring.split(other.coefficients[: n + 1])
+        return Series1(ring.join(convolve_numerators(a, b, n), da * db), n, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -488,37 +440,24 @@ class Series2(_Series):
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: Any) -> "Series2":
-        if isinstance(other, Series2):
-            self._require_same_ring(other)
-            n = min(self.order, other.order)
-            rows = tuple(
-                tuple(a + b for a, b in zip(self.rows[d], other.rows[d]))
-                for d in range(n + 1)
-            )
-            return Series2(rows, n, self.ring)
-        scalar = self._coerce_scalar(other)
-        if scalar is None:
+        """The series plus a constant of its ring."""
+        try:
+            scalar = self.ring.coerce(other)
+        except TypeError:
             return NotImplemented
         rows = ((self.rows[0][0] + scalar,),) + self.rows[1:]
         return Series2(rows, self.order, self.ring)
 
-    def __neg__(self) -> "Series2":
-        return Series2(tuple(tuple(-c for c in row) for row in self.rows), self.order, self.ring)
-
     def __mul__(self, other: Any) -> "Series2":
-        if isinstance(other, Series2):
-            self._require_same_ring(other)
-            n = min(self.order, other.order)
-            ring = self.ring
-            A, a = zip(*map(ring.split, self.rows[: n + 1]))
-            B, b = zip(*map(ring.split, other.rows[: n + 1]))
-            rows, d = multiply_graded_rows(ring, A, a, B, b, n)
-            return Series2(tuple(map(ring.join, rows, d)), n, ring)
-        scalar = self._coerce_scalar(other)
-        if scalar is None:
+        if not isinstance(other, Series2):
             return NotImplemented
-        rows = tuple(tuple(c * scalar for c in row) for row in self.rows)
-        return Series2(rows, self.order, self.ring)
+        self._require_same_ring(other)
+        n = min(self.order, other.order)
+        ring = self.ring
+        A, a = zip(*map(ring.split, self.rows[: n + 1]))
+        B, b = zip(*map(ring.split, other.rows[: n + 1]))
+        rows, d = multiply_graded_rows(ring, A, a, B, b, n)
+        return Series2(tuple(map(ring.join, rows, d)), n, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -580,26 +519,24 @@ def _times_terms(rows: Sequence[Sequence], terms: Sequence[tuple], n: int) -> li
     return out
 
 
-def compose(outer: Series1, inner: Series1 | Series2):
-    """Substitute ``inner`` (zero constant term) into ``outer``.
+def compose(outer: Series1, inner: Series2) -> Series2:
+    """Substitute the two-variable ``inner`` (zero constant term) into
+    the one-variable ``outer``.
 
-    The one-variable form yields a Series1, the two-variable form a
-    Series2.  Evaluation is by Horner's scheme on numerators: h starts
-    at outer_n and becomes h inner + outer_k for k = n - 1, ..., 1, and
-    the composite is h inner + outer_0.  h is kept as numerator rows
-    over one running denominator, and each step is cancelled before it
-    takes the next factor, as in ``power_chain``.  The product by ``inner``
+    Evaluation is by Horner's scheme on numerators: h starts at outer_n
+    and becomes h inner + outer_k for k = n - 1, ..., 1, and the
+    composite is h inner + outer_0.  h is kept as numerator rows over
+    one running denominator, and each step is cancelled before it takes
+    the next factor, as in ``power_chain``.  The product by ``inner``
     visits only its nonzero entries, so a sparse inner series such as
-    x - y costs O(N^2) per step.  A one-variable series runs as rows of
-    one entry each.
+    x - y costs O(N^2) per step.
     """
     outer._require_same_ring(inner)
     ring = outer.ring
     if inner.constant_term != ring.zero:
         raise SeriesError("composition requires the inner series to have zero constant term")
     n = min(outer.order, inner.order)
-    two_vars = isinstance(inner, Series2)
-    rows = inner.rows[: n + 1] if two_vars else [(v,) for v in inner.coefficients[: n + 1]]
+    rows = inner.rows[: n + 1]
     I, d = split_rows(ring, rows)
     terms = [(e, j, v) for e, row in enumerate(I) for j, v in enumerate(row) if v]
     # O[k - 1] / c is outer_k; outer_0 is added to the joined series.
@@ -615,10 +552,7 @@ def compose(outer: Series1, inner: Series1 | Series2):
             D = grown
         H[0][0] += O[k - 1] * (D // c)
         H, D = _cancel_rows(ring, H, D)
-    joined = join_rows(ring, _times_terms(H, terms, n), D * d)
-    if two_vars:
-        return Series2(joined, n, ring) + outer.coefficients[0]
-    return Series1([row[0] for row in joined], n, ring) + outer.coefficients[0]
+    return Series2(join_rows(ring, _times_terms(H, terms, n), D * d), n, ring) + outer.coefficients[0]
 
 
 def compose_difference_numerators(outer: Series1, powers: tuple[list[list], int]) -> tuple[list[list], int]:
@@ -653,7 +587,7 @@ def compositional_inverse(series: Series1) -> tuple[Series1, tuple[list[list], i
     G_a g^a = x at O(N^2).  Series of the form x*(unit) form a group
     under composition, so this one-sided check also gives g(G) = x.  A
     failed check would indicate a bug here, not bad input, and raises
-    RuntimeError.
+    InternalCheckError.
     """
     ring = series.ring
     if series.order < 1:
@@ -675,7 +609,7 @@ def compositional_inverse(series: Series1) -> tuple[Series1, tuple[list[list], i
     G, d = ring.split(series.coefficients)
     composite = [sum(G[a] * T[a][i - a] for a in range(i + 1)) for i in range(n + 1)]
     if ring.join(composite, d * t) != Series1.identity(n, ring).coefficients:
-        raise RuntimeError("internal error: compositional inverse failed its round-trip check")
+        raise InternalCheckError("internal error: compositional inverse failed its round-trip check")
     return g, (T, t)
 
 

@@ -24,7 +24,7 @@ def schur_two_vars(partition: Partition, order: int | None = None) -> Series2:
     if order is None:
         order = partition.size
     if partition.length > 2:
-        return Series2.zero(order)
+        return Series2((), order)
     a, b = (*partition.parts, 0, 0)[:2]
     # The one nonzero row; the rows below it, and its tail, are zero padding.
     row = (QQ.zero,) * b + (QQ.one,) * (a - b + 1)

@@ -68,8 +68,8 @@ class CheckResult(Frozen):
 
 def _run(name: str, check: Callable[[], str]) -> CheckResult:
     """Time one check; the check returns an empty string on success.  A
-    check that raises SeriesError (a fault that leaves a numerator table
-    not divisible by x - y, say) fails with the error as its detail."""
+    check that raises SeriesError (a numerator table left not divisible
+    by x - y, a self-check's InternalCheckError) fails with it as its detail."""
     start = time.perf_counter()
     try:
         detail = check()
@@ -112,7 +112,7 @@ def _check_triple(
         try:
             values.append(route())
         except SeriesError as exc:
-            return f"the {label} raised SeriesError: {exc}"
+            return f"the {label} raised {type(exc).__name__}: {exc}"
     closed_z, hookform, residue, a_k = values
     if closed_z != hookform:
         return _first_difference(closed_z, hookform, "closed form", "fixed-point sum")

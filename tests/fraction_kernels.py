@@ -7,7 +7,13 @@ coefficient operation on ring elements (``Fraction`` or
 ``DualNumber``), one normalisation each; the kernels must agree with
 them exactly.  The log recurrence here also keeps its two-variable
 branch, which the package no longer has: the log-exp check of
-``verification`` tests E(Z) = Z E(R) instead of taking log Z.
+``verification`` tests E(Z) = Z E(R) instead of taking log Z, and
+``compose`` keeps its one-variable form.
+
+``Series1`` and ``Series2`` offer only the products and the constant
+added to a ``Series2`` that the package calls, so the ring-element
+sums, sign flips and scalar multiples the oracles build from are
+``zero``, ``monomial``, ``add``, ``negate`` and ``scale`` here.
 """
 
 from __future__ import annotations
@@ -15,8 +21,51 @@ from __future__ import annotations
 from math import comb
 from typing import Any, Sequence
 
-from hilbfock.rings import Ring
+from hilbfock.rings import QQ, Ring
 from hilbfock.series import Series1, Series2, SeriesError, shift_down, split_rows
+
+
+def zero(kind: type, order: int, ring: Ring = QQ):
+    """The zero ``Series1`` or ``Series2`` of the given order."""
+    return kind((), order, ring)
+
+
+def monomial(coefficient: Any, exponent: int, order: int, ring: Ring = QQ) -> Series1:
+    """coefficient * x^exponent, truncated after degree ``order``."""
+    return Series1((ring.zero,) * exponent + (coefficient,), order, ring)
+
+
+def _map(series, function):
+    """The series with ``function`` applied to every coefficient."""
+    if isinstance(series, Series1):
+        return Series1(tuple(map(function, series.coefficients)), series.order, series.ring)
+    return Series2(tuple(tuple(map(function, row)) for row in series.rows), series.order, series.ring)
+
+
+def negate(series):
+    return _map(series, lambda c: -c)
+
+
+def scale(series, factor: Any):
+    """The series times a constant of its ring."""
+    factor = series.ring.coerce(factor)
+    return _map(series, lambda c: c * factor)
+
+
+def add(left, right):
+    """The sum of two series of one kind over one ring, to the smaller
+    order, or a series plus a constant of its ring."""
+    ring = left.ring
+    if not isinstance(right, (Series1, Series2)):
+        if isinstance(left, Series2):
+            return left + right
+        return Series1((left.constant_term + ring.coerce(right),) + left.coefficients[1:], left.order, ring)
+    if type(right) is not type(left) or right.ring is not ring:
+        raise SeriesError("operands are series of different kinds or over different rings")
+    n = min(left.order, right.order)
+    if isinstance(left, Series1):
+        return Series1(tuple(a + b for a, b in zip(left.coefficients, right.coefficients)), n, ring)
+    return Series2(tuple(tuple(a + b for a, b in zip(*rows)) for rows in zip(left.rows, right.rows)), n, ring)
 
 
 def multiply1(left: Series1, right: Series1) -> Series1:
@@ -58,10 +107,10 @@ def compose(outer: Series1, inner: Series1 | Series2):
         raise SeriesError("composition requires the inner series to have zero constant term")
     multiply = multiply2 if isinstance(inner, Series2) else multiply1
     n = min(outer.order, inner.order)
-    result = type(inner).zero(n, outer.ring)
+    result = zero(type(inner), n, outer.ring)
     truncated_inner = inner.truncate(n)
     for k in range(n, -1, -1):
-        result = multiply(result, truncated_inner) + outer.coefficients[k]
+        result = add(multiply(result, truncated_inner), outer.coefficients[k])
     return result
 
 

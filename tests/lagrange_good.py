@@ -23,6 +23,8 @@ from hilbfock.series import (
     shift_down,
 )
 
+from fraction_kernels import add, negate
+
 
 def differentiate_x(series: Series2) -> Series2:
     """Partial derivative in the first variable; order drops by one."""
@@ -137,7 +139,9 @@ def lagrange_good_extract(g, f_list: Sequence, k) -> Any:
         h2 = divide_by_y(f2)
         if not g.ring.is_unit(h1.constant_term) or not g.ring.is_unit(h2.constant_term):
             raise NotInvertibleError("not invertible under composition")
-        jacobian = differentiate_x(f1) * differentiate_y(f2) - differentiate_y(f1) * differentiate_x(f2)
+        jacobian = add(
+            differentiate_x(f1) * differentiate_y(f2), negate(differentiate_y(f1) * differentiate_x(f2))
+        )
         product = g * jacobian * _power(reciprocal2(h1), k1 + 1) * _power(reciprocal2(h2), k2 + 1)
         return product.coefficient(k1, k2)
     raise SeriesError("at most two variables are supported")

@@ -36,6 +36,7 @@ from hilbfock.series import (
 )
 
 from exp_oracle import series_exp
+from fraction_kernels import add, in_x, scale
 from lagrange_good import lagrange_good_extract
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -166,7 +167,7 @@ def _naive_univariate_expansion(g, f, max_k):
         powers = powers * f
         c = residual.coefficient(k) / f1**k
         coefficients[k] = c
-        residual = residual - powers * c
+        residual = add(residual, scale(powers, -c))
     return coefficients
 
 
@@ -179,15 +180,14 @@ def test_criterion_5_structural_battery():
         f = preset_class(name, 9).f
         G = big_g(f)
         g = small_g(f, 9)
-        round_trip = compose(G, g)
-        if any(round_trip.coefficient(k) != (1 if k == 1 else 0) for k in range(10)):
+        if compose(G, in_x(g)) != in_x(Series1.identity(9)):
             problems.append(f"{name}: G(g(x)) is not the identity")
 
     # exp and log cancel both ways
     body = Series1.from_coefficients([0, 1, Fr(-1, 2), Fr(1, 3), 0, 5], 8)
     if series_log(series_exp(body)) != body:
         problems.append("log(exp(s)) != s")
-    unit = Series1.one(8) + body
+    unit = add(Series1.one(8), body)
     if series_exp(series_log(unit)) != unit:
         problems.append("exp(log(1 + s)) != 1 + s")
 

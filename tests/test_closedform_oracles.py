@@ -54,7 +54,8 @@ from hilbfock.series import (
     shift_up,
 )
 
-from fraction_kernels import compose, compose_difference, in_x, in_y, joined_powers, joined_rows
+from fraction_kernels import add, compose, compose_difference, in_x, in_y, joined_powers, joined_rows
+from fraction_kernels import monomial, negate, scale, zero
 from fraction_kernels import power_numerators, power_table
 from fraction_kernels import series_log as ring_element_log
 from lagrange_good import reciprocal2
@@ -78,16 +79,16 @@ def oracle_inverse(series: Series1) -> Series1:
 def oracle_log2(series: Series2) -> Series2:
     """log f as the sum of (-1)^(k+1) (f - 1)^k / k over two-variable series."""
     ring = series.ring
-    u = series - ring.one
-    acc, power = Series2.zero(series.order, ring), u
+    u = add(series, -ring.one)
+    acc, power = zero(Series2, series.order, ring), u
     for k in range(1, series.order + 1):
-        acc = acc + power * (ring.coerce((-1) ** (k + 1)) / ring.coerce(k))
+        acc = add(acc, scale(power, ring.coerce((-1) ** (k + 1)) / ring.coerce(k)))
         power = power * u
     return acc
 
 
 def _difference(g: Series1) -> Series2:
-    return in_x(g) - in_y(g)
+    return add(in_x(g), negate(in_y(g)))
 
 
 def _mixed_entries(logarithm: Series2, N: int) -> dict:
@@ -123,7 +124,7 @@ def _log_pipeline_entries(g: Series1, N: int, outer_log: Series1 | None = None) 
     """The pair table as the two-variable log of (g(x) - g(y)) / (x - y)."""
     logarithm = ring_element_log(divide_by_x_minus_y(_difference(g)))
     if outer_log is not None:
-        logarithm = logarithm - compose_difference(outer_log.truncate(N), power_table(g))
+        logarithm = add(logarithm, negate(compose_difference(outer_log.truncate(N), power_table(g))))
     return _mixed_entries(logarithm, N)
 
 
@@ -181,13 +182,13 @@ def test_random_classes_match_the_horner_pipelines(tail, N):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
 def test_dual_number_classes_match_the_horner_pipelines(n):
-    f = Series1.one(9, DUALS) + Series1.monomial(EPS, n, 9, DUALS)
+    f = add(Series1.one(9, DUALS), monomial(EPS, n, 9, DUALS))
     assert_all_routes_match(f, 8)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
 def test_corollary_via_dual_matches_the_log_pipeline(n):
-    f = Series1.one(n + 1, DUALS) + Series1.monomial(EPS, n, n + 1, DUALS)
+    f = add(Series1.one(n + 1, DUALS), monomial(EPS, n, n + 1, DUALS))
     table = log_pipeline_tangent_table(f, n)
     scale = Fr(1, math.factorial(n))
     expected = {
@@ -203,7 +204,7 @@ def corollary_slice(n: int) -> dict:
     """The degree-n slice of the Chern-character table, per slice: one
     dual-number run of ``a_kl_table`` with f = 1 + eps*x^n, whose
     eps-parts of total degree n are n! times the entries."""
-    f = Series1.one(n + 1, DUALS) + Series1.monomial(EPS, n, n + 1, DUALS)
+    f = add(Series1.one(n + 1, DUALS), monomial(EPS, n, n + 1, DUALS))
     scale = Fr(1, math.factorial(n))
     return {
         pair: value.infinitesimal * scale

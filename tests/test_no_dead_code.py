@@ -11,13 +11,19 @@ attribute, so it counts as live only when its name appears as an
 of the same name does not keep it alive.  Code that only tests use
 belongs in ``tests/``, and a helper that a refactor leaves without a
 caller fails here.
+
+Operators are not reached through a name, so the arithmetic dunders of
+``series`` are checked by running a ``verify`` job that reaches every
+one the package uses, and asking that each was called from the package.
 """
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
 import hilbfock
+from hilbfock import cli
 
 SOURCE = Path(hilbfock.__file__).parent
 
@@ -103,3 +109,46 @@ def test_every_method_and_property_is_called():
 def test_methods_kept_for_library_use_exist_and_have_no_caller():
     uncalled = {label for label, _, _, called in _definitions_and_references() if not called}
     assert set(KEPT_FOR_LIBRARY_USE) <= uncalled
+
+
+ARITHMETIC_DUNDERS = {
+    f"__{prefix}{op}__"
+    for op in ("add", "sub", "mul", "matmul", "truediv", "floordiv", "mod", "divmod", "pow")
+    for prefix in ("", "r", "i")
+} | {"__neg__", "__pos__", "__abs__", "__invert__"}
+
+
+def _series_arithmetic_dunders() -> dict[int, str]:
+    """First line -> ``Class.__op__`` of each arithmetic dunder in series.py."""
+    tree = ast.parse((SOURCE / "series.py").read_text(encoding="utf-8"))
+    return {
+        member.lineno: f"{top.name}.{member.name}"
+        for top in tree.body
+        if isinstance(top, ast.ClassDef)
+        for member in top.body
+        if isinstance(member, ast.FunctionDef) and member.name in ARITHMETIC_DUNDERS
+    }
+
+
+def test_every_series_operator_is_called_from_the_package(capsys):
+    """``verify --class chern-total --order 8`` reaches every stage of the
+    package; an operator of ``Series1`` or ``Series2`` that no frame in the
+    package calls during it is one that only tests use."""
+    dunders = _series_arithmetic_dunders()
+    series_file = str(SOURCE / "series.py")
+    reached = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename == series_file and code.co_firstlineno in dunders:
+            if Path(frame.f_back.f_code.co_filename).parent == SOURCE:
+                reached.add(dunders[code.co_firstlineno])
+
+    sys.setprofile(profile)
+    try:
+        code = cli.main(["verify", "--class", "chern-total", "--order", "8"])
+    finally:
+        sys.setprofile(None)
+    assert code == 0, capsys.readouterr().out
+    assert dunders, "no arithmetic dunder found in series.py"
+    assert sorted(set(dunders.values()) - reached) == []

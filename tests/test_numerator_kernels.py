@@ -196,17 +196,13 @@ def test_congruence_and_compose_difference(kind, data, order):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@given(data=st.data(), order=st.integers(0, 6), two_variables=st.booleans(), sparse=st.booleans())
+@given(data=st.data(), order=st.integers(0, 6), sparse=st.booleans())
 @settings(max_examples=40, deadline=None)
-def test_compose(kind, data, order, two_variables, sparse):
+def test_compose(kind, data, order, sparse):
     ring = RINGS[kind]
     outer = series1(data, kind)
-    if two_variables:
-        rows = (sparse_series2 if sparse else series2)(data, kind, order).rows
-        inner = Series2(((ring.zero,),) + rows[1:], order, ring)
-    else:
-        tail = data.draw(values(kind, max_size=order + 1))
-        inner = Series1.from_coefficients([ring.zero] + tail, ring=ring)
+    rows = (sparse_series2 if sparse else series2)(data, kind, order).rows
+    inner = Series2(((ring.zero,),) + rows[1:], order, ring)
     assert compose(outer, inner) == oracle.compose(outer, inner)
 
 
@@ -254,7 +250,7 @@ def test_order_zero(ring):
     assert a * a == oracle.multiply1(a, a)
     assert reciprocal(a) == oracle.reciprocal(a)
     with pytest.raises(InsufficientOrderError):
-        compositional_inverse(Series1.zero(0, ring))
+        compositional_inverse(oracle.zero(Series1, 0, ring))
     assert congruence_numerators([[7]], [[2]], 0) == [[28]]
     powers = compositional_inverse(Series1.identity(1, ring))[1]
     assert joined_rows(*compose_difference_numerators(a, powers), ring) == Series2(((c,),), 0, ring)
@@ -265,4 +261,4 @@ def test_order_zero(ring):
     line = Series2(((ring.zero,), (c, -c)), 1, ring)
     assert divide_by_x_minus_y(line) == oracle.divide_by_x_minus_y(line)
     assert compose(a, line) == oracle.compose(a, line) == Series2(((c,),), 0, ring)
-    assert compose(a, Series1.zero(3, ring)) == oracle.compose(a, Series1.zero(3, ring))
+    assert compose(a, oracle.zero(Series2, 3, ring)) == oracle.compose(a, oracle.zero(Series2, 3, ring))

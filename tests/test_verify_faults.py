@@ -8,6 +8,10 @@ Z = g'(x) g'(y) (G(g(x) - g(y)) / (x - y))^2 gives Z(x, 0) = g'(x), so
 closed form with the fixed-point sum's row 0; the tests below check the
 identity on both fixed-point routes and that a wrong normalisation of
 the a_k fails there and nowhere else.
+
+A self-check of the package that fails raises InternalCheckError, a
+SeriesError, so ``verify`` reports it as FAIL lines too; ``equivariant``
+does not report it as a usage error.
 """
 
 from fractions import Fraction as Fr
@@ -16,11 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbfock import cli, closedform, series, verification
+from hilbfock import cli, closedform, localisation, series, verification
 from hilbfock.closedform import PRESET_NAMES, preset_class, tangent_tables
 from hilbfock.localisation import z_series_hookform, z_series_residue
 from hilbfock.rings import DUALS, DualNumber
-from hilbfock.series import Series1
+from hilbfock.series import InternalCheckError, Series1
 
 
 def assert_row_zero_is_k_squared_a_k(f: Series1, N: int) -> None:
@@ -103,3 +107,62 @@ def test_a_bug_that_is_not_a_series_error_still_raises(monkeypatch):
     monkeypatch.setattr(verification, "tangent_tables", broken)
     with pytest.raises(RuntimeError, match="a bug"):
         verification.verify_multiplicative(preset_class("todd", 10).f, "todd", 8)
+
+
+def _raise_the_third_power_of_each_chain(monkeypatch):
+    # the inverse's own powers of g no longer match G, so its round-trip
+    # check fails
+    chain = series.power_chain
+
+    def perturbed(ring, coefficients, count, n):
+        for a, (P, D) in enumerate(chain(ring, coefficients, count, n), 1):
+            yield ([*P[:3], P[3] + 1, *P[4:]] if a == 3 else P), D
+
+    monkeypatch.setattr(series, "power_chain", perturbed)
+
+
+def _raise_an_odd_tangent_entry(monkeypatch):
+    # a tangent table with a nonzero entry of odd total degree
+    entries = closedform._pair_log_entries
+
+    def perturbed(*args):
+        out = entries(*args)
+        out[(2, 1)] += 1
+        return out
+
+    monkeypatch.setattr(closedform, "_pair_log_entries", perturbed)
+
+
+@pytest.mark.parametrize(
+    "perturb, message",
+    [
+        (_raise_the_third_power_of_each_chain, "compositional inverse failed its round-trip check"),
+        (_raise_an_odd_tangent_entry, "entry (2, 1) of odd total degree must vanish"),
+    ],
+    ids=["round-trip", "odd-degree"],
+)
+def test_a_failed_internal_check_is_a_fail_line_not_a_traceback(monkeypatch, capsys, perturb, message):
+    perturb(monkeypatch)
+    assert cli.main(["verify", "--class", "todd", "--order", "8"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    failed = [i for i, line in enumerate(lines) if line.startswith("FAIL")]
+    assert lines[failed[0]].split()[1] == "triple-agreement"
+    for i in failed:
+        assert "raised InternalCheckError: " in lines[i + 1] and message in lines[i + 1]
+    assert lines[-1].startswith("2/7 checks passed")
+    assert captured.err == ""
+
+
+def test_a_class_log_fault_under_equivariant_is_not_a_usage_error(monkeypatch, capsys):
+    # log(1 + u) has odd weights, so a doubled denominator leaves a remainder
+    log = localisation.log_numerators
+
+    def doubled(f, n):
+        R, Q = log(f, n)
+        return R, 2 * Q
+
+    monkeypatch.setattr(localisation, "log_numerators", doubled)
+    with pytest.raises(InternalCheckError, match="not integers"):
+        cli.main(["equivariant", "--class", "1", "--gamma", "3", "--level", "3"])
+    assert capsys.readouterr().err == ""
