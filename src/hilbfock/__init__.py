@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from .closedform import (
     CoeffTable,
-    MultiplicativeClass,
     a_k_table,
     a_kl_table,
     big_g,
@@ -55,7 +54,6 @@ __all__ = [
     "EquivariantClassVector",
     "FixedPointBasisVector",
     "InsufficientOrderError",
-    "MultiplicativeClass",
     "NotInvertibleError",
     "Partition",
     "QQ",

@@ -129,7 +129,7 @@ def class_series(spec: ClassSpec, order: int) -> Series1:
             "it is not a multiplicative class"
         )
     if spec.preset is not None:
-        return preset_class(spec.preset, order).f
+        return preset_class(spec.preset, order)
     leading = (Fraction(1),) + spec.coefficients
     return Series1.from_coefficients(leading[: order + 1], order)
 

@@ -72,20 +72,6 @@ ALL_KINDS = (KIND_THEOREM, KIND_UNIVERSAL, KIND_CHERN_CHARACTER, KIND_TAUTOLOGIC
 _EVEN_KINDS = frozenset({KIND_THEOREM, KIND_UNIVERSAL, KIND_CHERN_CHARACTER})
 
 
-class MultiplicativeClass(Frozen):
-    """A multiplicative characteristic class, determined by one series.
-
-    The class of a bundle is the product of f evaluated at the Chern
-    roots, so f must start with constant term 1.
-    """
-
-    __slots__ = ("name", "f")
-
-    def __init__(self, name: str, f: Series1) -> None:
-        check_class_series(f)
-        super().__init__(name, f)
-
-
 class CoeffTable(Frozen):
     """Coefficients indexed by pairs (k, l) with k >= l >= 1.
 
@@ -130,16 +116,6 @@ class CoeffTable(Frozen):
         return self.entries[(k, l)]
 
 
-def _dense(entries: dict, kind: str, max_degree: int) -> CoeffTable:
-    """Fill in explicit zeros for every admissible index up to max_degree."""
-    full = {}
-    for total in range(2, max_degree + 1):
-        for k in range((total + 1) // 2, total):
-            full[(k, total - k)] = Fraction(0)
-    full.update(entries)
-    return CoeffTable(kind, max_degree, full)
-
-
 def _factorial_series(coefficient: Callable[[int], Fraction], order: int) -> Series1:
     """The series with coefficient(k) at x^k for 0 <= k <= order."""
     return Series1(tuple(map(coefficient, range(order + 1))), order)
@@ -168,15 +144,18 @@ _PRESET_BUILDERS = {
 PRESET_NAMES = tuple(_PRESET_BUILDERS)
 
 
-def preset_class(name: str, order: int) -> MultiplicativeClass:
-    """One of the built-in classes, with its series truncated at ``order``."""
+def preset_class(name: str, order: int) -> Series1:
+    """The defining series of a built-in class, truncated at ``order``.
+
+    A multiplicative class is its series f: the class of a bundle is
+    the product of f at the Chern roots, and f has constant term 1."""
     try:
         builder = _PRESET_BUILDERS[name]
     except KeyError:
         raise ValueError(
             f"unknown class preset {name!r}; choose from {', '.join(PRESET_NAMES)}"
         ) from None
-    return MultiplicativeClass(name, builder(order))
+    return builder(order)
 
 
 def big_g(f: Series1) -> Series1:
@@ -338,17 +317,18 @@ def chern_character_tables(N: int) -> tuple[dict[int, Fraction], CoeffTable]:
 
     a_k = 2/k! for odd k and 0 otherwise; in even total degree 2m >= 2,
 
-        a_{k,l} = (2 / (2m)!) * (1 - (-1)^k * binom(2m, k)).
+        a_{k,l} = (2 / (2m)!) * (1 - (-1)^k * binom(2m, k)),
+
+    and every entry of odd total degree is 0.
     """
     a_k = {k: Fraction(2, math.factorial(k)) if k % 2 else Fraction(0) for k in range(1, N + 1)}
     entries = {}
-    for m in range(1, N // 2 + 1):
-        total = 2 * m
-        base = Fraction(2, math.factorial(total))
-        for k in range(m, total):
+    for total in range(2, N + 1):
+        base = Fraction(0 if total % 2 else 2, math.factorial(total))
+        for k in range((total + 1) // 2, total):
             sign = -1 if k % 2 else 1
             entries[(k, total - k)] = base * (1 - sign * math.comb(total, k))
-    return a_k, _dense(entries, KIND_CHERN_CHARACTER, N)
+    return a_k, CoeffTable(KIND_CHERN_CHARACTER, N, entries)
 
 
 def corollary_via_dual(n: int) -> CoeffTable:

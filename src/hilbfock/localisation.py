@@ -359,7 +359,8 @@ def z_series_residue(f: Series1, N: int) -> Series2:
     F = fM * negate_argument(fM)
     G = shift_up(reciprocal(F).truncate(M - 1), 1)
     ring = f.ring
-    a_minus_b = Series2.from_dict({(1, 0): ring.one, (0, 1): -ring.one}, M, ring)
+    # a - b: row 1 lists the coefficients of y and then of x
+    a_minus_b = Series2(((), (-ring.one, ring.one)), M, ring)
     C, q = split_rows(ring, compose(G * G, a_minus_b).rows)
     # powers[r] holds the numerators of F^(r+1) over D.
     powers = list(power_chain(ring, F.coefficients, M + 1, M))

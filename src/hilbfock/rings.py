@@ -89,7 +89,8 @@ class DualNumber(Frozen):
 
     Arithmetic follows the single defining relation eps^2 = 0, so
     multiplication is (a + b eps)(c + d eps) = ac + (ad + bc) eps.
-    Ints and Fractions mix freely with dual numbers in expressions.
+    Ints and Fractions mix freely with dual numbers under +, * and /.
+    There is no binary -: a difference is written a + (-b).
     """
 
     __slots__ = ("value", "infinitesimal")
@@ -120,18 +121,6 @@ class DualNumber(Frozen):
 
     def __neg__(self) -> "DualNumber":
         return DualNumber(-self.value, -self.infinitesimal)
-
-    def __sub__(self, other: Any) -> "DualNumber":
-        lifted = DualNumber.lift(other)
-        if lifted is None:
-            return NotImplemented
-        return self + (-lifted)
-
-    def __rsub__(self, other: Any) -> "DualNumber":
-        lifted = DualNumber.lift(other)
-        if lifted is None:
-            return NotImplemented
-        return lifted + (-self)
 
     def __mul__(self, other: Any) -> "DualNumber":
         lifted = other if type(other) is DualNumber else DualNumber.lift(other)

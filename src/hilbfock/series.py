@@ -391,21 +391,6 @@ class Series2(_Series):
     def one(cls, order: int, ring: Ring = QQ) -> "Series2":
         return cls(((ring.one,),), order, ring)
 
-    @classmethod
-    def from_dict(cls, entries: dict, order: int, ring: Ring = QQ) -> "Series2":
-        """Build from a map (i, j) -> coefficient.  Entries beyond the
-        order are dropped, which is the truncation semantic."""
-        for i, j in entries:
-            if i < 0 or j < 0:
-                raise SeriesError("exponents must be non-negative")
-        # Rows above the highest degree given are left to the constructor's padding.
-        top = max((i + j for i, j in entries if i + j <= order), default=-1)
-        rows = [[ring.zero] * (d + 1) for d in range(top + 1)]
-        for (i, j), value in entries.items():
-            if i + j <= order:
-                rows[i + j][i] = rows[i + j][i] + value
-        return cls(tuple(tuple(row) for row in rows), order, ring)
-
     # -- access ------------------------------------------------------------
 
     def coefficient(self, i: int, j: int):

@@ -189,7 +189,7 @@ def _check_reduction(f: Series1, bound: int) -> str:
 
 def _check_trivial_baseline(order: int) -> str:
     degree = min(order, 4)
-    one = preset_class("trivial", degree + 2).f
+    one = preset_class("trivial", degree + 2)
     if z_closed(one, degree) != Series2.one(degree):
         return "Z for the trivial class is not identically 1"
     a_k = a_k_table(one, degree)
@@ -225,7 +225,7 @@ def _check_anchors(name: str) -> str:
     if name == "chern-character":
         universal = to_universal(chern_character_tables(6)[1])
     else:
-        universal = to_universal(a_kl_table(preset_class(name, 7).f, 6))
+        universal = to_universal(a_kl_table(preset_class(name, 7), 6))
     for (k, l), expected in anchors.items():
         actual = universal.value(k, l)
         if actual != expected:

@@ -13,7 +13,8 @@ branch, which the package no longer has: the log-exp check of
 ``Series1`` and ``Series2`` offer only the products and the constant
 added to a ``Series2`` that the package calls, so the ring-element
 sums, sign flips and scalar multiples the oracles build from are
-``zero``, ``monomial``, ``add``, ``negate`` and ``scale`` here.
+``zero``, ``monomial``, ``add``, ``negate`` and ``scale`` here, and a
+``Series2`` given by its entries is ``series2_from_dict``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,16 @@ def zero(kind: type, order: int, ring: Ring = QQ):
 def monomial(coefficient: Any, exponent: int, order: int, ring: Ring = QQ) -> Series1:
     """coefficient * x^exponent, truncated after degree ``order``."""
     return Series1((ring.zero,) * exponent + (coefficient,), order, ring)
+
+
+def series2_from_dict(entries: dict, order: int, ring: Ring = QQ) -> Series2:
+    """The ``Series2`` with entries[(i, j)] at x^i y^j; entries beyond
+    the order are dropped."""
+    rows = [[ring.zero] * (d + 1) for d in range(order + 1)]
+    for (i, j), value in entries.items():
+        if i + j <= order:
+            rows[i + j][i] = value
+    return Series2(tuple(map(tuple, rows)), order, ring)
 
 
 def _map(series, function):
@@ -265,7 +276,7 @@ def pair_log_entries(
         [c * ((i + 1) * (d - i + 1)) for i, c in enumerate(row)]
         for d, row in enumerate(product.rows)
     ]
-    numerator[0][0] = numerator[0][0] - ring.one
+    numerator[0][0] = numerator[0][0] + -ring.one
     H = divide_by_x_minus_y(divide_by_x_minus_y(Series2(tuple(numerator), N, ring)))
     entries = {
         (k, total - k): H.rows[total - 2][k - 1] / (k * (total - k))
@@ -275,7 +286,7 @@ def pair_log_entries(
     if outer_log is not None:
         composite = compose_difference(outer_log.truncate(N), powers).rows
         for (k, l) in entries:
-            entries[(k, l)] = entries[(k, l)] - composite[k + l][k]
+            entries[(k, l)] = entries[(k, l)] + -composite[k + l][k]
     return entries
 
 
@@ -326,7 +337,7 @@ def series_log(series: Series1 | Series2):
             for k in range(1, m):
                 a = f[m - k]
                 if a:
-                    acc = acc - weighted[k] * a
+                    acc = acc + -(weighted[k] * a)
             weighted[m] = acc
         out = [ring.zero] + [weighted[m] / ring.coerce(m) for m in range(1, n + 1)]
         return Series1(tuple(out), n, ring)
@@ -342,7 +353,7 @@ def series_log(series: Series1 | Series2):
                     continue
                 for q, b in enumerate(factor):
                     if b:
-                        acc[p + q] = acc[p + q] - a * b
+                        acc[p + q] = acc[p + q] + -(a * b)
         weighted.append(acc)
     out = [weighted[0]] + [
         tuple(c / ring.coerce(d) for c in weighted[d]) for d in range(1, n + 1)

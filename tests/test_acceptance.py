@@ -110,7 +110,7 @@ def test_criterion_2_three_routes_agree_through_degree_ten():
     classes = {
         "trivial": Series1.one(N + 2),
         "chern-total": Series1.from_coefficients([1, 1], N + 2),
-        "todd": preset_class("todd", N + 2).f,
+        "todd": preset_class("todd", N + 2),
     }
     start = time.perf_counter()
     problems = []
@@ -143,7 +143,7 @@ def test_criterion_3_dual_number_route_matches_factorial_formulas():
 def test_criterion_4_hook_form_is_the_gamma_two_specialisation():
     classes = {
         "chern-total": Series1.from_coefficients([1, 1], 8),
-        "todd": preset_class("todd", 8).f,
+        "todd": preset_class("todd", 8),
     }
     start = time.perf_counter()
     problems = []
@@ -177,7 +177,7 @@ def test_criterion_5_structural_battery():
 
     # compositional inverses really invert, on every preset
     for name in ("chern-total", "todd", "l-genus", "a-hat"):
-        f = preset_class(name, 9).f
+        f = preset_class(name, 9)
         G = big_g(f)
         g = small_g(f, 9)
         if compose(G, in_x(g)) != in_x(Series1.identity(9)):
@@ -201,7 +201,7 @@ def test_criterion_5_structural_battery():
             problems.append(f"extraction at k={k}: {extracted} vs naive {naive[k]}")
 
     # parity and symmetry of the generating series
-    todd = preset_class("todd", 7).f
+    todd = preset_class("todd", 7)
     Z = z_closed(todd, 6)
     if Z != Z.swap():
         problems.append("Z is not symmetric in x and y")

@@ -55,6 +55,7 @@ from hilbfock.symfun import schur_two_vars
 from cell_oracle import cells, hook
 from exp_oracle import series_exp
 from fraction_kernels import add, in_x, in_y, monomial, negate, scale, scale_argument, series_log, zero
+from fraction_kernels import series2_from_dict
 
 
 def tangent_weights(pair: FixedPointBasisVector, gamma: int) -> tuple[int, ...]:
@@ -117,7 +118,7 @@ def oracle_z_series_residue(f: Series1, N: int) -> Series2:
     fM = f.truncate(M)
     F = fM * negate_argument(fM)
     G = shift_up(reciprocal(F).truncate(M - 1), 1)
-    a_minus_b = Series2.from_dict({(1, 0): Fr(1), (0, 1): Fr(-1)}, M)
+    a_minus_b = series2_from_dict({(1, 0): Fr(1), (0, 1): Fr(-1)}, M)
     P = compose(G, a_minus_b) * compose(G, negate(a_minus_b))
     F_in_a = in_x(F)
     F_in_b = in_y(F)
@@ -131,7 +132,7 @@ def oracle_z_series_residue(f: Series1, N: int) -> Series2:
             value = cell_product.coefficient(r, s)
             if value:
                 signed[(r, s)] = -value if (r + s) % 2 else value
-    summed = Series2.from_dict(signed, M)
+    summed = series2_from_dict(signed, M)
     return negate(divide_by_x_minus_y(divide_by_x_minus_y(summed)))
 
 
@@ -178,14 +179,14 @@ def test_tangent_weights_at_gamma_two_are_signed_hooks():
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_presets_match_oracle_through_level_seven(name):
-    f = preset_class(name, 7).f
+    f = preset_class(name, 7)
     for gamma in range(1, 6):
         for n in range(8):
             assert_matches_oracle(f, gamma, n)
 
 
 def test_single_pair_entry_point_matches_oracle():
-    f = preset_class("todd", 6).f
+    f = preset_class("todd", 6)
     for gamma in (1, 3, 5):
         for n in (0, 3, 6):
             for fixture in level_pairs(n):
@@ -234,7 +235,7 @@ def test_dual_number_class_matches_oracle(k):
 
 @pytest.mark.parametrize("gamma", range(-4, 7))
 def test_degenerate_twists_fail_on_the_same_pair(gamma):
-    f = preset_class("todd", 4).f
+    f = preset_class("todd", 4)
     for n in range(5):
         expected = error_or_vector(lambda: oracle_vector(f, gamma, n))
         actual = error_or_vector(lambda: list(equivariant_class_coeffs(f, gamma, n).entries))
@@ -246,7 +247,7 @@ def test_degenerate_twists_fail_on_the_same_pair(gamma):
 
 
 def test_sweep_reaches_degenerate_twists():
-    f = preset_class("todd", 4).f
+    f = preset_class("todd", 4)
     failing = [
         gamma
         for gamma in range(-4, 7)
@@ -260,7 +261,7 @@ def test_sweep_reaches_degenerate_twists():
 
 def test_hook_form_matches_oracle_on_two_row_pairs():
     for name in PRESET_NAMES:
-        f = preset_class(name, 8).f
+        f = preset_class(name, 8)
         for n in range(9):
             for fixture in level_pairs(n):
                 if fixture.lambda0.length <= 2 and fixture.lambda1.length <= 2:
@@ -407,7 +408,7 @@ def assert_matches_per_pair_path(f: Series1, gamma: int, n: int) -> None:
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_presets_match_the_per_pair_path_through_level_seven(name):
-    f = preset_class(name, 7).f
+    f = preset_class(name, 7)
     for gamma in range(1, 6):
         for n in range(8):
             assert_matches_per_pair_path(f, gamma, n)
@@ -445,7 +446,7 @@ def test_equivariant_vector_takes_one_exponential_per_diagram_and_fixed_point(mo
         return power_sum_exp(w, values, n)
 
     monkeypatch.setattr(localisation, "_power_sum_exp", counting_exp)
-    equivariant_class_coeffs(preset_class("todd", 8).f, 3, 8)
+    equivariant_class_coeffs(preset_class("todd", 8), 3, 8)
     diagrams = sum(len(enumerate_partitions(size)) for size in range(9))
     assert len(calls) == 2 * diagrams == 134
     assert len(level_pairs(8)) == 185
@@ -463,7 +464,7 @@ def _even_part_undoubled(w):
 def test_hook_oracles_reject_a_wrong_log_of_F(monkeypatch, mutant):
     # log F is twice the even part of log f; the odd part, or the even
     # part without the factor 2, must fail both hook-form oracles
-    f = preset_class("todd", 6).f
+    f = preset_class("todd", 6)
     monkeypatch.setattr(localisation, "_even_doubled", mutant)
     assert z_series_hookform(f, 6) != oracle_z_series_hookform(f, 6)
     assert any(hook_coefficient(f, p) != oracle_hook_coefficient(f, p) for p in level_pairs(4))
@@ -474,7 +475,7 @@ def test_hook_oracles_reject_a_wrong_log_of_F(monkeypatch, mutant):
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_presets_match_residue_oracle_through_twelve(name):
-    f = preset_class(name, 14).f
+    f = preset_class(name, 14)
     for N in range(1, 13):
         assert z_series_residue(f, N) == oracle_z_series_residue(f, N)
 
@@ -509,7 +510,7 @@ def test_residue_route_makes_linearly_many_two_variable_products(monkeypatch):
         return multiply(self, other)
 
     monkeypatch.setattr(Series2, "__mul__", counting_multiply)
-    f = preset_class("todd", 14).f
+    f = preset_class("todd", 14)
     counts = {}
     for N in (4, 12):
         calls.clear()
@@ -531,7 +532,7 @@ def test_hook_form_takes_one_exponential_per_two_row_partition(monkeypatch):
 
     N = 8
     monkeypatch.setattr(localisation, "_power_sum_exp", counting_exp)
-    z_series_hookform(preset_class("todd", N).f, N)
+    z_series_hookform(preset_class("todd", N), N)
     two_row = [p for size in range(N + 1) for p in enumerate_partitions(size) if p.length <= 2]
     assert len(calls) == len(two_row)
 
@@ -547,7 +548,7 @@ def test_reduction_check_takes_one_log_per_level(monkeypatch):
         return log(f, n)
 
     monkeypatch.setattr(localisation, "log_numerators", counting_log)
-    assert verification._check_reduction(preset_class("todd", 6).f, 6) == ""
+    assert verification._check_reduction(preset_class("todd", 6), 6) == ""
     assert len(calls) <= 7
 
 
@@ -555,7 +556,7 @@ def test_reduction_check_finds_each_diagrams_cells_once():
     # weight_multiset, c_prime_product, hook_multiset and hook_product
     # read every diagram at every level; its arms and legs are found once
     partitions._arms_and_legs.cache_clear()
-    assert verification._check_reduction(preset_class("todd", 6).f, 6) == ""
+    assert verification._check_reduction(preset_class("todd", 6), 6) == ""
     diagrams = sum(len(enumerate_partitions(size)) for size in range(7))
     info = partitions._arms_and_legs.cache_info()
     assert (info.misses, info.currsize) == (diagrams, diagrams)
@@ -574,14 +575,14 @@ def _pair_value_without_binomials(ring, c, pair, gamma, row0, row1):
 def test_reduction_check_fails_on_a_wrong_pair_convolution(monkeypatch):
     # the hook form takes one exponential per pair, so it does not share
     # the convolution that pair_coefficient runs, and a fault there fails
-    f = preset_class("todd", 10).f
+    f = preset_class("todd", 10)
     monkeypatch.setattr(localisation, "_pair_value", _pair_value_without_binomials)
     failed = [r.name for r in verification.verify_multiplicative(f, "todd", 8) if not r.passed]
     assert failed == ["fixed-point-reduction"]
 
 
 def test_reduction_check_names_the_first_differing_pair(monkeypatch):
-    f = preset_class("todd", 6).f
+    f = preset_class("todd", 6)
     assert verification._check_reduction(f, 4) == ""
     skewed_pair = level_pairs(3)[1]
 
@@ -595,7 +596,7 @@ def test_reduction_check_names_the_first_differing_pair(monkeypatch):
 
 
 def test_verify_builds_the_closed_form_and_tangent_tables_once(monkeypatch):
-    f = preset_class("todd", 8).f
+    f = preset_class("todd", 8)
     calls = []
 
     def counting(name, original):
@@ -642,7 +643,7 @@ def test_a_fault_in_the_shared_congruence_fails_the_triple_agreement(monkeypatch
 
         return perturbed
 
-    f = preset_class("todd", 10).f
+    f = preset_class("todd", 10)
     for module, route in ((series, "closed form"), (closedform, "closed form"), (localisation, "residue")):
         monkeypatch.setattr(module, "congruence_numerators", perturbing(route))
     z_series_hookform(f, 8)
@@ -672,7 +673,7 @@ def test_a_residue_route_that_raises_fails_the_triple_agreement(monkeypatch, cap
 
     monkeypatch.setattr(localisation, "congruence_numerators", perturbed)
     with pytest.raises(series.SeriesError):
-        z_series_residue(preset_class("todd", 10).f, 8)
+        z_series_residue(preset_class("todd", 10), 8)
     assert cli.main(["verify", "--class", "todd", "--order", "8"]) == 1
     captured = capsys.readouterr()
     failed = [line for line in captured.out.splitlines() if line.startswith("FAIL")]

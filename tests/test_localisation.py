@@ -69,7 +69,7 @@ def test_vacuum_coefficient_is_one():
 def test_level_one_coefficients_track_gamma():
     # at the fixed point carrying lambda1 = (1) the weights are gamma - 1
     # and -1, so the linear coefficient is (gamma - 2) times f_1
-    todd = preset_class("todd", 5).f
+    todd = preset_class("todd", 5)
     for gamma in (2, 3, 5):
         for f, f1 in ((one_plus_x(5), Fr(1)), (todd, Fr(1, 2))):
             assert pair_coefficient(f, pair((), (1,)), gamma) == (gamma - 2) * f1
@@ -118,7 +118,7 @@ def test_degenerate_twist_is_reported():
 
 
 def test_hook_form_matches_general_form_at_gamma_two():
-    todd = preset_class("todd", 6).f
+    todd = preset_class("todd", 6)
     for f in (one_plus_x(6), todd):
         for n in range(7):
             for fixture in level_pairs(n):
@@ -142,7 +142,7 @@ def test_hookform_low_degrees_for_chern_total():
 
 
 def test_hookform_is_symmetric():
-    Z = z_series_hookform(preset_class("todd", 6).f, 6)
+    Z = z_series_hookform(preset_class("todd", 6), 6)
     assert Z == Z.swap()
 
 

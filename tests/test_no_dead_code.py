@@ -13,17 +13,22 @@ belongs in ``tests/``, and a helper that a refactor leaves without a
 caller fails here.
 
 Operators are not reached through a name, so the arithmetic dunders of
-``series`` are checked by running a ``verify`` job that reaches every
-one the package uses, and asking that each was called from the package.
+``series`` and ``rings`` are checked by running a ``verify`` job and a
+pass over the dual numbers that reach every one the package uses, and
+asking that each was called from the package.
 """
 
 import ast
 import sys
 from collections import Counter
+from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import hilbfock
-from hilbfock import cli
+from hilbfock import DUALS, DualNumber, Series1, cli, verification
+from hilbfock.closedform import tangent_tables, z_closed
+from hilbfock.localisation import equivariant_class_coeffs, z_series_residue
 
 SOURCE = Path(hilbfock.__file__).parent
 
@@ -118,37 +123,60 @@ ARITHMETIC_DUNDERS = {
 } | {"__neg__", "__pos__", "__abs__", "__invert__"}
 
 
-def _series_arithmetic_dunders() -> dict[int, str]:
-    """First line -> ``Class.__op__`` of each arithmetic dunder in series.py."""
-    tree = ast.parse((SOURCE / "series.py").read_text(encoding="utf-8"))
-    return {
-        member.lineno: f"{top.name}.{member.name}"
-        for top in tree.body
-        if isinstance(top, ast.ClassDef)
-        for member in top.body
-        if isinstance(member, ast.FunctionDef) and member.name in ARITHMETIC_DUNDERS
-    }
+def _arithmetic_dunders() -> dict[tuple[str, int], str]:
+    """(file, first line) -> ``Class.__op__`` of each arithmetic dunder
+    defined with ``def`` in series.py and rings.py."""
+    dunders = {}
+    for module in ("series.py", "rings.py"):
+        path = SOURCE / module
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(top, ast.ClassDef):
+                for member in top.body:
+                    if isinstance(member, ast.FunctionDef) and member.name in ARITHMETIC_DUNDERS:
+                        dunders[(str(path), member.lineno)] = f"{top.name}.{member.name}"
+    return dunders
+
+
+def _dual_library_pass() -> None:
+    """The library over the dual numbers, where the operators of
+    ``DualNumber`` and of its numerators run: the residue route, the
+    triple agreement and the log-exp check at order 8, and the
+    fixed-point vectors at level 6, for f = 1 + x + eps (x^2 + ... + x^10).
+    Its odd part x reaches the numerator operators that an even class
+    leaves idle (``int - numerator`` in the log recurrence); the
+    fixed-point vectors reach the numerators' unary minus."""
+    eps = DualNumber(Fraction(0), Fraction(1))
+    f = Series1((DUALS.one, DUALS.one) + (eps, DUALS.zero) * 5, 10, DUALS)
+    z_series_residue(f, 8)
+    closed = cache(lambda: z_closed(f, 8))
+    tables = cache(lambda: tangent_tables(f, 8))
+    assert verification._check_triple(f, 8, closed, tables) == ""
+    assert verification._check_log_exp(closed(), tables()[1], 8) == ""
+    equivariant_class_coeffs(f, 2, 6)
 
 
 def test_every_series_operator_is_called_from_the_package(capsys):
     """``verify --class chern-total --order 8`` reaches every stage of the
-    package; an operator of ``Series1`` or ``Series2`` that no frame in the
-    package calls during it is one that only tests use."""
-    dunders = _series_arithmetic_dunders()
-    series_file = str(SOURCE / "series.py")
+    package, and the dual-number pass above every operator of the
+    ring's element and numerator types; an operator of ``series.py`` or
+    ``rings.py`` that no frame in the package calls during them is one
+    that only tests use."""
+    dunders = _arithmetic_dunders()
     reached = set()
 
     def profile(frame, event, arg):
         code = frame.f_code
-        if event == "call" and code.co_filename == series_file and code.co_firstlineno in dunders:
+        key = (code.co_filename, code.co_firstlineno)
+        if event == "call" and key in dunders:
             if Path(frame.f_back.f_code.co_filename).parent == SOURCE:
-                reached.add(dunders[code.co_firstlineno])
+                reached.add(dunders[key])
 
     sys.setprofile(profile)
     try:
         code = cli.main(["verify", "--class", "chern-total", "--order", "8"])
+        _dual_library_pass()
     finally:
         sys.setprofile(None)
     assert code == 0, capsys.readouterr().out
-    assert dunders, "no arithmetic dunder found in series.py"
+    assert {label.split(".")[0] for label in dunders.values()} >= {"Series1", "DualNumber", "_DualNumerator"}
     assert sorted(set(dunders.values()) - reached) == []

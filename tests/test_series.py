@@ -33,6 +33,7 @@ from fraction_kernels import (
     power_table,
     scale,
     scale_argument,
+    series2_from_dict,
     zero,
 )
 from lagrange_good import divide_by_x, divide_by_y, lagrange_good_extract
@@ -276,7 +277,7 @@ def test_scale_and_negate_argument():
     eps = DualNumber(0, 1)
     d = Series1.from_coefficients((DUALS.one, Fr(1, 2) + eps, -3 * eps, 0, eps), ring=DUALS)
     assert negate_argument(d) == scale_argument(d, -1)
-    assert negate_argument(d).coefficients[1] == Fr(-1, 2) - eps
+    assert negate_argument(d).coefficients[1] == Fr(-1, 2) + -eps
 
 
 @given(coefficient_lists)
@@ -303,11 +304,11 @@ def test_differentiate():
 
 
 def x_plus_y(order):
-    return Series2.from_dict({(1, 0): Fr(1), (0, 1): Fr(1)}, order)
+    return series2_from_dict({(1, 0): Fr(1), (0, 1): Fr(1)}, order)
 
 
 def test_series2_basic_shape():
-    s = Series2.from_dict({(1, 0): Fr(2), (0, 2): Fr(5)}, 3)
+    s = series2_from_dict({(1, 0): Fr(2), (0, 2): Fr(5)}, 3)
     assert s.coefficient(1, 0) == 2
     assert s.coefficient(0, 2) == 5
     assert s.coefficient(1, 1) == 0
@@ -324,20 +325,20 @@ def test_series2_multiplication():
 def test_series2_symmetry_predicate_and_swap():
     sym = x_plus_y(3) * x_plus_y(3)
     assert sym == sym.swap()
-    lop = Series2.from_dict({(2, 0): Fr(1)}, 3)
+    lop = series2_from_dict({(2, 0): Fr(1)}, 3)
     assert lop != lop.swap()
-    assert lop.swap() == Series2.from_dict({(0, 2): Fr(1)}, 3)
+    assert lop.swap() == series2_from_dict({(0, 2): Fr(1)}, 3)
 
 
 def test_divide_difference_of_squares():
-    numerator = Series2.from_dict({(2, 0): Fr(1), (0, 2): Fr(-1)}, 3)
+    numerator = series2_from_dict({(2, 0): Fr(1), (0, 2): Fr(-1)}, 3)
     assert divide_by_x_minus_y(numerator) == x_plus_y(2)
 
 
 def test_divide_cubic_example():
     # (x^3 y - y^3 x) / (x - y) = xy(x + y)
-    numerator = Series2.from_dict({(3, 1): Fr(1), (1, 3): Fr(-1)}, 4)
-    expected = Series2.from_dict({(2, 1): Fr(1), (1, 2): Fr(1)}, 3)
+    numerator = series2_from_dict({(3, 1): Fr(1), (1, 3): Fr(-1)}, 4)
+    expected = series2_from_dict({(2, 1): Fr(1), (1, 2): Fr(1)}, 3)
     assert divide_by_x_minus_y(numerator) == expected
 
 
@@ -345,7 +346,7 @@ def test_divide_difference_quotient_of_odd_cubic():
     # g = x - x^3: (g(x) - g(y)) / (x - y) = 1 - x^2 - xy - y^2
     g = s1(0, 1, 0, -1)
     numerator = add(in_x(g), negate(in_y(g)))
-    expected = Series2.from_dict(
+    expected = series2_from_dict(
         {(0, 0): Fr(1), (2, 0): Fr(-1), (1, 1): Fr(-1), (0, 2): Fr(-1)}, 2
     )
     assert divide_by_x_minus_y(numerator) == expected
@@ -353,14 +354,14 @@ def test_divide_difference_quotient_of_odd_cubic():
 
 def test_divide_rejects_non_multiples():
     with pytest.raises(SeriesError, match=r"not divisible by \(x - y\)"):
-        divide_by_x_minus_y(Series2.from_dict({(2, 0): Fr(1)}, 2))
+        divide_by_x_minus_y(series2_from_dict({(2, 0): Fr(1)}, 2))
 
 
 def test_divide_by_single_variables():
-    s = Series2.from_dict({(1, 0): Fr(3), (2, 1): Fr(5)}, 3)
-    assert divide_by_x(s) == Series2.from_dict({(0, 0): Fr(3), (1, 1): Fr(5)}, 2)
-    t = Series2.from_dict({(0, 1): Fr(3)}, 2)
-    assert divide_by_y(t) == Series2.from_dict({(0, 0): Fr(3)}, 1)
+    s = series2_from_dict({(1, 0): Fr(3), (2, 1): Fr(5)}, 3)
+    assert divide_by_x(s) == series2_from_dict({(0, 0): Fr(3), (1, 1): Fr(5)}, 2)
+    t = series2_from_dict({(0, 1): Fr(3)}, 2)
+    assert divide_by_y(t) == series2_from_dict({(0, 0): Fr(3)}, 1)
     with pytest.raises(SeriesError):
         divide_by_x(t)
 
@@ -404,9 +405,9 @@ def test_lagrange_univariate_known_expansion():
 
 
 def test_lagrange_bivariate_product_base():
-    z1 = Series2.from_dict({(1, 0): Fr(1)}, 5)
-    z2 = Series2.from_dict({(0, 1): Fr(1)}, 5)
-    g = Series2.from_dict({(1, 1): Fr(1)}, 5)
+    z1 = series2_from_dict({(1, 0): Fr(1)}, 5)
+    z2 = series2_from_dict({(0, 1): Fr(1)}, 5)
+    g = series2_from_dict({(1, 1): Fr(1)}, 5)
     assert lagrange_good_extract(g, [z1, z2], (1, 1)) == 1
     for pair in ((1, 0), (0, 1), (2, 1), (2, 2)):
         assert lagrange_good_extract(g, [z1, z2], pair) == 0
@@ -467,9 +468,9 @@ def _naive_bivariate_expansion(g, f1, f2, max_total):
 
 def test_lagrange_against_naive_bivariate():
     order = 6
-    f1 = Series2.from_dict({(1, 0): Fr(1), (1, 1): Fr(1)}, order)  # z1 (1 + z2)
-    f2 = Series2.from_dict({(0, 1): Fr(1), (2, 1): Fr(-1)}, order)  # z2 (1 - z1^2)
-    g = Series2.from_dict(
+    f1 = series2_from_dict({(1, 0): Fr(1), (1, 1): Fr(1)}, order)  # z1 (1 + z2)
+    f2 = series2_from_dict({(0, 1): Fr(1), (2, 1): Fr(-1)}, order)  # z2 (1 - z1^2)
+    g = series2_from_dict(
         {(1, 0): Fr(2), (0, 1): Fr(-1), (1, 1): Fr(1), (2, 2): Fr(3), (0, 4): Fr(1, 2)},
         order,
     )

@@ -14,7 +14,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from hilbfock.cli import ClassSpec
-from hilbfock.closedform import KIND_THEOREM, CoeffTable, MultiplicativeClass, preset_class
+from hilbfock.closedform import KIND_THEOREM, CoeffTable, preset_class
 from hilbfock.localisation import FixedPointBasisVector
 from hilbfock.partitions import Partition
 from hilbfock.rings import DUALS, QQ, DualNumber
@@ -96,14 +96,14 @@ def test_rings_copy_and_pickle_as_themselves(ring):
 
 
 def test_deep_copied_series_multiplies_with_the_original():
-    todd = preset_class("todd", 8).f
+    todd = preset_class("todd", 8)
     twin = copy.deepcopy(todd)
     assert twin.ring is QQ
     assert twin * todd == todd * todd
 
 
 def test_deep_copied_series_keeps_the_integer_log():
-    todd = preset_class("todd", 8).f
+    todd = preset_class("todd", 8)
     weights, denominator = log_numerators(todd, 8)
     assert denominator > 1
     assert log_numerators(copy.deepcopy(todd), 8) == (weights, denominator)
@@ -141,8 +141,4 @@ def test_frozen_constructor_refuses_a_missing_or_unknown_field(build, message):
 def test_checking_constructors_check_then_set_every_field():
     with pytest.raises(ValueError, match="unknown coefficient table kind"):
         CoeffTable("no-such-kind", 2, {})
-    with pytest.raises(ValueError, match="constant term 1"):
-        MultiplicativeClass("twice", Series1.from_coefficients((2, 1)))
-    todd = preset_class("todd", 4)
-    assert (todd.name, todd.f) == ("todd", MultiplicativeClass("todd", todd.f).f)
     assert CoeffTable(KIND_THEOREM, 2, {}).max_degree == 2

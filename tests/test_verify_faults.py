@@ -12,7 +12,18 @@ the a_k fails there and nowhere else.
 A self-check of the package that fails raises InternalCheckError, a
 SeriesError, so ``verify`` reports it as FAIL lines too; ``equivariant``
 does not report it as a usage error.
+
+The mutation matrix puts one fault into each binding of a numerator
+kernel in ``series``, ``closedform`` and ``localisation``, at an entry
+that is read, and requires ``verify`` to end in a FAIL line with
+nothing on stderr.  One known fault is not in it: a change to an odd
+weight of ``_class_log`` (say c^3 added to w_3) passes every check,
+because ``verify`` runs the fixed-point sums at twist 2 only, where the
+weights come in +- pairs and the odd power sums vanish.
 """
+
+import ast
+import inspect
 
 from fractions import Fraction as Fr
 
@@ -36,7 +47,7 @@ def assert_row_zero_is_k_squared_a_k(f: Series1, N: int) -> None:
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_row_zero_of_z_is_k_squared_a_k_on_the_presets(name):
-    assert_row_zero_is_k_squared_a_k(preset_class(name, 12).f, 10)
+    assert_row_zero_is_k_squared_a_k(preset_class(name, 12), 10)
 
 
 @settings(max_examples=30, deadline=None)
@@ -63,7 +74,7 @@ def test_a_wrong_normalisation_of_a_k_fails_the_triple_agreement_only(monkeypatc
     # a_k = 0 are unchanged, so the first k it shows at is 3
     a_k = closedform._a_k
     monkeypatch.setattr(closedform, "_a_k", lambda g, N: {k: v / k for k, v in a_k(g, N).items()})
-    results = verification.verify_multiplicative(preset_class("todd", 10).f, "todd", 8)
+    results = verification.verify_multiplicative(preset_class("todd", 10), "todd", 8)
     failed = [result for result in results if not result.passed]
     assert [result.name for result in failed] == ["triple-agreement"]
     assert failed[0].detail == (
@@ -106,7 +117,7 @@ def test_a_bug_that_is_not_a_series_error_still_raises(monkeypatch):
 
     monkeypatch.setattr(verification, "tangent_tables", broken)
     with pytest.raises(RuntimeError, match="a bug"):
-        verification.verify_multiplicative(preset_class("todd", 10).f, "todd", 8)
+        verification.verify_multiplicative(preset_class("todd", 10), "todd", 8)
 
 
 def _raise_the_third_power_of_each_chain(monkeypatch):
@@ -166,3 +177,114 @@ def test_a_class_log_fault_under_equivariant_is_not_a_usage_error(monkeypatch, c
     with pytest.raises(InternalCheckError, match="not integers"):
         cli.main(["equivariant", "--class", "1", "--gamma", "3", "--level", "3"])
     assert capsys.readouterr().err == ""
+
+
+# --------------------------------------------------------------- mutation matrix
+
+# The numerator interface of ``series``, with the table of powers that
+# ``compositional_inverse`` returns.
+NUMERATOR_KERNELS = (
+    "convolve_numerators",
+    "multiply_graded_rows",
+    "divide_numerators_by_x_minus_y",
+    "congruence_numerators",
+    "power_chain",
+    "log_numerators",
+    "compose_difference_numerators",
+    "compositional_inverse",
+)
+
+
+def _add_one(*path):
+    """A kernel wrapper that adds 1 at result[path[0]][path[1]]..., when
+    the result is large enough to have that entry."""
+
+    def wrap(kernel):
+        def perturbed(*args):
+            result = kernel(*args)
+            *outer, last = path
+            value = result
+            for index in outer:
+                if index >= len(value):
+                    return result
+                value = value[index]
+            if last < len(value):
+                value[last] += 1
+            return result
+
+        return perturbed
+
+    return wrap
+
+
+def _raise_power(power, index):
+    """A ``power_chain`` wrapper that adds 1 at one entry of one power."""
+
+    def wrap(kernel):
+        def perturbed(*args):
+            for a, (P, D) in enumerate(kernel(*args), 1):
+                yield ([*P[:index], P[index] + 1, *P[index + 1 :]] if a == power else P), D
+
+        return perturbed
+
+    return wrap
+
+
+def _raise_even_log_weight(kernel):
+    """A ``log_numerators`` wrapper that adds 1 to the weight W_2, which
+    keeps the scaled weights of ``_class_log`` integers."""
+
+    def perturbed(f, n):
+        R, Q = kernel(f, n)
+        return [*R[:2], R[2] + Q, *R[3:]] if len(R) > 2 else R, Q
+
+    return perturbed
+
+
+MATRIX = {
+    (series, "convolve_numerators"): _add_one(2),
+    (series, "multiply_graded_rows"): _add_one(0, 2, 1),
+    (series, "divide_numerators_by_x_minus_y"): _add_one(2, 1),
+    (series, "congruence_numerators"): _add_one(2, 1),
+    (series, "power_chain"): _raise_power(3, 3),
+    (series, "log_numerators"): _raise_even_log_weight,
+    (closedform, "convolve_numerators"): _add_one(2),
+    (closedform, "multiply_graded_rows"): _add_one(0, 2, 1),
+    (closedform, "divide_numerators_by_x_minus_y"): _add_one(2, 1),
+    (closedform, "congruence_numerators"): _add_one(2, 1),
+    (closedform, "compose_difference_numerators"): _add_one(0, 3, 1),
+    # T[1][2], the numerator of [x^3] g
+    (closedform, "compositional_inverse"): _add_one(1, 0, 1, 2),
+    # F^3 at a^2: the residue route reads F^(r + 1) to degree r only, so
+    # a fault in F^2 at a^2 would change nothing
+    (localisation, "power_chain"): _raise_power(3, 2),
+    (localisation, "congruence_numerators"): _add_one(2, 1),
+    (localisation, "log_numerators"): _raise_even_log_weight,
+}
+
+
+def _kernel_bindings() -> set[tuple]:
+    """(module, kernel) for each module whose functions look the kernel up."""
+    found = set()
+    for module in (series, closedform, localisation):
+        for function in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(function, ast.FunctionDef):
+                for node in ast.walk(function):
+                    if isinstance(node, ast.Name) and node.id in NUMERATOR_KERNELS:
+                        found.add((module, node.id))
+    return found
+
+
+def test_the_mutation_matrix_covers_every_kernel_binding():
+    assert set(MATRIX) == _kernel_bindings()
+
+
+@pytest.mark.parametrize(
+    "module, kernel", list(MATRIX), ids=[f"{m.__name__.split('.')[-1]}.{k}" for m, k in MATRIX]
+)
+def test_a_numerator_kernel_fault_ends_in_a_fail_line(monkeypatch, capsys, module, kernel):
+    monkeypatch.setattr(module, kernel, MATRIX[module, kernel](getattr(module, kernel)))
+    assert cli.main(["verify", "--class", "todd", "--order", "8"]) == 1
+    captured = capsys.readouterr()
+    assert any(line.startswith("FAIL") for line in captured.out.splitlines())
+    assert captured.err == ""
