@@ -123,15 +123,9 @@ def parse_class_spec(text: str) -> ClassSpec:
 
 def class_series(spec: ClassSpec, order: int) -> Series1:
     """The defining series of a class, truncated at the requested order."""
-    if spec.is_chern_character:
-        raise UsageError(
-            "the chern-character preset has no defining series; "
-            "it is not a multiplicative class"
-        )
     if spec.preset is not None:
         return preset_class(spec.preset, order)
-    leading = (Fraction(1),) + spec.coefficients
-    return Series1.from_coefficients(leading[: order + 1], order)
+    return Series1((Fraction(1),) + spec.coefficients, order)
 
 
 def _unlimited_digits(command: Callable[..., int], *args: Any) -> int:

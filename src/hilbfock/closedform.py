@@ -124,7 +124,7 @@ def _factorial_series(coefficient: Callable[[int], Fraction], order: int) -> Ser
 # The analytic presets are reciprocals of series with factorial
 # coefficients, times cosh x for l-genus; (1 - k % 2) keeps the even k.
 _PRESET_BUILDERS = {
-    "trivial": lambda order: Series1.one(order),
+    "trivial": lambda order: Series1((Fraction(1),), order),
     "chern-total": lambda order: Series1((Fraction(1), Fraction(1)), order),
     # x / (1 - e^(-x)) = 1 / (sum of (-x)^k / (k+1)!)
     "todd": lambda order: reciprocal(

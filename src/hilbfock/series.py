@@ -55,7 +55,7 @@ ring elements.
 from __future__ import annotations
 
 from math import comb, lcm
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from .rings import QQ, Frozen, Ring
 
@@ -310,27 +310,6 @@ class Series1(_Series):
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "ring", ring)
 
-    @classmethod
-    def from_coefficients(cls, values: Iterable, order: int | None = None, ring: Ring = QQ) -> "Series1":
-        """Series with the given coefficients from degree 0 upwards.
-
-        When ``order`` is omitted the series is marked as known exactly
-        up to the last listed degree.
-        """
-        values = tuple(values)
-        if order is None:
-            order = len(values) - 1
-        return cls(values, order, ring)
-
-    @classmethod
-    def one(cls, order: int, ring: Ring = QQ) -> "Series1":
-        return cls((ring.one,), order, ring)
-
-    @classmethod
-    def identity(cls, order: int, ring: Ring = QQ) -> "Series1":
-        """The series x."""
-        return cls((ring.zero, ring.one), order, ring)
-
     # -- access ------------------------------------------------------------
 
     def coefficient(self, exponent: int):
@@ -387,21 +366,12 @@ class Series2(_Series):
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "ring", ring)
 
-    @classmethod
-    def one(cls, order: int, ring: Ring = QQ) -> "Series2":
-        return cls(((ring.one,),), order, ring)
-
     # -- access ------------------------------------------------------------
 
     def coefficient(self, i: int, j: int):
         if i < 0 or j < 0:
             raise SeriesError("exponents must be non-negative")
-        if i + j > self.order:
-            raise InsufficientOrderError(
-                f"insufficient precision: monomial x^{i} y^{j} requested from a "
-                f"series truncated after total degree {self.order}"
-            )
-        return self.rows[i + j][i]
+        return self.homogeneous(i + j)[i]
 
     def homogeneous(self, degree: int) -> tuple:
         """The row of coefficients of total degree ``degree``."""
@@ -593,7 +563,9 @@ def compositional_inverse(series: Series1) -> tuple[Series1, tuple[list[list], i
     T = [[p * (t // D) for p in P[a:]] for a, (P, D) in enumerate(powers)]
     G, d = ring.split(series.coefficients)
     composite = [sum(G[a] * T[a][i - a] for a in range(i + 1)) for i in range(n + 1)]
-    if ring.join(composite, d * t) != Series1.identity(n, ring).coefficients:
+    # The sum is composite / (d t), so it is x exactly when these are the
+    # numerators of x; a numerator with an eps part never equals an int.
+    if composite != [0, d * t] + [0] * (n - 1):
         raise InternalCheckError("internal error: compositional inverse failed its round-trip check")
     return g, (T, t)
 

@@ -80,6 +80,10 @@ def _run(name: str, check: Callable[[], str]) -> CheckResult:
 
 
 def _first_difference(a: Series2, b: Series2, label_a: str, label_b: str) -> str:
+    """Empty when a == b; else the first coefficient where they differ or,
+    when every row they share agrees, the orders at which they stop."""
+    if a == b:
+        return ""
     for degree in range(min(a.order, b.order) + 1):
         row_a = a.homogeneous(degree)
         row_b = b.homogeneous(degree)
@@ -90,7 +94,7 @@ def _first_difference(a: Series2, b: Series2, label_a: str, label_b: str) -> str
                         f"first difference at x^{i} y^{degree - i}: "
                         f"{label_a} gives {va}, {label_b} gives {vb}"
                     )
-    return ""
+    return f"{label_a} stops at total degree {a.order}, {label_b} at total degree {b.order}"
 
 
 def _check_triple(
@@ -114,10 +118,9 @@ def _check_triple(
         except SeriesError as exc:
             return f"the {label} raised {type(exc).__name__}: {exc}"
     closed_z, hookform, residue, a_k = values
-    if closed_z != hookform:
-        return _first_difference(closed_z, hookform, "closed form", "fixed-point sum")
-    if closed_z != residue:
-        return _first_difference(closed_z, residue, "closed form", "residue extraction")
+    for label, z in (("fixed-point sum", hookform), ("residue extraction", residue)):
+        if detail := _first_difference(closed_z, z, "closed form", label):
+            return detail
     for k in range(1, order + 1):
         row_zero, expected = hookform.rows[k - 1][-1], k * k * a_k[k]
         if row_zero != expected:
@@ -146,9 +149,7 @@ def _check_log_exp(z: Series2, table: CoeffTable, order: int) -> str:
         euler_r.append((pure, *(v * 2 for v in row), pure))
     left = Series2(tuple(tuple(c * d for c in row) for d, row in enumerate(z.rows)), z.order, ring)
     right = z * Series2(tuple(euler_r), order, ring)
-    if left != right:
-        return _first_difference(left, right, "E(Z)", "Z E(double sum of a_kl)")
-    return ""
+    return _first_difference(left, right, "E(Z)", "Z E(double sum of a_kl)")
 
 
 def _check_even_a_k(a_k: dict[int, Fraction], order: int) -> str:
@@ -169,9 +170,7 @@ def _check_parity(a_k: dict[int, Fraction], z: Series2, order: int) -> str:
 
 
 def _check_symmetry(z: Series2) -> str:
-    if z != z.swap():
-        return _first_difference(z, z.swap(), "Z(x, y)", "Z(y, x)")
-    return ""
+    return _first_difference(z, z.swap(), "Z(x, y)", "Z(y, x)")
 
 
 def _check_reduction(f: Series1, bound: int) -> str:
@@ -190,7 +189,7 @@ def _check_reduction(f: Series1, bound: int) -> str:
 def _check_trivial_baseline(order: int) -> str:
     degree = min(order, 4)
     one = preset_class("trivial", degree + 2)
-    if z_closed(one, degree) != Series2.one(degree):
+    if z_closed(one, degree) != Series2(((Fraction(1),),), degree):
         return "Z for the trivial class is not identically 1"
     a_k = a_k_table(one, degree)
     if a_k[1] != 1 or any(a_k[k] != 0 for k in range(2, degree + 1)):

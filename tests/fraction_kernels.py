@@ -14,7 +14,9 @@ branch, which the package no longer has: the log-exp check of
 added to a ``Series2`` that the package calls, so the ring-element
 sums, sign flips and scalar multiples the oracles build from are
 ``zero``, ``monomial``, ``add``, ``negate`` and ``scale`` here, and a
-``Series2`` given by its entries is ``series2_from_dict``.
+``Series2`` given by its entries is ``series2_from_dict``.  Every series
+is built by its constructor, with an explicit order; ``one`` and
+``identity`` are the series 1 and x.
 """
 
 from __future__ import annotations
@@ -29,6 +31,16 @@ from hilbfock.series import Series1, Series2, SeriesError, shift_down, split_row
 def zero(kind: type, order: int, ring: Ring = QQ):
     """The zero ``Series1`` or ``Series2`` of the given order."""
     return kind((), order, ring)
+
+
+def one(order: int, ring: Ring = QQ) -> Series1:
+    """The series 1, truncated after degree ``order``."""
+    return Series1((ring.one,), order, ring)
+
+
+def identity(order: int, ring: Ring = QQ) -> Series1:
+    """The series x, truncated after degree ``order``."""
+    return Series1((ring.zero, ring.one), order, ring)
 
 
 def monomial(coefficient: Any, exponent: int, order: int, ring: Ring = QQ) -> Series1:
@@ -141,7 +153,7 @@ def reciprocal(series: Series1) -> Series1:
 
 
 def power_table(g: Series1) -> tuple[Series1, ...]:
-    powers = [Series1.one(g.order, g.ring), g]
+    powers = [one(g.order, g.ring), g]
     for _ in range(1, g.order):
         powers.append(multiply1(powers[-1], g))
     return tuple(powers[: g.order + 1])
@@ -182,7 +194,7 @@ def compositional_inverse(series: Series1) -> tuple[Series1, tuple[Series1, ...]
         if c:
             for i, p in enumerate(powers[a].coefficients[a:], a):
                 composite[i] = composite[i] + c * p
-    if tuple(composite) != Series1.identity(n, ring).coefficients:
+    if tuple(composite) != identity(n, ring).coefficients:
         raise RuntimeError("compositional inverse failed its round-trip check")
     return result, powers
 

@@ -90,8 +90,9 @@ def reciprocal2(series: Series2) -> Series2:
 
 
 def _power(base, exponent: int):
-    result = base.one(base.order, base.ring)
-    for _ in range(exponent):
+    """base^exponent, for exponent >= 1."""
+    result = base
+    for _ in range(exponent - 1):
         result = result * base
     return result
 

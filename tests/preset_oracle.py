@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from hilbfock.series import Series1, reciprocal, shift_down
 
-from fraction_kernels import add, monomial, negate, scale
+from fraction_kernels import add, monomial, negate, one, scale
 
 
 def _exponential(rate: Fraction, order: int) -> Series1:
@@ -22,12 +22,12 @@ def _exponential(rate: Fraction, order: int) -> Series1:
     coefficients = [Fraction(1)]
     for k in range(1, order + 1):
         coefficients.append(coefficients[-1] * rate / k)
-    return Series1.from_coefficients(tuple(coefficients), order)
+    return Series1(tuple(coefficients), order)
 
 
 def todd_series(order: int) -> Series1:
     # x / (1 - exp(-x)); the denominator is divisible by x exactly once.
-    denominator = add(Series1.one(order + 1), negate(_exponential(Fraction(-1), order + 1)))
+    denominator = add(one(order + 1), negate(_exponential(Fraction(-1), order + 1)))
     return reciprocal(shift_down(denominator, 1))
 
 
@@ -50,7 +50,7 @@ def a_hat_series(order: int) -> Series1:
 
 def chern_total_series(order: int) -> Series1:
     # 1 + x
-    return add(Series1.one(order), monomial(Fraction(1), 1, order))
+    return add(one(order), monomial(Fraction(1), 1, order))
 
 
 ORACLES = {

@@ -64,15 +64,13 @@ def test_product_form_agrees_with_the_log_form_on_presets(name):
     order=st.integers(min_value=2, max_value=6),
 )
 def test_product_form_agrees_with_the_log_form_on_random_classes(tail, order):
-    f = Series1.from_coefficients((Fr(1), *tail), order + 1)
+    f = Series1((Fr(1), *tail), order + 1)
     assert_forms_agree(f, order, Fr(1, 10**6))
 
 
 def test_product_form_agrees_with_the_log_form_over_dual_numbers():
     # a move in the eps part only, which the real part cannot show
-    f = Series1.from_coefficients(
-        (DUALS.one, Fr(1, 2) + EPS, -3 * EPS, Fr(-2, 3), 0, EPS, Fr(5, 7), EPS), ring=DUALS
-    )
+    f = Series1((DUALS.one, Fr(1, 2) + EPS, -3 * EPS, Fr(-2, 3), 0, EPS, Fr(5, 7), EPS), 7, DUALS)
     assert_forms_agree(f, 6, EPS * Fr(1, 10**6))
 
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_kernels as oracle
-from fraction_kernels import joined_powers, joined_rows, power_numerators
+from fraction_kernels import identity, joined_powers, joined_rows, one, power_numerators
 from hilbfock.closedform import _pair_log_entries, big_g
 from hilbfock.rings import DUALS, QQ, DualNumber
 from hilbfock.series import (
@@ -60,7 +60,8 @@ def values(kind, max_size=8):
 
 
 def series1(data, kind, max_size=8) -> Series1:
-    return Series1.from_coefficients(data.draw(values(kind, max_size)), ring=RINGS[kind])
+    coefficients = data.draw(values(kind, max_size))
+    return Series1(coefficients, len(coefficients) - 1, RINGS[kind])
 
 
 def series2(data, kind, order: int) -> Series2:
@@ -126,7 +127,7 @@ def test_series2_product(kind, data, orders):
 @settings(max_examples=40, deadline=None)
 def test_reciprocal(kind, data):
     tail = data.draw(values(kind, max_size=7))
-    series = Series1.from_coefficients([unit(data, kind)] + tail, ring=RINGS[kind])
+    series = Series1([unit(data, kind)] + tail, len(tail), RINGS[kind])
     inverse = reciprocal(series)
     assert inverse == oracle.reciprocal(series)
 
@@ -136,7 +137,8 @@ def test_reciprocal(kind, data):
 @settings(max_examples=40, deadline=None)
 def test_series_log(kind, data):
     ring = RINGS[kind]
-    series = Series1.from_coefficients([ring.one] + data.draw(values(kind)), ring=ring)
+    tail = data.draw(values(kind))
+    series = Series1([ring.one] + tail, len(tail), ring)
     assert series_log(series) == oracle.series_log(series)
 
 
@@ -146,7 +148,7 @@ def test_series_log(kind, data):
 def test_power_table_and_compositional_inverse(kind, data):
     ring = RINGS[kind]
     tail = data.draw(values(kind, max_size=6))
-    series = Series1.from_coefficients([ring.zero, unit(data, kind)] + tail, ring=ring)
+    series = Series1([ring.zero, unit(data, kind)] + tail, len(tail) + 1, ring)
     g, powers = compositional_inverse(series)
     expected_g, expected_powers = oracle.compositional_inverse(series)
     assert g == expected_g
@@ -170,7 +172,7 @@ def test_powers_denominator_is_the_lcm_of_the_reduced_ones(kind, data):
     # the same integers as a split of the powers as ring elements
     ring = RINGS[kind]
     tail = data.draw(values(kind, max_size=6))
-    series = Series1.from_coefficients([ring.zero, unit(data, kind)] + tail, ring=ring)
+    series = Series1([ring.zero, unit(data, kind)] + tail, len(tail) + 1, ring)
     g, (T, t) = compositional_inverse(series)
     powers = oracle.power_table(g)
     assert t == lcm(*(q for p in powers for c in p.coefficients for q in _denominators(c)))
@@ -185,7 +187,8 @@ def test_powers_denominator_is_the_lcm_of_the_reduced_ones(kind, data):
 def test_congruence_and_compose_difference(kind, data, order):
     ring = RINGS[kind]
     matrix = series2(data, kind, order)
-    g = Series1.from_coefficients([ring.zero] + data.draw(values(kind, max_size=5)), ring=ring)
+    tail = data.draw(values(kind, max_size=5))
+    g = Series1([ring.zero] + tail, len(tail), ring)
     powers = oracle.power_table(g)
     table = [p.coefficients for p in powers]
     result = joined_congruence(matrix, table)
@@ -234,7 +237,7 @@ def test_divide_by_x_minus_y(kind, data, order, spoil):
 def test_pair_log_entries(kind, data, N):
     ring = RINGS[kind]
     tail = data.draw(values(kind, max_size=N + 1))
-    f = Series1.from_coefficients([ring.one] + tail, N + 1, ring)
+    f = Series1([ring.one] + tail, N + 1, ring)
     G = big_g(f)
     _, powers = compositional_inverse(G)
     _, oracle_powers = oracle.compositional_inverse(G)
@@ -252,9 +255,9 @@ def test_order_zero(ring):
     with pytest.raises(InsufficientOrderError):
         compositional_inverse(oracle.zero(Series1, 0, ring))
     assert congruence_numerators([[7]], [[2]], 0) == [[28]]
-    powers = compositional_inverse(Series1.identity(1, ring))[1]
+    powers = compositional_inverse(identity(1, ring))[1]
     assert joined_rows(*compose_difference_numerators(a, powers), ring) == Series2(((c,),), 0, ring)
-    assert series_log(Series1.one(0, ring)) == oracle.series_log(Series1.one(0, ring))
+    assert series_log(one(0, ring)) == oracle.series_log(one(0, ring))
     s = Series2(((c,),), 0, ring)
     assert s * s == oracle.multiply2(s, s)
     assert joined_congruence(s, [(ring.one,)]) == oracle.congruence(s, [(ring.one,)])

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbfock.rings import DUALS, DualNumber
+from hilbfock import series
+from hilbfock.rings import DUALS, DualNumber, _DualNumerator
 from hilbfock.series import (
     InsufficientOrderError,
+    InternalCheckError,
     NotInvertibleError,
     Series1,
     Series2,
@@ -25,11 +27,13 @@ from hilbfock.series import (
 from exp_oracle import series_exp
 from fraction_kernels import (
     add,
+    identity,
     in_x,
     in_y,
     joined_powers,
     monomial,
     negate,
+    one,
     power_table,
     scale,
     scale_argument,
@@ -40,7 +44,8 @@ from lagrange_good import divide_by_x, divide_by_y, lagrange_good_extract
 
 
 def s1(*coefficients, order=None):
-    return Series1.from_coefficients(tuple(Fr(c) for c in coefficients), order)
+    values = tuple(Fr(c) for c in coefficients)
+    return Series1(values, len(values) - 1 if order is None else order)
 
 
 GEOMETRIC = s1(1, 1, 1, 1, 1)  # 1/(1-x) through degree 4
@@ -52,8 +57,9 @@ GEOMETRIC = s1(1, 1, 1, 1, 1)  # 1/(1-x) through degree 4
 def test_from_coefficients_infers_and_pads():
     s = s1(1, 2)
     assert s.order == 1
-    padded = Series1.from_coefficients((Fr(1),), 3)
+    padded = Series1((Fr(1),), 3)
     assert padded.coefficients == (Fr(1), Fr(0), Fr(0), Fr(0))
+    assert Series1((Fr(1), Fr(2), Fr(3)), 1).coefficients == (Fr(1), Fr(2))
 
 
 def test_coefficient_beyond_order_is_an_error():
@@ -113,7 +119,7 @@ def test_reciprocal_requires_unit():
 
 
 def test_exp_of_zero():
-    assert series_exp(zero(Series1, 4)) == Series1.one(4)
+    assert series_exp(zero(Series1, 4)) == one(4)
 
 
 def test_exp_of_x_order_three():
@@ -127,7 +133,7 @@ def test_exp_rejects_nonzero_constant():
 
 
 def test_log_of_one():
-    assert series_log(Series1.one(4)) == zero(Series1, 4)
+    assert series_log(one(4)) == zero(Series1, 4)
 
 
 def test_log_of_one_plus_x():
@@ -169,7 +175,7 @@ def _log_by_power_series(series):
 
 @given(coefficient_lists)
 def test_log_recurrence_matches_power_series(tail):
-    u = Series1.from_coefficients((Fr(1), *tail))
+    u = Series1((Fr(1), *tail), len(tail))
     assert series_log(u) == _log_by_power_series(u)
 
 
@@ -181,9 +187,9 @@ def test_log_recurrence_matches_power_series_over_duals():
 
 @given(coefficient_lists)
 def test_exp_log_round_trips(tail):
-    s = Series1.from_coefficients((Fr(0), *tail))
+    s = Series1((Fr(0), *tail), len(tail))
     assert series_log(series_exp(s)) == s
-    u = Series1.from_coefficients((Fr(1), *tail))
+    u = Series1((Fr(1), *tail), len(tail))
     assert series_exp(series_log(u)) == u
 
 
@@ -202,7 +208,7 @@ def test_exp_preserves_even_parity():
 
 def test_compose_with_identity():
     s = s1(5, 1, 2, 3)
-    assert compose(s, in_x(Series1.identity(3))) == in_x(s)
+    assert compose(s, in_x(identity(3))) == in_x(s)
 
 
 def test_compose_geometric_with_x_squared():
@@ -223,8 +229,8 @@ def test_compose_rejects_nonzero_inner_constant():
 
 
 def test_inverse_of_identity():
-    g, powers = compositional_inverse(Series1.identity(5))
-    assert g == Series1.identity(5)
+    g, powers = compositional_inverse(identity(5))
+    assert g == identity(5)
     assert powers == ([[1, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0], [1, 0], [1]], 1)
     assert joined_powers(powers, g.ring) == tuple(monomial(1, a, 5) for a in range(6))
 
@@ -238,9 +244,23 @@ def test_inverse_of_x_over_one_minus_x_squared():
 def test_inverse_over_dual_numbers():
     # inverse(x - 2 eps x^(n+1)) = x + 2 eps x^(n+1), here with n = 2
     eps = DualNumber(0, 1)
-    base = add(Series1.identity(7, DUALS), monomial(-2 * eps, 3, 7, DUALS))
-    expected = add(Series1.identity(7, DUALS), monomial(2 * eps, 3, 7, DUALS))
+    base = add(identity(7, DUALS), monomial(-2 * eps, 3, 7, DUALS))
+    expected = add(identity(7, DUALS), monomial(2 * eps, 3, 7, DUALS))
     assert compositional_inverse(base)[0] == expected
+
+
+def test_the_inverse_round_trip_sees_a_leftover_eps_part(monkeypatch):
+    # eps added to the numerator of [x^3] g^3, read at x^3 of the sum
+    # over a of G_a g^a: its real part still matches x, its eps part not
+    chain = series.power_chain
+
+    def perturbed(ring, coefficients, count, n):
+        for a, (P, D) in enumerate(chain(ring, coefficients, count, n), 1):
+            yield ([*P[:3], P[3] + _DualNumerator(0, 1), *P[4:]] if a == 3 else P), D
+
+    monkeypatch.setattr(series, "power_chain", perturbed)
+    with pytest.raises(InternalCheckError, match="round-trip check"):
+        compositional_inverse(Series1((0, 1, 0, 1), 5, DUALS))
 
 
 def test_inverse_requires_unit_linear_coefficient():
@@ -253,11 +273,11 @@ def test_inverse_requires_unit_linear_coefficient():
 @given(coefficient_lists)
 @settings(max_examples=40)
 def test_compositional_round_trip(tail):
-    s = Series1.from_coefficients((Fr(0), Fr(1), *tail))
+    s = Series1((Fr(0), Fr(1), *tail), len(tail) + 1)
     inverse, powers = compositional_inverse(s)
     assert joined_powers(powers, s.ring) == power_table(inverse)
-    assert compose(s, in_x(inverse)) == in_x(Series1.identity(s.order))
-    assert compose(inverse, in_y(s)) == in_y(Series1.identity(s.order))
+    assert compose(s, in_x(inverse)) == in_x(identity(s.order))
+    assert compose(inverse, in_y(s)) == in_y(identity(s.order))
 
 
 def test_truncation_monotonicity():
@@ -275,14 +295,14 @@ def test_scale_and_negate_argument():
     assert scale_argument(s, 2) == s1(1, 4, 12)
     assert negate_argument(s) == s1(1, -2, 3)
     eps = DualNumber(0, 1)
-    d = Series1.from_coefficients((DUALS.one, Fr(1, 2) + eps, -3 * eps, 0, eps), ring=DUALS)
+    d = Series1((DUALS.one, Fr(1, 2) + eps, -3 * eps, 0, eps), 4, DUALS)
     assert negate_argument(d) == scale_argument(d, -1)
     assert negate_argument(d).coefficients[1] == Fr(-1, 2) + -eps
 
 
 @given(coefficient_lists)
 def test_negate_argument_matches_scaling_by_minus_one(tail):
-    s = Series1.from_coefficients((Fr(1), *tail))
+    s = Series1((Fr(1), *tail), len(tail))
     assert negate_argument(s) == scale_argument(s, -1)
 
 
@@ -391,7 +411,7 @@ def test_series2_min_order_rule():
 
 def test_lagrange_univariate_monomial_base():
     g = s1(0, 2, 3, 4, 5, 6)
-    f = Series1.identity(5)
+    f = identity(5)
     for k in range(1, 5):
         assert lagrange_good_extract(g, [f], k) == g.coefficient(k)
 
@@ -399,7 +419,7 @@ def test_lagrange_univariate_monomial_base():
 def test_lagrange_univariate_known_expansion():
     # z = sum c_k (z - z^2)^k with c_1 = 1, c_2 = 1
     f = s1(0, 1, -1, 0, 0, 0, 0, 0, 0)
-    g = Series1.identity(8)
+    g = identity(8)
     assert lagrange_good_extract(g, [f], 1) == 1
     assert lagrange_good_extract(g, [f], 2) == 1
 
@@ -414,7 +434,7 @@ def test_lagrange_bivariate_product_base():
 
 
 def test_lagrange_rejects_three_variables():
-    f = Series1.identity(3)
+    f = identity(3)
     with pytest.raises(SeriesError, match="at most two variables"):
         lagrange_good_extract(f, [f, f, f], (1, 1, 1))
 
@@ -423,7 +443,7 @@ def _naive_univariate_expansion(g, f, max_k):
     """Forward substitution: c_k = [z^k](g - sum_{j<k} c_j f^j) / f1^k."""
     coefficients = {}
     residual = g
-    powers = Series1.one(g.order)
+    powers = one(g.order)
     f1 = f.coefficient(1)
     for k in range(1, max_k + 1):
         powers = powers * f
@@ -457,7 +477,7 @@ def _naive_bivariate_expansion(g, f1, f2, max_total):
             c = residual.coefficient(k1, k2)
             coefficients[(k1, k2)] = c
             if c != 0:
-                term = scale(Series2.one(order), c)
+                term = Series2(((c,),), order)
                 for _ in range(k1):
                     term = term * f1
                 for _ in range(k2):
@@ -484,8 +504,31 @@ def test_lagrange_reassembly():
     f = s1(0, 1, 1, 1, 1, 1, 1, 1)
     g = s1(0, 1, 0, -2, 0, 5, 0, 0)
     rebuilt = zero(Series1, 6)
-    power = Series1.one(6)
+    power = one(6)
     for k in range(1, 7):
         power = power * f.truncate(6)
         rebuilt = add(rebuilt, scale(power, lagrange_good_extract(g, [f], k)))
     assert rebuilt == g.truncate(6)
+
+
+# ---------------------------------------------------------------- error paths
+
+
+ILL_POSED = {
+    "rings": (lambda: s1(1, 2) * Series1((DUALS.one,), 1, DUALS), SeriesError, "different coefficient rings"),
+    "coefficient-1": (lambda: s1(1, 2).coefficient(-1), SeriesError, "exponents must be non-negative"),
+    "series2-order": (lambda: Series2((), -1), SeriesError, "truncation order must be non-negative"),
+    "coefficient-1,0": (lambda: x_plus_y(2).coefficient(-1, 0), SeriesError, "exponents must be non-negative"),
+    "coefficient-past": (lambda: x_plus_y(2).coefficient(2, 1), InsufficientOrderError, "insufficient precision"),
+    "differentiate": (lambda: differentiate(s1(7)), InsufficientOrderError, "cannot differentiate"),
+    "shift_up-1": (lambda: shift_up(s1(1, 2), -1), SeriesError, "shift amount must be non-negative"),
+    "shift_down-1": (lambda: shift_down(s1(0, 2), -1), SeriesError, "shift amount must be non-negative"),
+    "shift_down-past": (lambda: shift_down(s1(0, 2), 2), InsufficientOrderError, "shift exceeds"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", ILL_POSED.values(), ids=ILL_POSED)
+def test_an_ill_posed_series_operation_raises(call, error, message):
+    with pytest.raises(error, match=message) as raised:
+        call()
+    assert raised.type is error

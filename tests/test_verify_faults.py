@@ -20,6 +20,11 @@ nothing on stderr.  One known fault is not in it: a change to an odd
 weight of ``_class_log`` (say c^3 added to w_3) passes every check,
 because ``verify`` runs the fixed-point sums at twist 2 only, where the
 weights come in +- pairs and the odd power sums vanish.
+
+Each FAIL line that the checks can print is reached by one fault below:
+a route that stops one degree short, a residue route that differs, an
+even a_k, an odd layer of Z, a wrong table of the trivial class and a
+wrong universal anchor.
 """
 
 import ast
@@ -35,7 +40,7 @@ from hilbfock import cli, closedform, localisation, series, verification
 from hilbfock.closedform import PRESET_NAMES, preset_class, tangent_tables
 from hilbfock.localisation import z_series_hookform, z_series_residue
 from hilbfock.rings import DUALS, DualNumber
-from hilbfock.series import InternalCheckError, Series1
+from hilbfock.series import InternalCheckError, Series1, Series2
 
 
 def assert_row_zero_is_k_squared_a_k(f: Series1, N: int) -> None:
@@ -56,7 +61,7 @@ def test_row_zero_of_z_is_k_squared_a_k_on_the_presets(name):
     N=st.integers(min_value=1, max_value=7),
 )
 def test_row_zero_of_z_is_k_squared_a_k_on_random_classes(tail, N):
-    assert_row_zero_is_k_squared_a_k(Series1.from_coefficients((Fr(1), *tail), N + 2), N)
+    assert_row_zero_is_k_squared_a_k(Series1((Fr(1), *tail), N + 2), N)
 
 
 @settings(max_examples=10, deadline=None)
@@ -288,3 +293,123 @@ def test_a_numerator_kernel_fault_ends_in_a_fail_line(monkeypatch, capsys, modul
     captured = capsys.readouterr()
     assert any(line.startswith("FAIL") for line in captured.out.splitlines())
     assert captured.err == ""
+
+
+# ------------------------------------------------------------ each FAIL line
+
+
+def _fail_details(argv: list[str], capsys) -> dict[str, str]:
+    """Run ``verify`` through ``cli.main``, require exit 1 and nothing on
+    stderr, and return the detail of each FAIL line by check name."""
+    assert cli.main(["verify", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    return {line.split()[1]: lines[i + 1].strip() for i, line in enumerate(lines) if line.startswith("FAIL")}
+
+
+def _plus_one_at(Z: Series2, degree: int, *places: int) -> Series2:
+    """Z with 1 added at the given places of the row of total degree ``degree``."""
+    rows = [list(row) for row in Z.rows]
+    for i in places:
+        rows[degree][i] += 1
+    return Series2(tuple(map(tuple, rows)), Z.order, Z.ring)
+
+
+@pytest.mark.parametrize(
+    "route, label, spec, order",
+    [
+        ("z_series_residue", "residue extraction", "todd", 8),
+        ("z_series_hookform", "fixed-point sum", "2/3,-4/9,-1/7", 11),
+    ],
+    ids=["residue", "hookform"],
+)
+def test_a_route_one_degree_short_fails_the_triple_agreement(monkeypatch, capsys, route, label, spec, order):
+    # every row the two series share agrees, so only the orders tell them apart
+    full = getattr(verification, route)
+    monkeypatch.setattr(verification, route, lambda f, N: full(f, N).truncate(N - 1))
+    assert _fail_details(["--class", spec, "--order", str(order)], capsys) == {
+        "triple-agreement": f"closed form stops at total degree {order}, {label} at total degree {order - 1}"
+    }
+
+
+def test_a_residue_route_that_differs_fails_the_triple_agreement(monkeypatch, capsys):
+    residue = verification.z_series_residue
+    monkeypatch.setattr(verification, "z_series_residue", lambda f, N: _plus_one_at(residue(f, N), 2, 1))
+    assert _fail_details(["--class", "todd", "--order", "8"], capsys) == {
+        "triple-agreement": "first difference at x^1 y^1: closed form gives -1/2, residue extraction gives 1/2"
+    }
+
+
+def _raise_a_2(tables):
+    """A wrapper of a table builder that adds 1 to a_2."""
+
+    def perturbed(f, N):
+        a_k, table = tables(f, N)
+        return {**a_k, 2: a_k[2] + 1}, table
+
+    return perturbed
+
+
+def _raise_pair_1_1(tables):
+    """A wrapper of a table builder that adds 1 to a_(1,1)."""
+
+    def perturbed(f, N):
+        a_k, table = tables(f, N)
+        entries = {**table.entries, (1, 1): table.entries[1, 1] + 1}
+        return a_k, closedform.CoeffTable(table.kind, table.max_degree, entries)
+
+    return perturbed
+
+
+def test_an_even_a_k_fails_the_parity_check(monkeypatch, capsys):
+    monkeypatch.setattr(verification, "tangent_tables", _raise_a_2(verification.tangent_tables))
+    failed = _fail_details(["--class", "todd", "--order", "8"], capsys)
+    assert set(failed) == {"triple-agreement", "parity"}
+    assert failed["parity"] == "a_2 = 1 but even-index coefficients must vanish"
+
+
+def test_an_odd_layer_of_z_fails_the_parity_check(monkeypatch, capsys):
+    # x^2 y + x y^2 keeps Z symmetric
+    z_closed = verification.z_closed
+    monkeypatch.setattr(verification, "z_closed", lambda f, N: _plus_one_at(z_closed(f, N), 3, 1, 2))
+    failed = _fail_details(["--class", "todd", "--order", "8"], capsys)
+    assert "symmetry" not in failed
+    assert failed["parity"] == "Z has a nonzero layer in odd total degree 3"
+
+
+@pytest.mark.parametrize(
+    "name, wrap, detail",
+    [
+        ("a_k_table", lambda a_k_table: lambda f, N: {**a_k_table(f, N), 2: Fr(1)},
+         "trivial class single-index table is not (1, 0, 0, ...): {1: Fraction(1, 1), 2: Fraction(1, 1), "
+         "3: Fraction(0, 1), 4: Fraction(0, 1)}"),
+        ("taut_tables", _raise_a_2, "trivial class tautological single-index table is not (1, 0, 0, ...)"),
+        ("taut_tables", _raise_pair_1_1, "trivial class tautological pair table has a nonzero entry"),
+    ],
+    ids=["single-index", "tautological-single-index", "tautological-pair"],
+)
+def test_a_wrong_trivial_table_fails_the_triviality_baseline(monkeypatch, capsys, name, wrap, detail):
+    monkeypatch.setattr(verification, name, wrap(getattr(verification, name)))
+    assert _fail_details(["--class", "todd", "--order", "8"], capsys) == {"triviality-baseline": detail}
+
+
+def test_a_wrong_universal_table_fails_the_anchors(monkeypatch, capsys):
+    to_universal = verification.to_universal
+
+    def perturbed(table):
+        out = to_universal(table)
+        entries = {**out.entries, (1, 1): out.entries[1, 1] + 1}
+        return closedform.CoeffTable(out.kind, out.max_degree, entries)
+
+    monkeypatch.setattr(verification, "to_universal", perturbed)
+    assert _fail_details(["--class", "chern-total", "--order", "8"], capsys) == {
+        "universal-anchors": "universal a^(1,1) = 5/2, frozen anchor says 3/2"
+    }
+
+
+def test_verification_refuses_an_order_below_two():
+    with pytest.raises(ValueError, match="verification needs order at least 2"):
+        verification.verify_multiplicative(preset_class("todd", 3), "todd", 1)
+    with pytest.raises(ValueError, match="verification needs order at least 2"):
+        verification.verify_chern_character(1)
