@@ -9,14 +9,14 @@ module is a corollary of that fact.
 Three families of coefficients are produced.
 
 * ``a_k_table`` and ``a_kl_table``: the raw one- and two-index
-  coefficients read off from g and from the mixed coefficients of a
-  bivariate logarithm built out of g, which are its Grunsky
-  coefficients and come from an identity for the mixed second
-  derivative of that log, with no two-variable log or product;
-  ``tangent_tables`` returns both from one inversion.  These feed the
-  generating series ``z_closed`` and must match the localisation sums
-  exactly.  They run on the numerator kernels of ``series``, and take
-  the one log of the package, ``series_log``, of f(z) f(-z).
+  coefficients, [x^k] g / k and the mixed coefficients of a bivariate
+  logarithm built out of g.  ``tangent_tables`` returns both, read off
+  the powers of f(z) f(-z) by Lagrange-Buermann (``_power_tables``),
+  with no inversion and no two-variable series; the pair table takes
+  the one log of the package, ``series_log``, of f(z) f(-z).  The
+  generating series ``z_closed`` inverts G instead, so the check that
+  compares it with the tables shares nothing with them but
+  ``power_chain``, and both must match the localisation sums exactly.
 * ``chern_character_tables`` and ``corollary_via_dual``: the Chern
   character specialisation, once through explicit factorial formulas
   and once through dual-number (square-zero) coefficients, which acts
@@ -24,7 +24,7 @@ Three families of coefficients are produced.
 * ``to_universal`` and ``taut_tables``: the conversion to the
   coefficients that multiply creation-operator monomials in the Fock
   space picture, and the variant tables for the rank-one tautological
-  bundle.
+  bundle, from the powers of f(-z) by the same route.
 
 All arithmetic is exact.  Functions accept series over the rational
 field or over the dual numbers; preconditions on the truncation order
@@ -49,12 +49,11 @@ from .series import (
     check_class_series,
     compose_difference_numerators,
     compositional_inverse,
-    congruence_numerators,
-    convolve_numerators,
     differentiate,
     divide_numerators_by_x_minus_y,
     multiply_graded_rows,
     negate_argument,
+    power_chain,
     reciprocal,
     series_log,
     shift_up,
@@ -178,99 +177,78 @@ def small_g(f: Series1, N: int) -> Series1:
 
 
 def a_k_table(f: Series1, N: int) -> dict[int, Fraction]:
-    """The single-index coefficients a_k = [x^k] g / k for 1 <= k <= N.
+    """The single-index coefficients a_k = [x^k] g / k for 1 <= k <= N,
+    over lcm(1, ..., N) and one join.
 
     Needs f to degree N, as ``small_g`` does.
     """
-    return _a_k(small_g(f, N), N)
-
-
-def _a_k(g: Series1, N: int) -> dict[int, Fraction]:
-    """a_k = [x^k] g / k for 1 <= k <= N, over lcm(1, ..., N) and one join."""
+    g = small_g(f, N)
     ring = g.ring
     L = math.lcm(*range(1, N + 1))
-    numerators, d = ring.split(g.truncate(N).coefficients[1:])
+    numerators, d = ring.split(g.coefficients[1:])
     values = ring.join([v * (L // k) for k, v in enumerate(numerators, 1)], d * L)
     return dict(enumerate(values, 1))
 
 
-def _pair_log_entries(
-    G: Series1, powers: tuple[list[list], int], N: int, outer_log: Series1 | None = None
-) -> dict:
-    """The mixed coefficients of a bivariate log built out of g = G^(-1).
+def _power_tables(P: Series1, N: int, subtract_log: bool) -> tuple[dict, dict]:
+    """a_k and the pair entries of the inverse g of u / P(u), read off
+    the powers of P by Lagrange-Buermann, with no inversion.
 
-    With d = g(x) - g(y), collects [x^k y^l] of log(d / (x - y)), less
-    outer_log(d) when given, over k >= l >= 1 and k + l <= N.  These are
-    the Grunsky coefficients of g, read off the identity
+    [x^k] g^i = (i/k) [u^(k-i)] P^k and [x^k] g^(-m) = -(m/k) [u^(k+m)] P^k.
+    With A_k / D_k the numerators and the denominator of P^k from
+    ``power_chain``, a_k = [x^k] g / k = A_k[k - 1] / (k^2 D_k), and,
+    expanding g'(x) / (g(x) - g(y)) in powers of g(y) / g(x), the
+    Grunsky coefficients are
 
-        d/dx d/dy log(d / (x - y)) = (g'(x) g'(y) D(g(x), g(y)) - 1) / (x - y)^2
+        [x^k y^l] log((g(x) - g(y)) / (x - y))
+            = sum over 1 <= m <= l of m A_k[k + m] A_l[l - m] / (k l D_k D_l)
 
-    with D(u, v) = ((G(u) - G(v)) / (u - v))^2, which holds because
-    x - y = G(g(x)) - G(g(y)).  D costs one square of G and two
-    divisions by (u - v).  Since g' g^a = (g^(a+1))' / (a+1), the
-    numerator is (i+1)(j+1) times the congruence of
-    D[a][b] / ((a+1)(b+1)) on the table [x^(i+1)] g^(a+1), which is T[1:]
-    for the powers (T, t) of g from ``compositional_inverse``, so no
-    two-variable product or log is formed.  All of it, outer_log(d)
-    too, runs on numerators, and one join forms the entries.  G and its
-    powers must have order N + 1.
+    for k >= l >= 1 and k + l <= N.  ``subtract_log`` takes off the
+    mixed part of (log P)(g(x) - g(y)): with W_m = m [u^m] log P over Q,
+    it is the sum over 1 <= j <= l of (-1)^j j A_l[l - j] S_k[j] /
+    (k l D_k D_l Q), where S_k[j] = sum over 1 <= i <= k of
+    A_k[k - i] W_(i+j) C(i+j-1, i-1).  Both sweeps cost O(N^3), and each
+    entry is joined once over its own denominator.  P is read to degree N.
     """
-    if N < 2:
-        return {}
-    ring = G.ring
-    # (G(u) - G(v))^2 to total degree N + 2, on numerators over d^2.
-    # G_0 = 0, so the padded zero at degree N + 2 never meets a nonzero
-    # coefficient.
-    G_n, d = ring.split(Series1(G.coefficients, N + 2, ring).coefficients)
-    square = convolve_numerators(G_n, G_n, N + 2)
-    rows = []
-    for e in range(N + 3):
-        row = [-2 * G_n[i] * G_n[e - i] for i in range(e + 1)]
-        row[0] += square[e]
-        row[e] += square[e]
-        rows.append(row)
-    # With L = lcm(1, ..., N + 1), the factors 1 / ((a + 1)(b + 1)) of D
-    # and 1 / (k l) of the entries become integers over L^2.
-    L = math.lcm(*range(1, N + 2))
-    D = divide_numerators_by_x_minus_y(divide_numerators_by_x_minus_y(rows))
-    scaled = [
-        [c * (L // (a + 1)) * (L // (e - a + 1)) for a, c in enumerate(row)]
-        for e, row in enumerate(D[: N + 1])
-    ]
-    T, t = powers
-    product = congruence_numerators(scaled, T[1:], N)
-    denominator = d * d * L * L * t * t
-    for e, row in enumerate(product):
-        for i in range(e + 1):
-            row[i] *= (i + 1) * (e - i + 1)
-    product[0][0] -= denominator
-    H = divide_numerators_by_x_minus_y(divide_numerators_by_x_minus_y(product))
-    pairs = [(k, total - k) for total in range(2, N + 1) for k in range((total + 1) // 2, total)]
-    numerators = [H[k + l - 2][k - 1] * (L // k) * (L // l) for k, l in pairs]
-    denominator *= L * L
-    if outer_log is not None:
-        composite, c = compose_difference_numerators(outer_log.truncate(N), powers)
-        common = math.lcm(denominator, c)
-        a, b = common // denominator, common // c
-        numerators = [v * a - composite[k + l][k] * b for v, (k, l) in zip(numerators, pairs)]
-        denominator = common
-    return dict(zip(pairs, ring.join(numerators, denominator)))
+    ring = P.ring
+    P = P.truncate(N)
+    A, D = zip(([1], 1), *power_chain(ring, P.coefficients, N, N))
+    a_k = {k: ring.join((A[k][k - 1],), k * k * D[k])[0] for k in range(1, N + 1)}
+    Q = 1
+    if subtract_log:
+        R, Q = ring.split(series_log(P).coefficients)
+        # V[j][i] = W_(i+j) C(i+j-1, i-1) = i C(i+j, i) R_(i+j), over Q
+        V = [[R[i + j] * (i * math.comb(i + j, i)) for i in range(N - j + 1)] for j in range(N + 1)]
+        # S[k][j] for the j <= min(k, N - k) that the entries read
+        S = [
+            [sum(A[k][k - i] * V[j][i] for i in range(1, k + 1)) for j in range(min(k, N - k) + 1)]
+            for k in range(N)
+        ]
+    entries = {}
+    for total in range(2, N + 1):
+        for k in range((total + 1) // 2, total):
+            l = total - k
+            Ak, Al = A[k], A[l]
+            value = sum(Ak[k + m] * Al[l - m] * m for m in range(1, l + 1)) * Q
+            if subtract_log:
+                value += sum(S[k][j] * Al[l - j] * (j if j % 2 else -j) for j in range(1, l + 1))
+            entries[(k, l)] = ring.join((value,), k * l * D[k] * D[l] * Q)[0]
+    return a_k, entries
 
 
 def tangent_tables(f: Series1, N: int) -> tuple[dict[int, Fraction], CoeffTable]:
-    """``a_k_table(f, N)`` and ``a_kl_table(f, N)`` from one inversion.
+    """``a_k_table(f, N)`` and ``a_kl_table(f, N)`` from the powers of
+    F(u) = f(u) f(-u), with no inversion (``_power_tables``).
 
     The pair table is the mixed part of log( d / ((x - y) F(d)) ) with
-    d = g(x) - g(y) and F(z) = f(z) f(-z), taken as
-    log(d / (x - y)) - (log F)(d): the log of a composite is the
-    composite of the log, so no two-variable reciprocal or product is
-    needed.  Like ``a_kl_table``, needs f one degree beyond N.
+    d = g(x) - g(y), taken as log(d / (x - y)) - (log F)(d).  The route
+    reads f to degree N only; asking for f one degree beyond N, as
+    ``z_closed`` needs, is the public precision contract of the tables.
     """
     fine = f.truncate(N + 1)
-    G = big_g(fine)
-    g, powers = compositional_inverse(G)
-    entries = _pair_log_entries(G, powers, N, series_log(fine * negate_argument(fine)))
-    return _a_k(g, N), CoeffTable(KIND_THEOREM, N, entries)
+    check_class_series(fine)
+    a_k, entries = _power_tables(fine * negate_argument(fine), N, subtract_log=True)
+    return a_k, CoeffTable(KIND_THEOREM, N, entries)
 
 
 def a_kl_table(f: Series1, N: int) -> CoeffTable:
@@ -278,8 +256,7 @@ def a_kl_table(f: Series1, N: int) -> CoeffTable:
 
     With g = small_g(f) and the difference d = g(x) - g(y), the table
     collects [x^k y^l] log( d / ((x - y) f(d) f(-d)) ) over k >= l >= 1
-    and k + l <= N.  The division by (x - y) costs one degree, so the
-    class series must be supplied one order beyond N.
+    and k + l <= N.  Like ``tangent_tables``, needs f one degree beyond N.
     """
     return tangent_tables(f, N)[1]
 
@@ -293,8 +270,8 @@ def z_closed(f: Series1, N: int) -> Series2:
     powers of g that the inversion returns.  The ratio is divided by
     x - y, squared and multiplied by g'(x) and then by g'(y) on numerator
     rows, each row over its own denominator (``multiply_graded_rows``),
-    and each row is joined once.  Needs f one degree beyond N for the
-    same reason as ``a_kl_table``.
+    and each row is joined once.  Needs f one degree beyond N, since the
+    division by x - y costs one degree.
     """
     fine = f.truncate(N + 1)
     ring = fine.ring
@@ -384,15 +361,14 @@ def taut_tables(f: Series1, N: int) -> tuple[dict[int, Fraction], CoeffTable]:
 
         [x^k y^l] log( x y (g(x) - g(y)) / ((x - y) g(x) g(y)) ).
 
-    The quotient x/g(x) is a unit power series, so the whole argument
-    is assembled from ordinary truncated series; nothing Laurent-like
-    is needed.  Its two factors x/g(x) and y/g(y) only add pure-x and
-    pure-y terms to the log, so the mixed entries are read from
-    log((g(x) - g(y)) / (x - y)) alone.  No parity or positivity is
-    imposed: this g is not odd.
+    Its two factors x/g(x) and y/g(y) only add pure-x and pure-y terms
+    to the log, so the mixed entries are the Grunsky coefficients of g,
+    which ``_power_tables`` reads off the powers of f(-u) with no
+    inversion.  The route reads f to degree N only; f one degree beyond
+    N is the public precision contract, as for ``tangent_tables``.  No
+    parity or positivity is imposed: this g is not odd.
     """
     fine = f.truncate(N + 1)
     check_class_series(fine)
-    base = shift_up(reciprocal(negate_argument(fine)).truncate(N), 1)
-    g, powers = compositional_inverse(base)
-    return _a_k(g, N), CoeffTable(KIND_TAUTOLOGICAL, N, _pair_log_entries(base, powers, N))
+    a_k, entries = _power_tables(negate_argument(fine), N, subtract_log=False)
+    return a_k, CoeffTable(KIND_TAUTOLOGICAL, N, entries)

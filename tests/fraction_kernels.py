@@ -260,7 +260,23 @@ def divide_by_x_minus_y(series: Series2) -> Series2:
 def pair_log_entries(
     G: Series1, powers: tuple[Series1, ...], N: int, outer_log: Series1 | None = None
 ) -> dict:
-    """``closedform._pair_log_entries`` on ring elements."""
+    """The mixed coefficients of a bivariate log built out of g = G^(-1),
+    from the powers of g on ring elements: the oracle of
+    ``closedform._power_tables``, which reads them off the powers of
+    x / G with no inversion.
+
+    With d = g(x) - g(y), collects [x^k y^l] of log(d / (x - y)), less
+    outer_log(d) when given, over k >= l >= 1 and k + l <= N.  These are
+    the Grunsky coefficients of g, read off the identity
+
+        d/dx d/dy log(d / (x - y)) = (g'(x) g'(y) D(g(x), g(y)) - 1) / (x - y)^2
+
+    with D(u, v) = ((G(u) - G(v)) / (u - v))^2, which holds because
+    x - y = G(g(x)) - G(g(y)).  Since g' g^a = (g^(a+1))' / (a+1), the
+    numerator is (i+1)(j+1) times the congruence of D[a][b] / ((a+1)(b+1))
+    on the table [x^(i+1)] g^(a+1).  G and its powers must have order
+    N + 1.
+    """
     if N < 2:
         return {}
     ring = G.ring

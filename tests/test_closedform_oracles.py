@@ -7,10 +7,11 @@ the two-variable log summed as the power series in f - 1, the pair
 table as the log of one two-variable quotient, and the pair table as
 the two-variable log recurrence on (g(x) - g(y)) / (x - y), less
 (log F)(g(x) - g(y)) for the tangent target.  The library inverts by
-the Lagrange formula, composes the difference as a congruence of
-triangular matrices, and reads the pair tables off the Grunsky
-identity for the mixed second derivative of the log, with no
-two-variable log at all; the routes must agree exactly.
+the Lagrange formula and composes the difference as a congruence of
+triangular matrices for ``z_closed``, and reads the tables off the
+powers of F (tangent) or f(-u) (tautological) by Lagrange-Buermann,
+with no inversion and no two-variable series at all; the routes must
+agree exactly.
 """
 
 import ast

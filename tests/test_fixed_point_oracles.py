@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbfock import cli, closedform, localisation, partitions, series, verification
+from hilbfock import cli, localisation, partitions, series, verification
 from hilbfock.closedform import PRESET_NAMES, preset_class, z_closed
 from hilbfock.localisation import (
     FixedPointBasisVector,
@@ -623,10 +623,10 @@ def test_verify_builds_the_closed_form_and_tangent_tables_once(monkeypatch):
 
 def test_a_fault_in_the_shared_congruence_fails_the_triple_agreement(monkeypatch):
     # The closed form and the residue route both run the congruence
-    # kernel series.congruence_numerators (the closed form also through
-    # series.compose_difference_numerators); the fixed-point sum runs
-    # neither, so a fault in that kernel is reported against the
-    # fixed-point sum.
+    # kernel series.congruence_numerators (the closed form through
+    # series.compose_difference_numerators); the fixed-point sum and the
+    # tables run neither, so a fault in that kernel is reported against
+    # the fixed-point sum and against the tables.
     congruence = series.congruence_numerators
     calls = []
 
@@ -642,20 +642,23 @@ def test_a_fault_in_the_shared_congruence_fails_the_triple_agreement(monkeypatch
         return perturbed
 
     f = preset_class("todd", 10)
-    for module, route in ((series, "closed form"), (closedform, "closed form"), (localisation, "residue")):
+    for module, route in ((series, "closed form"), (localisation, "residue")):
         monkeypatch.setattr(module, "congruence_numerators", perturbing(route))
     z_series_hookform(f, 8)
     assert calls == []
     results = verification.verify_multiplicative(f, "todd", 8)
     # The fault reaches both routes.  In the residue route the entry meets
     # only the linear terms of (G G)(a - b), which vanish, so there it
-    # leaves Z unchanged; the closed form carries it to the check.
+    # leaves Z unchanged; the closed form carries it to the checks that
+    # read Z, the trivial class's Z included.
     assert set(calls) == {"closed form", "residue"}
-    triple = results[0]
-    assert triple.name == "triple-agreement"
-    assert not triple.passed
-    assert "closed form" in triple.detail
-    assert "fixed-point sum" in triple.detail
+    assert {result.name: result.detail for result in results if not result.passed} == {
+        "triple-agreement": "first difference at x^0 y^8: closed form gives 18191/1209600, "
+        "fixed-point sum gives 2021/134400",
+        "log-exp-consistency": "first difference at x^0 y^8: E(Z) gives 18191/151200, "
+        "Z E(double sum of a_kl) gives 2021/16800",
+        "triviality-baseline": "Z for the trivial class is not identically 1",
+    }
 
 
 def test_a_residue_route_that_raises_fails_the_triple_agreement(monkeypatch, capsys):

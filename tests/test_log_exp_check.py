@@ -144,3 +144,19 @@ def test_a_fault_in_the_odd_part_of_the_log_fails_the_triple_agreement(monkeypat
     passed = checks_passed_with_log(monkeypatch, log_dropping(lambda k, m: k == 2 and m % 2))
     assert not passed["triple-agreement"]
     assert passed["log-exp-consistency"]
+
+
+@pytest.mark.parametrize(
+    "f, N",
+    [(Series1((Fr(1), Fr(2, 3), Fr(-4, 9), Fr(-1, 7)), 105), 104), (preset_class("todd", 57), 56)],
+    ids=["pool-class-104", "todd-56"],
+)
+def test_the_tables_witness_z_closed_above_the_verify_cap(f, N):
+    """The tangent tables read off the powers of f(u) f(-u) and the
+    closed-form Z from the inverse share nothing but ``power_chain``, so
+    log Z = R and row 0 of Z, [x^(k-1) y^0] Z = k^2 a_k, compare two
+    routes at every degree that ``table`` prints, up to its cap."""
+    Z = z_closed(f, N)
+    a_k, table = tangent_tables(f, N)
+    assert verification._check_log_exp(Z, table, N) == ""
+    assert [Z.rows[k - 1][-1] for k in range(1, N + 1)] == [k * k * a_k[k] for k in range(1, N + 1)]

@@ -6,7 +6,8 @@ helpers stay free to change; the series layer offers its numerator
 kernels under public names for that.  And the package has one log
 recurrence, ``series.log_numerators``: the fixed-point sums in
 ``localisation`` scale its weights but define no recurrence of their
-own.
+own.  The closed-form tables run no step of the inversion that
+``z_closed`` runs.
 """
 
 import ast
@@ -74,3 +75,32 @@ def test_hook_form_shares_no_convolution_and_localisation_keeps_no_cache():
         for alias in node.names
     }
     assert "functools" not in imported
+
+
+def test_the_closed_form_tables_take_no_inverse():
+    """``tangent_tables`` and ``taut_tables`` read the tables off the
+    powers of one series, so ``log-exp-consistency`` compares them with
+    the inverted ``z_closed`` through no shared step but ``power_chain``.
+    The names are followed through every ``closedform`` function that
+    the tables call."""
+    tree = _tree(SOURCE / "closedform.py")
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+    def reached(name: str, seen: set) -> set:
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name) and node.id not in seen:
+                seen.add(node.id)
+                if node.id in functions:
+                    reached(node.id, seen)
+        return seen
+
+    inversion = {
+        "compositional_inverse",
+        "congruence_numerators",
+        "compose_difference_numerators",
+        "divide_numerators_by_x_minus_y",
+    }
+    for name in ("tangent_tables", "taut_tables", "_power_tables"):
+        names = reached(name, {name})
+        assert "power_chain" in names
+        assert names.isdisjoint(inversion), name

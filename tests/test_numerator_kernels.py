@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import fraction_kernels as oracle
 from fraction_kernels import identity, joined_powers, joined_rows, one, power_numerators
-from hilbfock.closedform import _pair_log_entries, big_g
+from hilbfock.closedform import _power_tables
 from hilbfock.rings import DUALS, QQ, DualNumber
 from hilbfock.series import (
     InsufficientOrderError,
@@ -28,9 +28,9 @@ from hilbfock.series import (
     compositional_inverse,
     congruence_numerators,
     divide_by_x_minus_y,
-    negate_argument,
     reciprocal,
     series_log,
+    shift_up,
     split_rows,
 )
 
@@ -231,19 +231,38 @@ def test_divide_by_x_minus_y(kind, data, order, spoil):
     assert quotient == oracle.divide_by_x_minus_y(multiple)
 
 
+def assert_power_tables_match_the_grunsky_identity(P: Series1, N: int) -> None:
+    """``_power_tables`` against the inverse g of u / P(u) and the
+    Grunsky identity on its powers, on ring elements, with and without
+    the outer log.  P must have order N + 1."""
+    ring = P.ring
+    G = shift_up(reciprocal(P).truncate(N), 1)
+    g, powers = oracle.compositional_inverse(G)
+    a_k = {k: g.coefficients[k] / ring.coerce(k) for k in range(1, N + 1)}
+    for subtract_log, outer_log in ((False, None), (True, series_log(P))):
+        expected = oracle.pair_log_entries(G, powers, N, outer_log)
+        assert _power_tables(P, N, subtract_log) == (a_k, expected)
+
+
 @pytest.mark.parametrize("kind", KINDS)
-@given(data=st.data(), N=st.integers(0, 6))
+@given(data=st.data(), N=st.integers(0, 7))
 @settings(max_examples=25, deadline=None)
-def test_pair_log_entries(kind, data, N):
+def test_power_tables(kind, data, N):
+    """On a P that need not be even, with runs of zeros."""
     ring = RINGS[kind]
     tail = data.draw(values(kind, max_size=N + 1))
-    f = Series1([ring.one] + tail, N + 1, ring)
-    G = big_g(f)
-    _, powers = compositional_inverse(G)
-    _, oracle_powers = oracle.compositional_inverse(G)
-    outer_log = series_log(f * negate_argument(f))
-    for log in (None, outer_log):
-        assert _pair_log_entries(G, powers, N, log) == oracle.pair_log_entries(G, oracle_powers, N, log)
+    assert_power_tables_match_the_grunsky_identity(Series1([ring.one] + tail, N + 1, ring), N)
+
+
+@pytest.mark.parametrize("ring", [QQ, DUALS], ids=["rational", "dual"])
+def test_power_tables_on_a_dense_series(ring):
+    """Every coefficient of P is nonzero, so every term of every entry
+    counts: a dropped factor m, or [u^(l-m)] read from P^k in place of
+    P^l, shows."""
+    tail = [Fr((-1) ** i * i, i + 2) for i in range(1, 11)]
+    if ring is DUALS:
+        tail = [DualNumber(v, Fr(1, i)) for i, v in enumerate(tail, 1)]
+    assert_power_tables_match_the_grunsky_identity(Series1([ring.one] + tail, 10, ring), 9)
 
 
 @pytest.mark.parametrize("ring", [QQ, DUALS])

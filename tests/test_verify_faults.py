@@ -77,8 +77,13 @@ def test_row_zero_of_z_is_k_squared_a_k_over_dual_numbers(N):
 def test_a_wrong_normalisation_of_a_k_fails_the_triple_agreement_only(monkeypatch):
     # a_k = [x^k] g / k^2 instead of [x^k] g / k: a_1 = 1 and the even
     # a_k = 0 are unchanged, so the first k it shows at is 3
-    a_k = closedform._a_k
-    monkeypatch.setattr(closedform, "_a_k", lambda g, N: {k: v / k for k, v in a_k(g, N).items()})
+    power_tables = closedform._power_tables
+
+    def perturbed(P, N, subtract_log):
+        a_k, entries = power_tables(P, N, subtract_log)
+        return {k: v / k for k, v in a_k.items()}, entries
+
+    monkeypatch.setattr(closedform, "_power_tables", perturbed)
     results = verification.verify_multiplicative(preset_class("todd", 10), "todd", 8)
     failed = [result for result in results if not result.passed]
     assert [result.name for result in failed] == ["triple-agreement"]
@@ -88,31 +93,31 @@ def test_a_wrong_normalisation_of_a_k_fails_the_triple_agreement_only(monkeypatc
 
 
 def test_a_closed_form_that_raises_fails_each_check_that_reads_it(monkeypatch, capsys):
-    # One numerator too high at T[2][n - 3] in the closed form's
-    # congruence leaves the tangent tables' product not divisible by
-    # (x - y).  The tables are cached by the run, and a cache keeps no
-    # exception, so every check that reads them raises again; each is a
-    # FAIL with the error as its detail, and nothing reaches stderr.
-    congruence = series.congruence_numerators
+    # One numerator too high in G(g(x) - g(y)) leaves the closed form's
+    # ratio not divisible by (x - y).  Z is cached by the run, and a
+    # cache keeps no exception, so every check that reads Z raises again;
+    # each is a FAIL with the error as its detail, and nothing reaches
+    # stderr.  The tables share no step with Z but ``power_chain``, so
+    # the checks that read only them pass.
+    compose = closedform.compose_difference_numerators
 
-    def perturbed(C, T, n):
-        rows = [list(row) for row in T]
-        rows[2][n - 3] = rows[2][n - 3] + 1
-        return congruence(C, rows, n)
+    def perturbed(outer, powers):
+        rows, c = compose(outer, powers)
+        rows[3][1] += 1
+        return rows, c
 
-    for module in (series, closedform):
-        monkeypatch.setattr(module, "congruence_numerators", perturbed)
+    monkeypatch.setattr(closedform, "compose_difference_numerators", perturbed)
     assert cli.main(["verify", "--class", "todd", "--order", "8"]) == 1
     captured = capsys.readouterr()
     lines = captured.out.splitlines()
     failed = [line.split()[1] for line in lines if line.startswith("FAIL")]
-    assert failed == ["triple-agreement", "log-exp-consistency", "parity", "dual-number-oracle"]
+    assert failed == ["triple-agreement", "log-exp-consistency", "parity", "symmetry", "triviality-baseline"]
     details = [lines[i + 1].strip() for i, line in enumerate(lines) if line.startswith("FAIL")]
     assert details == [
-        "the closed-form tables raised SeriesError: not divisible by (x - y)",
-        *["raised SeriesError: not divisible by (x - y)"] * 3,
+        "the closed form raised SeriesError: not divisible by (x - y)",
+        *["raised SeriesError: not divisible by (x - y)"] * 4,
     ]
-    assert lines[-1] == "3/7 checks passed (class todd, order 8)"
+    assert lines[-1] == "2/7 checks passed (class todd, order 8)"
     assert captured.err == ""
 
 
@@ -139,25 +144,26 @@ def _raise_the_third_power_of_each_chain(monkeypatch):
 
 def _raise_an_odd_tangent_entry(monkeypatch):
     # a tangent table with a nonzero entry of odd total degree
-    entries = closedform._pair_log_entries
+    power_tables = closedform._power_tables
 
-    def perturbed(*args):
-        out = entries(*args)
-        out[(2, 1)] += 1
-        return out
+    def perturbed(P, N, subtract_log):
+        a_k, entries = power_tables(P, N, subtract_log)
+        entries[(2, 1)] += 1
+        return a_k, entries
 
-    monkeypatch.setattr(closedform, "_pair_log_entries", perturbed)
+    monkeypatch.setattr(closedform, "_power_tables", perturbed)
 
 
 @pytest.mark.parametrize(
-    "perturb, message",
+    "perturb, message, passed",
     [
-        (_raise_the_third_power_of_each_chain, "compositional inverse failed its round-trip check"),
-        (_raise_an_odd_tangent_entry, "entry (2, 1) of odd total degree must vanish"),
+        # the tables and so ``dual-number-oracle`` take no inverse
+        (_raise_the_third_power_of_each_chain, "compositional inverse failed its round-trip check", 3),
+        (_raise_an_odd_tangent_entry, "entry (2, 1) of odd total degree must vanish", 2),
     ],
     ids=["round-trip", "odd-degree"],
 )
-def test_a_failed_internal_check_is_a_fail_line_not_a_traceback(monkeypatch, capsys, perturb, message):
+def test_a_failed_internal_check_is_a_fail_line_not_a_traceback(monkeypatch, capsys, perturb, message, passed):
     perturb(monkeypatch)
     assert cli.main(["verify", "--class", "todd", "--order", "8"]) == 1
     captured = capsys.readouterr()
@@ -166,7 +172,7 @@ def test_a_failed_internal_check_is_a_fail_line_not_a_traceback(monkeypatch, cap
     assert lines[failed[0]].split()[1] == "triple-agreement"
     for i in failed:
         assert "raised InternalCheckError: " in lines[i + 1] and message in lines[i + 1]
-    assert lines[-1].startswith("2/7 checks passed")
+    assert lines[-1].startswith(f"{passed}/7 checks passed")
     assert captured.err == ""
 
 
@@ -253,11 +259,12 @@ MATRIX = {
     (series, "congruence_numerators"): _add_one(2, 1),
     (series, "power_chain"): _raise_power(3, 3),
     (series, "log_numerators"): _raise_even_log_weight,
-    (closedform, "convolve_numerators"): _add_one(2),
     (closedform, "multiply_graded_rows"): _add_one(0, 2, 1),
     (closedform, "divide_numerators_by_x_minus_y"): _add_one(2, 1),
-    (closedform, "congruence_numerators"): _add_one(2, 1),
     (closedform, "compose_difference_numerators"): _add_one(0, 3, 1),
+    # P^3 at u^4, read as [u^(k+m)] P^k for (k, m) = (3, 1); the tables
+    # never read P^3 at u^3
+    (closedform, "power_chain"): _raise_power(3, 4),
     # T[1][2], the numerator of [x^3] g
     (closedform, "compositional_inverse"): _add_one(1, 0, 1, 2),
     # F^3 at a^2: the residue route reads F^(r + 1) to degree r only, so
