@@ -207,13 +207,16 @@ def _power_tables(P: Series1, N: int, subtract_log: bool) -> tuple[dict, dict]:
     mixed part of (log P)(g(x) - g(y)): with W_m = m [u^m] log P over Q,
     it is the sum over 1 <= j <= l of (-1)^j j A_l[l - j] S_k[j] /
     (k l D_k D_l Q), where S_k[j] = sum over 1 <= i <= k of
-    A_k[k - i] W_(i+j) C(i+j-1, i-1).  Both sweeps cost O(N^3), and each
-    entry is joined once over its own denominator.  P is read to degree N.
+    A_k[k - i] W_(i+j) C(i+j-1, i-1).  Both sweeps cost O(N^3) and visit
+    only the m with A_k[k - m] != 0: P is even for the tangent table, and
+    1 for the trivial class.  Each entry is joined once over its own
+    denominator.  P is read to degree N.
     """
     ring = P.ring
     P = P.truncate(N)
     A, D = zip(([1], 1), *power_chain(ring, P.coefficients, N, N))
     a_k = {k: ring.join((A[k][k - 1],), k * k * D[k])[0] for k in range(1, N + 1)}
+    live = [[m for m in range(1, k + 1) if A[k][k - m]] for k in range(N + 1)]
     Q = 1
     if subtract_log:
         R, Q = ring.split(series_log(P).coefficients)
@@ -221,7 +224,7 @@ def _power_tables(P: Series1, N: int, subtract_log: bool) -> tuple[dict, dict]:
         V = [[R[i + j] * (i * math.comb(i + j, i)) for i in range(N - j + 1)] for j in range(N + 1)]
         # S[k][j] for the j <= min(k, N - k) that the entries read
         S = [
-            [sum(A[k][k - i] * V[j][i] for i in range(1, k + 1)) for j in range(min(k, N - k) + 1)]
+            [sum(A[k][k - i] * V[j][i] for i in live[k]) for j in range(min(k, N - k) + 1)]
             for k in range(N)
         ]
     entries = {}
@@ -229,9 +232,9 @@ def _power_tables(P: Series1, N: int, subtract_log: bool) -> tuple[dict, dict]:
         for k in range((total + 1) // 2, total):
             l = total - k
             Ak, Al = A[k], A[l]
-            value = sum(Ak[k + m] * Al[l - m] * m for m in range(1, l + 1)) * Q
+            value = sum(Ak[k + m] * Al[l - m] * m for m in live[l]) * Q
             if subtract_log:
-                value += sum(S[k][j] * Al[l - j] * (j if j % 2 else -j) for j in range(1, l + 1))
+                value += sum(S[k][j] * Al[l - j] * (j if j % 2 else -j) for j in live[l])
             entries[(k, l)] = ring.join((value,), k * l * D[k] * D[l] * Q)[0]
     return a_k, entries
 

@@ -15,11 +15,12 @@ offer the series-times-series product and, for ``Series2``, adding a
 constant.  Everything else lives here as module-level functions:
 reciprocal and log (one variable only, both recurrences on
 numerators), composition (a one-variable series of a two-variable one
-by Horner's scheme; a two-variable series C(u, v) at u = g(x),
-v = g(y) as a congruence of triangular matrices over the powers of g,
-with outer(g(x) - g(y)) as one case), compositional inversion by the
-Lagrange formula, which also returns the powers of the inverse and
-checks it against them, and the two-variable division by x - y.
+by Horner's scheme over the two-variable product; a two-variable series
+C(u, v) at u = g(x), v = g(y) as a congruence of triangular matrices
+over the powers of g, with outer(g(x) - g(y)) as one case),
+compositional inversion by the Lagrange formula, which also returns the
+powers of the inverse and checks it against them, and the two-variable
+division by x - y.
 Powers stay numerators, cancelled one by one in ``power_chain``, and
 ``congruence_numerators`` reads a triangular table of them over one
 denominator as it is.  ``localisation`` takes its logs from the same
@@ -42,11 +43,14 @@ The products, the analytic operations and the kernels behind them split
 their operands, do every coefficient operation on the numerators with
 no normalisation, and join where they return coefficients: one gcd per
 coefficient returned instead of one per coefficient operation.  Chains
-of products (the powers, the Horner steps of ``compose``) and the
-recursions of ``reciprocal`` and the log cancel each new term, so their
-denominator stays the lcm of the reduced ones instead of growing as a
-power.  The two-variable product keeps one denominator per row of total
-degree, since the denominators of a series often grow with the degree.
+of products (the powers) and the recursions of ``reciprocal`` and the
+log cancel each new term, so their denominator stays the lcm of the
+reduced ones instead of growing as a power.  ``multiply_graded_rows`` is
+the one two-variable product: ``Series2.__mul__``, the Horner steps of
+``compose`` and ``closedform.z_closed`` all run on it.  It keeps one
+reduced denominator per row of total degree, since the denominators of
+a series often grow with the degree, and a row with no term is zero
+over 1.
 One body serves both rings.  Only the one-pass operations (a constant
 added to a ``Series2``, x -> -x, the shifts, the derivative) work on
 ring elements.
@@ -106,12 +110,6 @@ def join_rows(ring: Ring, rows: Sequence[Sequence], denominator: int) -> tuple[t
     return tuple(_regroup(ring.join([c for row in rows for c in row], denominator), rows))
 
 
-def _cancel_rows(ring: Ring, rows: Sequence[Sequence], denominator: int) -> tuple[list[list], int]:
-    """``Ring.cancel`` of a table of numerator rows."""
-    flat, denominator = ring.cancel([c for row in rows for c in row], denominator)
-    return _regroup(flat, rows), denominator
-
-
 def convolve_numerators(a: Sequence, b: Sequence, n: int) -> list:
     """Degrees 0 to n of the product of two numerator sequences."""
     out = [0] * (n + 1)
@@ -133,14 +131,28 @@ def multiply_graded_rows(
     formed over the lcm of a[d] b[e - d] and cancelled, so each row keeps
     the size of its own terms: for a series whose denominators grow with
     the degree, one denominator for the whole table would inflate the
-    low rows to the size of the top one.  Only the nonzero entries of B
-    are visited.  Returns the rows and their denominators.
+    low rows to the size of the top one.  A row that no pair of rows
+    meets has no term and is zero over 1, with no lcm and no cancel:
+    row 0 of any product by a constant-free series is such a row.  Only
+    the nonzero entries of B are visited.  Returns the rows and their
+    denominators.
     """
-    nonzero = [[(i, v) for i, v in enumerate(row) if v] for row in B]
-    live = [d for d, row in enumerate(A) if any(row)]
+    # the nonzero entries of each row of B that has any, and the pairs
+    # of rows with terms that meet at each total degree
+    nonzero = {k: [(i, v) for i, v in enumerate(row) if v] for k, row in enumerate(B) if any(row)}
+    meeting = [[] for _ in range(n + 1)]
+    for d, row in enumerate(A[: n + 1]):
+        if any(row):
+            for k in nonzero:
+                if d + k > n:
+                    break
+                meeting[d + k].append((d, k))
     rows, denominators = [], []
-    for e in range(n + 1):
-        pairs = [(d, e - d) for d in live if d <= e < d + len(B) and nonzero[e - d]]
+    for e, pairs in enumerate(meeting):
+        if not pairs:
+            rows.append([0] * (e + 1))
+            denominators.append(1)
+            continue
         L = lcm(*(a[d] * b[k] for d, k in pairs))
         target = [0] * (e + 1)
         for d, k in pairs:
@@ -460,54 +472,33 @@ def series_log(series: Series1) -> Series1:
     return Series1(series.ring.join([0] + [R[m] * (L // m) for m in range(1, n + 1)], L * Q), n, series.ring)
 
 
-def _times_terms(rows: Sequence[Sequence], terms: Sequence[tuple], n: int) -> list[list]:
-    """Numerator rows times the series whose nonzero numerators are the
-    terms (e, j, v), v at row e and place j, to total degree n."""
-    out = [[0] * len(row) for row in rows]
-    for d, row in enumerate(rows):
-        for i, h in enumerate(row):
-            if h:
-                for e, j, v in terms:
-                    if d + e > n:
-                        break
-                    out[d + e][i + j] += h * v
-    return out
-
-
 def compose(outer: Series1, inner: Series2) -> Series2:
     """Substitute the two-variable ``inner`` (zero constant term) into
     the one-variable ``outer``.
 
-    Evaluation is by Horner's scheme on numerators: h starts at outer_n
-    and becomes h inner + outer_k for k = n - 1, ..., 1, and the
-    composite is h inner + outer_0.  h is kept as numerator rows over
-    one running denominator, and each step is cancelled before it takes
-    the next factor, as in ``power_chain``.  The product by ``inner``
-    visits only its nonzero entries, so a sparse inner series such as
-    x - y costs O(N^2) per step.
+    Evaluation is by Horner's scheme on ``multiply_graded_rows``, the
+    package's one two-variable product: h starts at zero, and for
+    k = n, ..., 1 row 0 of h is set to outer_k and h is multiplied by
+    ``inner``.  Row 0 of a product by a constant-free series has no
+    term, so setting it adds outer_k.  Each row keeps its own reduced
+    denominator through the steps and is joined over it; outer_0 is
+    added to the joined series.  The product visits only the nonzero
+    entries of ``inner``, so a sparse inner series such as x - y costs
+    O(N^2) per step.
     """
     outer._require_same_ring(inner)
     ring = outer.ring
     if inner.constant_term != ring.zero:
         raise SeriesError("composition requires the inner series to have zero constant term")
     n = min(outer.order, inner.order)
-    rows = inner.rows[: n + 1]
-    I, d = split_rows(ring, rows)
-    terms = [(e, j, v) for e, row in enumerate(I) for j, v in enumerate(row) if v]
-    # O[k - 1] / c is outer_k; outer_0 is added to the joined series.
-    O, c = ring.split(outer.coefficients[1 : n + 1])
-    H, D = [[0] * len(row) for row in rows], c
-    if n:
-        H[0][0] = O[n - 1]
-    for k in range(n - 1, 0, -1):
-        H, D = _times_terms(H, terms, n), D * d
-        if D % c:
-            grown = lcm(D, c)
-            H = [[h * (grown // D) for h in row] for row in H]
-            D = grown
-        H[0][0] += O[k - 1] * (D // c)
-        H, D = _cancel_rows(ring, H, D)
-    return Series2(join_rows(ring, _times_terms(H, terms, n), D * d), n, ring) + outer.coefficients[0]
+    I, d = split_rows(ring, inner.rows[: n + 1])
+    # O[k] / c is outer_k; outer_0 is added to the joined series.
+    O, c = ring.split(outer.coefficients[: n + 1])
+    H, h, b = [[0]], [c], [d] * (n + 1)
+    for k in range(n, 0, -1):
+        H[0], h[0] = [O[k]], c
+        H, h = multiply_graded_rows(ring, H, h, I, b, n)
+    return Series2(tuple(map(ring.join, H, h)), n, ring) + outer.coefficients[0]
 
 
 def compose_difference_numerators(outer: Series1, powers: tuple[list[list], int]) -> tuple[list[list], int]:

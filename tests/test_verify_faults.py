@@ -348,6 +348,18 @@ def test_a_residue_route_that_differs_fails_the_triple_agreement(monkeypatch, ca
     }
 
 
+def test_a_product_kernel_fault_reaches_the_residue_route(monkeypatch, capsys):
+    # The residue route's Horner composition multiplies through the same
+    # ``multiply_graded_rows`` as ``Series2.__mul__``, so one fault in it
+    # leaves the residue route's series not divisible by (x - y) and
+    # changes the products of ``log-exp-consistency``.
+    monkeypatch.setattr(series, "multiply_graded_rows", _add_one(0, 2, 1)(series.multiply_graded_rows))
+    assert _fail_details(["--class", "todd", "--order", "8"], capsys) == {
+        "triple-agreement": "the residue extraction raised SeriesError: not divisible by (x - y)",
+        "log-exp-consistency": "first difference at x^1 y^1: E(Z) gives -1, Z E(double sum of a_kl) gives -1/2",
+    }
+
+
 def _raise_a_2(tables):
     """A wrapper of a table builder that adds 1 to a_2."""
 
