@@ -177,17 +177,11 @@ def small_g(f: Series1, N: int) -> Series1:
 
 
 def a_k_table(f: Series1, N: int) -> dict[int, Fraction]:
-    """The single-index coefficients a_k = [x^k] g / k for 1 <= k <= N,
-    over lcm(1, ..., N) and one join.
+    """The single-index coefficients a_k = [x^k] g / k for 1 <= k <= N.
 
     Needs f to degree N, as ``small_g`` does.
     """
-    g = small_g(f, N)
-    ring = g.ring
-    L = math.lcm(*range(1, N + 1))
-    numerators, d = ring.split(g.coefficients[1:])
-    values = ring.join([v * (L // k) for k, v in enumerate(numerators, 1)], d * L)
-    return dict(enumerate(values, 1))
+    return {k: c / k for k, c in enumerate(small_g(f, N).coefficients[1:], 1)}
 
 
 def _power_tables(P: Series1, N: int, subtract_log: bool) -> tuple[dict, dict]:

@@ -22,7 +22,8 @@ exponential, and each pair one O(n) convolution of its two diagrams'
 rows, ``_pair_value``.
 
 The logarithm and the exponentials run on integers.  The log comes
-from the package's one log recurrence, ``series.log_numerators``.  With
+from ``series.log_numerators``, the weights x f'/f from the triangular
+division that also gives ``series.reciprocal``.  With
 c the lcm of the denominators of f_1, ..., f_n, its weights scaled to
 w_m = m [u^m] log f(c u) are integers, and so are e_0 = 1,
 e_m = sum over k <= m of w_k s_k e_(m-k) (m-1)!/(m-k)!.  Then

@@ -186,10 +186,11 @@ class Ring(Frozen):
     ``split``, ``cancel`` and ``join`` give the series kernels one body
     for both rings.  ``split(values)`` returns numerators and one
     denominator, a positive int, with values[i] = numerators[i] /
-    denominator; the numerators support +, -, * and truth tests, and mix
-    with ints.  They are ints over the rationals, and integer pairs
-    a + b eps (``_DualNumerator``, or an int where b = 0) over the dual
-    numbers, so the kernels run on ints for both rings.
+    denominator; the numerators support +, unary -, * and truth tests,
+    and mix with ints, so a kernel writes a difference as a + -b.  They
+    are ints over the rationals, and integer pairs a + b eps
+    (``_DualNumerator``, or an int where b = 0) over the dual numbers, so
+    the kernels run on ints for both rings.
     ``cancel(numerators, denominator)`` divides both by
     their common factor, which keeps a chain of products at the size of
     its reduced terms.  ``join(numerators, denominator)`` returns the
@@ -233,11 +234,11 @@ class _DualNumerator:
     """The numerator a + b eps of a dual number in ``DUALS.split``, with
     a and b ints and b nonzero.
 
-    It supplies what the series kernels ask of a numerator: +, -, * and
-    mixing with ints.  An int n stands for n + 0 eps, and every result
-    whose eps part cancels comes back as an int, so the real parts of a
-    kernel run on plain ints and an instance is never zero: it is true
-    in a truth test, and a zero is the int 0.
+    It supplies what the series kernels ask of a numerator: +, unary -,
+    * and mixing with ints, as ``DualNumber`` does.  An int n stands for
+    n + 0 eps, and every result whose eps part cancels comes back as an
+    int, so the real parts of a kernel run on plain ints and an instance
+    is never zero: it is true in a truth test, and a zero is the int 0.
     """
 
     __slots__ = ("a", "b")
@@ -258,19 +259,6 @@ class _DualNumerator:
 
     def __neg__(self) -> "_DualNumerator":
         return _DualNumerator(-self.a, -self.b)
-
-    def __sub__(self, other: Any) -> "_DualNumerator | int":
-        if type(other) is _DualNumerator:
-            b = self.b - other.b
-            return _DualNumerator(self.a - other.a, b) if b else self.a - other.a
-        if isinstance(other, int):
-            return _DualNumerator(self.a - other, self.b)
-        return NotImplemented
-
-    def __rsub__(self, other: Any) -> "_DualNumerator":
-        if isinstance(other, int):
-            return _DualNumerator(other - self.a, -self.b)
-        return NotImplemented
 
     def __mul__(self, other: Any) -> "_DualNumerator | int":
         a = self.a

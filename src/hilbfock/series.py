@@ -13,11 +13,12 @@ order: such a function truncates its input to that order first.
 ``Series1`` and ``Series2`` are truncated coefficient containers: they
 offer the series-times-series product and, for ``Series2``, adding a
 constant.  Everything else lives here as module-level functions:
-reciprocal and log (one variable only, both recurrences on
-numerators), composition (a one-variable series of a two-variable one
-by Horner's scheme over the two-variable product; a two-variable series
-C(u, v) at u = g(x), v = g(y) as a congruence of triangular matrices
-over the powers of g, with outer(g(x) - g(y)) as one case),
+reciprocal and log (one variable only, both quotients b / f from the
+one triangular division ``quotient_numerators``), composition (a
+one-variable series of a two-variable one by Horner's scheme over the
+two-variable product; a two-variable series C(u, v) at u = g(x),
+v = g(y) as a congruence of triangular matrices over the powers of g,
+with outer(g(x) - g(y)) as one case),
 compositional inversion by the Lagrange formula, which also returns the
 powers of the inverse and checks it against them, and the two-variable
 division by x - y.
@@ -35,22 +36,22 @@ over the lcm of the denominators of both parts), and ``Ring.join``
 forms ring elements again.  ``split_rows`` and ``join_rows`` do the
 same for a table of rows.  ``convolve_numerators``, ``power_chain``,
 ``multiply_graded_rows``, ``congruence_numerators``,
-``compose_difference_numerators``, ``divide_numerators_by_x_minus_y``
-and ``log_numerators`` are the public numerator interface, with the
-table of powers from ``compositional_inverse``: they take and return
-numerators, and the caller keeps track of the denominator.
+``compose_difference_numerators``, ``divide_numerators_by_x_minus_y``,
+``quotient_numerators`` and ``log_numerators`` are the public numerator
+interface, with the table of powers from ``compositional_inverse``:
+they take and return numerators, and the caller keeps track of the
+denominator.  No kernel subtracts numerators: a difference is a + -b.
 The products, the analytic operations and the kernels behind them split
 their operands, do every coefficient operation on the numerators with
 no normalisation, and join where they return coefficients: one gcd per
 coefficient returned instead of one per coefficient operation.  Chains
-of products (the powers) and the recursions of ``reciprocal`` and the
-log cancel each new term, so their denominator stays the lcm of the
-reduced ones instead of growing as a power.  ``multiply_graded_rows`` is
-the one two-variable product: ``Series2.__mul__``, the Horner steps of
-``compose`` and ``closedform.z_closed`` all run on it.  It keeps one
-reduced denominator per row of total degree, since the denominators of
-a series often grow with the degree, and a row with no term is zero
-over 1.
+of products (the powers) and the triangular division cancel each new
+term, so their denominator stays the lcm of the reduced ones instead of
+growing as a power.  ``multiply_graded_rows`` is the one two-variable
+product: ``Series2.__mul__``, the Horner steps of ``compose`` and
+``closedform.z_closed`` all run on it.  It keeps one reduced
+denominator per row of total degree, since the denominators of a series
+often grow with the degree, and a row with no term is zero over 1.
 One body serves both rings.  Only the one-pass operations (a constant
 added to a ``Series2``, x -> -x, the shifts, the derivative) work on
 ring elements.
@@ -238,15 +239,32 @@ def power_chain(ring: Ring, coefficients: Sequence, count: int, n: int):
         yield P, D
 
 
-def _append_cancelled(ring: Ring, R: list, L: int, numerator, denominator: int):
-    """Append numerator / denominator to the numerators R over L, cancelled
-    first, so that L stays the lcm of the reduced denominators."""
-    (numerator,), e = ring.cancel((numerator,), denominator)
-    if L % e:
-        grown = lcm(L, e)
-        R = [r * (grown // L) for r in R]
-        L = grown
-    R.append(numerator * (L // e))
+def quotient_numerators(ring: Ring, B: Sequence, F: Sequence, d: int, u, w: int) -> tuple[list, int]:
+    """Numerators R and one denominator L of X = b / f to the degree of F,
+    for b = B / d and f = F / d, where 1 / f_0 = u / w.
+
+    The triangular recursion f_0 X_k = b_k - sum over 1 <= j <= k of
+    f_j X_(k-j) runs on numerators: with X_i = R_i / L,
+    X_k = u (B_k L + -sum of F_j R_(k-j)) / (w d L).  Each X_k is
+    cancelled before L takes it in, which keeps L the lcm of the reduced
+    denominators: a fraction-free recursion would carry d^k, which for a
+    series like the Todd one dwarfs them.  Only the nonzero F_j are
+    visited.
+    """
+    terms = [(j, a) for j, a in enumerate(F) if j and a]
+    R, L = [], 1
+    for k in range(len(F)):
+        acc = 0
+        for j, a in terms:
+            if j > k:
+                break
+            acc += a * R[k - j]
+        (x,), e = ring.cancel((u * (B[k] * L + -acc),), w * d * L)
+        if L % e:
+            grown = lcm(L, e)
+            R = [r * (grown // L) for r in R]
+            L = grown
+        R.append(x * (L // e))
     return R, L
 
 
@@ -254,25 +272,16 @@ def log_numerators(f: "Series1", n: int) -> tuple[list, int]:
     """Numerators R and one denominator Q of the weights W_m = m [x^m] log f.
 
     Truncating f to n is the precision check; R[0] = 0.  L = log f
-    solves f L' = f', so W_m = m f_m - sum over 1 <= k < m of
-    W_k f_(m-k), at O(n^2) operations on numerators: with f = F / d and
-    W_k = R_k / Q, W_m = (m F_m Q - sum of R_k F_(m-k)) / (d Q), which
-    is cancelled before Q takes it in, as in ``reciprocal``.
+    solves f L' = f', so W = x f' / f: the quotient of
+    ``quotient_numerators`` with B_m = m F_m and u = w = 1, at O(n^2)
+    operations on numerators.
     """
     ring = f.ring
     truncated = f.truncate(n)
     if truncated.constant_term != ring.one:
         raise SeriesError("log requires constant term 1")
     F, d = ring.split(truncated.coefficients)
-    R, Q = [0], 1
-    for m in range(1, n + 1):
-        acc = m * F[m] * Q
-        for k in range(1, m):
-            b = F[m - k]
-            if b:
-                acc = acc - R[k] * b
-        R, Q = _append_cancelled(ring, R, Q, acc, d * Q)
-    return R, Q
+    return quotient_numerators(ring, [m * v for m, v in enumerate(F)], F, d, 1, 1)
 
 
 class _Series(Frozen):
@@ -432,18 +441,11 @@ class Series2(_Series):
 
 
 def reciprocal(series: Series1) -> Series1:
-    """Multiplicative inverse of a one-variable series, by the usual
-    triangular recursion out_k = -(1/c_0) sum over 1 <= i <= k of
-    c_i out_(k-i).
+    """Multiplicative inverse of a one-variable series: the quotient of
+    ``quotient_numerators`` with B = (d, 0, ..., 0), for the series
+    split as F / d and 1/c_0 as u / w.
 
-    The constant term must be a unit of the coefficient ring.  The
-    series is split as F / d and 1/c_0 as u / w, and the coefficients
-    found so far are kept as numerators R over their common denominator
-    L, so out_k = -u (sum of F_j R_(k-j)) / (w d L) is formed on
-    numerators.  Cancelling each out_k before L takes it in
-    (``_append_cancelled``) keeps L the lcm of the reduced denominators:
-    a fraction-free recursion would carry d^k, which for a series like
-    the Todd one dwarfs them.
+    The constant term must be a unit of the coefficient ring.
     """
     ring = series.ring
     c0 = series.constant_term
@@ -451,14 +453,7 @@ def reciprocal(series: Series1) -> Series1:
         raise NotInvertibleError("constant term is not a unit, no multiplicative inverse")
     F, d = ring.split(series.coefficients)
     (u,), w = ring.split((ring.one / c0,))
-    R, L = [u], w
-    for k in range(1, series.order + 1):
-        acc = 0
-        for j in range(1, k + 1):
-            a = F[j]
-            if a:
-                acc += a * R[k - j]
-        R, L = _append_cancelled(ring, R, L, -u * acc, w * d * L)
+    R, L = quotient_numerators(ring, [d] + [0] * series.order, F, d, u, w)
     return Series1(ring.join(R, L), series.order, ring)
 
 

@@ -111,7 +111,7 @@ def log_dropping(dropped):
             acc = m * F[m] * Q
             for k in range(1, m):
                 if not dropped(k, m):
-                    acc = acc - R[k] * F[m - k]
+                    acc = acc + -(R[k] * F[m - k])
             R = [r * d for r in R] + [acc]
             Q *= d
         return R, Q

@@ -142,9 +142,8 @@ def _dual_library_pass() -> None:
     ``DualNumber`` and of its numerators run: the residue route, the
     triple agreement and the log-exp check at order 8, and the
     fixed-point vectors at level 6, for f = 1 + x + eps (x^2 + ... + x^10).
-    Its odd part x reaches the numerator operators that an even class
-    leaves idle (``int - numerator`` in the log recurrence); the
-    fixed-point vectors reach the numerators' unary minus."""
+    The triangular division behind its reciprocal and its log reaches
+    the numerators' unary minus."""
     eps = DualNumber(Fraction(0), Fraction(1))
     f = Series1((DUALS.one, DUALS.one) + (eps, DUALS.zero) * 5, 10, DUALS)
     z_series_residue(f, 8)

@@ -153,7 +153,7 @@ def test_dual_numerators_follow_dual_arithmetic(pair, k):
     (x, y), d = DUALS.split(pair)
     shift = Fraction(k, d)
     assert bool(x) == bool(a)
-    assert DUALS.join([x + y, x - y, -x], d) == (a + b, a + -b, -a)
+    assert DUALS.join([x + y, x + -y, -x], d) == (a + b, a + -b, -a)
     assert DUALS.join([x * y], d * d) == (a * b,)
-    assert DUALS.join([x + k, k + x, x - k, k - x], d) == (a + shift, a + shift, a + -shift, shift + -a)
+    assert DUALS.join([x + k, k + x, x + -k, k + -x], d) == (a + shift, a + shift, a + -shift, shift + -a)
     assert DUALS.join([x * k, k * x], d) == (a * k, a * k)

@@ -200,6 +200,7 @@ NUMERATOR_KERNELS = (
     "divide_numerators_by_x_minus_y",
     "congruence_numerators",
     "power_chain",
+    "quotient_numerators",
     "log_numerators",
     "compose_difference_numerators",
     "compositional_inverse",
@@ -258,6 +259,7 @@ MATRIX = {
     (series, "divide_numerators_by_x_minus_y"): _add_one(2, 1),
     (series, "congruence_numerators"): _add_one(2, 1),
     (series, "power_chain"): _raise_power(3, 3),
+    (series, "quotient_numerators"): _add_one(0, 3),
     (series, "log_numerators"): _raise_even_log_weight,
     (closedform, "multiply_graded_rows"): _add_one(0, 2, 1),
     (closedform, "divide_numerators_by_x_minus_y"): _add_one(2, 1),
@@ -358,6 +360,14 @@ def test_a_product_kernel_fault_reaches_the_residue_route(monkeypatch, capsys):
         "triple-agreement": "the residue extraction raised SeriesError: not divisible by (x - y)",
         "log-exp-consistency": "first difference at x^1 y^1: E(Z) gives -1, Z E(double sum of a_kl) gives -1/2",
     }
+
+
+def test_a_quotient_kernel_fault_fails_the_triple_agreement(monkeypatch, capsys):
+    # ``reciprocal`` and the log weights share one triangular division,
+    # so one fault in it reaches the closed form through the reciprocal
+    # in G and the inverse, and the fixed-point sum through the log of f.
+    monkeypatch.setattr(series, "quotient_numerators", _add_one(0, 3)(series.quotient_numerators))
+    assert "triple-agreement" in _fail_details(["--class", "todd", "--order", "8"], capsys)
 
 
 def _raise_a_2(tables):
