@@ -96,8 +96,8 @@ def parse_class_spec(text: str) -> ClassSpec:
     if cleaned in PRESET_NAMES or cleaned == "chern-character":
         return ClassSpec(cleaned, cleaned, None)
     parts = [piece.strip() for piece in cleaned.split(",")]
-    # A number has a digit and nothing but digits, signs, '.', '/', '_' and an exponent.
-    if not all(re.fullmatch(r"[-+./_\deE]*\d[-+./_\deE]*", piece) for piece in parts):
+    # A number has a digit and nothing but digits, signs, '.', '/' and an exponent.
+    if not all(re.fullmatch(r"[-+./\deE]*\d[-+./\deE]*", piece) for piece in parts):
         raise UsageError(
             f"cannot parse class {text!r}: expected a preset name "
             f"({', '.join(PRESET_NAMES)}, chern-character) or a comma-separated "

@@ -25,8 +25,8 @@ The logarithm and the exponentials run on integers.  The log comes
 from ``series.log_numerators``, the weights x f'/f from the triangular
 division that also gives ``series.reciprocal``.  With
 c the lcm of the denominators of f_1, ..., f_n, its weights scaled to
-w_m = m [u^m] log f(c u) are integers, and so are e_0 = 1,
-e_m = sum over k <= m of w_k s_k e_(m-k) (m-1)!/(m-k)!.  Then
+w_m = m [u^m] log f(c u) are integers, and so are e_0 = 1 and
+e_m = sum over 1 <= k <= m of w_k s_k e_(m-k) (m-1)!/(m-k)!.  Then
 [u^m] exp(sum of L_k s_k u^k) is e_m / (m! c^m): no step of the
 exponential divides, and one ring element is formed per coefficient
 asked for, by ``Ring.join``.  ``Ring.split`` gives the numerators and c
@@ -35,7 +35,9 @@ integer pairs a + b eps over the lcm c of the denominators of both
 parts.
 
 The hook form uses F(u) = f(u) f(-u), whose log is twice the even part
-of log f, and the power sums of the hook lengths.  ``hook_coefficient``
+of log f, and the power sums of the hook lengths; ``_class_log`` forms
+the weights of F next to those of f, once per class and level, and c
+scales both.  ``hook_coefficient``
 takes one exponential of all of a pair's hooks, so it shares no
 convolution with ``pair_coefficient``, which it is checked against.
 ``z_series_hookform`` sums each two-row partition's row with its Schur
@@ -131,13 +133,16 @@ def level_pairs(n: int) -> tuple[FixedPointBasisVector, ...]:
 _last_log: list = [None, -1, None]
 
 
-def _class_log(f: Series1, n: int) -> tuple[int, tuple]:
-    """The scale c and the weights w_m = m [u^m] log f(c u) = c^m R_m / Q
-    for m <= n, with R and Q from ``log_numerators``.
+def _class_log(f: Series1, n: int) -> tuple[int, list, list]:
+    """The scale c, the weights w_m = m [u^m] log f(c u) = c^m R_m / Q
+    for m <= n, with R and Q from ``log_numerators``, and the weights of
+    F(u) = f(u) f(-u).
 
     c is the lcm of the denominators of f_1, ..., f_n, so the weights are
     integers over either ring; a remainder would be a bug here and raises
-    InternalCheckError.  w[0] holds 1, which seeds e_0 in ``_power_sum_exp``.
+    InternalCheckError.  log F(u) = log f(u) + log f(-u) is twice the even
+    part of log f, so F's weights are 2 w_m at even m and 0 at odd m: no
+    product f(u) f(-u) is formed, and c scales F as well.
     The result is kept for the last series (by identity) and level asked
     for: the single-pair entry points take the log of one series at one
     level once per pair, and a cache keyed on the series' hash would cost
@@ -151,27 +156,19 @@ def _class_log(f: Series1, n: int) -> tuple[int, tuple]:
         w, q = ring.cancel([r * c**m for m, r in enumerate(R)], Q)
         if q != 1:
             raise InternalCheckError("internal error: the scaled log weights are not integers")
-        memo[:] = f, n, (c, (1, *w[1:]))
+        memo[:] = f, n, (c, w, [0 if m % 2 else 2 * w_m for m, w_m in enumerate(w)])
     return memo[2]
-
-
-def _even_doubled(w: Sequence) -> list:
-    """Weights of F(u) = f(u) f(-u) from those of f.
-
-    log F(u) = log f(u) + log f(-u) is twice the even part of log f,
-    so no product f(u) f(-u) is formed; the scale c serves F as well.
-    """
-    return [w[0]] + [2 * w_k if k % 2 == 0 else 0 * w_k for k, w_k in enumerate(w) if k]
 
 
 def _power_sum_exp(w: Sequence, values: Sequence[int], n: int) -> list:
     """e_0, ..., e_n with e_m / (m! c^m) = [u^m] exp(sum over k of L_k s_k u^k).
 
-    L = log f, s_k is the k-th power sum of the multiset ``values``, and
-    (c, w) come from ``_class_log``.  With u scaled by c,
+    L is the log of the class, s_k is the k-th power sum of the multiset
+    ``values``, and w holds the weights of L scaled by c, as
+    ``_class_log`` gives them; w_0 is not read.  With u scaled by c,
     m E_m = sum over k of w_k s_k E_(m-k); times (m - 1)! that is
-    e_m = sum over k of w_k s_k e_(m-k) (m-1)!/(m-k)!, summed by
-    Horner's rule in m - k, so no step divides.
+    e_0 = 1 and e_m = sum over 1 <= k <= m of w_k s_k e_(m-k)
+    (m-1)!/(m-k)!, summed by Horner's rule in m - k, so no step divides.
     """
     sums = [0] * (n + 1)
     for v in values:
@@ -179,8 +176,8 @@ def _power_sum_exp(w: Sequence, values: Sequence[int], n: int) -> list:
         for k in range(1, n + 1):
             power *= v
             sums[k] += power
-    weighted = [w[0]] + [w[k] * sums[k] for k in range(1, n + 1)]
-    e = [w[0]]
+    weighted = [0] + [w[k] * sums[k] for k in range(1, n + 1)]
+    e = [1]
     for m in range(1, n + 1):
         acc = weighted[m]
         for j in range(1, m):
@@ -230,7 +227,7 @@ def pair_coefficient(f: Series1, pair: FixedPointBasisVector, gamma: int) -> Fra
     constant term 1 and be known to degree n.
     """
     n = pair.level
-    c, w = _class_log(f, n)
+    c, w, _ = _class_log(f, n)
     row0 = _diagram_row(w, n, pair.lambda0, -1, -1)
     row1 = _diagram_row(w, n, pair.lambda1, gamma - 1, 1)
     return _pair_value(f.ring, c, pair, gamma, row0, row1)
@@ -242,7 +239,7 @@ def equivariant_class_coeffs(f: Series1, gamma: int, n: int) -> EquivariantClass
     Each diagram's row is built once, at each fixed point.  The class
     series must be known to degree n.
     """
-    c, w = _class_log(f, n)
+    c, w, _ = _class_log(f, n)
     partitions = [p for size in range(n + 1) for p in enumerate_partitions(size)]
     at_zero = {p: _diagram_row(w, n, p, -1, -1) for p in partitions}
     at_infinity = {p: _diagram_row(w, n, p, gamma - 1, 1) for p in partitions}
@@ -264,9 +261,9 @@ def hook_coefficient(f: Series1, pair: FixedPointBasisVector) -> Fraction:
     degree n.
     """
     n = pair.level
-    c, w = _class_log(f, n)
+    c, _, w = _class_log(f, n)
     hooks = hook_multiset(pair.lambda0) + hook_multiset(pair.lambda1)
-    e = _power_sum_exp(_even_doubled(w), hooks, n)[n]
+    e = _power_sum_exp(w, hooks, n)[n]
     scale = factorial(n) * c**n * hook_product(pair.lambda0) * hook_product(pair.lambda1)
     return f.ring.join((-e if pair.lambda0.size % 2 else e,), scale)[0]
 
@@ -294,8 +291,7 @@ def z_series_hookform(f: Series1, N: int) -> Series2:
     C(n, m) C(n, i) puts it over (n!)^2 c^n, and one ``Ring.join`` per
     row forms the coefficients.
     """
-    c, w = _class_log(f, N)
-    w = _even_doubled(w)
+    c, _, w = _class_log(f, N)
     S = []
     for m in range(N + 1):
         by_degree = [[0] * (m + 1) for _ in range(N + 1)]

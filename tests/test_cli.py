@@ -44,6 +44,13 @@ def test_parse_rejects_garbage():
         parse_class_spec("2,-1/0,3")
 
 
+def test_digit_group_underscores_are_refused():
+    # Fraction reads "2_0" as 20 from Python 3.11 on and refuses it on
+    # 3.10, so the grammar refuses it on every version
+    with pytest.raises(UsageError, match="cannot parse class '1.5,2_0': expected a preset name"):
+        parse_class_spec("1.5,2_0")
+
+
 def test_a_zero_denominator_exits_2_and_names_the_piece(capsys):
     code, out, err = run(capsys, "table", "--class", "1,1/0", "--max-degree", "4")
     assert code == 2

@@ -6,7 +6,8 @@ helpers stay free to change; the series layer offers its numerator
 kernels under public names for that.  And the package has one log
 recurrence, ``series.log_numerators``: the fixed-point sums in
 ``localisation`` scale its weights but define no recurrence of their
-own.  The closed-form tables run no step of the inversion that
+own, and take the weights of f(u) f(-u) from the same record.  The
+closed-form tables run no step of the inversion that
 ``z_closed`` runs.
 """
 
@@ -75,6 +76,34 @@ def test_hook_form_shares_no_convolution_and_localisation_keeps_no_cache():
         for alias in node.names
     }
     assert "functools" not in imported
+
+
+def test_the_weights_of_F_come_only_from_the_class_log():
+    """``_class_log`` forms the weights of F(u) = f(u) f(-u) next to
+    those of f, so the hook form passes ``_power_sum_exp`` the third
+    value of the record unchanged, and the exponential starts from
+    e_0 = 1 without reading w_0."""
+    tree = _tree(SOURCE / "localisation.py")
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_even_doubled" not in functions
+    for name in ("hook_coefficient", "z_series_hookform"):
+        nodes = list(ast.walk(functions[name]))
+        (record,) = [
+            node.targets[0].elts[2].id
+            for node in nodes
+            if isinstance(node, ast.Assign) and ast.unparse(node.value).startswith("_class_log(")
+        ]
+        passed = [
+            ast.unparse(node.args[0])
+            for node in nodes
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "_power_sum_exp"
+        ]
+        stores = [node for node in nodes if isinstance(node, ast.Name) and node.id == record]
+        assert passed == [record], name
+        assert sum(isinstance(node.ctx, ast.Store) for node in stores) == 1, name
+    exp = functions["_power_sum_exp"]
+    reads = [ast.unparse(node) for node in ast.walk(exp) if isinstance(node, ast.Subscript)]
+    assert "w[0]" not in reads
 
 
 def test_the_closed_form_tables_take_no_inverse():

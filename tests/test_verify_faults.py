@@ -41,6 +41,7 @@ from hilbfock.closedform import PRESET_NAMES, preset_class, tangent_tables
 from hilbfock.localisation import z_series_hookform, z_series_residue
 from hilbfock.rings import DUALS, DualNumber
 from hilbfock.series import InternalCheckError, Series1, Series2
+from test_fixed_point_oracles import _even_part_undoubled, _odd_part, replace_log_of_F
 
 
 def assert_row_zero_is_k_squared_a_k(f: Series1, N: int) -> None:
@@ -173,6 +174,18 @@ def test_a_failed_internal_check_is_a_fail_line_not_a_traceback(monkeypatch, cap
     for i in failed:
         assert "raised InternalCheckError: " in lines[i + 1] and message in lines[i + 1]
     assert lines[-1].startswith(f"{passed}/7 checks passed")
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("mutant", [_odd_part, _even_part_undoubled])
+def test_a_wrong_log_of_F_fails_the_hook_form_checks(monkeypatch, capsys, mutant):
+    # only the hook form reads F's weights: ``z_series_hookform`` in the
+    # triple agreement and ``hook_coefficient`` in the twist-2 reduction
+    replace_log_of_F(monkeypatch, mutant)
+    assert cli.main(["verify", "--class", "todd", "--order", "8"]) == 1
+    captured = capsys.readouterr()
+    failed = [line.split()[1] for line in captured.out.splitlines() if line.startswith("FAIL")]
+    assert failed == ["triple-agreement", "fixed-point-reduction"]
     assert captured.err == ""
 
 
