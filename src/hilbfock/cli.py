@@ -14,8 +14,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage error,
 as integer or "p/q" strings, never as floats.
 
 A command line ``COMMAND --flag VALUE ...`` is read straight from a flag
-table; argparse, whose import and parsers cost about 10 ms, is loaded only
-for help, ``--version``, usage errors and other spellings of a command.
+table; argparse, whose import and parsers cost ``--version`` about 4.5 ms
+(median of 41 alternated fresh-process runs), is loaded only for help,
+``--version``, usage errors and other spellings of a command.
 
 ``python -m hilbfock.cli`` and the installed ``hilbfock`` script both
 call ``run``: it calls ``main``, flushes stdout and stderr and ends the

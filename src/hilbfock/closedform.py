@@ -14,9 +14,10 @@ Three families of coefficients are produced.
   the powers of f(z) f(-z) by Lagrange-Buermann (``_power_tables``),
   with no inversion and no two-variable series; the pair table takes
   the one log of the package, ``series_log``, of f(z) f(-z).  The
-  generating series ``z_closed`` inverts G instead, so the check that
-  compares it with the tables shares nothing with them but
-  ``power_chain``, and both must match the localisation sums exactly.
+  generating series ``z_closed`` inverts x / (f(z) f(-z)) instead and
+  composes G, so the check that compares it with the tables shares
+  nothing with them but ``power_chain``, and both must match the
+  localisation sums exactly.
 * ``chern_character_tables`` and ``corollary_via_dual``: the Chern
   character specialisation, once through explicit factorial formulas
   and once through dual-number (square-zero) coefficients, which acts
@@ -157,27 +158,34 @@ def preset_class(name: str, order: int) -> Series1:
     return builder(order)
 
 
-def big_g(f: Series1) -> Series1:
-    """G(z) = z / (f(z) f(-z)), an odd series with linear coefficient 1."""
+def _big_f(f: Series1) -> Series1:
+    """F(z) = f(z) f(-z), for a class series f known at least to its
+    linear coefficient."""
     check_class_series(f)
     if f.order < 1:
         raise InsufficientOrderError(
             "insufficient precision: at least the linear coefficient of f is needed"
         )
-    F = f * negate_argument(f)
-    return shift_up(reciprocal(F).truncate(f.order - 1), 1)
+    return f * negate_argument(f)
+
+
+def big_g(f: Series1) -> Series1:
+    """G(z) = z / (f(z) f(-z)), an odd series with linear coefficient 1."""
+    return shift_up(reciprocal(_big_f(f)).truncate(f.order - 1), 1)
 
 
 def small_g(f: Series1, N: int) -> Series1:
     """The compositional inverse of big_g(f), truncated at order N.
 
-    Needs f to degree N.
+    ``compositional_inverse`` reads it off the powers of F = f(z) f(-z)
+    to degree N - 1, with no reciprocal.  Needs f to degree N >= 1.
     """
-    return compositional_inverse(big_g(f.truncate(N)))[0]
+    return compositional_inverse(_big_f(f.truncate(N)).truncate(N - 1))[0]
 
 
 def a_k_table(f: Series1, N: int) -> dict[int, Fraction]:
-    """The single-index coefficients a_k = [x^k] g / k for 1 <= k <= N.
+    """The single-index coefficients a_k = [x^k] g / k for 1 <= k <= N,
+    with g from ``small_g``.
 
     Needs f to degree N, as ``small_g`` does.
     """
@@ -262,7 +270,9 @@ def z_closed(f: Series1, N: int) -> Series2:
     """The closed form of the generating series Z(x, y).
 
     Z = g'(x) g'(y) (G(g(x) - g(y)) / (x - y))^2, which the localisation
-    module must reproduce by independent means.  G(g(x) - g(y)) is the
+    module must reproduce by independent means.  g is the inverse of
+    x / F for F = f(z) f(-z), read off the powers of F; ``big_g`` forms
+    G, the one reciprocal of the closed form.  G(g(x) - g(y)) is the
     congruence of ``compose_difference_numerators`` on the table of
     powers of g that the inversion returns.  The ratio is divided by
     x - y, squared and multiplied by g'(x) and then by g'(y) on numerator
@@ -273,7 +283,7 @@ def z_closed(f: Series1, N: int) -> Series2:
     fine = f.truncate(N + 1)
     ring = fine.ring
     G = big_g(fine)
-    g, powers = compositional_inverse(G)
+    g, powers = compositional_inverse(_big_f(fine).truncate(N))
     difference, c = compose_difference_numerators(G, powers)
     R, r = zip(*(ring.cancel(row, c) for row in divide_numerators_by_x_minus_y(difference)))
     rows, q = multiply_graded_rows(ring, R, r, R, r, N)

@@ -19,9 +19,10 @@ one-variable series of a two-variable one by Horner's scheme over the
 two-variable product; a two-variable series C(u, v) at u = g(x),
 v = g(y) as a congruence of triangular matrices over the powers of g,
 with outer(g(x) - g(y)) as one case),
-compositional inversion by the Lagrange formula, which also returns the
-powers of the inverse and checks it against them, and the two-variable
-division by x - y.
+the inverse of x / phi under composition by the Lagrange formula, which
+also returns the powers of the inverse, built by multiplication, and
+checks every entry of them by Lagrange-Buermann on the powers of phi,
+and the two-variable division by x - y.
 Powers stay numerators, cancelled one by one in ``power_chain``, and
 ``congruence_numerators`` reads a triangular table of them over one
 denominator as it is.  ``localisation`` takes its logs from the same
@@ -53,7 +54,7 @@ product: ``Series2.__mul__``, the Horner steps of ``compose`` and
 denominator per row of total degree, since the denominators of a series
 often grow with the degree, and a row with no term is zero over 1.
 One body serves both rings.  Only the one-pass operations (a constant
-added to a ``Series2``, x -> -x, the shifts, the derivative) work on
+added to a ``Series2``, x -> -x, the shift, the derivative) work on
 ring elements.
 """
 
@@ -516,43 +517,39 @@ def compose_difference_numerators(outer: Series1, powers: tuple[list[list], int]
     return congruence_numerators(matrix, T, n), c * t * t
 
 
-def compositional_inverse(series: Series1) -> tuple[Series1, tuple[list[list], int]]:
-    """The inverse g of G = x*(unit + ...) under composition, and its powers.
+def compositional_inverse(phi: Series1) -> tuple[Series1, tuple[list[list], int]]:
+    """The inverse g of x / phi under composition, and its powers.
 
-    By the Lagrange inversion formula: writing G = x / phi, the inverse
-    has g_m = [x^(m-1)] phi^m / m, so the inverse costs the m - 1
-    one-variable products that build the powers of phi.  The powers of
-    g come from multiplying g, never from the same formula, as numerators
-    (T, t): T[a][i - a] / t is [x^i] g^a, and t is the lcm of the reduced
-    denominators of g^0, ..., g^n.  They give the check sum over a of
-    G_a g^a = x at O(N^2).  Series of the form x*(unit) form a group
-    under composition, so this one-sided check also gives g(G) = x.  A
-    failed check would indicate a bug here, not bad input, and raises
-    InternalCheckError.
+    phi must have a unit constant term; phi to degree n - 1 gives g to
+    order n.  By the Lagrange inversion formula g_m = [x^(m-1)] phi^m / m,
+    so the inverse costs the products that build the powers of phi.  The
+    powers of g come from multiplying g, never from the same formula, as
+    numerators (T, t): T[a][i - a] / t is [x^i] g^a, and t is the lcm of
+    the reduced denominators of g^0, ..., g^n.  They give the check
+    k [x^k] g^a = a [u^(k-a)] phi^k (Lagrange-Buermann) for every
+    1 <= a <= k <= n at O(N^2), which covers every entry of the table
+    that a congruence reads.  A failed check would indicate a bug here,
+    not bad input, and raises InternalCheckError.
     """
-    ring = series.ring
-    if series.order < 1:
-        raise InsufficientOrderError(
-            "insufficient precision: compositional inversion needs at least the linear coefficient"
-        )
-    if series.constant_term != ring.zero or not ring.is_unit(series.coefficients[1]):
+    ring = phi.ring
+    if not ring.is_unit(phi.constant_term):
         raise NotInvertibleError("not invertible under composition")
-    n = series.order
-    phi = reciprocal(shift_down(series, 1))
-    coeffs = [ring.zero]
-    for m, (P, D) in enumerate(power_chain(ring, phi.coefficients, n, n), 1):
-        coeffs.append(ring.join((P[m - 1],), m * D)[0])
-    g = Series1(tuple(coeffs), n, ring)
+    n = phi.order + 1
+    chain = list(power_chain(ring, phi.coefficients, n, n - 1))
+    coefficients = [ring.zero]
+    for m, (P, D) in enumerate(chain, 1):
+        coefficients.append(ring.join((P[m - 1],), m * D)[0])
+    g = Series1(tuple(coefficients), n, ring)
     # Each P is cancelled, so D is the lcm of its reduced denominators.
     powers = [([1] + [0] * n, 1), *power_chain(ring, g.coefficients, n, n)]
     t = lcm(*(D for _, D in powers))
     T = [[p * (t // D) for p in P[a:]] for a, (P, D) in enumerate(powers)]
-    G, d = ring.split(series.coefficients)
-    composite = [sum(G[a] * T[a][i - a] for a in range(i + 1)) for i in range(n + 1)]
-    # The sum is composite / (d t), so it is x exactly when these are the
-    # numerators of x; a numerator with an eps part never equals an int.
-    if composite != [0, d * t] + [0] * (n - 1):
-        raise InternalCheckError("internal error: compositional inverse failed its round-trip check")
+    # With P / D = phi^k the check reads k D T[a][k - a] = a t P[k - a];
+    # a difference that is not the int 0 is true, and a numerator with
+    # an eps part is never 0.
+    for k, (P, D) in enumerate(chain, 1):
+        if any(k * D * T[a][k - a] + -(a * t * P[k - a]) for a in range(1, k + 1)):
+            raise InternalCheckError("internal error: compositional inverse failed its round-trip check")
     return g, (T, t)
 
 
@@ -578,18 +575,6 @@ def shift_up(series: Series1, k: int) -> Series1:
     ring = series.ring
     values = (ring.zero,) * k + series.coefficients
     return Series1(values, series.order + k, ring)
-
-
-def shift_down(series: Series1, k: int) -> Series1:
-    """Divide by x^k; the low coefficients must vanish."""
-    if k < 0:
-        raise SeriesError("shift amount must be non-negative")
-    if k > series.order:
-        raise InsufficientOrderError("insufficient precision: shift exceeds the truncation order")
-    ring = series.ring
-    if any(c != ring.zero for c in series.coefficients[:k]):
-        raise SeriesError(f"series is not divisible by x^{k}")
-    return Series1(series.coefficients[k:], series.order - k, ring)
 
 
 def divide_by_x_minus_y(series: Series2) -> Series2:

@@ -16,7 +16,8 @@ sums, sign flips and scalar multiples the oracles build from are
 ``zero``, ``monomial``, ``add``, ``negate`` and ``scale`` here, and a
 ``Series2`` given by its entries is ``series2_from_dict``.  Every series
 is built by its constructor, with an explicit order; ``one`` and
-``identity`` are the series 1 and x.
+``identity`` are the series 1 and x.  ``shift_down`` divides by a power
+of x, which only the oracles do: the package inverts x / phi from phi.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from math import comb
 from typing import Any, Sequence
 
 from hilbfock.rings import QQ, Ring
-from hilbfock.series import Series1, Series2, SeriesError, shift_down, split_rows
+from hilbfock.series import InsufficientOrderError, Series1, Series2, SeriesError, split_rows
 
 
 def zero(kind: type, order: int, ring: Ring = QQ):
@@ -56,6 +57,18 @@ def series2_from_dict(entries: dict, order: int, ring: Ring = QQ) -> Series2:
         if i + j <= order:
             rows[i + j][i] = value
     return Series2(tuple(map(tuple, rows)), order, ring)
+
+
+def shift_down(series: Series1, k: int) -> Series1:
+    """Divide by x^k; the low coefficients must vanish."""
+    if k < 0:
+        raise SeriesError("shift amount must be non-negative")
+    if k > series.order:
+        raise InsufficientOrderError("insufficient precision: shift exceeds the truncation order")
+    ring = series.ring
+    if any(c != ring.zero for c in series.coefficients[:k]):
+        raise SeriesError(f"series is not divisible by x^{k}")
+    return Series1(series.coefficients[k:], series.order - k, ring)
 
 
 def _map(series, function):
@@ -178,7 +191,9 @@ def joined_rows(rows: Sequence[Sequence], denominator: int, ring: Ring) -> Serie
 
 
 def compositional_inverse(series: Series1) -> tuple[Series1, tuple[Series1, ...]]:
-    """Lagrange inversion with ring-element products, and its check."""
+    """Lagrange inversion of G = ``series`` with ring-element products,
+    and the round-trip check G(g(x)) = x: the oracle of
+    ``series.compositional_inverse``, which takes phi = x / G instead."""
     ring = series.ring
     n = series.order
     phi = reciprocal(shift_down(series, 1))

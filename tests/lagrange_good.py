@@ -20,10 +20,9 @@ from hilbfock.series import (
     SeriesError,
     differentiate,
     reciprocal,
-    shift_down,
 )
 
-from fraction_kernels import add, negate
+from fraction_kernels import add, negate, shift_down
 
 
 def differentiate_x(series: Series2) -> Series2:

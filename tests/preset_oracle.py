@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from hilbfock.series import Series1, reciprocal, shift_down
+from hilbfock.series import Series1, reciprocal
 
-from fraction_kernels import add, monomial, negate, one, scale
+from fraction_kernels import add, monomial, negate, one, scale, shift_down
 
 
 def _exponential(rate: Fraction, order: int) -> Series1:

@@ -34,11 +34,10 @@ from hilbfock.series import (
     negate_argument,
     reciprocal,
     series_log,
-    shift_down,
 )
 
 import fraction_kernels
-from fraction_kernels import add, in_x, in_y, monomial, negate, one
+from fraction_kernels import add, in_x, in_y, monomial, negate, one, shift_down
 from preset_oracle import ORACLES
 
 
@@ -236,16 +235,16 @@ def test_pair_table_needs_one_extra_order():
     ids=["small_g", "z_closed"],
 )
 def test_corrupted_inverse_fails_its_round_trip_check(monkeypatch, build):
-    """A wrong inverse is caught by the check in compositional_inverse."""
-    exact = series.reciprocal
+    """A wrong inverse is caught by the check in compositional_inverse:
+    1 added to the numerator of [u^2] F^3, which g_3 is read from (and
+    to [x^2] g^3, which is zero and never read)."""
+    chain = series.power_chain
 
-    def corrupted(s):
-        good = exact(s)
-        values = list(good.coefficients)
-        values[2] = values[2] + 1
-        return Series1(tuple(values), good.order, good.ring)
+    def corrupted(ring, coefficients, count, n):
+        for a, (P, D) in enumerate(chain(ring, coefficients, count, n), 1):
+            yield ([*P[:2], P[2] + 1, *P[3:]] if a == 3 else P), D
 
-    monkeypatch.setattr(series, "reciprocal", corrupted)
+    monkeypatch.setattr(series, "power_chain", corrupted)
     with pytest.raises(InternalCheckError, match="round-trip check"):
         build(preset_class("todd", 13))
 

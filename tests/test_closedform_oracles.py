@@ -6,12 +6,12 @@ composite F(g(x) - g(y)) by Horner's scheme over two-variable series,
 the two-variable log summed as the power series in f - 1, the pair
 table as the log of one two-variable quotient, and the pair table as
 the two-variable log recurrence on (g(x) - g(y)) / (x - y), less
-(log F)(g(x) - g(y)) for the tangent target.  The library inverts by
-the Lagrange formula and composes the difference as a congruence of
-triangular matrices for ``z_closed``, and reads the tables off the
-powers of F (tangent) or f(-u) (tautological) by Lagrange-Buermann,
-with no inversion and no two-variable series at all; the routes must
-agree exactly.
+(log F)(g(x) - g(y)) for the tangent target.  The library inverts
+x / F by the Lagrange formula on the powers of F, with no reciprocal,
+and composes the difference as a congruence of triangular matrices
+for ``z_closed``, and reads the tables off the powers of F (tangent)
+or f(-u) (tautological) by Lagrange-Buermann, with no inversion and
+no two-variable series at all; the routes must agree exactly.
 """
 
 import ast
@@ -51,13 +51,12 @@ from hilbfock.series import (
     negate_argument,
     reciprocal,
     series_log,
-    shift_down,
     shift_up,
 )
 
 from fraction_kernels import add, compose, compose_difference, in_x, in_y, joined_powers, joined_rows
 from fraction_kernels import monomial, negate, one, scale, zero
-from fraction_kernels import power_numerators, power_table, series2_from_dict
+from fraction_kernels import power_numerators, power_table, series2_from_dict, shift_down
 from fraction_kernels import series_log as ring_element_log
 from lagrange_good import reciprocal2
 
@@ -136,8 +135,9 @@ def log_pipeline_tangent_table(f: Series1, N: int) -> CoeffTable:
 
 
 def log_pipeline_taut_table(f: Series1, N: int) -> CoeffTable:
+    # the inverse of x / f(-x): phi = f(-x) is not even
     fine = f.truncate(N + 1)
-    g, _ = compositional_inverse(shift_up(reciprocal(negate_argument(fine)).truncate(N), 1))
+    g, _ = compositional_inverse(negate_argument(fine).truncate(N))
     return CoeffTable(KIND_TAUTOLOGICAL, N, _log_pipeline_entries(g, N))
 
 
@@ -251,16 +251,16 @@ def test_corollary_via_dual_runs_its_kernels_on_integer_pairs(monkeypatch):
 
 @given(st.lists(small_rationals, min_size=1, max_size=8), st.fractions(1, 3, max_denominator=4))
 @settings(max_examples=30, deadline=None)
-def test_lagrange_inverse_matches_degree_by_degree(tail, linear):
-    series = Series1((Fr(0), linear, *tail), len(tail) + 1)
-    g, powers = compositional_inverse(series)
-    assert g == oracle_inverse(series)
+def test_lagrange_inverse_matches_degree_by_degree(tail, constant):
+    phi = Series1((constant, *tail), len(tail))
+    g, powers = compositional_inverse(phi)
+    assert g == oracle_inverse(shift_up(reciprocal(phi), 1))
     assert joined_powers(powers, g.ring) == power_table(g)
 
 
 def test_lagrange_inverse_over_duals():
-    series = Series1((0, 1 + EPS, Fr(1, 2), -3 * EPS, Fr(2, 3) + EPS, 0, 1), 6, DUALS)
-    assert compositional_inverse(series)[0] == oracle_inverse(series)
+    phi = Series1((1 + EPS, Fr(1, 2), -3 * EPS, Fr(2, 3) + EPS, 0, 1), 5, DUALS)
+    assert compositional_inverse(phi)[0] == oracle_inverse(shift_up(reciprocal(phi), 1))
 
 
 # ------------------------------------------------------ compose_difference
@@ -289,10 +289,10 @@ def test_compose_difference_over_duals():
 
 
 def test_compose_difference_rejects_bad_inner_series():
-    # the table of powers comes only from an inversion, which refuses an
-    # inner series with a constant term
+    # the table of powers comes only from an inversion, which refuses a
+    # phi with no unit constant term: x / phi would have no linear one
     with pytest.raises(NotInvertibleError, match="not invertible under composition"):
-        compositional_inverse(Series1((Fr(1), Fr(1), Fr(0)), 2))
+        compositional_inverse(Series1((Fr(0), Fr(1), Fr(0)), 2))
 
 
 # --------------------------------------------------------- two-variable log

@@ -8,7 +8,8 @@ recurrence, ``series.log_numerators``: the fixed-point sums in
 ``localisation`` scale its weights but define no recurrence of their
 own, and take the weights of f(u) f(-u) from the same record.  The
 closed-form tables run no step of the inversion that
-``z_closed`` runs.
+``z_closed`` runs, and the inversion reads g off the powers of phi with
+no reciprocal.
 """
 
 import ast
@@ -133,3 +134,18 @@ def test_the_closed_form_tables_take_no_inverse():
         names = reached(name, {name})
         assert "power_chain" in names
         assert names.isdisjoint(inversion), name
+
+
+def test_the_inverse_takes_phi_and_forms_no_reciprocal():
+    """``compositional_inverse`` inverts x / phi from phi itself, so it
+    neither forms a reciprocal nor divides by x, and no package module
+    defines ``shift_down``, which only the test oracles use."""
+    functions = {
+        path.name: {node.name: node for node in ast.walk(_tree(path)) if isinstance(node, ast.FunctionDef)}
+        for path in sorted(SOURCE.glob("*.py"))
+    }
+    inverse = functions["series.py"]["compositional_inverse"]
+    names = {node.id for node in ast.walk(inverse) if isinstance(node, ast.Name)}
+    assert "power_chain" in names
+    assert names.isdisjoint({"reciprocal", "quotient_numerators", "shift_down"})
+    assert [module for module, defined in functions.items() if "shift_down" in defined] == []

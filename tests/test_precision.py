@@ -65,6 +65,14 @@ def test_the_documented_order_suffices(call, need):
     assert call(preset_class("todd", need)) == call(preset_class("todd", need + 3))
 
 
+@pytest.mark.parametrize("call", [small_g, a_k_table], ids=["small_g", "a_k_table"])
+def test_order_zero_asks_for_the_linear_coefficient(call):
+    # g to order 0 would read F = f(u) f(-u) to degree -1; the refusal is
+    # the precision error of a series too short, not a malformed order
+    with pytest.raises(InsufficientOrderError, match="at least the linear coefficient"):
+        call(preset_class("todd", 4), 0)
+
+
 def test_a_negative_level_is_a_value_error():
     with pytest.raises(ValueError):
         equivariant_class_coeffs(preset_class("todd", 4), 2, -1)

@@ -20,7 +20,6 @@ from hilbfock.series import (
     negate_argument,
     reciprocal,
     series_log,
-    shift_down,
     shift_up,
 )
 
@@ -38,6 +37,7 @@ from fraction_kernels import (
     scale,
     scale_argument,
     series2_from_dict,
+    shift_down,
     zero,
 )
 from lagrange_good import divide_by_x, divide_by_y, lagrange_good_extract
@@ -229,29 +229,31 @@ def test_compose_rejects_nonzero_inner_constant():
 
 
 def test_inverse_of_identity():
-    g, powers = compositional_inverse(identity(5))
+    g, powers = compositional_inverse(one(4))
     assert g == identity(5)
     assert powers == ([[1, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0], [1, 0], [1]], 1)
     assert joined_powers(powers, g.ring) == tuple(monomial(1, a, 5) for a in range(6))
 
 
 def test_inverse_of_x_over_one_minus_x_squared():
-    base = shift_up(reciprocal(s1(1, 0, -1, 0, 0, 0, 0)).truncate(6), 1)
-    inverse, _ = compositional_inverse(base)
+    # phi to degree 6 gives the inverse to order 7
+    inverse, _ = compositional_inverse(s1(1, 0, -1, 0, 0, 0, 0))
     assert inverse == s1(0, 1, 0, -1, 0, 2, 0, -5)
 
 
 def test_inverse_over_dual_numbers():
-    # inverse(x - 2 eps x^(n+1)) = x + 2 eps x^(n+1), here with n = 2
+    # x / phi = x - 2 eps x^(n+1) for phi = 1 + 2 eps x^n, and its
+    # inverse is x + 2 eps x^(n+1); here n = 2
     eps = DualNumber(0, 1)
-    base = add(identity(7, DUALS), monomial(-2 * eps, 3, 7, DUALS))
+    phi = add(one(6, DUALS), monomial(2 * eps, 2, 6, DUALS))
     expected = add(identity(7, DUALS), monomial(2 * eps, 3, 7, DUALS))
-    assert compositional_inverse(base)[0] == expected
+    assert compositional_inverse(phi)[0] == expected
 
 
 def test_the_inverse_round_trip_sees_a_leftover_eps_part(monkeypatch):
-    # eps added to the numerator of [x^3] g^3, read at x^3 of the sum
-    # over a of G_a g^a: its real part still matches x, its eps part not
+    # eps added to the numerator of [x^3] g^3, which Lagrange-Buermann
+    # compares with [u^0] phi^3: its real part still matches, its eps
+    # part not.  [u^3] phi^3 takes eps too, but phi^3 is read below u^3.
     chain = series.power_chain
 
     def perturbed(ring, coefficients, count, n):
@@ -260,21 +262,24 @@ def test_the_inverse_round_trip_sees_a_leftover_eps_part(monkeypatch):
 
     monkeypatch.setattr(series, "power_chain", perturbed)
     with pytest.raises(InternalCheckError, match="round-trip check"):
-        compositional_inverse(Series1((0, 1, 0, 1), 5, DUALS))
+        # phi = 1 / (1 + x^2), the inverse of x + x^3
+        compositional_inverse(Series1((1, 0, -1, 0, 1), 4, DUALS))
 
 
 def test_inverse_requires_unit_linear_coefficient():
+    # the linear coefficient of x / phi is 1 / phi_0
     with pytest.raises(NotInvertibleError, match="not invertible under composition"):
-        compositional_inverse(s1(0, 0, 1, 0))
+        compositional_inverse(s1(0, 1, 0))
     with pytest.raises(NotInvertibleError, match="not invertible under composition"):
-        compositional_inverse(s1(1, 1))
+        compositional_inverse(Series1((DualNumber(0, 1), 1), 1, DUALS))
 
 
 @given(coefficient_lists)
 @settings(max_examples=40)
 def test_compositional_round_trip(tail):
-    s = Series1((Fr(0), Fr(1), *tail), len(tail) + 1)
-    inverse, powers = compositional_inverse(s)
+    phi = Series1((Fr(1), *tail), len(tail))
+    s = shift_up(reciprocal(phi), 1)
+    inverse, powers = compositional_inverse(phi)
     assert joined_powers(powers, s.ring) == power_table(inverse)
     assert compose(s, in_x(inverse)) == in_x(identity(s.order))
     assert compose(inverse, in_y(s)) == in_y(identity(s.order))
@@ -282,8 +287,8 @@ def test_compositional_round_trip(tail):
 
 def test_truncation_monotonicity():
     f = s1(1, 1, 0, 0, 0, 0, 0, 0, 0, 0)
-    coarse, _ = compositional_inverse(shift_up(reciprocal(f * negate_argument(f)).truncate(5), 1))
-    fine, _ = compositional_inverse(shift_up(reciprocal(f * negate_argument(f)).truncate(8), 1))
+    coarse, _ = compositional_inverse((f * negate_argument(f)).truncate(5))
+    fine, _ = compositional_inverse((f * negate_argument(f)).truncate(8))
     assert fine.truncate(coarse.order) == coarse
 
 

@@ -132,15 +132,16 @@ def test_a_bug_that_is_not_a_series_error_still_raises(monkeypatch):
 
 
 def _raise_the_third_power_of_each_chain(monkeypatch):
-    # the inverse's own powers of g no longer match G, so its round-trip
-    # check fails
-    chain = series.power_chain
+    # [x^3] g^3 no longer matches [u^0] phi^3 by Lagrange-Buermann, so
+    # the inverse's round-trip check fails; phi^3 is read below u^3
+    monkeypatch.setattr(series, "power_chain", _raise_power(3, 3)(series.power_chain))
 
-    def perturbed(ring, coefficients, count, n):
-        for a, (P, D) in enumerate(chain(ring, coefficients, count, n), 1):
-            yield ([*P[:3], P[3] + 1, *P[4:]] if a == 3 else P), D
 
-    monkeypatch.setattr(series, "power_chain", perturbed)
+def _raise_g_squared_at_x_cubed(monkeypatch):
+    # g is odd, so a check on G(g(x)) = x alone, with G odd, reads no
+    # even power of g; the congruence of ``z_closed`` reads them all.
+    # phi^2 is read below u^2.
+    monkeypatch.setattr(series, "power_chain", _raise_power(2, 3)(series.power_chain))
 
 
 def _raise_an_odd_tangent_entry(monkeypatch):
@@ -158,11 +159,14 @@ def _raise_an_odd_tangent_entry(monkeypatch):
 @pytest.mark.parametrize(
     "perturb, message, passed",
     [
-        # the tables and so ``dual-number-oracle`` take no inverse
-        (_raise_the_third_power_of_each_chain, "compositional inverse failed its round-trip check", 3),
+        # the tables and so ``dual-number-oracle`` take no inverse, nor
+        # does ``fixed-point-reduction``; ``triviality-baseline`` inverts
+        # x / 1, and every power of its g = x is checked too
+        (_raise_the_third_power_of_each_chain, "compositional inverse failed its round-trip check", 2),
+        (_raise_g_squared_at_x_cubed, "compositional inverse failed its round-trip check", 2),
         (_raise_an_odd_tangent_entry, "entry (2, 1) of odd total degree must vanish", 2),
     ],
-    ids=["round-trip", "odd-degree"],
+    ids=["round-trip", "even-power", "odd-degree"],
 )
 def test_a_failed_internal_check_is_a_fail_line_not_a_traceback(monkeypatch, capsys, perturb, message, passed):
     perturb(monkeypatch)
@@ -378,9 +382,28 @@ def test_a_product_kernel_fault_reaches_the_residue_route(monkeypatch, capsys):
 def test_a_quotient_kernel_fault_fails_the_triple_agreement(monkeypatch, capsys):
     # ``reciprocal`` and the log weights share one triangular division,
     # so one fault in it reaches the closed form through the reciprocal
-    # in G and the inverse, and the fixed-point sum through the log of f.
+    # in G and the fixed-point sum through the log of f.
     monkeypatch.setattr(series, "quotient_numerators", _add_one(0, 3)(series.quotient_numerators))
     assert "triple-agreement" in _fail_details(["--class", "todd", "--order", "8"], capsys)
+
+
+def test_a_fault_in_the_G_that_z_closed_composes_fails_the_checks_that_read_z(monkeypatch, capsys):
+    # ``big_g`` forms G by the one reciprocal of the closed form.  The
+    # inverse reads g off the powers of F, and ``series`` binds its own
+    # ``reciprocal``, so no round-trip check sees a wrong G: the checks
+    # that compare Z must.  The class is given by its coefficients, so
+    # no preset builder runs the faulty reciprocal.
+    reciprocal = closedform.reciprocal
+
+    def perturbed(s):
+        good = reciprocal(s)
+        values = list(good.coefficients)
+        values[2] += 1
+        return Series1(tuple(values), good.order, good.ring)
+
+    monkeypatch.setattr(closedform, "reciprocal", perturbed)
+    failed = _fail_details(["--class", "5/6,-1,-2", "--order", "8"], capsys)
+    assert list(failed) == ["triple-agreement", "log-exp-consistency", "triviality-baseline"]
 
 
 def _raise_a_2(tables):
