@@ -181,7 +181,7 @@ def _table_json(label: str, max_degree: int, a_k: dict[int, Fraction], table: Co
 
 def _table_csv(a_k: dict[int, Fraction], table: CoeffTable, max_degree: int) -> str:
     rows = [(k, 0, a_k[k]) for k in range(1, max_degree + 1)]
-    rows.extend((k, l, table.entries[(k, l)]) for k, l in _ordered_pairs(table))
+    rows.extend((k, l, value) for (k, l), value in table.entries.items())
     rows.sort(key=lambda row: (row[0] + row[1], -row[0]))
     return _csv_text(["k", "l", "value"], [[k, l, str(value)] for k, l, value in rows])
 

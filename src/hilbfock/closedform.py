@@ -216,7 +216,7 @@ def _power_tables(P: Series1, N: int, subtract_log: bool) -> tuple[dict, dict]:
     """
     ring = P.ring
     P = P.truncate(N)
-    A, D = zip(([1], 1), *power_chain(ring, P.coefficients, N, N))
+    A, D = zip(([1], 1), *power_chain(ring, P.coefficients, N))
     a_k = {k: ring.join((A[k][k - 1],), k * k * D[k])[0] for k in range(1, N + 1)}
     live = [[m for m in range(1, k + 1) if A[k][k - m]] for k in range(N + 1)]
     Q = 1
@@ -286,13 +286,13 @@ def z_closed(f: Series1, N: int) -> Series2:
     g, powers = compositional_inverse(_big_f(fine).truncate(N))
     difference, c = compose_difference_numerators(G, powers)
     R, r = zip(*(ring.cancel(row, c) for row in divide_numerators_by_x_minus_y(difference)))
-    rows, q = multiply_graded_rows(ring, R, r, R, r, N)
+    rows, q = multiply_graded_rows(ring, R, r, R, r)
     # g'(x) and g'(y) as tables with one entry per row, at x^k and at y^k
     slope, s = zip(*(ring.split((v,)) for v in differentiate(g).coefficients))
     in_x = [[0] * k + v for k, v in enumerate(slope)]
     in_y = [v + [0] * k for k, v in enumerate(slope)]
-    rows, q = multiply_graded_rows(ring, rows, q, in_x, s, N)
-    rows, q = multiply_graded_rows(ring, rows, q, in_y, s, N)
+    rows, q = multiply_graded_rows(ring, rows, q, in_x, s)
+    rows, q = multiply_graded_rows(ring, rows, q, in_y, s)
     return Series2(tuple(map(ring.join, rows, q)), N, ring)
 
 

@@ -135,8 +135,8 @@ _last_log: list = [None, -1, None]
 
 def _class_log(f: Series1, n: int) -> tuple[int, list, list]:
     """The scale c, the weights w_m = m [u^m] log f(c u) = c^m R_m / Q
-    for m <= n, with R and Q from ``log_numerators``, and the weights of
-    F(u) = f(u) f(-u).
+    for m <= n, with R and Q from ``log_numerators`` of f truncated to n
+    (the precision check), and the weights of F(u) = f(u) f(-u).
 
     c is the lcm of the denominators of f_1, ..., f_n, so the weights are
     integers over either ring; a remainder would be a bug here and raises
@@ -150,26 +150,27 @@ def _class_log(f: Series1, n: int) -> tuple[int, list, list]:
     """
     memo = _last_log
     if memo[0] is not f or memo[1] != n:
-        ring = f.ring
-        R, Q = log_numerators(f, n)
-        c = ring.split(f.truncate(n).coefficients)[1]
-        w, q = ring.cancel([r * c**m for m, r in enumerate(R)], Q)
+        known = f.truncate(n)
+        R, Q = log_numerators(known)
+        c = known.ring.split(known.coefficients)[1]
+        w, q = known.ring.cancel([r * c**m for m, r in enumerate(R)], Q)
         if q != 1:
             raise InternalCheckError("internal error: the scaled log weights are not integers")
         memo[:] = f, n, (c, w, [0 if m % 2 else 2 * w_m for m, w_m in enumerate(w)])
     return memo[2]
 
 
-def _power_sum_exp(w: Sequence, values: Sequence[int], n: int) -> list:
+def _power_sum_exp(w: Sequence, values: Sequence[int]) -> list:
     """e_0, ..., e_n with e_m / (m! c^m) = [u^m] exp(sum over k of L_k s_k u^k).
 
     L is the log of the class, s_k is the k-th power sum of the multiset
-    ``values``, and w holds the weights of L scaled by c, as
+    ``values``, and w holds the weights of L to degree n scaled by c, as
     ``_class_log`` gives them; w_0 is not read.  With u scaled by c,
     m E_m = sum over k of w_k s_k E_(m-k); times (m - 1)! that is
     e_0 = 1 and e_m = sum over 1 <= k <= m of w_k s_k e_(m-k)
     (m-1)!/(m-k)!, summed by Horner's rule in m - k, so no step divides.
     """
+    n = len(w) - 1
     sums = [0] * (n + 1)
     for v in values:
         power = 1
@@ -187,11 +188,11 @@ def _power_sum_exp(w: Sequence, values: Sequence[int], n: int) -> list:
     return e
 
 
-def _diagram_row(w: Sequence, n: int, partition: Partition, alpha, beta) -> tuple[list, int]:
+def _diagram_row(w: Sequence, partition: Partition, alpha, beta) -> tuple[list, int]:
     """The ``_power_sum_exp`` row of one diagram's tangent weights at the
     fixed point (alpha, beta), and its primed cell product."""
     weights = weight_multiset(partition, alpha, beta)
-    return _power_sum_exp(w, weights, n), c_prime_product(partition, alpha, beta)
+    return _power_sum_exp(w, weights), c_prime_product(partition, alpha, beta)
 
 
 def _pair_value(ring, c: int, pair: FixedPointBasisVector, gamma: int, row0, row1):
@@ -228,8 +229,8 @@ def pair_coefficient(f: Series1, pair: FixedPointBasisVector, gamma: int) -> Fra
     """
     n = pair.level
     c, w, _ = _class_log(f, n)
-    row0 = _diagram_row(w, n, pair.lambda0, -1, -1)
-    row1 = _diagram_row(w, n, pair.lambda1, gamma - 1, 1)
+    row0 = _diagram_row(w, pair.lambda0, -1, -1)
+    row1 = _diagram_row(w, pair.lambda1, gamma - 1, 1)
     return _pair_value(f.ring, c, pair, gamma, row0, row1)
 
 
@@ -241,8 +242,8 @@ def equivariant_class_coeffs(f: Series1, gamma: int, n: int) -> EquivariantClass
     """
     c, w, _ = _class_log(f, n)
     partitions = [p for size in range(n + 1) for p in enumerate_partitions(size)]
-    at_zero = {p: _diagram_row(w, n, p, -1, -1) for p in partitions}
-    at_infinity = {p: _diagram_row(w, n, p, gamma - 1, 1) for p in partitions}
+    at_zero = {p: _diagram_row(w, p, -1, -1) for p in partitions}
+    at_infinity = {p: _diagram_row(w, p, gamma - 1, 1) for p in partitions}
     entries = tuple(
         (pair, _pair_value(f.ring, c, pair, gamma, at_zero[pair.lambda0], at_infinity[pair.lambda1]))
         for pair in level_pairs(n)
@@ -263,7 +264,7 @@ def hook_coefficient(f: Series1, pair: FixedPointBasisVector) -> Fraction:
     n = pair.level
     c, _, w = _class_log(f, n)
     hooks = hook_multiset(pair.lambda0) + hook_multiset(pair.lambda1)
-    e = _power_sum_exp(w, hooks, n)[n]
+    e = _power_sum_exp(w, hooks)[n]
     scale = factorial(n) * c**n * hook_product(pair.lambda0) * hook_product(pair.lambda1)
     return f.ring.join((-e if pair.lambda0.size % 2 else e,), scale)[0]
 
@@ -299,7 +300,7 @@ def z_series_hookform(f: Series1, N: int) -> Series2:
             p = Partition((m - j, j))
             tableaux = factorial(m) // hook_product(p)
             schur_row = [s.numerator for s in schur_two_vars(p).homogeneous(m)]
-            for i, e in enumerate(_power_sum_exp(w, hook_multiset(p), N)):
+            for i, e in enumerate(_power_sum_exp(w, hook_multiset(p))):
                 if e:
                     e = e * tableaux
                     target = by_degree[i]
@@ -360,9 +361,9 @@ def z_series_residue(f: Series1, N: int) -> Series2:
     a_minus_b = Series2(((), (-ring.one, ring.one)), M, ring)
     C, q = split_rows(ring, compose(G * G, a_minus_b).rows)
     # powers[r] holds the numerators of F^(r+1) over D.
-    powers = list(power_chain(ring, F.coefficients, M + 1, M))
+    powers = list(power_chain(ring, F.coefficients, M + 1))
     t = lcm(*(D for _, D in powers))
     T = [[P[r - i] * (t // D) for r, (P, D) in enumerate(powers[i:], i)] for i in range(M + 1)]
-    rows = congruence_numerators(C, T, M)
+    rows = congruence_numerators(C, T)
     signed = [[-v for v in row] if d % 2 else row for d, row in enumerate(rows)]
     return divide_by_x_minus_y(divide_by_x_minus_y(Series2(join_rows(ring, signed, q * t * t), M, ring)))

@@ -4,8 +4,8 @@ Every series carries an explicit truncation order.  A ``Series1`` of
 order N stores the coefficients of degrees 0 through N and knows
 nothing beyond degree N; asking for a higher coefficient raises
 ``InsufficientOrderError`` instead of returning a silent zero.
-Products truncate to the smaller operand order.  The same contract
-holds for ``Series2`` with total degree playing the role of degree.
+Products and the numerator kernels below truncate to the smaller
+operand order; ``Series2`` keeps the same contract by total degree.
 ``truncate`` never extends and raises the same error, so it is the
 precision check of every function that needs a series to a given
 order: such a function truncates its input to that order first.
@@ -112,8 +112,9 @@ def join_rows(ring: Ring, rows: Sequence[Sequence], denominator: int) -> tuple[t
     return tuple(_regroup(ring.join([c for row in rows for c in row], denominator), rows))
 
 
-def convolve_numerators(a: Sequence, b: Sequence, n: int) -> list:
-    """Degrees 0 to n of the product of two numerator sequences."""
+def convolve_numerators(a: Sequence, b: Sequence) -> list:
+    """The product of two numerator sequences, to the smaller of their degrees."""
+    n = min(len(a), len(b)) - 1
     out = [0] * (n + 1)
     for i, x in enumerate(a[: n + 1]):
         if x:
@@ -124,10 +125,10 @@ def convolve_numerators(a: Sequence, b: Sequence, n: int) -> list:
 
 
 def multiply_graded_rows(
-    ring: Ring, A: Sequence[Sequence], a: Sequence[int], B: Sequence[Sequence], b: Sequence[int], n: int
+    ring: Ring, A: Sequence[Sequence], a: Sequence[int], B: Sequence[Sequence], b: Sequence[int]
 ) -> tuple[list[list], list[int]]:
-    """Product to total degree n of two tables of numerator rows, row d
-    of A over the denominator a[d] and row d of B over b[d].
+    """Product, to the smaller total degree, of two tables of numerator
+    rows, row d of A over the denominator a[d] and row d of B over b[d].
 
     rows[d][i] is the numerator of x^i y^(d-i).  Row e of the product is
     formed over the lcm of a[d] b[e - d] and cancelled, so each row keeps
@@ -141,6 +142,7 @@ def multiply_graded_rows(
     """
     # the nonzero entries of each row of B that has any, and the pairs
     # of rows with terms that meet at each total degree
+    n = min(len(A), len(B)) - 1
     nonzero = {k: [(i, v) for i, v in enumerate(row) if v] for k, row in enumerate(B) if any(row)}
     meeting = [[] for _ in range(n + 1)]
     for d, row in enumerate(A[: n + 1]):
@@ -195,7 +197,7 @@ def divide_numerators_by_x_minus_y(rows: Sequence[Sequence]) -> list[list]:
     return out
 
 
-def congruence_numerators(C: Sequence[Sequence], T: Sequence[Sequence], n: int) -> list[list]:
+def congruence_numerators(C: Sequence[Sequence], T: Sequence[Sequence]) -> list[list]:
     """Numerator rows of the sum over a, b of T[a][i - a] C[a][b] T[b][j - b].
 
     ``C`` holds numerator rows by total degree, C[a + b][a] for x^a y^b.
@@ -203,8 +205,9 @@ def congruence_numerators(C: Sequence[Sequence], T: Sequence[Sequence], n: int) 
     T[a][i - a] for the entry at i >= a, the form in which
     ``compositional_inverse`` returns the powers of g; when
     T[a][i - a] / t = [x^i] g^a the result is C(g(x), g(y)).  Returns
-    the rows to total degree n; their denominator is that of C times t^2.
+    the rows to the degree of C; their denominator is that of C times t^2.
     """
+    n = len(C) - 1
     # half[a][j] = (C T)[a][j]; only a + j <= n is ever read.
     half = []
     for a in range(n + 1):
@@ -226,17 +229,17 @@ def congruence_numerators(C: Sequence[Sequence], T: Sequence[Sequence], n: int) 
     return rows
 
 
-def power_chain(ring: Ring, coefficients: Sequence, count: int, n: int):
-    """Numerators and denominator of the series' powers 1, ..., count to degree n.
+def power_chain(ring: Ring, coefficients: Sequence, count: int):
+    """Numerators and denominator of the series' powers 1, ..., count, to its degree.
 
     Each product is cancelled to the reduced denominator of its power
     before it takes the next factor, so the numerators grow with the
     coefficients of the powers, not with d^a.
     """
     F, d = ring.split(coefficients)
-    P, D = [1], 1
+    P, D = [1] + [0] * (len(F) - 1), 1
     for _ in range(count):
-        P, D = ring.cancel(convolve_numerators(P, F, n), D * d)
+        P, D = ring.cancel(convolve_numerators(P, F), D * d)
         yield P, D
 
 
@@ -269,19 +272,18 @@ def quotient_numerators(ring: Ring, B: Sequence, F: Sequence, d: int, u, w: int)
     return R, L
 
 
-def log_numerators(f: "Series1", n: int) -> tuple[list, int]:
-    """Numerators R and one denominator Q of the weights W_m = m [x^m] log f.
+def log_numerators(f: "Series1") -> tuple[list, int]:
+    """Numerators R and one denominator Q of the weights W_m = m [x^m] log f
+    to the order of f, which the caller truncates; R[0] = 0.
 
-    Truncating f to n is the precision check; R[0] = 0.  L = log f
-    solves f L' = f', so W = x f' / f: the quotient of
+    L = log f solves f L' = f', so W = x f' / f: the quotient of
     ``quotient_numerators`` with B_m = m F_m and u = w = 1, at O(n^2)
     operations on numerators.
     """
     ring = f.ring
-    truncated = f.truncate(n)
-    if truncated.constant_term != ring.one:
+    if f.constant_term != ring.one:
         raise SeriesError("log requires constant term 1")
-    F, d = ring.split(truncated.coefficients)
+    F, d = ring.split(f.coefficients)
     return quotient_numerators(ring, [m * v for m, v in enumerate(F)], F, d, 1, 1)
 
 
@@ -358,7 +360,7 @@ class Series1(_Series):
         ring = self.ring
         a, da = ring.split(self.coefficients[: n + 1])
         b, db = ring.split(other.coefficients[: n + 1])
-        return Series1(ring.join(convolve_numerators(a, b, n), da * db), n, ring)
+        return Series1(ring.join(convolve_numerators(a, b), da * db), n, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +435,7 @@ class Series2(_Series):
         ring = self.ring
         A, a = zip(*map(ring.split, self.rows[: n + 1]))
         B, b = zip(*map(ring.split, other.rows[: n + 1]))
-        rows, d = multiply_graded_rows(ring, A, a, B, b, n)
+        rows, d = multiply_graded_rows(ring, A, a, B, b)
         return Series2(tuple(map(ring.join, rows, d)), n, ring)
 
 
@@ -463,7 +465,7 @@ def series_log(series: Series1) -> Series1:
     [x^m] log f = R_m / (m Q) with R and Q from ``log_numerators``, all
     over lcm(1, ..., N) Q and formed by one ``Ring.join``."""
     n = series.order
-    R, Q = log_numerators(series, n)
+    R, Q = log_numerators(series)
     L = lcm(*range(1, n + 1))
     return Series1(series.ring.join([0] + [R[m] * (L // m) for m in range(1, n + 1)], L * Q), n, series.ring)
 
@@ -490,10 +492,10 @@ def compose(outer: Series1, inner: Series2) -> Series2:
     I, d = split_rows(ring, inner.rows[: n + 1])
     # O[k] / c is outer_k; outer_0 is added to the joined series.
     O, c = ring.split(outer.coefficients[: n + 1])
-    H, h, b = [[0]], [c], [d] * (n + 1)
+    H, h, b = [[0] * (e + 1) for e in range(n + 1)], [c] * (n + 1), [d] * (n + 1)
     for k in range(n, 0, -1):
         H[0], h[0] = [O[k]], c
-        H, h = multiply_graded_rows(ring, H, h, I, b, n)
+        H, h = multiply_graded_rows(ring, H, h, I, b)
     return Series2(tuple(map(ring.join, H, h)), n, ring) + outer.coefficients[0]
 
 
@@ -514,7 +516,7 @@ def compose_difference_numerators(outer: Series1, powers: tuple[list[list], int]
     matrix = [
         [v * (comb(d, a) * (-1) ** (d - a)) for a in range(d + 1)] for d, v in enumerate(numerators)
     ]
-    return congruence_numerators(matrix, T, n), c * t * t
+    return congruence_numerators(matrix, T), c * t * t
 
 
 def compositional_inverse(phi: Series1) -> tuple[Series1, tuple[list[list], int]]:
@@ -535,13 +537,13 @@ def compositional_inverse(phi: Series1) -> tuple[Series1, tuple[list[list], int]
     if not ring.is_unit(phi.constant_term):
         raise NotInvertibleError("not invertible under composition")
     n = phi.order + 1
-    chain = list(power_chain(ring, phi.coefficients, n, n - 1))
+    chain = list(power_chain(ring, phi.coefficients, n))
     coefficients = [ring.zero]
     for m, (P, D) in enumerate(chain, 1):
         coefficients.append(ring.join((P[m - 1],), m * D)[0])
     g = Series1(tuple(coefficients), n, ring)
     # Each P is cancelled, so D is the lcm of its reduced denominators.
-    powers = [([1] + [0] * n, 1), *power_chain(ring, g.coefficients, n, n)]
+    powers = [([1] + [0] * n, 1), *power_chain(ring, g.coefficients, n)]
     t = lcm(*(D for _, D in powers))
     T = [[p * (t // D) for p in P[a:]] for a, (P, D) in enumerate(powers)]
     # With P / D = phi^k the check reads k D T[a][k - a] = a t P[k - a];

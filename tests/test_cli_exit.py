@@ -10,6 +10,7 @@ stdout is block-buffered, as on a default interpreter, and the final
 flush has work to do.
 """
 
+import importlib
 import os
 import subprocess
 import sys
@@ -79,6 +80,15 @@ def test_the_module_prints_what_main_prints(argv, code, capsys, monkeypatch):
     result = _module(*argv)
     assert (result.returncode, result.stdout, result.stderr) == _in_process(argv, capsys, monkeypatch)
     assert result.returncode == code
+
+
+def test_the_console_script_is_run():
+    # the entry point that ``pip install`` writes the ``hilbfock`` script from
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    entry = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["hilbfock"]
+    module, _, name = entry.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.run
 
 
 def test_a_failing_verify_exits_1_through_run():

@@ -240,8 +240,8 @@ def test_corrupted_inverse_fails_its_round_trip_check(monkeypatch, build):
     to [x^2] g^3, which is zero and never read)."""
     chain = series.power_chain
 
-    def corrupted(ring, coefficients, count, n):
-        for a, (P, D) in enumerate(chain(ring, coefficients, count, n), 1):
+    def corrupted(ring, coefficients, count):
+        for a, (P, D) in enumerate(chain(ring, coefficients, count), 1):
             yield ([*P[:2], P[2] + 1, *P[3:]] if a == 3 else P), D
 
     monkeypatch.setattr(series, "power_chain", corrupted)

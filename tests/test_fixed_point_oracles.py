@@ -295,7 +295,7 @@ def assert_integer_recurrence_matches(f: Series1, values, n: int) -> None:
     fn = f.truncate(n)
     for weights, series in ((w, fn), (w_F, fn * negate_argument(fn))):
         expected = oracle_power_sum_exp(series_log(series), power_sums(values, n), n)
-        e = localisation._power_sum_exp(weights, values, n)
+        e = localisation._power_sum_exp(weights, values)
         coefficients = [f.ring.join((e[m],), factorial(m) * c**m)[0] for m in range(n + 1)]
         assert coefficients == list(expected.coefficients)
 
@@ -335,7 +335,7 @@ def test_integer_recurrence_over_dual_numbers():
     assert c == 42
     assert_integer_recurrence_matches(f, [3, -1, 0, 10, -4, 2], 6)
     c, w, _ = localisation._class_log(f, 0)
-    assert DUALS.join(localisation._power_sum_exp(w, [], 0), c) == (DUALS.one,)
+    assert DUALS.join(localisation._power_sum_exp(w, []), c) == (DUALS.one,)
 
 
 @settings(max_examples=60, deadline=None)
@@ -346,7 +346,7 @@ def test_class_log_weights_are_the_split_of_the_joined_ones(ring, n, data):
     element = class_coefficients if ring is QQ else st.builds(DualNumber, class_coefficients, small_rationals)
     f = Series1((ring.one, *data.draw(st.lists(element, max_size=n))), n, ring)
     c, w, _ = localisation._class_log(f, n)
-    R, Q = log_numerators(f, n)
+    R, Q = log_numerators(f)
     joined, _ = ring.split(ring.join([r * c**m for m, r in enumerate(R)], Q))
     # over 1, equal ring elements are equal numerators
     assert ring.join(w, 1) == ring.join(joined, 1)
@@ -357,8 +357,8 @@ def test_class_log_refuses_weights_that_are_not_integers(monkeypatch):
     # denominator leaves a remainder
     log = localisation.log_numerators
 
-    def doubled(f, n):
-        R, Q = log(f, n)
+    def doubled(f):
+        R, Q = log(f)
         return R, 2 * Q
 
     monkeypatch.setattr(localisation, "log_numerators", doubled)
@@ -439,9 +439,9 @@ def test_equivariant_vector_takes_one_exponential_per_diagram_and_fixed_point(mo
     calls = []
     power_sum_exp = localisation._power_sum_exp
 
-    def counting_exp(w, values, n):
+    def counting_exp(w, values):
         calls.append(values)
-        return power_sum_exp(w, values, n)
+        return power_sum_exp(w, values)
 
     monkeypatch.setattr(localisation, "_power_sum_exp", counting_exp)
     equivariant_class_coeffs(preset_class("todd", 8), 3, 8)
@@ -535,9 +535,9 @@ def test_hook_form_takes_one_exponential_per_two_row_partition(monkeypatch):
     calls = []
     power_sum_exp = localisation._power_sum_exp
 
-    def counting_exp(w, values, n):
+    def counting_exp(w, values):
         calls.append(values)
-        return power_sum_exp(w, values, n)
+        return power_sum_exp(w, values)
 
     N = 8
     monkeypatch.setattr(localisation, "_power_sum_exp", counting_exp)
@@ -552,9 +552,9 @@ def test_reduction_check_takes_one_log_per_level(monkeypatch):
     calls = []
     log = localisation.log_numerators
 
-    def counting_log(f, n):
-        calls.append(n)
-        return log(f, n)
+    def counting_log(f):
+        calls.append(f.order)
+        return log(f)
 
     monkeypatch.setattr(localisation, "log_numerators", counting_log)
     assert verification._check_reduction(preset_class("todd", 6), 6) == ""
@@ -642,13 +642,14 @@ def test_a_fault_in_the_shared_congruence_fails_the_triple_agreement(monkeypatch
     calls = []
 
     def perturbing(route):
-        def perturbed(C, T, n):
+        def perturbed(C, T):
             # one numerator too high: on a table of powers of g, the top
             # coefficient of g, so the result stays divisible by x - y
+            n = len(C) - 1
             rows = [list(row) for row in T]
             rows[1][n - 1] = rows[1][n - 1] + 1
             calls.append(route)
-            return congruence(C, rows, n)
+            return congruence(C, rows)
 
         return perturbed
 
@@ -678,10 +679,11 @@ def test_a_residue_route_that_raises_fails_the_triple_agreement(monkeypatch, cap
     # verify reports that as a failed check, with no traceback.
     congruence = localisation.congruence_numerators
 
-    def perturbed(C, T, n):
+    def perturbed(C, T):
+        n = len(C) - 1
         rows = [list(row) for row in T]
         rows[2][n - 3] = rows[2][n - 3] + 1
-        return congruence(C, rows, n)
+        return congruence(C, rows)
 
     monkeypatch.setattr(localisation, "congruence_numerators", perturbed)
     with pytest.raises(series.SeriesError):

@@ -104,10 +104,10 @@ def log_dropping(dropped):
     """``series.log_numerators`` without the terms k of its sum at m for
     which dropped(k, m) holds, and with no cancelling."""
 
-    def mutant(f, n):
-        F, d = f.ring.split(f.truncate(n).coefficients)
+    def mutant(f):
+        F, d = f.ring.split(f.coefficients)
         R, Q = [0], 1
-        for m in range(1, n + 1):
+        for m in range(1, f.order + 1):
             acc = m * F[m] * Q
             for k in range(1, m):
                 if not dropped(k, m):

@@ -9,13 +9,16 @@ recurrence, ``series.log_numerators``: the fixed-point sums in
 own, and take the weights of f(u) f(-u) from the same record.  The
 closed-form tables run no step of the inversion that
 ``z_closed`` runs, and the inversion reads g off the powers of phi with
-no reciprocal.
+no reciprocal.  No numerator kernel takes a degree: each reads it off
+its operands.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import hilbfock
+from hilbfock import localisation, series
 
 SOURCE = Path(hilbfock.__file__).parent
 
@@ -149,3 +152,29 @@ def test_the_inverse_takes_phi_and_forms_no_reciprocal():
     assert "power_chain" in names
     assert names.isdisjoint({"reciprocal", "quotient_numerators", "shift_down"})
     assert [module for module, defined in functions.items() if "shift_down" in defined] == []
+
+
+def test_no_numerator_kernel_takes_a_degree():
+    """Each kernel runs to the degree its operands carry, by the rule of
+    the series products, so its caller passes operands only."""
+    parameters = {
+        kernel.__name__: list(inspect.signature(kernel).parameters)
+        for kernel in (
+            series.convolve_numerators,
+            series.multiply_graded_rows,
+            series.congruence_numerators,
+            series.power_chain,
+            series.log_numerators,
+            localisation._power_sum_exp,
+            localisation._diagram_row,
+        )
+    }
+    assert parameters == {
+        "convolve_numerators": ["a", "b"],
+        "multiply_graded_rows": ["ring", "A", "a", "B", "b"],
+        "congruence_numerators": ["C", "T"],
+        "power_chain": ["ring", "coefficients", "count"],
+        "log_numerators": ["f"],
+        "_power_sum_exp": ["w", "values"],
+        "_diagram_row": ["w", "partition", "alpha", "beta"],
+    }

@@ -27,7 +27,10 @@ from hilbfock.series import (
     compose_difference_numerators,
     compositional_inverse,
     congruence_numerators,
+    convolve_numerators,
     divide_by_x_minus_y,
+    multiply_graded_rows,
+    power_chain,
     reciprocal,
     series_log,
     shift_up,
@@ -96,7 +99,7 @@ def joined_congruence(matrix: Series2, table) -> Series2:
     n = min(matrix.order, len(table[0]) - 1)
     C, c = split_rows(ring, matrix.rows[: n + 1])
     T, t = split_rows(ring, [row[a : n + 1] for a, row in enumerate(table[: n + 1])])
-    return joined_rows(congruence_numerators(C, T, n), c * t * t, ring)
+    return joined_rows(congruence_numerators(C, T), c * t * t, ring)
 
 
 def unit(data, kind):
@@ -120,6 +123,42 @@ def test_series2_product(kind, data, orders):
     a, b = series2(data, kind, orders[0]), series2(data, kind, orders[1])
     product = a * b
     assert product == oracle.multiply2(a, b)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data(), orders=st.lists(st.integers(0, 5), min_size=2, max_size=2, unique=True))
+@settings(max_examples=30, deadline=None)
+def test_kernels_run_to_the_degree_their_operands_carry(kind, data, orders):
+    # operands of two different degrees: each kernel takes no degree and
+    # runs exactly to the smaller one, or to the series' own for a chain
+    ring = RINGS[kind]
+    low, high = sorted(orders)
+    a, b = (Series1(data.draw(values(kind, order + 1)), order, ring) for order in orders)
+    (A, da), (B, db) = ring.split(a.coefficients), ring.split(b.coefficients)
+    product = convolve_numerators(A, B)
+    assert len(product) == low + 1
+    assert Series1(ring.join(product, da * db), low, ring) == oracle.multiply1(a, b)
+    s, t = (series2(data, kind, order) for order in orders)
+    rows, d = multiply_graded_rows(ring, *zip(*map(ring.split, s.rows)), *zip(*map(ring.split, t.rows)))
+    assert len(rows) == low + 1
+    assert Series2(tuple(map(ring.join, rows, d)), low, ring) == oracle.multiply2(s, t)
+    g = Series1([ring.zero] + data.draw(values(kind, high)), high, ring)
+    chain = list(power_chain(ring, g.coefficients, high))
+    assert [len(P) for P, _ in chain] == [high + 1] * high
+    assert tuple(Series1(ring.join(P, D), high, ring) for P, D in chain) == oracle.power_table(g)[1:]
+    matrix = series2(data, kind, low)
+    C, c = split_rows(ring, matrix.rows)
+    T, t = power_numerators(g)
+    congruence = congruence_numerators(C, T)
+    assert len(congruence) == low + 1
+    table = [p.coefficients for p in oracle.power_table(g)]
+    assert joined_rows(congruence, c * t * t, ring) == oracle.congruence(matrix, table)
+
+
+def test_a_kernel_knows_no_coefficient_beyond_its_operands():
+    # e^x known to order 1 squares to 1 + 2x + O(x^2): not (1 + x)^2
+    assert convolve_numerators([1, 1], [1, 1]) == [1, 2]
+    assert list(power_chain(QQ, [1, 1], 2)) == [([1, 1], 1), ([1, 2], 1)]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -289,7 +328,7 @@ def test_order_zero(ring):
     assert compositional_inverse(a)[0] == Series1((ring.zero, c), 1, ring)
     with pytest.raises(NotInvertibleError):
         compositional_inverse(oracle.zero(Series1, 0, ring))
-    assert congruence_numerators([[7]], [[2]], 0) == [[28]]
+    assert congruence_numerators([[7]], [[2]]) == [[28]]
     powers = compositional_inverse(one(0, ring))[1]
     assert joined_rows(*compose_difference_numerators(a, powers), ring) == Series2(((c,),), 0, ring)
     assert series_log(one(0, ring)) == oracle.series_log(one(0, ring))

@@ -256,8 +256,8 @@ def test_the_inverse_round_trip_sees_a_leftover_eps_part(monkeypatch):
     # part not.  [u^3] phi^3 takes eps too, but phi^3 is read below u^3.
     chain = series.power_chain
 
-    def perturbed(ring, coefficients, count, n):
-        for a, (P, D) in enumerate(chain(ring, coefficients, count, n), 1):
+    def perturbed(ring, coefficients, count):
+        for a, (P, D) in enumerate(chain(ring, coefficients, count), 1):
             yield ([*P[:3], P[3] + _DualNumerator(0, 1), *P[4:]] if a == 3 else P), D
 
     monkeypatch.setattr(series, "power_chain", perturbed)

@@ -104,9 +104,9 @@ def test_deep_copied_series_multiplies_with_the_original():
 
 def test_deep_copied_series_keeps_the_integer_log():
     todd = preset_class("todd", 8)
-    weights, denominator = log_numerators(todd, 8)
+    weights, denominator = log_numerators(todd)
     assert denominator > 1
-    assert log_numerators(copy.deepcopy(todd), 8) == (weights, denominator)
+    assert log_numerators(copy.deepcopy(todd)) == (weights, denominator)
 
 
 def test_frozen_constructor_takes_every_field_by_position_or_name():

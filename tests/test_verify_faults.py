@@ -197,8 +197,8 @@ def test_a_class_log_fault_under_equivariant_is_not_a_usage_error(monkeypatch, c
     # log(1 + u) has odd weights, so a doubled denominator leaves a remainder
     log = localisation.log_numerators
 
-    def doubled(f, n):
-        R, Q = log(f, n)
+    def doubled(f):
+        R, Q = log(f)
         return R, 2 * Q
 
     monkeypatch.setattr(localisation, "log_numerators", doubled)
@@ -263,8 +263,8 @@ def _raise_even_log_weight(kernel):
     """A ``log_numerators`` wrapper that adds 1 to the weight W_2, which
     keeps the scaled weights of ``_class_log`` integers."""
 
-    def perturbed(f, n):
-        R, Q = kernel(f, n)
+    def perturbed(f):
+        R, Q = kernel(f)
         return [*R[:2], R[2] + Q, *R[3:]] if len(R) > 2 else R, Q
 
     return perturbed
