@@ -296,7 +296,7 @@ def cmd_equivariant(args: argparse.Namespace, spec: ClassSpec) -> int:
             f"--level {level} exceeds the configured bound of {bound}; "
             f"raise --bound if you really want this"
         )
-    f = class_series(spec, max(level, 1))
+    f = class_series(spec, level)
     try:
         vector = equivariant_class_coeffs(f, args.gamma, level)
     except InternalCheckError:

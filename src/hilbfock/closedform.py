@@ -29,10 +29,10 @@ Three families of coefficients are produced.
 
 All arithmetic is exact.  Functions accept series over the rational
 field or over the dual numbers; preconditions on the truncation order
-are documented per function.  Each function truncates the class series
-to the order it needs first, and ``truncate`` raises
+are documented per function.  Each function reads the class series
+through ``check_class_series`` at the order it needs, which raises
 InsufficientOrderError for a shorter series rather than returning
-silently wrong tables.
+silently wrong tables, and ValueError for a constant term other than 1.
 """
 
 from __future__ import annotations
@@ -158,20 +158,20 @@ def preset_class(name: str, order: int) -> Series1:
     return builder(order)
 
 
-def _big_f(f: Series1) -> Series1:
-    """F(z) = f(z) f(-z), for a class series f known at least to its
-    linear coefficient."""
-    check_class_series(f)
-    if f.order < 1:
+def _big_f(f: Series1, order: int) -> Series1:
+    """F(z) = f(z) f(-z) to degree ``order`` >= 1, from the class series
+    f read through ``check_class_series`` at that order."""
+    if order < 1:
         raise InsufficientOrderError(
             "insufficient precision: at least the linear coefficient of f is needed"
         )
+    f = check_class_series(f, order)
     return f * negate_argument(f)
 
 
 def big_g(f: Series1) -> Series1:
     """G(z) = z / (f(z) f(-z)), an odd series with linear coefficient 1."""
-    return shift_up(reciprocal(_big_f(f)).truncate(f.order - 1), 1)
+    return shift_up(reciprocal(_big_f(f, f.order)).truncate(f.order - 1), 1)
 
 
 def small_g(f: Series1, N: int) -> Series1:
@@ -180,7 +180,7 @@ def small_g(f: Series1, N: int) -> Series1:
     ``compositional_inverse`` reads it off the powers of F = f(z) f(-z)
     to degree N - 1, with no reciprocal.  Needs f to degree N >= 1.
     """
-    return compositional_inverse(_big_f(f.truncate(N)).truncate(N - 1))[0]
+    return compositional_inverse(_big_f(f, N).truncate(N - 1))[0]
 
 
 def a_k_table(f: Series1, N: int) -> dict[int, Fraction]:
@@ -250,9 +250,7 @@ def tangent_tables(f: Series1, N: int) -> tuple[dict[int, Fraction], CoeffTable]
     reads f to degree N only; asking for f one degree beyond N, as
     ``z_closed`` needs, is the public precision contract of the tables.
     """
-    fine = f.truncate(N + 1)
-    check_class_series(fine)
-    a_k, entries = _power_tables(fine * negate_argument(fine), N, subtract_log=True)
+    a_k, entries = _power_tables(_big_f(f, N + 1), N, subtract_log=True)
     return a_k, CoeffTable(KIND_THEOREM, N, entries)
 
 
@@ -280,10 +278,10 @@ def z_closed(f: Series1, N: int) -> Series2:
     and each row is joined once.  Needs f one degree beyond N, since the
     division by x - y costs one degree.
     """
-    fine = f.truncate(N + 1)
+    fine = check_class_series(f, N + 1)
     ring = fine.ring
     G = big_g(fine)
-    g, powers = compositional_inverse(_big_f(fine).truncate(N))
+    g, powers = compositional_inverse(_big_f(fine, N + 1).truncate(N))
     difference, c = compose_difference_numerators(G, powers)
     R, r = zip(*(ring.cancel(row, c) for row in divide_numerators_by_x_minus_y(difference)))
     rows, q = multiply_graded_rows(ring, R, r, R, r)
@@ -375,7 +373,5 @@ def taut_tables(f: Series1, N: int) -> tuple[dict[int, Fraction], CoeffTable]:
     N is the public precision contract, as for ``tangent_tables``.  No
     parity or positivity is imposed: this g is not odd.
     """
-    fine = f.truncate(N + 1)
-    check_class_series(fine)
-    a_k, entries = _power_tables(negate_argument(fine), N, subtract_log=False)
+    a_k, entries = _power_tables(negate_argument(check_class_series(f, N + 1)), N, subtract_log=False)
     return a_k, CoeffTable(KIND_TAUTOLOGICAL, N, entries)

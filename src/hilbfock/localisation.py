@@ -54,8 +54,8 @@ agree, and the closed form in ``closedform`` must agree with both; that
 triple agreement is the package's central correctness check.  The
 closed form runs the same kernel, the fixed-point sum does not.
 
-Each entry point truncates the class series to the order its docstring
-states first, so ``truncate`` is the precision check.
+Each entry point reads the class series through ``check_class_series``
+at the order its docstring states, which checks the precision and f(0) = 1.
 """
 
 from __future__ import annotations
@@ -77,6 +77,7 @@ from .series import (
     InternalCheckError,
     Series1,
     Series2,
+    check_class_series,
     compose,
     congruence_numerators,
     divide_by_x_minus_y,
@@ -135,8 +136,8 @@ _last_log: list = [None, -1, None]
 
 def _class_log(f: Series1, n: int) -> tuple[int, list, list]:
     """The scale c, the weights w_m = m [u^m] log f(c u) = c^m R_m / Q
-    for m <= n, with R and Q from ``log_numerators`` of f truncated to n
-    (the precision check), and the weights of F(u) = f(u) f(-u).
+    for m <= n, with R and Q from ``log_numerators`` of f read through
+    ``check_class_series`` at n, and the weights of F(u) = f(u) f(-u).
 
     c is the lcm of the denominators of f_1, ..., f_n, so the weights are
     integers over either ring; a remainder would be a bug here and raises
@@ -150,7 +151,7 @@ def _class_log(f: Series1, n: int) -> tuple[int, list, list]:
     """
     memo = _last_log
     if memo[0] is not f or memo[1] != n:
-        known = f.truncate(n)
+        known = check_class_series(f, n)
         R, Q = log_numerators(known)
         c = known.ring.split(known.coefficients)[1]
         w, q = known.ring.cancel([r * c**m for m, r in enumerate(R)], Q)
@@ -240,13 +241,14 @@ def equivariant_class_coeffs(f: Series1, gamma: int, n: int) -> EquivariantClass
     Each diagram's row is built once, at each fixed point.  The class
     series must be known to degree n.
     """
+    pairs = level_pairs(n)
     c, w, _ = _class_log(f, n)
     partitions = [p for size in range(n + 1) for p in enumerate_partitions(size)]
     at_zero = {p: _diagram_row(w, p, -1, -1) for p in partitions}
     at_infinity = {p: _diagram_row(w, p, gamma - 1, 1) for p in partitions}
     entries = tuple(
         (pair, _pair_value(f.ring, c, pair, gamma, at_zero[pair.lambda0], at_infinity[pair.lambda1]))
-        for pair in level_pairs(n)
+        for pair in pairs
     )
     return EquivariantClassVector(n, entries)
 
@@ -353,7 +355,7 @@ def z_series_residue(f: Series1, N: int) -> Series2:
     ring of f.
     """
     M = N + 2
-    fM = f.truncate(M)
+    fM = check_class_series(f, M)
     F = fM * negate_argument(fM)
     G = shift_up(reciprocal(F).truncate(M - 1), 1)
     ring = f.ring

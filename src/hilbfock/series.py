@@ -82,10 +82,12 @@ class InternalCheckError(SeriesError):
     """A self-check of the package failed: a bug, not bad input."""
 
 
-def check_class_series(f: "Series1") -> None:
-    """The precondition of a multiplicative class series: constant term 1."""
+def check_class_series(f: "Series1", order: int) -> "Series1":
+    """f truncated at ``order`` (the precision check), refused unless f(0) = 1."""
+    f = f.truncate(order)
     if f.constant_term != f.ring.one:
         raise ValueError("a multiplicative class series must have constant term 1")
+    return f
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from .localisation import (
     z_series_residue,
 )
 from .rings import Frozen
-from .series import InsufficientOrderError, Series1, Series2, SeriesError
+from .series import Series1, Series2, SeriesError, check_class_series
 
 # Frozen universal coefficients for the two presets whose tables are
 # documented in the README.  Any drift anywhere in the pipeline is
@@ -107,7 +107,7 @@ def _check_triple(
     the check under the route's name."""
     routes = (
         ("closed form", closed),
-        ("fixed-point sum", lambda: z_series_hookform(f.truncate(order), order)),
+        ("fixed-point sum", lambda: z_series_hookform(f, order)),
         ("residue extraction", lambda: z_series_residue(f, order)),
         ("closed-form tables", lambda: tables()[0]),
     )
@@ -236,17 +236,14 @@ def verify_multiplicative(f: Series1, name: str, order: int) -> list[CheckResult
     """The full cross-check battery for a multiplicative class.
 
     The class series must carry two orders of slack beyond ``order``
-    because the residue route divides by (x - y) twice.  The closed-form
+    because the residue route divides by (x - y) twice; it is read
+    through ``check_class_series`` before any check runs.  The closed-form
     Z and the tangent tables are computed at most once per call, by the
     first check that reads them.
     """
     if order < 2:
         raise ValueError("verification needs order at least 2")
-    if f.order < order + 2:
-        raise InsufficientOrderError(
-            f"insufficient precision: verification at order {order} needs the class "
-            f"series to degree {order + 2}, got order {f.order}"
-        )
+    check_class_series(f, order + 2)
     closed = cache(lambda: z_closed(f, order))
     tables = cache(lambda: tangent_tables(f, order))
     results = [

@@ -58,6 +58,15 @@ def test_a_zero_denominator_exits_2_and_names_the_piece(capsys):
     assert "the denominator of '1/0' is zero" in err
 
 
+def test_a_negative_first_coefficient_needs_the_equals_form(capsys):
+    # argparse takes "-1,2" after a space for an option, as the README says
+    code, out, err = run(capsys, "table", "--class", "-1,2", "--max-degree", "3")
+    assert code == 2
+    assert out == ""
+    assert err.endswith("hilbfock table: error: argument --class: expected one argument\n")
+    assert run(capsys, "table", "--class=-1,2", "--max-degree", "3")[0] == 0
+
+
 # ----------------------------------------------------------- table command
 
 

@@ -108,7 +108,8 @@ def oracle_z_series_hookform(f: Series1, N: int) -> Series2:
         for pair in level_pairs(n):
             if pair.lambda0.length <= 2 and pair.lambda1.length <= 2:
                 coefficient = oracle_hook_from_even_part(F, pair)
-                schur_product = schur_two_vars(pair.lambda0, N) * schur_two_vars(pair.lambda1, N)
+                s0, s1 = (Series2(schur_two_vars(p).rows, N) for p in (pair.lambda0, pair.lambda1))
+                schur_product = s0 * s1
                 total = add(total, scale(schur_product, coefficient))
     return total
 

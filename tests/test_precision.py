@@ -3,14 +3,19 @@
 Each entry point documents how far the class series must be known for
 a requested order.  One order short it raises InsufficientOrderError;
 at exactly that order it succeeds, with the same result as from a
-longer series.
+longer series.  Known that far, a series whose constant term is not 1
+is refused with ValueError, over either ring.
 """
+
+from fractions import Fraction
 
 import pytest
 
+from hilbfock import verification
 from hilbfock.closedform import (
     a_k_table,
     a_kl_table,
+    big_g,
     chern_character_tables,
     preset_class,
     small_g,
@@ -27,7 +32,8 @@ from hilbfock.localisation import (
     z_series_residue,
 )
 from hilbfock.partitions import Partition
-from hilbfock.series import InsufficientOrderError, SeriesError
+from hilbfock.rings import DUALS, DualNumber
+from hilbfock.series import InsufficientOrderError, Series1, SeriesError
 from hilbfock.verification import verify_multiplicative
 
 N = 5
@@ -54,6 +60,27 @@ CASES = [
 ]
 
 
+# f = 2 + x and f = 1 + eps + x, to a given order
+BAD_CLASSES = {
+    "QQ": lambda order: Series1((2, 1), order),
+    "DUALS": lambda order: Series1((DualNumber(Fraction(1), Fraction(1)), DUALS.one), order, DUALS),
+}
+GATED = CASES + [("big_g", big_g, 1)]
+
+
+@pytest.mark.parametrize("ring", BAD_CLASSES)
+@pytest.mark.parametrize("call, need", [case[1:] for case in GATED], ids=[case[0] for case in GATED])
+def test_a_constant_term_other_than_one_is_refused(call, need, ring):
+    with pytest.raises(ValueError, match="constant term 1"):
+        call(BAD_CLASSES[ring](need))
+
+
+def test_verify_refuses_a_bad_constant_term_before_any_check(monkeypatch):
+    monkeypatch.setattr(verification, "_run", lambda name, check: pytest.fail(f"{name} ran"))
+    with pytest.raises(ValueError, match="constant term 1"):
+        verify_multiplicative(BAD_CLASSES["QQ"](N + 2), "todd", N)
+
+
 @pytest.mark.parametrize("call, need", [case[1:] for case in CASES], ids=[case[0] for case in CASES])
 def test_one_order_short_is_refused(call, need):
     with pytest.raises(InsufficientOrderError, match="insufficient precision"):
@@ -74,7 +101,7 @@ def test_order_zero_asks_for_the_linear_coefficient(call):
 
 
 def test_a_negative_level_is_a_value_error():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot partition a negative integer"):
         equivariant_class_coeffs(preset_class("todd", 4), 2, -1)
 
 

@@ -30,8 +30,8 @@ def test_library_use_example_prints_its_values():
     assert out.getvalue().split() == ["-1/36", "-3/4"]
 
 
-def test_the_readme_shows_four_transcripts():
-    assert [args.split()[0] for args, _ in TRANSCRIPTS] == ["table", "table", "verify", "equivariant"]
+def test_the_readme_shows_five_transcripts():
+    assert [args.split()[0] for args, _ in TRANSCRIPTS] == ["table"] * 3 + ["verify", "equivariant"]
 
 
 @pytest.mark.parametrize("args, shown", TRANSCRIPTS, ids=[args for args, _ in TRANSCRIPTS])
