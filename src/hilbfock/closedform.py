@@ -75,11 +75,11 @@ _EVEN_KINDS = frozenset({KIND_THEOREM, KIND_UNIVERSAL, KIND_CHERN_CHARACTER})
 class CoeffTable(Frozen):
     """Coefficients indexed by pairs (k, l) with k >= l >= 1.
 
-    Only the k >= l half is stored; the full table is the symmetric
-    extension.  ``kind`` records which construction produced the table,
-    and for every kind except the tautological one the entries of odd
-    total degree must vanish, which is checked on construction: a table
-    that breaks it raises InternalCheckError.
+    Only the k >= l half, to total degree ``max_degree`` >= 0, is stored;
+    the full table is the symmetric extension.  ``kind`` records which
+    construction produced the table, and for every kind except the
+    tautological one the entries of odd total degree must vanish, which is
+    checked on construction: a table that breaks it raises InternalCheckError.
     """
 
     __slots__ = ("kind", "max_degree", "entries")
@@ -89,6 +89,8 @@ class CoeffTable(Frozen):
     ) -> None:
         if kind not in ALL_KINDS:
             raise ValueError(f"unknown coefficient table kind: {kind!r}")
+        if max_degree < 0:
+            raise ValueError(f"max degree must be >= 0, got {max_degree}")
         for (k, l), value in entries.items():
             if not (isinstance(k, int) and isinstance(l, int) and k >= l >= 1):
                 raise ValueError(f"bad table index {(k, l)}: need integers k >= l >= 1")

@@ -287,12 +287,12 @@ def z_series_hookform(f: Series1, N: int) -> Series2:
     gets one O(N^2) exponential E = exp(sum of L_k p_k(hooks) u^k) / (hook
     product), with L = log F.  Its integer row e from ``_power_sum_exp``
     has E_i = e_i / (i! c^i h), and h divides m!, so S[m][i], the sum
-    over two-row partitions of m of e_i (m!/h) times the Schur row (whose
-    coefficients are integers), is an integer row over m! i! c^i.  Row n
-    of Z is the sum over m and i of (-1)^m S[m][i] S[n - m][n - i],
-    multiplied as homogeneous polynomials; weighting each term by
-    C(n, m) C(n, i) puts it over (n!)^2 c^n, and one ``Ring.join`` per
-    row forms the coefficients.
+    over two-row partitions (m - j, j) of m of e_i (m!/h) on the entries
+    j..m - j, where their Schur row is 1, is an integer row over
+    m! i! c^i.  Row n of Z is the sum over m and i of (-1)^m S[m][i]
+    S[n - m][n - i], multiplied as homogeneous polynomials; weighting
+    each term by C(n, m) C(n, i) puts it over (n!)^2 c^n, and one
+    ``Ring.join`` per row forms the coefficients.
     """
     c, _, w = _class_log(f, N)
     S = []
@@ -301,14 +301,14 @@ def z_series_hookform(f: Series1, N: int) -> Series2:
         for j in range(m // 2 + 1):
             p = Partition((m - j, j))
             tableaux = factorial(m) // hook_product(p)
-            schur_row = [s.numerator for s in schur_two_vars(p).homogeneous(m)]
+            schur_row = schur_two_vars(p)
             for i, e in enumerate(_power_sum_exp(w, hook_multiset(p))):
                 if e:
                     e = e * tableaux
                     target = by_degree[i]
                     for k, s in enumerate(schur_row):
                         if s:
-                            target[k] += e * s
+                            target[k] += e
         S.append(by_degree)
     rows = []
     for n in range(N + 1):

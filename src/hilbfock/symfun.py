@@ -3,27 +3,23 @@
 On the middle-degree part of the Fock space, a class of the n-th
 Hilbert scheme is recorded by a two-variable polynomial; the
 fixed-point sum for Z(x, y) weights each pair of partitions by the
-product of their two-variable Schur polynomials.
+product of their two-variable Schur polynomials, each kept as its row
+of integer coefficients.
 """
 
 from __future__ import annotations
 
 from .partitions import Partition
-from .rings import QQ
-from .series import Series2
 
 
-def schur_two_vars(partition: Partition) -> Series2:
-    """The Schur polynomial specialised to two variables, to its degree.
+def schur_two_vars(partition: Partition) -> tuple[int, ...]:
+    """The Schur polynomial in two variables as its coefficient row.
 
-    Partitions with three or more rows give the zero polynomial.  For a
-    two-row partition (a, b) the specialisation is the homogeneous
-    polynomial sum of x^i y^(a+b-i) over b <= i <= a, which is the
-    quotient (x^(a+1) y^b - y^(a+1) x^b) / (x - y).
+    Entry i, of |λ| + 1, is the coefficient of x^i y^(|λ|-i).  A
+    two-row (a, b) gives 1 for b <= i <= a and 0 elsewhere, the quotient
+    (x^(a+1) y^b - y^(a+1) x^b) / (x - y); three or more rows give zeros.
     """
     if partition.length > 2:
-        return Series2((), partition.size)
+        return (0,) * (partition.size + 1)
     a, b = (*partition.parts, 0, 0)[:2]
-    # The one nonzero row; the rows below it, and its tail, are zero padding.
-    row = (QQ.zero,) * b + (QQ.one,) * (a - b + 1)
-    return Series2(((),) * (a + b) + (row,), a + b)
+    return (0,) * b + (1,) * (a - b + 1) + (0,) * b

@@ -302,6 +302,16 @@ def test_class_digits_beyond_the_int_digit_limit_are_refused(capsys, command):
     assert sys.get_int_max_str_digits() == limit
 
 
+def test_the_declared_python_floor_has_the_int_digit_limit():
+    # every command runs under ``_unlimited_digits``, which calls
+    # sys.get_int_max_str_digits: CPython has it from 3.10.7 and 3.11 on
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    floor = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["requires-python"]
+    assert floor.startswith(">=")
+    assert tuple(map(int, floor[2:].split("."))) >= (3, 10, 7)
+
+
 @pytest.mark.parametrize("class_spec", ["1e20000", "2,1E3", "1.5e-2", "1e5/2"])
 def test_exponent_notation_is_refused(capsys, monkeypatch, class_spec):
     parsed = []

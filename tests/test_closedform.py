@@ -140,6 +140,14 @@ def test_coeff_table_validation():
         CoeffTable(KIND_THEOREM, 4, {(2, 1): Fr(5)})
 
 
+def test_a_negative_table_degree_is_refused():
+    with pytest.raises(ValueError, match="max degree must be >= 0"):
+        CoeffTable(KIND_THEOREM, -5, {})
+    with pytest.raises(ValueError, match="max degree must be >= 0"):
+        chern_character_tables(-1)
+    assert CoeffTable(KIND_THEOREM, 0, {}).max_degree == 0
+
+
 def test_tautological_kind_allows_odd_totals():
     table = CoeffTable(KIND_TAUTOLOGICAL, 4, {(2, 1): Fr(5)})
     assert table.value(2, 1) == 5

@@ -50,8 +50,8 @@ from hilbfock.series import (
     reciprocal,
     shift_up,
 )
-from hilbfock.symfun import schur_two_vars
 
+import fraction_kernels
 from cell_oracle import cells, hook
 from exp_oracle import series_exp
 from fraction_kernels import add, in_x, in_y, monomial, negate, scale, scale_argument, series_log, zero
@@ -100,6 +100,14 @@ def oracle_hook_coefficient(f: Series1, pair: FixedPointBasisVector):
     return oracle_hook_from_even_part(f.truncate(n) * negate_argument(f.truncate(n)), pair)
 
 
+def oracle_schur(partition: Partition, N: int) -> Series2:
+    """s_(a,b)(x, y) = (x^(a+1) y^b - x^b y^(a+1)) / (x - y), to order N,
+    from the quotient rather than from the library's Schur row."""
+    a, b = (*partition.parts, 0, 0)[:2]
+    numerator = series2_from_dict({(a + 1, b): Fr(1), (b, a + 1): Fr(-1)}, a + b + 1)
+    return Series2(fraction_kernels.divide_by_x_minus_y(numerator).rows, N)
+
+
 def oracle_z_series_hookform(f: Series1, N: int) -> Series2:
     fN = f.truncate(N)
     F = fN * negate_argument(fN)
@@ -108,7 +116,7 @@ def oracle_z_series_hookform(f: Series1, N: int) -> Series2:
         for pair in level_pairs(n):
             if pair.lambda0.length <= 2 and pair.lambda1.length <= 2:
                 coefficient = oracle_hook_from_even_part(F, pair)
-                s0, s1 = (Series2(schur_two_vars(p).rows, N) for p in (pair.lambda0, pair.lambda1))
+                s0, s1 = (oracle_schur(p, N) for p in (pair.lambda0, pair.lambda1))
                 schur_product = s0 * s1
                 total = add(total, scale(schur_product, coefficient))
     return total
@@ -275,6 +283,25 @@ def test_hook_form_matches_oracle_on_two_row_pairs():
 def test_random_classes_match_hook_form_oracle(tail, N):
     f = Series1((Fr(1), *tail), N)
     assert z_series_hookform(f, N) == oracle_z_series_hookform(f, N)
+
+
+def test_a_wrong_schur_row_fails_the_oracle_and_the_triple_agreement(monkeypatch, capsys):
+    # The oracle builds its Schur factors from the quotient, so a row of
+    # (3, 1) with its middle 1 dropped, still symmetric, must fail the
+    # comparison, and ``verify`` must report it against the fixed-point
+    # sum: the closed form and the residue route read no Schur row.
+    schur = localisation.schur_two_vars
+    dropped = lambda p: (0, 1, 0, 1, 0) if p == Partition((3, 1)) else schur(p)
+    assert schur(Partition((3, 1))) == (0, 1, 1, 1, 0)
+    monkeypatch.setattr(localisation, "schur_two_vars", dropped)
+    f = preset_class("todd", 8)
+    assert z_series_hookform(f, 8) != oracle_z_series_hookform(f, 8)
+    assert cli.main(["verify", "--class", "todd", "--order", "8"]) == 1
+    captured = capsys.readouterr()
+    failed = [line.split()[1] for line in captured.out.splitlines() if line.startswith("FAIL")]
+    assert failed == ["triple-agreement"]
+    assert "first difference at x^2 y^2: closed form gives 7/36, fixed-point sum gives" in captured.out
+    assert captured.err == ""
 
 
 # ------------------------------------------------------------- integer recurrence

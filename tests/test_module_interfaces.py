@@ -10,7 +10,9 @@ own, and take the weights of f(u) f(-u) from the same record.  The
 closed-form tables run no step of the inversion that
 ``z_closed`` runs, and the inversion reads g off the powers of phi with
 no reciprocal.  No numerator kernel takes a degree: each reads it off
-its operands.
+its operands.  A two-variable Schur polynomial is a row of integers,
+so ``symfun`` needs no series or ring, and the hook form reads the row
+as it is.
 """
 
 import ast
@@ -178,3 +180,20 @@ def test_no_numerator_kernel_takes_a_degree():
         "_power_sum_exp": ["w", "values"],
         "_diagram_row": ["w", "partition", "alpha", "beta"],
     }
+
+
+def test_a_schur_polynomial_is_a_row_of_integers():
+    """``symfun`` returns plain integer rows, so it imports nothing from
+    ``series`` or ``rings``, and ``z_series_hookform`` adds each row as
+    it is, reading no ``numerator`` off a ``Fraction`` and no
+    ``homogeneous`` row off a ``Series2``."""
+    modules = {module for module, _ in _sibling_imports(_tree(SOURCE / "symfun.py"))}
+    assert modules.isdisjoint({"series", "rings", "hilbfock.series", "hilbfock.rings"})
+    tree = _tree(SOURCE / "localisation.py")
+    (hookform,) = [
+        node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "z_series_hookform"
+    ]
+    names = {node.attr for node in ast.walk(hookform) if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(hookform) if isinstance(node, ast.Name)}
+    assert "schur_two_vars" in names
+    assert names.isdisjoint({"numerator", "homogeneous"})

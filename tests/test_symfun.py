@@ -1,56 +1,59 @@
 from fractions import Fraction as Fr
 
 from cell_oracle import EMPTY
-from fraction_kernels import add, series2_from_dict
+from fraction_kernels import divide_by_x_minus_y, series2_from_dict
 from hilbfock.partitions import Partition, enumerate_partitions
-from hilbfock.series import Series2, divide_by_x_minus_y
 from hilbfock.symfun import schur_two_vars
 
 
-def nonzero(series):
-    """All nonzero entries of a Series2 as an {(i, j): value} dict."""
-    entries = {}
-    for degree in range(series.order + 1):
-        for i, value in enumerate(series.homogeneous(degree)):
-            if value:
-                entries[(i, degree - i)] = value
-    return entries
+def quotient_row(partition: Partition) -> tuple:
+    """The row of s_(a,b)(x, y) = (x^(a+1) y^b - x^b y^(a+1)) / (x - y),
+    checked to vanish off degree a + b; three or more rows give zeros."""
+    n = partition.size
+    if partition.length > 2:
+        return (Fr(0),) * (n + 1)
+    a, b = (*partition.parts, 0, 0)[:2]
+    numerator = series2_from_dict({(a + 1, b): Fr(1), (b, a + 1): Fr(-1)}, n + 1)
+    quotient = divide_by_x_minus_y(numerator)
+    for degree in range(n):
+        assert not any(quotient.homogeneous(degree))
+    return tuple(quotient.homogeneous(n))
 
 
 # ----------------------------------------------------------- Schur values
 
 
 def test_schur_small_cases():
-    assert nonzero(schur_two_vars(Partition((2,)))) == {
-        (2, 0): Fr(1),
-        (1, 1): Fr(1),
-        (0, 2): Fr(1),
-    }
-    assert nonzero(schur_two_vars(Partition((1, 1)))) == {(1, 1): Fr(1)}
-    assert nonzero(schur_two_vars(Partition((1, 1, 1)))) == {}
-    assert nonzero(schur_two_vars(EMPTY)) == {(0, 0): Fr(1)}
+    assert schur_two_vars(Partition((2,))) == (1, 1, 1)
+    assert schur_two_vars(Partition((1, 1))) == (0, 1, 0)
+    assert schur_two_vars(Partition((3, 1))) == (0, 1, 1, 1, 0)
+    assert schur_two_vars(Partition((1, 1, 1))) == (0, 0, 0, 0)
+    assert schur_two_vars(EMPTY) == (1,)
 
 
 def test_schur_matches_quotient_definition():
-    # s_(a,b)(x, y) = (x^(a+1) y^b - x^b y^(a+1)) / (x - y)
-    for a in range(5):
-        for b in range(a + 1):
-            order = a + b + 1
-            numerator = series2_from_dict(
-                {(a + 1, b): Fr(1), (b, a + 1): Fr(-1)}, order
-            )
-            expected = divide_by_x_minus_y(numerator)
-            p = Partition((a, b)) if b else (Partition((a,)) if a else EMPTY)
-            got = Series2(schur_two_vars(p).rows, order - 1)
-            assert nonzero(got) == nonzero(expected)
+    for n in range(9):
+        for p in enumerate_partitions(n):
+            row = schur_two_vars(p)
+            assert isinstance(row, tuple)
+            assert all(type(entry) is int for entry in row)
+            assert row == quotient_row(p), p
 
 
 def test_schur_is_homogeneous_of_partition_size():
-    for n in range(5):
+    # one entry per monomial x^i y^(n - i); a two-row partition (a, b)
+    # has its ones exactly on b <= i <= a
+    for n in range(9):
         for p in enumerate_partitions(n):
-            for (i, j), value in nonzero(schur_two_vars(p)).items():
-                assert i + j == n
-                assert value != 0
+            row = schur_two_vars(p)
+            assert len(row) == n + 1
+            ones = [i for i, entry in enumerate(row) if entry]
+            if p.length <= 2:
+                a, b = (*p.parts, 0, 0)[:2]
+                assert ones == list(range(b, a + 1))
+                assert set(row) <= {0, 1}
+            else:
+                assert ones == []
 
 
 # ----------------------------------------------------------- Newton identity
@@ -58,6 +61,5 @@ def test_schur_is_homogeneous_of_partition_size():
 
 def test_newton_identity_in_two_variables():
     # p_1^2 = (x + y)^2 = s_(2) + s_(1,1)
-    lhs = series2_from_dict({(2, 0): Fr(1), (1, 1): Fr(2), (0, 2): Fr(1)}, 2)
-    rhs = add(schur_two_vars(Partition((2,))), schur_two_vars(Partition((1, 1))))
-    assert nonzero(lhs) == nonzero(rhs)
+    rhs = [s + t for s, t in zip(schur_two_vars(Partition((2,))), schur_two_vars(Partition((1, 1))))]
+    assert rhs == [1, 2, 1]
