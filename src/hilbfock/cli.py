@@ -63,7 +63,7 @@ from .series import InternalCheckError, Series1
 from .verification import verify_chern_character, verify_multiplicative
 
 MAX_TABLE_DEGREE = 104
-MAX_VERIFY_ORDER = 21
+MAX_VERIFY_ORDER = 29
 MAX_EQUIVARIANT_LEVEL = 18
 DEFAULT_EQUIVARIANT_BOUND = 10
 

@@ -31,8 +31,8 @@ e_m = sum over 1 <= k <= m of w_k s_k e_(m-k) (m-1)!/(m-k)!.  Then
 exponential divides, and one ring element is formed per coefficient
 asked for, by ``Ring.join``.  ``Ring.split`` gives the numerators and c
 for either ring, so dual-number classes run the same recurrences on
-integer pairs a + b eps over the lcm c of the denominators of both
-parts.
+``DualNumber``s a + b eps with int parts over the lcm c of the
+denominators of both parts.
 
 The hook form uses F(u) = f(u) f(-u), whose log is twice the even part
 of log f, and the power sums of the hook lengths; ``_class_log`` forms

@@ -7,7 +7,8 @@ computation, which is how the additive Chern-character tables fall out
 of the multiplicative machinery.
 
 Nothing here is floating point.  Every coefficient in the whole package
-is either a ``Fraction`` or a ``DualNumber`` built from two of them.
+is either a ``Fraction`` or a ``DualNumber`` built from two of them, and
+``DualNumber`` with int parts is also the numerator type of ``DUALS``.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ class Frozen:
     ...)`` repr, immutability, and a ``__reduce__`` that rebuilds
     through the constructor, which is what ``copy`` and ``pickle`` use.
     It stands in for frozen dataclasses, whose machinery costs about
-    10 ms of start-up in every CLI process.
+    10 ms of start-up in every CLI process.  ``DualNumber``, built once
+    per numerator operation, is not one: it skips ``object.__setattr__``.
     """
 
     __slots__ = ()
@@ -82,62 +84,74 @@ class Frozen:
 
 
 _ZERO = Fraction(0)
+_new = object.__new__
 
 
-class DualNumber(Frozen):
-    """An element ``value + infinitesimal * eps`` of Q[eps]/(eps^2).
+class DualNumber:
+    """An element ``value + infinitesimal * eps`` of Q[eps]/(eps^2), or
+    the numerator of one in ``DUALS.split``.
 
     Arithmetic follows the single defining relation eps^2 = 0, so
     multiplication is (a + b eps)(c + d eps) = ac + (ad + bc) eps.
     Ints and Fractions mix freely with dual numbers under +, * and /.
     There is no binary -: a difference is written a + (-b).
+
+    The constructor makes both parts Fractions, and so do ``inverse``
+    and /.  A numerator has int parts and a nonzero eps part; +, unary -
+    and * keep the type of the parts, and a result with int parts whose
+    eps part cancels comes back as that int, so the real parts of a
+    kernel run on plain ints and a numerator is never zero.
     """
 
-    __slots__ = ("value", "infinitesimal")
+    __slots__ = ("_value", "_infinitesimal")
 
     def __init__(self, value: Fraction, infinitesimal: Fraction = _ZERO) -> None:
-        if type(value) is not Fraction:
-            value = to_fraction(value)
-        if type(infinitesimal) is not Fraction:
-            infinitesimal = to_fraction(infinitesimal)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "infinitesimal", infinitesimal)
+        self._value = value if type(value) is Fraction else to_fraction(value)
+        self._infinitesimal = infinitesimal if type(infinitesimal) is Fraction else to_fraction(infinitesimal)
+
+    value = property(lambda self: self._value)
+    infinitesimal = property(lambda self: self._infinitesimal)
 
     @staticmethod
     def lift(other: Any) -> "DualNumber | None":
         if isinstance(other, DualNumber):
             return other
         if isinstance(other, (int, Fraction)):
-            return DualNumber(to_fraction(other))
+            return DualNumber(other)
         return None
 
-    def __add__(self, other: Any) -> "DualNumber":
-        lifted = DualNumber.lift(other)
-        if lifted is None:
-            return NotImplemented
-        return DualNumber(self.value + lifted.value, self.infinitesimal + lifted.infinitesimal)
+    def __add__(self, other: Any) -> "DualNumber | int":
+        # ints first, here and in *: kernel sums start at the int 0 and products take int scales
+        if type(other) is int:
+            return _dual(self._value + other, self._infinitesimal)
+        if type(other) is DualNumber:
+            return _dual(self._value + other._value, self._infinitesimal + other._infinitesimal)
+        if isinstance(other, (int, Fraction)):
+            return _dual(self._value + other, self._infinitesimal)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self) -> "DualNumber":
-        return DualNumber(-self.value, -self.infinitesimal)
+        return _dual(-self._value, -self._infinitesimal)
 
-    def __mul__(self, other: Any) -> "DualNumber":
-        lifted = other if type(other) is DualNumber else DualNumber.lift(other)
-        if lifted is None:
-            return NotImplemented
-        return DualNumber(
-            self.value * lifted.value,
-            self.value * lifted.infinitesimal + self.infinitesimal * lifted.value,
-        )
+    def __mul__(self, other: Any) -> "DualNumber | int":
+        if type(other) is int:
+            return _dual(self._value * other, self._infinitesimal * other)
+        if type(other) is DualNumber:
+            a, c = self._value, other._value
+            return _dual(a * c, a * other._infinitesimal + self._infinitesimal * c)
+        if isinstance(other, (int, Fraction)):
+            return _dual(self._value * other, self._infinitesimal * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self) -> "DualNumber":
-        if self.value == 0:
+        if self._value == 0:
             raise ZeroDivisionError("dual number with zero rational part is not invertible")
-        inv = 1 / self.value
-        return DualNumber(inv, -self.infinitesimal * inv * inv)
+        inv = Fraction(1, self._value)
+        return DualNumber(inv, -self._infinitesimal * inv * inv)
 
     def __truediv__(self, other: Any) -> "DualNumber":
         lifted = DualNumber.lift(other)
@@ -149,25 +163,35 @@ class DualNumber(Frozen):
         lifted = DualNumber.lift(other)
         if lifted is None:
             return NotImplemented
-        return self.value == lifted.value and self.infinitesimal == lifted.infinitesimal
+        return self._value == lifted._value and self._infinitesimal == lifted._infinitesimal
 
     def __hash__(self) -> int:
-        if self.infinitesimal == 0:
-            return hash(self.value)
-        return hash((self.value, self.infinitesimal))
+        if self._infinitesimal == 0:
+            return hash(self._value)
+        return hash((self._value, self._infinitesimal))
 
     def __bool__(self) -> bool:
-        return self.value != 0 or self.infinitesimal != 0
+        return self._infinitesimal != 0 or self._value != 0
 
     def __repr__(self) -> str:
-        return f"DualNumber({self.value}, {self.infinitesimal})"
+        return f"DualNumber({self._value}, {self._infinitesimal})"
 
     def __str__(self) -> str:
-        if self.infinitesimal == 0:
-            return str(self.value)
-        if self.value == 0:
-            return f"{self.infinitesimal}*eps"
-        return f"{self.value} + {self.infinitesimal}*eps"
+        if self._infinitesimal == 0:
+            return str(self._value)
+        if self._value == 0:
+            return f"{self._infinitesimal}*eps"
+        return f"{self._value} + {self._infinitesimal}*eps"
+
+
+def _dual(a: Any, b: Any) -> "DualNumber | int":
+    """a + b eps with the parts as given, or the int a where b is the int 0."""
+    if type(b) is int and not b:
+        return a
+    new = _new(DualNumber)
+    new._value = a
+    new._infinitesimal = b
+    return new
 
 
 def _to_dual(value: Any) -> DualNumber:
@@ -188,11 +212,10 @@ class Ring(Frozen):
     denominator, a positive int, with values[i] = numerators[i] /
     denominator; the numerators support +, unary -, * and truth tests,
     and mix with ints, so a kernel writes a difference as a + -b.  They
-    are ints over the rationals, and integer pairs a + b eps
-    (``_DualNumerator``, or an int where b = 0) over the dual numbers, so
-    the kernels run on ints for both rings.
-    ``cancel(numerators, denominator)`` divides both by
-    their common factor, which keeps a chain of products at the size of
+    are ints over the rationals, and over the dual numbers ``DualNumber``s
+    a + b eps with int parts, or the int a where b = 0, so the kernels run
+    on ints for both rings.  ``cancel(numerators, denominator)`` divides
+    both by their common factor, which keeps a chain of products at the size of
     its reduced terms.  ``join(numerators, denominator)`` returns the
     tuple of ring elements numerators[i] / denominator, for any positive
     int denominator.  A kernel splits its operands, runs on the
@@ -230,76 +253,27 @@ def _join_rationals(numerators: Sequence[int], denominator: int) -> tuple[Fracti
     return tuple(Fraction(v, denominator) if v else _ZERO for v in numerators)
 
 
-class _DualNumerator:
-    """The numerator a + b eps of a dual number in ``DUALS.split``, with
-    a and b ints and b nonzero.
-
-    It supplies what the series kernels ask of a numerator: +, unary -,
-    * and mixing with ints, as ``DualNumber`` does.  An int n stands for
-    n + 0 eps, and every result whose eps part cancels comes back as an
-    int, so the real parts of a kernel run on plain ints and an instance
-    is never zero: it is true in a truth test, and a zero is the int 0.
-    """
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: int, b: int) -> None:
-        self.a = a
-        self.b = b
-
-    def __add__(self, other: Any) -> "_DualNumerator | int":
-        if type(other) is _DualNumerator:
-            b = self.b + other.b
-            return _DualNumerator(self.a + other.a, b) if b else self.a + other.a
-        if isinstance(other, int):
-            return _DualNumerator(self.a + other, self.b)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "_DualNumerator":
-        return _DualNumerator(-self.a, -self.b)
-
-    def __mul__(self, other: Any) -> "_DualNumerator | int":
-        a = self.a
-        if type(other) is _DualNumerator:
-            c = other.a
-            b = a * other.b + self.b * c
-            return _DualNumerator(a * c, b) if b else a * c
-        if isinstance(other, int):
-            return _DualNumerator(a * other, self.b * other) if other else 0
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-
-def _unpack(numerators: Sequence) -> list[int]:
-    """a_0, b_0, a_1, b_1, ... of numerators a_i + b_i eps."""
-    flat = []
-    for v in numerators:
-        flat.extend((v.a, v.b) if type(v) is _DualNumerator else (v, 0))
-    return flat
-
-
-def _pack(flat: Sequence[int]) -> list:
-    """The numerators a_i + b_i eps of a_0, b_0, a_1, b_1, ..."""
-    return [_DualNumerator(a, b) if b else a for a, b in zip(flat[::2], flat[1::2])]
+def _parts(numerator: Any) -> tuple:
+    """(a, b) of a numerator a + b eps, where an int n is n + 0 eps."""
+    if type(numerator) is DualNumber:
+        return numerator._value, numerator._infinitesimal
+    return numerator, 0
 
 
 def _split_duals(values: Sequence[DualNumber]) -> tuple[list, int]:
-    """Integer numerators a + b eps over the lcm of the denominators of
-    both parts of every value."""
-    flat, denominator = _split_rationals([x for v in values for x in (v.value, v.infinitesimal)])
-    return _pack(flat), denominator
+    """Numerators a + b eps over the lcm of the denominators of both parts of every value."""
+    flat, denominator = _split_rationals([x for v in values for x in (v._value, v._infinitesimal)])
+    return list(map(_dual, flat[::2], flat[1::2])), denominator
 
 
 def _cancel_duals(numerators: Sequence, denominator: int) -> tuple[list, int]:
-    flat, denominator = _cancel_rationals(_unpack(numerators), denominator)
-    return _pack(flat), denominator
+    parts = list(map(_parts, numerators))
+    common = gcd(denominator, *(x for pair in parts for x in pair))
+    return [_dual(a // common, b // common) for a, b in parts], denominator // common
 
 
 def _join_duals(numerators: Sequence, denominator: int) -> tuple[DualNumber, ...]:
-    flat = _join_rationals(_unpack(numerators), denominator)
+    flat = _join_rationals([x for v in numerators for x in _parts(v)], denominator)
     return tuple(map(DualNumber, flat[::2], flat[1::2]))
 
 

@@ -32,9 +32,10 @@ denominator as it is.  ``localisation`` takes its logs from the same
 The kernels run on numerators over one common denominator, the
 representation of FLINT's fmpq_poly.  ``Ring.split`` writes a sequence
 of coefficients as numerators over one int denominator (integers over
-the lcm of the denominators; for dual numbers, integer pairs a + b eps
-over the lcm of the denominators of both parts), and ``Ring.join``
-forms ring elements again.  ``split_rows`` and ``join_rows`` do the
+the lcm of the denominators; for dual numbers, ``DualNumber``s a + b eps
+with int parts, or the int a where b = 0, over the lcm of the
+denominators of both parts), and ``Ring.join`` forms ring elements
+again.  ``split_rows`` and ``join_rows`` do the
 same for a table of rows.  ``convolve_numerators``, ``power_chain``,
 ``multiply_graded_rows``, ``congruence_numerators``,
 ``compose_difference_numerators``, ``divide_numerators_by_x_minus_y``,

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilbfock import series
 from hilbfock.closedform import (
@@ -468,6 +470,20 @@ def test_taut_tables_for_todd_against_logarithm_oracle():
 
     assert table.value(1, 1) == Fr(1, 12)
     assert table.value(2, 1) == Fr(-1, 24)
+
+
+@given(st.lists(st.fractions(min_value=-8, max_value=8, max_denominator=16), min_size=31, max_size=31))
+@settings(max_examples=6, deadline=None)
+def test_taut_tables_to_first_order(h):
+    # f = 1 + eps h, h = h_1 x + h_2 x^2 + ...: f(-u) = 1 + eps h(-u), so
+    # g = x f(-g) is x + eps x h(-x), and every table entry is first
+    # order in eps, read off the powers of f(-u) on dual numerators
+    N = 30
+    f = Series1([DUALS.one] + [DualNumber(0, c) for c in h], N + 1, DUALS)
+    a_k, table = taut_tables(f, N)
+    assert a_k == {1: 1} | {k: DualNumber(0, (-1) ** (k - 1) * h[k - 2] / k) for k in range(2, N + 1)}
+    assert table.entries == {(k, l): DualNumber(0, (-1) ** (k + l) * h[k + l - 1]) for k, l in table.entries}
+    assert len(table.entries) == 225
 
 
 def test_taut_tables_reject_bad_constant_term():

@@ -157,3 +157,30 @@ def test_dual_numerators_follow_dual_arithmetic(pair, k):
     assert DUALS.join([x * y], d * d) == (a * b,)
     assert DUALS.join([x + k, k + x, x + -k, k + -x], d) == (a + shift, a + shift, a + -shift, shift + -a)
     assert DUALS.join([x * k, k * x], d) == (a * k, a * k)
+
+
+def test_a_numerator_whose_eps_part_cancels_is_an_int():
+    # d = 6: x = 3 + 18 eps and y = 2 - 18 eps, with int parts
+    (x, y), d = DUALS.split([DualNumber(Fraction(1, 2), 3), DualNumber(Fraction(1, 3), -3)])
+    assert d == 6
+    assert type(x) is DualNumber and (x.value, x.infinitesimal) == (3, 18)
+    assert type(x.value) is int and type(x.infinitesimal) is int
+    (e,), _ = DUALS.split([DualNumber(0, 1)])
+    for result, expected in [(x + y, 5), (y + x, 5), (x + -x, 0), (e * e, 0), (x * 0, 0), (0 * x, 0)]:
+        assert type(result) is int and result == expected
+    product = x * y
+    assert type(product) is DualNumber and type(product.value) is int and type(product.infinitesimal) is int
+    # a ring element keeps its Fraction parts, also where its eps part cancels
+    total = DualNumber(1, 1) + DualNumber(1, -1)
+    assert type(total) is DualNumber and type(total.infinitesimal) is Fraction
+
+
+def test_inverse_and_division_never_give_a_float_part():
+    (x,), d = DUALS.split([DualNumber(2, 3)])
+    assert d == 1 and type(x.value) is int
+    element = DualNumber(2, 3)
+    for result in (x.inverse(), x / 3, x / x, 1 * x / element, element.inverse(), element / 4, element / x):
+        assert type(result) is DualNumber
+        assert type(result.value) is Fraction and type(result.infinitesimal) is Fraction
+    assert x.inverse() == DualNumber(Fraction(1, 2), Fraction(-3, 4))
+    assert x / x == 1

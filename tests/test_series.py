@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbfock import series
-from hilbfock.rings import DUALS, DualNumber, _DualNumerator
+from hilbfock.rings import DUALS, DualNumber, _dual
 from hilbfock.series import (
     InsufficientOrderError,
     InternalCheckError,
@@ -258,7 +258,7 @@ def test_the_inverse_round_trip_sees_a_leftover_eps_part(monkeypatch):
 
     def perturbed(ring, coefficients, count):
         for a, (P, D) in enumerate(chain(ring, coefficients, count), 1):
-            yield ([*P[:3], P[3] + _DualNumerator(0, 1), *P[4:]] if a == 3 else P), D
+            yield ([*P[:3], P[3] + _dual(0, 1), *P[4:]] if a == 3 else P), D
 
     monkeypatch.setattr(series, "power_chain", perturbed)
     with pytest.raises(InternalCheckError, match="round-trip check"):
