@@ -166,11 +166,11 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buffer.getvalue()
 
 
-def _table_json(label: str, max_degree: int, a_k: dict[int, Fraction], table: CoeffTable) -> str:
+def _table_json(label: str, a_k: dict[int, Fraction], table: CoeffTable) -> str:
     payload = {
         "class": label,
-        "max_degree": max_degree,
-        "a_k": [str(a_k[k]) for k in range(1, max_degree + 1)],
+        "max_degree": table.max_degree,
+        "a_k": [str(value) for value in a_k.values()],
         "a_kl": [
             {"k": k, "l": l, "value": str(table.entries[(k, l)])}
             for k, l in _ordered_pairs(table)
@@ -179,8 +179,8 @@ def _table_json(label: str, max_degree: int, a_k: dict[int, Fraction], table: Co
     return _json_text(payload)
 
 
-def _table_csv(a_k: dict[int, Fraction], table: CoeffTable, max_degree: int) -> str:
-    rows = [(k, 0, a_k[k]) for k in range(1, max_degree + 1)]
+def _table_csv(a_k: dict[int, Fraction], table: CoeffTable) -> str:
+    rows = [(k, 0, value) for k, value in a_k.items()]
     rows.extend((k, l, value) for (k, l), value in table.entries.items())
     rows.sort(key=lambda row: (row[0] + row[1], -row[0]))
     return _csv_text(["k", "l", "value"], [[k, l, str(value)] for k, l, value in rows])
@@ -198,10 +198,10 @@ def _aligned_rows(columns: list[tuple[str, str]], names: tuple[str, str]) -> str
     return "".join(lines)
 
 
-def _table_pretty(label: str, max_degree: int, a_k: dict[int, Fraction], table: CoeffTable) -> str:
-    lines = [f"class {label}, table kind {table.kind}, total degree <= {max_degree}", ""]
+def _table_pretty(label: str, a_k: dict[int, Fraction], table: CoeffTable) -> str:
+    lines = [f"class {label}, table kind {table.kind}, total degree <= {table.max_degree}", ""]
     blocks = (
-        (("k", "a_k"), [(str(k), a_k[k]) for k in range(1, max_degree + 1)]),
+        (("k", "a_k"), [(str(k), value) for k, value in a_k.items()]),
         (("(k,l)", "a_kl"), [(f"({k},{l})", table.entries[k, l]) for k, l in _ordered_pairs(table)]),
     )
     for names, cells in blocks:
@@ -240,11 +240,11 @@ def cmd_table(args: argparse.Namespace, spec: ClassSpec) -> int:
         table = to_universal(table)
 
     if args.format == "json":
-        text = _table_json(spec.label, max_degree, a_k, table)
+        text = _table_json(spec.label, a_k, table)
     elif args.format == "csv":
-        text = _table_csv(a_k, table, max_degree)
+        text = _table_csv(a_k, table)
     else:
-        text = _table_pretty(spec.label, max_degree, a_k, table)
+        text = _table_pretty(spec.label, a_k, table)
     sys.stdout.write(text)
     return 0
 

@@ -194,7 +194,7 @@ def a_k_table(f: Series1, N: int) -> dict[int, Fraction]:
     return {k: c / k for k, c in enumerate(small_g(f, N).coefficients[1:], 1)}
 
 
-def _power_tables(P: Series1, N: int, subtract_log: bool) -> tuple[dict, dict]:
+def _power_tables(P: Series1, subtract_log: bool) -> tuple[dict, dict]:
     """a_k and the pair entries of the inverse g of u / P(u), read off
     the powers of P by Lagrange-Buermann, with no inversion.
 
@@ -214,10 +214,9 @@ def _power_tables(P: Series1, N: int, subtract_log: bool) -> tuple[dict, dict]:
     A_k[k - i] W_(i+j) C(i+j-1, i-1).  Both sweeps cost O(N^3) and visit
     only the m with A_k[k - m] != 0: P is even for the tangent table, and
     1 for the trivial class.  Each entry is joined once over its own
-    denominator.  P is read to degree N.
+    denominator.  N is the order of P: P is read to its own order.
     """
-    ring = P.ring
-    P = P.truncate(N)
+    ring, N = P.ring, P.order
     A, D = zip(([1], 1), *power_chain(ring, P.coefficients, N))
     a_k = {k: ring.join((A[k][k - 1],), k * k * D[k])[0] for k in range(1, N + 1)}
     live = [[m for m in range(1, k + 1) if A[k][k - m]] for k in range(N + 1)]
@@ -252,7 +251,7 @@ def tangent_tables(f: Series1, N: int) -> tuple[dict[int, Fraction], CoeffTable]
     reads f to degree N only; asking for f one degree beyond N, as
     ``z_closed`` needs, is the public precision contract of the tables.
     """
-    a_k, entries = _power_tables(_big_f(f, N + 1), N, subtract_log=True)
+    a_k, entries = _power_tables(_big_f(f, N + 1).truncate(N), subtract_log=True)
     return a_k, CoeffTable(KIND_THEOREM, N, entries)
 
 
@@ -375,5 +374,5 @@ def taut_tables(f: Series1, N: int) -> tuple[dict[int, Fraction], CoeffTable]:
     N is the public precision contract, as for ``tangent_tables``.  No
     parity or positivity is imposed: this g is not odd.
     """
-    a_k, entries = _power_tables(negate_argument(check_class_series(f, N + 1)), N, subtract_log=False)
+    a_k, entries = _power_tables(negate_argument(check_class_series(f, N + 1).truncate(N)), subtract_log=False)
     return a_k, CoeffTable(KIND_TAUTOLOGICAL, N, entries)

@@ -10,9 +10,10 @@ own, and take the weights of f(u) f(-u) from the same record.  The
 closed-form tables run no step of the inversion that
 ``z_closed`` runs, and the inversion reads g off the powers of phi with
 no reciprocal.  No numerator kernel takes a degree: each reads it off
-its operands.  A two-variable Schur polynomial is a row of integers,
-so ``symfun`` needs no series or ring, and the hook form reads the row
-as it is.
+its operands, and so do the private helpers of the closed-form tables,
+of ``verify`` and of ``table``'s writers.  A two-variable Schur
+polynomial is a row of integers, so ``symfun`` needs no series or ring,
+and the hook form reads the row as it is.
 """
 
 import ast
@@ -20,7 +21,7 @@ import inspect
 from pathlib import Path
 
 import hilbfock
-from hilbfock import localisation, series
+from hilbfock import cli, closedform, localisation, series, verification
 
 SOURCE = Path(hilbfock.__file__).parent
 
@@ -180,6 +181,32 @@ def test_no_numerator_kernel_takes_a_degree():
         "_power_sum_exp": ["w", "values"],
         "_diagram_row": ["w", "partition", "alpha", "beta"],
     }
+
+
+def test_no_helper_takes_a_degree_its_operands_carry():
+    """The power tables run to the order of P, the log-exp and parity
+    checks to the order of Z and the even-a_k check to the length of
+    a_k; the writers of ``table`` read the degree off the table, so no
+    caller can pass a degree that disagrees with the data."""
+    parameters = {
+        helper.__name__: list(inspect.signature(helper).parameters)
+        for helper in (
+            closedform._power_tables,
+            verification._check_log_exp,
+            verification._check_parity,
+            verification._check_even_a_k,
+        )
+    }
+    assert parameters == {
+        "_power_tables": ["P", "subtract_log"],
+        "_check_log_exp": ["z", "table"],
+        "_check_parity": ["a_k", "z"],
+        "_check_even_a_k": ["a_k"],
+    }
+    writers = {name: getattr(cli, name) for name in dir(cli) if name.startswith("_table_")}
+    assert sorted(writers) == ["_table_csv", "_table_json", "_table_pretty"]
+    for name, writer in writers.items():
+        assert "max_degree" not in inspect.signature(writer).parameters, name
 
 
 def test_a_schur_polynomial_is_a_row_of_integers():

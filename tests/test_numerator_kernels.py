@@ -294,7 +294,7 @@ def assert_power_tables_match_the_grunsky_identity(P: Series1, N: int) -> None:
     a_k = {k: g.coefficients[k] / ring.coerce(k) for k in range(1, N + 1)}
     for subtract_log, outer_log in ((False, None), (True, series_log(P))):
         expected = oracle.pair_log_entries(G, powers, N, outer_log)
-        assert _power_tables(P, N, subtract_log) == (a_k, expected)
+        assert _power_tables(P.truncate(N), subtract_log) == (a_k, expected)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -80,8 +80,8 @@ def test_a_wrong_normalisation_of_a_k_fails_the_triple_agreement_only(monkeypatc
     # a_k = 0 are unchanged, so the first k it shows at is 3
     power_tables = closedform._power_tables
 
-    def perturbed(P, N, subtract_log):
-        a_k, entries = power_tables(P, N, subtract_log)
+    def perturbed(P, subtract_log):
+        a_k, entries = power_tables(P, subtract_log)
         return {k: v / k for k, v in a_k.items()}, entries
 
     monkeypatch.setattr(closedform, "_power_tables", perturbed)
@@ -148,8 +148,8 @@ def _raise_an_odd_tangent_entry(monkeypatch):
     # a tangent table with a nonzero entry of odd total degree
     power_tables = closedform._power_tables
 
-    def perturbed(P, N, subtract_log):
-        a_k, entries = power_tables(P, N, subtract_log)
+    def perturbed(P, subtract_log):
+        a_k, entries = power_tables(P, subtract_log)
         entries[(2, 1)] += 1
         return a_k, entries
 
