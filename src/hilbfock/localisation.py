@@ -81,7 +81,6 @@ from .series import (
     compose,
     congruence_numerators,
     divide_by_x_minus_y,
-    join_rows,
     log_numerators,
     negate_argument,
     power_chain,
@@ -368,4 +367,5 @@ def z_series_residue(f: Series1, N: int) -> Series2:
     T = [[P[r - i] * (t // D) for r, (P, D) in enumerate(powers[i:], i)] for i in range(M + 1)]
     rows = congruence_numerators(C, T)
     signed = [[-v for v in row] if d % 2 else row for d, row in enumerate(rows)]
-    return divide_by_x_minus_y(divide_by_x_minus_y(Series2(join_rows(ring, signed, q * t * t), M, ring)))
+    Z = Series2(tuple(ring.join(row, q * t * t) for row in signed), M, ring)
+    return divide_by_x_minus_y(divide_by_x_minus_y(Z))

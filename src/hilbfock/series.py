@@ -35,8 +35,7 @@ of coefficients as numerators over one int denominator (integers over
 the lcm of the denominators; for dual numbers, ``DualNumber``s a + b eps
 with int parts, or the int a where b = 0, over the lcm of the
 denominators of both parts), and ``Ring.join`` forms ring elements
-again.  ``split_rows`` and ``join_rows`` do the
-same for a table of rows.  ``convolve_numerators``, ``power_chain``,
+again.  ``convolve_numerators``, ``power_chain``,
 ``multiply_graded_rows``, ``congruence_numerators``,
 ``compose_difference_numerators``, ``divide_numerators_by_x_minus_y``,
 ``quotient_numerators`` and ``log_numerators`` are the public numerator
@@ -51,16 +50,22 @@ of products (the powers) and the triangular division cancel each new
 term, so their denominator stays the lcm of the reduced ones instead of
 growing as a power.  ``multiply_graded_rows`` is the one two-variable
 product: ``Series2.__mul__``, the Horner steps of ``compose`` and
-``closedform.z_closed`` all run on it.  It keeps one reduced
-denominator per row of total degree, since the denominators of a series
-often grow with the degree, and a row with no term is zero over 1.
-One body serves both rings.  Only the one-pass operations (a constant
-added to a ``Series2``, x -> -x, the shift, the derivative) work on
-ring elements.
+``closedform.z_closed`` all run on it.  A two-variable table keeps one
+reduced denominator per row of total degree, since the denominators of
+a series often grow with the degree, and a row with no term is zero
+over 1: ``multiply_graded_rows`` takes and returns such rows, and
+``divide_numerators_by_x_minus_y``, which works row by row, gives
+quotient row d - 1 the denominator of row d.  Only
+``congruence_numerators`` mixes rows, so it alone takes a table over one
+denominator, from ``split_rows``, and its caller joins the rows it
+returns over that one denominator.  One body serves both rings.  Only
+the one-pass operations (a constant added to a ``Series2``, x -> -x,
+the shift, the derivative) work on ring elements.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from math import comb, lcm
 from typing import Any, Sequence
 
@@ -95,24 +100,12 @@ def check_class_series(f: "Series1", order: int) -> "Series1":
 # numerator kernels: each runs on the numerators from ``Ring.split``
 
 
-def _regroup(flat: Sequence, rows: Sequence[Sequence]) -> list:
-    """Cut ``flat`` into pieces of the lengths of ``rows``."""
-    out, start = [], 0
-    for row in rows:
-        out.append(flat[start : start + len(row)])
-        start += len(row)
-    return out
-
-
 def split_rows(ring: Ring, rows: Sequence[Sequence]) -> tuple[list[list], int]:
-    """``Ring.split`` of a table: numerator rows over one denominator."""
+    """``Ring.split`` of a table: numerator rows over one denominator,
+    the input of ``congruence_numerators``."""
     flat, denominator = ring.split([c for row in rows for c in row])
-    return _regroup(flat, rows), denominator
-
-
-def join_rows(ring: Ring, rows: Sequence[Sequence], denominator: int) -> tuple[tuple, ...]:
-    """``Ring.join`` of a table of numerator rows."""
-    return tuple(_regroup(ring.join([c for row in rows for c in row], denominator), rows))
+    numerators = iter(flat)
+    return [list(islice(numerators, len(row))) for row in rows], denominator
 
 
 def convolve_numerators(a: Sequence, b: Sequence) -> list:
@@ -183,7 +176,8 @@ def divide_numerators_by_x_minus_y(rows: Sequence[Sequence]) -> list[list]:
     of x^j y^(d-j), the quotient layer b of degree d-1 satisfies
     c_j = b_(j-1) - b_j, which is solved from the top down.  The
     leftover at j = 0 is the division remainder and must vanish.  Only
-    additions, so the denominator does not change.
+    additions within a row, so each quotient row d - 1 keeps the
+    denominator of row d, whether the rows share one or each has its own.
     """
     if rows[0][0]:
         raise SeriesError("not divisible by (x - y)")
@@ -481,7 +475,8 @@ def compose(outer: Series1, inner: Series2) -> Series2:
     package's one two-variable product: h starts at zero, and for
     k = n, ..., 1 row 0 of h is set to outer_k and h is multiplied by
     ``inner``.  Row 0 of a product by a constant-free series has no
-    term, so setting it adds outer_k.  Each row keeps its own reduced
+    term, so setting it adds outer_k.  ``inner`` is split row by row, as
+    in ``Series2.__mul__``, and each row of h keeps its own reduced
     denominator through the steps and is joined over it; outer_0 is
     added to the joined series.  The product visits only the nonzero
     entries of ``inner``, so a sparse inner series such as x - y costs
@@ -492,10 +487,10 @@ def compose(outer: Series1, inner: Series2) -> Series2:
     if inner.constant_term != ring.zero:
         raise SeriesError("composition requires the inner series to have zero constant term")
     n = min(outer.order, inner.order)
-    I, d = split_rows(ring, inner.rows[: n + 1])
+    I, b = zip(*map(ring.split, inner.rows[: n + 1]))
     # O[k] / c is outer_k; outer_0 is added to the joined series.
     O, c = ring.split(outer.coefficients[: n + 1])
-    H, h, b = [[0] * (e + 1) for e in range(n + 1)], [c] * (n + 1), [d] * (n + 1)
+    H, h = [[0] * (e + 1) for e in range(n + 1)], [c] * (n + 1)
     for k in range(n, 0, -1):
         H[0], h[0] = [O[k]], c
         H, h = multiply_graded_rows(ring, H, h, I, b)
@@ -584,7 +579,9 @@ def shift_up(series: Series1, k: int) -> Series1:
 
 def divide_by_x_minus_y(series: Series2) -> Series2:
     """Exact division by (x - y), one homogeneous layer at a time, on
-    numerators (see ``divide_numerators_by_x_minus_y``)."""
+    numerators (see ``divide_numerators_by_x_minus_y``).  Each row is
+    split over its own denominator, and quotient row d - 1 is joined
+    over that of row d."""
     ring = series.ring
-    rows, d = split_rows(ring, series.rows)
-    return Series2(join_rows(ring, divide_numerators_by_x_minus_y(rows), d), series.order - 1, ring)
+    rows, d = zip(*map(ring.split, series.rows))
+    return Series2(tuple(map(ring.join, divide_numerators_by_x_minus_y(rows), d[1:])), series.order - 1, ring)

@@ -13,7 +13,9 @@ no reciprocal.  No numerator kernel takes a degree: each reads it off
 its operands, and so do the private helpers of the closed-form tables,
 of ``verify`` and of ``table``'s writers.  A two-variable Schur
 polynomial is a row of integers, so ``symfun`` needs no series or ring,
-and the hook form reads the row as it is.
+and the hook form reads the row as it is.  A two-variable table keeps
+one denominator per row everywhere but at the congruence, so only the
+residue route splits a whole table over one denominator.
 """
 
 import ast
@@ -224,3 +226,20 @@ def test_a_schur_polynomial_is_a_row_of_integers():
     names |= {node.id for node in ast.walk(hookform) if isinstance(node, ast.Name)}
     assert "schur_two_vars" in names
     assert names.isdisjoint({"numerator", "homogeneous"})
+
+
+def test_only_the_congruence_input_is_split_over_one_denominator():
+    """``divide_by_x_minus_y`` and ``compose`` split and join two-variable
+    tables row by row, so the package source never mentions ``join_rows``
+    or ``_regroup``, and ``split_rows``, the congruence's input format,
+    is called only by ``z_series_residue``."""
+    callers = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "join_rows" not in text and "_regroup" not in text, path.name
+        for function in ast.walk(ast.parse(text)):
+            if isinstance(function, ast.FunctionDef) and any(
+                isinstance(node, ast.Call) and ast.unparse(node.func) == "split_rows" for node in ast.walk(function)
+            ):
+                callers.add(f"{path.name}:{function.name}")
+    assert callers == {"localisation.py:z_series_residue"}

@@ -5,22 +5,25 @@ methods and properties (dunders aside) of the top-level classes.  A
 public top-level name counts as live when it is exported in
 ``hilbfock.__all__`` or appears as a ``Name`` or ``Attribute`` somewhere
 in the package source outside its own definition; a private name only
-in the second way.  A method or property is reached through an
-attribute, so it counts as live only when its name appears as an
-``Attribute`` outside its own definition: a parameter or local variable
-of the same name does not keep it alive.  Code that only tests use
-belongs in ``tests/``, and a helper that a refactor leaves without a
-caller fails here.
+in the second way.  Code that only tests use belongs in ``tests/``, and
+a helper that a refactor leaves without a caller fails here.
 
-Operators are not reached through a name, so the arithmetic dunders of
-``series`` and ``rings`` are checked by running a ``verify`` job and a
-pass over the dual numbers that reach every one the package uses, and
-asking that each was called from the package.
+A method, a property or an operator is reached through an object, and
+its name does not say whose: ``CoeffTable.value`` shares its name with
+any other ``value``.  So these are checked at run time, by their code
+objects: a ``verify`` job, a ``table`` job, an ``equivariant`` job and
+a pass over the dual numbers run under a profiler that records each
+function a frame of the package calls, and every method and property,
+and every arithmetic operator of ``series`` and ``rings``, must be
+among them.
 """
 
 import ast
+import importlib
+import io
 import sys
 from collections import Counter
+from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -32,89 +35,17 @@ from hilbfock.localisation import equivariant_class_coeffs, z_series_residue
 
 SOURCE = Path(hilbfock.__file__).parent
 
-# Public methods kept with no caller in the package; none at present.
-# References are matched by method name, so the call of
-# ``Series2.coefficient`` in ``verification._check_triple`` also covers
-# ``Series1.coefficient``, which the README promises to library users.
-KEPT_FOR_LIBRARY_USE = ()
+# Public methods kept with no caller in the package, with the reason.
+KEPT_FOR_LIBRARY_USE = (
+    # the README promises library users coefficient access on both series types
+    "series.py:Series1.coefficient",
+)
 
-
-def _names(node, attributes_only: bool) -> Counter:
-    """How often each name is referenced under node as an ``Attribute``,
-    or also as a ``Name``."""
-    counts = Counter()
-    for child in ast.walk(node):
-        if isinstance(child, ast.Attribute):
-            counts[child.attr] += 1
-        elif isinstance(child, ast.Name) and not attributes_only:
-            counts[child.id] += 1
-    return counts
-
-
-def _definitions_and_references():
-    """Each definition as (module:qualified name, name, is top-level,
-    is referenced from outside its own body)."""
-    trees = {
-        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for path in sorted(SOURCE.glob("*.py"))
-    }
-    references = {
-        attributes_only: sum((_names(tree, attributes_only) for tree in trees.values()), Counter())
-        for attributes_only in (False, True)
-    }
-    definitions = []
-    for module, tree in trees.items():
-        for top in tree.body:
-            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            members = [(top, top.name, True)]
-            if isinstance(top, ast.ClassDef):
-                members += [
-                    (member, f"{top.name}.{member.name}", False)
-                    for member in top.body
-                    if isinstance(member, ast.FunctionDef)
-                ]
-            for node, qualified, top_level in members:
-                if not node.name.startswith("__"):
-                    # a method is reached through an attribute
-                    only = not top_level
-                    called = references[only][node.name] > _names(node, only)[node.name]
-                    definitions.append((f"{module}:{qualified}", node.name, top_level, called))
-    return definitions
-
-
-def test_every_public_definition_is_exported_or_called():
-    exported = set(hilbfock.__all__)
-    dead = [
-        label
-        for label, name, top_level, called in _definitions_and_references()
-        if top_level and not name.startswith("_") and name not in exported and not called
-    ]
-    assert dead == []
-
-
-def test_every_private_definition_is_called():
-    dead = [
-        label
-        for label, name, top_level, called in _definitions_and_references()
-        if top_level and name.startswith("_") and not called
-    ]
-    assert dead == []
-
-
-def test_every_method_and_property_is_called():
-    dead = [
-        label
-        for label, name, top_level, called in _definitions_and_references()
-        if not top_level and not called and label not in KEPT_FOR_LIBRARY_USE
-    ]
-    assert dead == []
-
-
-def test_methods_kept_for_library_use_exist_and_have_no_caller():
-    uncalled = {label for label, _, _, called in _definitions_and_references() if not called}
-    assert set(KEPT_FOR_LIBRARY_USE) <= uncalled
-
+JOBS = (
+    ["verify", "--class", "chern-total", "--order", "8"],
+    ["table", "--class", "todd", "--max-degree", "6"],
+    ["equivariant", "--class", "todd", "--gamma", "3", "--level", "4"],
+)
 
 ARITHMETIC_DUNDERS = {
     f"__{prefix}{op}__"
@@ -123,18 +54,56 @@ ARITHMETIC_DUNDERS = {
 } | {"__neg__", "__pos__", "__abs__", "__invert__"}
 
 
-def _arithmetic_dunders() -> dict[tuple[str, int], str]:
-    """(file, first line) -> ``Class.__op__`` of each arithmetic dunder
-    defined with ``def`` in series.py and rings.py."""
-    dunders = {}
-    for module in ("series.py", "rings.py"):
-        path = SOURCE / module
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+def _trees() -> dict:
+    return {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(SOURCE.glob("*.py"))
+    }
+
+
+def _names(node) -> Counter:
+    """How often each name is referenced under node as a ``Name`` or an ``Attribute``."""
+    counts = Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Attribute):
+            counts[child.attr] += 1
+        elif isinstance(child, ast.Name):
+            counts[child.id] += 1
+    return counts
+
+
+def _top_level_definitions():
+    """Each top-level function and class as (module:name, name, is
+    referenced from outside its own body)."""
+    trees = _trees()
+    references = sum((_names(tree) for tree in trees.values()), Counter())
+    return [
+        (f"{module}:{top.name}", top.name, references[top.name] > _names(top)[top.name])
+        for module, tree in trees.items()
+        for top in tree.body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+    ]
+
+
+def _members() -> dict:
+    """module:Class.name -> the code object of each function defined
+    with ``def`` in the body of a top-level class: for a property its
+    getter, for a static method its function.  The code object, not a
+    first line, names the function, since a decorated function's first
+    line is its decorator's."""
+    members = {}
+    for module, tree in _trees().items():
+        namespace = importlib.import_module(f"hilbfock.{module.removesuffix('.py')}")
+        for top in tree.body:
             if isinstance(top, ast.ClassDef):
+                owner = vars(getattr(namespace, top.name))
                 for member in top.body:
-                    if isinstance(member, ast.FunctionDef) and member.name in ARITHMETIC_DUNDERS:
-                        dunders[(str(path), member.lineno)] = f"{top.name}.{member.name}"
-    return dunders
+                    if isinstance(member, ast.FunctionDef):
+                        value = owner[member.name]
+                        value = getattr(value, "fget", value)
+                        value = getattr(value, "__func__", value)
+                        members[f"{module}:{top.name}.{member.name}"] = value.__code__
+    return members
 
 
 def _dual_library_pass() -> None:
@@ -155,28 +124,75 @@ def _dual_library_pass() -> None:
     equivariant_class_coeffs(f, 2, 6)
 
 
-def test_every_series_operator_is_called_from_the_package(capsys):
-    """``verify --class chern-total --order 8`` reaches every stage of the
-    package, and the dual-number pass above every operator of
-    ``DualNumber``, on elements and on numerators; an operator of
-    ``series.py`` or ``rings.py`` that no frame in the package calls
-    during them is one that only tests use."""
-    dunders = _arithmetic_dunders()
-    reached = set()
+@cache
+def _called_from_the_package() -> frozenset:
+    """The code objects of the functions that frames of the package
+    call during the ``JOBS`` and the dual-number pass."""
+    called = set()
 
     def profile(frame, event, arg):
-        code = frame.f_code
-        key = (code.co_filename, code.co_firstlineno)
-        if event == "call" and key in dunders:
-            if Path(frame.f_back.f_code.co_filename).parent == SOURCE:
-                reached.add(dunders[key])
+        caller = frame.f_back
+        if event == "call" and caller is not None and Path(caller.f_code.co_filename).parent == SOURCE:
+            called.add(frame.f_code)
 
+    output = io.StringIO()
     sys.setprofile(profile)
     try:
-        code = cli.main(["verify", "--class", "chern-total", "--order", "8"])
+        with redirect_stdout(output):
+            codes = [cli.main(job) for job in JOBS]
         _dual_library_pass()
     finally:
         sys.setprofile(None)
-    assert code == 0, capsys.readouterr().out
-    assert {label.split(".")[0] for label in dunders.values()} >= {"Series1", "DualNumber"}
-    assert sorted(set(dunders.values()) - reached) == []
+    assert codes == [0] * len(JOBS), output.getvalue()
+    return frozenset(called)
+
+
+def _uncalled_methods() -> list:
+    """The methods and properties, dunders aside, that no frame of the
+    package calls during the run-time pass."""
+    called = _called_from_the_package()
+    return [
+        label
+        for label, code in _members().items()
+        if not label.rpartition(".")[2].startswith("__") and code not in called
+    ]
+
+
+def test_every_public_definition_is_exported_or_called():
+    exported = set(hilbfock.__all__)
+    dead = [
+        label
+        for label, name, called in _top_level_definitions()
+        if not name.startswith("_") and name not in exported and not called
+    ]
+    assert dead == []
+
+
+def test_every_private_definition_is_called():
+    dead = [label for label, name, called in _top_level_definitions() if name.startswith("_") and not called]
+    assert dead == []
+
+
+def test_every_method_and_property_is_called():
+    assert [label for label in _uncalled_methods() if label not in KEPT_FOR_LIBRARY_USE] == []
+
+
+def test_methods_kept_for_library_use_exist_and_have_no_caller():
+    assert set(KEPT_FOR_LIBRARY_USE) <= set(_uncalled_methods())
+
+
+def test_every_series_operator_is_called_from_the_package():
+    """The ``verify`` job reaches every stage of the package, and the
+    dual-number pass every operator of ``DualNumber``, on elements and
+    on numerators; an arithmetic operator of ``series.py`` or
+    ``rings.py`` that no frame in the package calls during the run-time
+    pass is one that only tests use."""
+    dunders = {
+        label: code
+        for label, code in _members().items()
+        if label.partition(":")[0] in ("series.py", "rings.py")
+        and label.rpartition(".")[2] in ARITHMETIC_DUNDERS
+    }
+    assert {label.partition(":")[2].partition(".")[0] for label in dunders} >= {"Series1", "DualNumber"}
+    called = _called_from_the_package()
+    assert sorted(label for label, code in dunders.items() if code not in called) == []
