@@ -1,14 +1,14 @@
 """Truncated formal power series with exact coefficients.
 
 Every series carries an explicit truncation order.  A ``Series1`` of
-order N stores the coefficients of degrees 0 through N and knows
-nothing beyond degree N; asking for a higher coefficient raises
-``InsufficientOrderError`` instead of returning a silent zero.
+order N knows the coefficients of degrees 0 through N and nothing
+beyond; ``Series2`` the same by total degree.  Asking for more raises
+``InsufficientOrderError`` instead of returning a silent zero, and
+``_Series``, the base of both types, holds that contract once.
 Products and the numerator kernels below truncate to the smaller
-operand order; ``Series2`` keeps the same contract by total degree.
-``truncate`` never extends and raises the same error, so it is the
-precision check of every function that needs a series to a given
-order: such a function truncates its input to that order first.
+operand order.  ``truncate`` never extends, so it is the precision
+check of every function that needs a series to a given order: such a
+function truncates its input to that order first.
 
 ``Series1`` and ``Series2`` are truncated coefficient containers: they
 offer the series-times-series product and, for ``Series2``, adding a
@@ -285,27 +285,48 @@ def log_numerators(f: "Series1") -> tuple[list, int]:
 
 
 class _Series(Frozen):
-    """What ``Series1`` and ``Series2`` share: the members that do not
-    depend on how the coefficients are stored.  Both constructors take
-    the stored coefficients, the order and the ring, in the order of
-    ``__slots__``, and cut the coefficients at the order.
+    """What ``Series1`` and ``Series2`` share: all but how each stores
+    its coefficients, which its ``_fit`` cuts and pads to the order.
+
+    The truncation contract lives here.  ``_set``, the one constructor
+    body, refuses a negative order.  Every read of a degree
+    (``truncate``, ``Series1.coefficient``, ``Series2.homogeneous`` and
+    so ``Series2.coefficient``) goes through ``_within``, which raises
+    InsufficientOrderError beyond the order.  ``_meet`` checks the
+    operands of the products and ``compose``: one ring, and the smaller
+    order.
     """
 
     __slots__ = ()
 
+    def _set(self, stored, order: int, ring: Ring) -> None:
+        if order < 0:
+            raise SeriesError("truncation order must be non-negative")
+        object.__setattr__(self, self.__slots__[0], self._fit(stored, order, ring))
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "ring", ring)
+
+    def _within(self, degree: int, what: str) -> int:
+        """``degree``, refused below 0 and above the order."""
+        if degree < 0:
+            raise SeriesError("exponents must be non-negative")
+        if degree > self.order:
+            raise InsufficientOrderError(
+                f"insufficient precision: {what} {degree} requested from a series truncated at "
+                f"{what} {self.order}; cannot extend it, rebuild it at higher order"
+            )
+        return degree
+
+    def _meet(self, other: "_Series") -> int:
+        """The order of a result of both operands: the smaller one, over their one ring."""
+        if self.ring is not other.ring:
+            raise SeriesError("operands live over different coefficient rings")
+        return min(self.order, other.order)
+
     def truncate(self, order: int):
         """Forget the terms above ``order``.  Never extends: a larger
         ``order`` raises InsufficientOrderError (the precision check)."""
-        if order > self.order:
-            raise InsufficientOrderError(
-                f"insufficient precision: order {order} requested from a series truncated "
-                f"at order {self.order}; cannot extend it, rebuild it at higher order"
-            )
-        return type(self)(self._fields()[0], order, self.ring)
-
-    def _require_same_ring(self, other: "_Series") -> None:
-        if self.ring is not other.ring:
-            raise SeriesError("operands live over different coefficient rings")
+        return type(self)(self._fields()[0], self._within(order, "order"), self.ring)
 
 
 # ---------------------------------------------------------------------------
@@ -322,26 +343,17 @@ class Series1(_Series):
     __slots__ = ("coefficients", "order", "ring")
 
     def __init__(self, coefficients: tuple, order: int, ring: Ring = QQ) -> None:
-        if order < 0:
-            raise SeriesError("truncation order must be non-negative")
+        self._set(coefficients, order, ring)
+
+    @staticmethod
+    def _fit(coefficients: Sequence, order: int, ring: Ring) -> tuple:
         values = tuple(map(ring.coerce, coefficients[: order + 1]))
-        if len(values) <= order:
-            values += (ring.zero,) * (order + 1 - len(values))
-        object.__setattr__(self, "coefficients", values)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "ring", ring)
+        return values + (ring.zero,) * (order + 1 - len(values))
 
     # -- access ------------------------------------------------------------
 
     def coefficient(self, exponent: int):
-        if exponent < 0:
-            raise SeriesError("exponents must be non-negative")
-        if exponent > self.order:
-            raise InsufficientOrderError(
-                f"insufficient precision: degree {exponent} requested from a "
-                f"series truncated after degree {self.order}"
-            )
-        return self.coefficients[exponent]
+        return self.coefficients[self._within(exponent, "degree")]
 
     @property
     def constant_term(self):
@@ -352,8 +364,7 @@ class Series1(_Series):
     def __mul__(self, other: Any) -> "Series1":
         if not isinstance(other, Series1):
             return NotImplemented
-        self._require_same_ring(other)
-        n = min(self.order, other.order)
+        n = self._meet(other)
         ring = self.ring
         a, da = ring.split(self.coefficients[: n + 1])
         b, db = ring.split(other.coefficients[: n + 1])
@@ -374,18 +385,14 @@ class Series2(_Series):
     __slots__ = ("rows", "order", "ring")
 
     def __init__(self, rows: tuple, order: int, ring: Ring = QQ) -> None:
-        if order < 0:
-            raise SeriesError("truncation order must be non-negative")
-        coerce = ring.coerce
-        zero = ring.zero
-        fixed = []
-        for d, row in enumerate(rows[: order + 1]):
-            row = tuple(map(coerce, row[: d + 1]))
-            fixed.append(row if len(row) > d else row + (zero,) * (d + 1 - len(row)))
-        fixed.extend((zero,) * (d + 1) for d in range(len(fixed), order + 1))
-        object.__setattr__(self, "rows", tuple(fixed))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "ring", ring)
+        self._set(rows, order, ring)
+
+    @staticmethod
+    def _fit(rows: Sequence, order: int, ring: Ring) -> tuple:
+        coerce, zero = ring.coerce, ring.zero
+        fixed = [tuple(map(coerce, row[: d + 1])) for d, row in enumerate(rows[: order + 1])]
+        fixed += [()] * (order + 1 - len(fixed))
+        return tuple([row + (zero,) * (d + 1 - len(row)) for d, row in enumerate(fixed)])
 
     # -- access ------------------------------------------------------------
 
@@ -396,14 +403,7 @@ class Series2(_Series):
 
     def homogeneous(self, degree: int) -> tuple:
         """The row of coefficients of total degree ``degree``."""
-        if degree < 0:
-            raise SeriesError("exponents must be non-negative")
-        if degree > self.order:
-            raise InsufficientOrderError(
-                f"insufficient precision: total degree {degree} requested from a "
-                f"series truncated after total degree {self.order}"
-            )
-        return self.rows[degree]
+        return self.rows[self._within(degree, "total degree")]
 
     @property
     def constant_term(self):
@@ -427,8 +427,7 @@ class Series2(_Series):
     def __mul__(self, other: Any) -> "Series2":
         if not isinstance(other, Series2):
             return NotImplemented
-        self._require_same_ring(other)
-        n = min(self.order, other.order)
+        n = self._meet(other)
         ring = self.ring
         A, a = zip(*map(ring.split, self.rows[: n + 1]))
         B, b = zip(*map(ring.split, other.rows[: n + 1]))
@@ -482,11 +481,10 @@ def compose(outer: Series1, inner: Series2) -> Series2:
     entries of ``inner``, so a sparse inner series such as x - y costs
     O(N^2) per step.
     """
-    outer._require_same_ring(inner)
+    n = outer._meet(inner)
     ring = outer.ring
     if inner.constant_term != ring.zero:
         raise SeriesError("composition requires the inner series to have zero constant term")
-    n = min(outer.order, inner.order)
     I, b = zip(*map(ring.split, inner.rows[: n + 1]))
     # O[k] / c is outer_k; outer_0 is added to the joined series.
     O, c = ring.split(outer.coefficients[: n + 1])

@@ -15,7 +15,8 @@ of ``verify`` and of ``table``'s writers.  A two-variable Schur
 polynomial is a row of integers, so ``symfun`` needs no series or ring,
 and the hook form reads the row as it is.  A two-variable table keeps
 one denominator per row everywhere but at the congruence, so only the
-residue route splits a whole table over one denominator.
+residue route splits a whole table over one denominator.  The two
+series types state the truncation contract once, in their base class.
 """
 
 import ast
@@ -243,3 +244,29 @@ def test_only_the_congruence_input_is_split_over_one_denominator():
             ):
                 callers.add(f"{path.name}:{function.name}")
     assert callers == {"localisation.py:z_series_residue"}
+
+
+def test_the_series_types_state_the_truncation_contract_once():
+    """Every read beyond the order raises through ``_Series._within``, so
+    only it and ``differentiate``, whose error says what it cannot do,
+    build an InsufficientOrderError; the one constructor body refuses a
+    negative order, and ``_Series._meet`` is the one operand check."""
+    text = (SOURCE / "series.py").read_text(encoding="utf-8")
+    functions = {}
+    for top in ast.parse(text).body:
+        if isinstance(top, ast.FunctionDef):
+            functions[top.name] = top
+        elif isinstance(top, ast.ClassDef):
+            methods = (member for member in top.body if isinstance(member, ast.FunctionDef))
+            functions.update({f"{top.name}.{method.name}": method for method in methods})
+    raising = {
+        name
+        for name, function in functions.items()
+        if any(
+            isinstance(node, ast.Call) and ast.unparse(node.func) == "InsufficientOrderError"
+            for node in ast.walk(function)
+        )
+    }
+    assert raising == {"_Series._within", "differentiate"}
+    assert text.count("truncation order must be non-negative") == 1
+    assert "_require_same_ring" not in text

@@ -1,8 +1,9 @@
 """Every definition in the package has a caller.
 
 The definitions are the top-level functions and classes, and the
-methods and properties (dunders aside) of the top-level classes.  A
-public top-level name counts as live when it is exported in
+methods and properties (dunders aside) of the top-level classes,
+properties assigned from a ``property(...)`` call too.  A public
+top-level name counts as live when it is exported in
 ``hilbfock.__all__`` or appears as a ``Name`` or ``Attribute`` somewhere
 in the package source outside its own definition; a private name only
 in the second way.  Code that only tests use belongs in ``tests/``, and
@@ -85,11 +86,22 @@ def _top_level_definitions():
     ]
 
 
+def _member_names(member) -> list:
+    """The names a statement of a class body binds to a function: a
+    ``def``, or an assignment of a ``property(...)`` call."""
+    if isinstance(member, ast.FunctionDef):
+        return [member.name]
+    if isinstance(member, ast.Assign) and isinstance(member.value, ast.Call):
+        if ast.unparse(member.value.func) == "property":
+            return [target.id for target in member.targets if isinstance(target, ast.Name)]
+    return []
+
+
 def _members() -> dict:
-    """module:Class.name -> the code object of each function defined
-    with ``def`` in the body of a top-level class: for a property its
-    getter, for a static method its function.  The code object, not a
-    first line, names the function, since a decorated function's first
+    """module:Class.name -> the code object of each function that the
+    body of a top-level class binds (``_member_names``): for a property
+    its getter, for a static method its function.  The code object, not
+    a first line, names the function, since a decorated function's first
     line is its decorator's."""
     members = {}
     for module, tree in _trees().items():
@@ -97,12 +109,11 @@ def _members() -> dict:
         for top in tree.body:
             if isinstance(top, ast.ClassDef):
                 owner = vars(getattr(namespace, top.name))
-                for member in top.body:
-                    if isinstance(member, ast.FunctionDef):
-                        value = owner[member.name]
-                        value = getattr(value, "fget", value)
-                        value = getattr(value, "__func__", value)
-                        members[f"{module}:{top.name}.{member.name}"] = value.__code__
+                for name in (name for member in top.body for name in _member_names(member)):
+                    value = owner[name]
+                    value = getattr(value, "fget", value)
+                    value = getattr(value, "__func__", value)
+                    members[f"{module}:{top.name}.{name}"] = value.__code__
     return members
 
 

@@ -1,11 +1,12 @@
 from fractions import Fraction as Fr
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbfock import series
-from hilbfock.rings import DUALS, DualNumber, _dual
+from hilbfock.rings import DUALS, QQ, DualNumber, _dual
 from hilbfock.series import (
     InsufficientOrderError,
     InternalCheckError,
@@ -519,6 +520,14 @@ def test_lagrange_reassembly():
 # ---------------------------------------------------------------- error paths
 
 
+def _read(name, ring, degree):
+    """Read ``degree`` off a series of order 1 over ``ring``: by
+    ``homogeneous`` off a ``Series2``, by ``coefficient`` or ``truncate``
+    off a ``Series1``."""
+    series = Series2(((ring.one,),), 1, ring) if name == "homogeneous" else Series1((ring.one,), 1, ring)
+    return getattr(series, name)(degree)
+
+
 ILL_POSED = {
     "rings": (lambda: s1(1, 2) * Series1((DUALS.one,), 1, DUALS), SeriesError, "different coefficient rings"),
     "coefficient-1": (lambda: s1(1, 2).coefficient(-1), SeriesError, "exponents must be non-negative"),
@@ -529,6 +538,16 @@ ILL_POSED = {
     "shift_up-1": (lambda: shift_up(s1(1, 2), -1), SeriesError, "shift amount must be non-negative"),
     "shift_down-1": (lambda: shift_down(s1(0, 2), -1), SeriesError, "shift amount must be non-negative"),
     "shift_down-past": (lambda: shift_down(s1(0, 2), 2), InsufficientOrderError, "shift exceeds"),
+    # every read of a degree, one past the order and at -1, over both rings
+    **{
+        f"{name}({degree})-{label}": (partial(_read, name, ring, degree), error, message)
+        for name in ("truncate", "coefficient", "homogeneous")
+        for label, ring in (("QQ", QQ), ("DUALS", DUALS))
+        for degree, error, message in (
+            (2, InsufficientOrderError, "insufficient precision: .*cannot extend"),
+            (-1, SeriesError, "exponents must be non-negative"),
+        )
+    },
 }
 
 
