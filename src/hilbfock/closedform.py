@@ -314,11 +314,18 @@ def chern_character_tables(N: int) -> tuple[dict[int, Fraction], CoeffTable]:
     return a_k, CoeffTable(KIND_CHERN_CHARACTER, N, entries)
 
 
+def chern_character_class(N: int) -> Series1:
+    """f = 1 + eps*(x^2 + x^4 + ...) over the dual numbers, known to
+    degree N + 1, as the tables at degree N ask."""
+    eps = DualNumber(Fraction(0), Fraction(1))
+    return Series1((DUALS.one, *(DUALS.zero if m % 2 else eps for m in range(1, N + 2))), N + 1, DUALS)
+
+
 def corollary_via_dual(n: int) -> CoeffTable:
     """The Chern-character table up to total degree n, by dual numbers.
 
     Runs the generic ``a_kl_table`` machinery once, over the square-zero
-    extension of the rationals, with f = 1 + eps*(x^2 + x^4 + ... + x^n),
+    extension of the rationals, with f = ``chern_character_class(n)``,
     and reads off the eps-parts.  The class of a bundle built from
     f = 1 + eps*x^m equals 1 + eps * m! * (degree-m Chern character):
     expanding the product over Chern roots, eps^2 = 0 kills everything
@@ -331,10 +338,7 @@ def corollary_via_dual(n: int) -> CoeffTable:
     """
     if n < 2 or n % 2:
         raise ValueError("the dual-number route needs an even total degree n >= 2")
-    eps = DualNumber(Fraction(0), Fraction(1))
-    zero = DUALS.zero
-    f = Series1((DUALS.one, zero) + (eps, zero) * (n // 2), n + 1, DUALS)
-    table = a_kl_table(f, n)
+    table = a_kl_table(chern_character_class(n), n)
     entries = {
         (k, l): value.infinitesimal / math.factorial(k + l)
         for (k, l), value in table.entries.items()

@@ -18,8 +18,9 @@ genus).  The weights of a pair are those of its two diagrams, so the
 power sums add and the exponential of the pair is the product of the
 two diagrams' exponentials.  So the logarithm is taken once per class
 and level, each diagram at each fixed point costs one O(n^2)
-exponential, and each pair one O(n) convolution of its two diagrams'
-rows, ``_pair_value``.
+exponential, built on first use and kept with the log, and each pair
+one O(n) convolution of its two diagrams' rows in ``pair_coefficient``.
+``equivariant_class_coeffs`` is ``pair_coefficient`` over a level.
 
 The logarithm and the exponentials run on integers.  The log comes
 from ``series.log_numerators``, the weights x f'/f from the triangular
@@ -130,7 +131,8 @@ def level_pairs(n: int) -> tuple[FixedPointBasisVector, ...]:
     return tuple(pairs)
 
 
-_last_log: list = [None, -1, None]
+# The series, the level, (c, w, W) and the diagram rows of the last call.
+_last_log: list = [None, -1, None, None]
 
 
 def _class_log(f: Series1, n: int) -> tuple[int, list, list]:
@@ -143,10 +145,11 @@ def _class_log(f: Series1, n: int) -> tuple[int, list, list]:
     InternalCheckError.  log F(u) = log f(u) + log f(-u) is twice the even
     part of log f, so F's weights are 2 w_m at even m and 0 at odd m: no
     product f(u) f(-u) is formed, and c scales F as well.
-    The result is kept for the last series (by identity) and level asked
-    for: the single-pair entry points take the log of one series at one
-    level once per pair, and a cache keyed on the series' hash would cost
-    more than the log, since hashing a series hashes every coefficient.
+    The record is kept for the last series (by identity) and level asked
+    for, with the table of diagram rows that ``pair_coefficient`` fills:
+    a vector then takes the log once and each row once per level, and a
+    cache keyed on the series' hash would cost more than the log, since
+    hashing a series hashes every coefficient.
     """
     memo = _last_log
     if memo[0] is not f or memo[1] != n:
@@ -156,7 +159,7 @@ def _class_log(f: Series1, n: int) -> tuple[int, list, list]:
         w, q = known.ring.cancel([r * c**m for m, r in enumerate(R)], Q)
         if q != 1:
             raise InternalCheckError("internal error: the scaled log weights are not integers")
-        memo[:] = f, n, (c, w, [0 if m % 2 else 2 * w_m for m, w_m in enumerate(w)])
+        memo[:] = f, n, (c, w, [0 if m % 2 else 2 * w_m for m, w_m in enumerate(w)]), _DiagramRows(w)
     return memo[2]
 
 
@@ -195,27 +198,15 @@ def _diagram_row(w: Sequence, partition: Partition, alpha, beta) -> tuple[list, 
     return _power_sum_exp(w, weights), c_prime_product(partition, alpha, beta)
 
 
-def _pair_value(ring, c: int, pair: FixedPointBasisVector, gamma: int, row0, row1):
-    """[u^n] of the product of the two diagrams' exponentials, divided by
-    the product of their factors, for a pair at level n.
+class _DiagramRows(dict):
+    """``_diagram_row`` by (partition, alpha, beta), built on first use."""
 
-    Each row is a pair (e, d) of ``_diagram_row``, with E_i = e_i / (i! c^i),
-    so [u^n] E0 E1 = sum over i of C(n, i) e0_i e1_(n-i) / (n! c^n): an
-    O(n) sum and one ring element, formed at the end.  A zero product of
-    factors is a degenerate twist: ValueError, naming the pair.
-    """
-    (e0, d0), (e1, d1) = row0, row1
-    denominator = d0 * d1
-    if denominator == 0:
-        raise ValueError(f"degenerate fixed-point denominator for {pair} at gamma={gamma}")
-    n = pair.level
-    total = 0
-    for i in range(n + 1):
-        a, b = e0[i], e1[n - i]
-        if a and b:
-            total += comb(n, i) * a * b
-    scale = denominator * factorial(n) * c**n
-    return ring.join((total if scale > 0 else -total,), abs(scale))[0]
+    def __init__(self, w: Sequence) -> None:
+        self.w = w
+
+    def __missing__(self, key: tuple) -> tuple[list, int]:
+        row = self[key] = _diagram_row(self.w, *key)
+        return row
 
 
 def pair_coefficient(f: Series1, pair: FixedPointBasisVector, gamma: int) -> Fraction:
@@ -226,29 +217,34 @@ def pair_coefficient(f: Series1, pair: FixedPointBasisVector, gamma: int) -> Fra
     polynomials of the two partitions, evaluated at (-1, -1) and
     (gamma - 1, 1) respectively.  The class series f must have
     constant term 1 and be known to degree n.
+
+    With the diagrams' rows (e, d) from the record of ``_class_log`` and
+    E_i = e_i / (i! c^i), [u^n] E0 E1 is the O(n) sum over i of C(n, i)
+    e0_i e1_(n-i) / (n! c^n).  A zero product of factors d0 d1 is a
+    degenerate twist: ValueError, naming the pair.
     """
     n = pair.level
-    c, w, _ = _class_log(f, n)
-    row0 = _diagram_row(w, pair.lambda0, -1, -1)
-    row1 = _diagram_row(w, pair.lambda1, gamma - 1, 1)
-    return _pair_value(f.ring, c, pair, gamma, row0, row1)
+    c = _class_log(f, n)[0]
+    rows = _last_log[3]
+    e0, d0 = rows[pair.lambda0, -1, -1]
+    e1, d1 = rows[pair.lambda1, gamma - 1, 1]
+    denominator = d0 * d1
+    if denominator == 0:
+        raise ValueError(f"degenerate fixed-point denominator for {pair} at gamma={gamma}")
+    total = 0
+    for i in range(n + 1):
+        a, b = e0[i], e1[n - i]
+        if a and b:
+            total += comb(n, i) * a * b
+    scale = denominator * factorial(n) * c**n
+    return f.ring.join((total if scale > 0 else -total,), abs(scale))[0]
 
 
 def equivariant_class_coeffs(f: Series1, gamma: int, n: int) -> EquivariantClassVector:
-    """Expand the level-n equivariant class over the fixed-point basis.
-
-    Each diagram's row is built once, at each fixed point.  The class
-    series must be known to degree n.
-    """
-    pairs = level_pairs(n)
-    c, w, _ = _class_log(f, n)
-    partitions = [p for size in range(n + 1) for p in enumerate_partitions(size)]
-    at_zero = {p: _diagram_row(w, p, -1, -1) for p in partitions}
-    at_infinity = {p: _diagram_row(w, p, gamma - 1, 1) for p in partitions}
-    entries = tuple(
-        (pair, _pair_value(f.ring, c, pair, gamma, at_zero[pair.lambda0], at_infinity[pair.lambda1]))
-        for pair in pairs
-    )
+    """The level-n equivariant class over the fixed-point basis: the
+    ``pair_coefficient`` of each pair of ``level_pairs(n)``.  The class
+    series must be known to degree n."""
+    entries = tuple((pair, pair_coefficient(f, pair, gamma)) for pair in level_pairs(n))
     return EquivariantClassVector(n, entries)
 
 

@@ -21,6 +21,7 @@ from .closedform import (
     CoeffTable,
     a_k_table,
     a_kl_table,
+    chern_character_class,
     chern_character_tables,
     corollary_via_dual,
     preset_class,
@@ -30,9 +31,8 @@ from .closedform import (
     z_closed,
 )
 from .localisation import (
+    equivariant_class_coeffs,
     hook_coefficient,
-    level_pairs,
-    pair_coefficient,
     z_series_hookform,
     z_series_residue,
 )
@@ -174,15 +174,12 @@ def _check_symmetry(z: Series2) -> str:
 
 
 def _check_reduction(f: Series1, bound: int) -> str:
+    """Each entry of the twist-2 vector that ``equivariant --gamma 2``
+    prints, at each level up to bound, equals its hook form."""
     for n in range(bound + 1):
-        for pair in level_pairs(n):
-            general = pair_coefficient(f, pair, 2)
-            hooks = hook_coefficient(f, pair)
-            if general != hooks:
-                return (
-                    f"pair {pair}: general twist-2 coefficient {general} "
-                    f"differs from hook form {hooks}"
-                )
+        for pair, general in equivariant_class_coeffs(f, 2, n).entries:
+            if general != (hooks := hook_coefficient(f, pair)):
+                return f"pair {pair}: general twist-2 coefficient {general} differs from hook form {hooks}"
     return ""
 
 
@@ -264,13 +261,14 @@ def verify_chern_character(order: int) -> list[CheckResult]:
     """Cross-checks for the Chern character, which has no defining series.
 
     The direct factorial formulas are compared against the dual-number
-    route degree by degree, and the universal conversion is pinned to
+    route degree by degree, the a_k of the dual-number route must vanish
+    at even k in both parts, and the universal conversion is pinned to
     its frozen anchor values.
     """
     if order < 2:
         raise ValueError("verification needs order at least 2")
     return [
         _run("dual-number-oracle", lambda: _check_dual(min(order, 12))),
-        _run("parity", lambda: _check_even_a_k(chern_character_tables(order)[0])),
+        _run("parity", lambda: _check_even_a_k(tangent_tables(chern_character_class(order), order)[0])),
         _run("universal-anchors", lambda: _check_anchors("chern-character")),
     ]

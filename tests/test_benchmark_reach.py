@@ -4,11 +4,12 @@ function that a per-layer metric names.
 The benchmark's traced test runs four small CLI jobs under a tracer and
 requires every per-layer metric of ``BENCHMARK.json`` to appear, so a
 function that stops being called (a kernel moved to numerators, a
-helper inlined) fails it.  ``verify --class chern-total --order 8`` is
-the job that reaches all of them but the equivariant entry point.  This
-test runs that job in process with a counting wrapper wherever the
-package binds each named function, so the tier-1 suite catches such a
-change too, and names the functions that were not called.
+helper inlined) fails it.  ``verify --class chern-total --order 8``
+reaches all of them, the equivariant entry point through the
+fixed-point reduction check.  This test runs that job in process with
+a counting wrapper wherever the package binds each named function, so
+the tier-1 suite catches such a change too, and names the functions
+that were not called.
 """
 
 import importlib
@@ -21,8 +22,6 @@ from hilbfock import cli
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 ARGV = ["verify", "--class", "chern-total", "--order", "8"]
-# Reached only by the ``equivariant`` job of the traced test.
-OTHER_JOBS = {"localisation.equivariant_class_coeffs"}
 
 
 def _metric_names() -> list[str]:
@@ -56,7 +55,7 @@ def test_the_verify_job_reaches_every_traced_function(monkeypatch, capsys):
 
         return wrapper
 
-    labels = sorted(_traced_functions() - OTHER_JOBS)
+    labels = sorted(_traced_functions())
     for label in labels:
         layer, *rest = label.split(".")
         module = importlib.import_module(f"hilbfock.{layer}")

@@ -478,6 +478,40 @@ def test_equivariant_vector_takes_one_exponential_per_diagram_and_fixed_point(mo
     assert len(level_pairs(8)) == 185
 
 
+def test_reduction_check_builds_each_row_once_per_level_and_fixed_point(monkeypatch):
+    # levels 0..6 hold 1 + 2 + 4 + 7 + 12 + 19 + 30 = 75 diagrams, each
+    # read at both fixed points; two rows per pair would be 2 * 139 = 278
+    calls = []
+    diagram_row = localisation._diagram_row
+
+    def counting_row(w, partition, alpha, beta):
+        calls.append((len(w) - 1, partition, alpha, beta))
+        return diagram_row(w, partition, alpha, beta)
+
+    monkeypatch.setattr(localisation, "_diagram_row", counting_row)
+    assert verification._check_reduction(preset_class("todd", 6), 6) == ""
+    assert len(calls) == len(set(calls)) == 150
+    assert sum(len(level_pairs(n)) for n in range(7)) == 139
+
+
+def test_the_row_table_follows_the_class_the_level_and_the_twist():
+    eps = DualNumber(Fr(0), Fr(1))
+    f = preset_class("todd", 5)
+    g = Series1((Fr(1), Fr(2, 3), Fr(-4, 9), Fr(-1, 7)), 5)
+    h = Series1((DUALS.one, Fr(1, 2) + eps, -3 * eps, DualNumber(Fr(-2, 3)), 0, eps), 5, DUALS)
+    # the twist: the vector at gamma = 2 leaves rows at (1, 1) behind
+    equivariant_class_coeffs(f, 2, 5)
+    assert [(p, pair_coefficient(f, p, 3)) for p in level_pairs(5)] == oracle_vector(f, 3, 5)
+    # the class and the level: three classes and two levels, alternated
+    expected = {k: dict(oracle_vector(k, 3, 4) + oracle_vector(k, 3, 2)) for k in (f, g, h)}
+    short = level_pairs(2)
+    for i, p in enumerate(level_pairs(4)):
+        q = short[i % len(short)]
+        for k in (f, g, h):
+            assert pair_coefficient(k, p, 3) == expected[k][p]
+            assert pair_coefficient(k, q, 3) == expected[k][q]
+
+
 def _odd_part(w):
     return [2 * w_m if m % 2 else 0 for m, w_m in enumerate(w)]
 
@@ -600,20 +634,22 @@ def test_reduction_check_finds_each_diagrams_cells_once():
     assert info.hits > 10 * diagrams
 
 
-def _pair_value_without_binomials(ring, c, pair, gamma, row0, row1):
-    """``_pair_value`` with C(n, i) dropped from its convolution."""
-    (e0, d0), (e1, d1) = row0, row1
-    n = pair.level
-    total = sum(e0[i] * e1[n - i] for i in range(n + 1))
-    scale = d0 * d1 * factorial(n) * c**n
-    return ring.join((total if scale > 0 else -total,), abs(scale))[0]
+def _rows_without_factorials(diagram_row):
+    """``_diagram_row`` with its row over c^i instead of i! c^i, so the
+    pair convolution weighs each term by n! instead of C(n, i)."""
+
+    def perturbed(w, partition, alpha, beta):
+        e, d = diagram_row(w, partition, alpha, beta)
+        return [e_i * factorial(i) for i, e_i in enumerate(e)], d
+
+    return perturbed
 
 
 def test_reduction_check_fails_on_a_wrong_pair_convolution(monkeypatch):
-    # the hook form takes one exponential per pair, so it does not share
-    # the convolution that pair_coefficient runs, and a fault there fails
+    # the hook form takes one exponential per pair, so it reads none of
+    # the diagram rows that pair_coefficient convolves, and a fault there fails
     f = preset_class("todd", 10)
-    monkeypatch.setattr(localisation, "_pair_value", _pair_value_without_binomials)
+    monkeypatch.setattr(localisation, "_diagram_row", _rows_without_factorials(localisation._diagram_row))
     failed = [r.name for r in verification.verify_multiplicative(f, "todd", 8) if not r.passed]
     assert failed == ["fixed-point-reduction"]
 

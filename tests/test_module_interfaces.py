@@ -67,16 +67,18 @@ def test_localisation_takes_the_log_from_series_and_defines_no_recurrence():
 
 
 def test_hook_form_shares_no_convolution_and_localisation_keeps_no_cache():
-    """``hook_coefficient`` is checked against ``pair_coefficient``, so it
-    runs none of that path's per-diagram rows or pair convolution; and
-    the fixed-point sums build every row from its diagram, with no table
-    behind ``functools.cache``."""
+    """The hook form is checked against ``pair_coefficient``, so neither
+    ``hook_coefficient`` nor ``z_series_hookform`` runs that path's
+    per-diagram rows or reads the row table kept in the record of
+    ``_class_log``; and no table sits behind ``functools.cache``."""
     tree = _tree(SOURCE / "localisation.py")
     functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
-    (hook,) = [node for node in functions if node.name == "hook_coefficient"]
-    names = {node.id for node in ast.walk(hook) if isinstance(node, ast.Name)}
-    assert "_power_sum_exp" in names
-    assert names.isdisjoint({"_pair_value", "_diagram_row"})
+    hooks = [node for node in functions if node.name in ("hook_coefficient", "z_series_hookform")]
+    assert len(hooks) == 2
+    for hook in hooks:
+        names = {node.id for node in ast.walk(hook) if isinstance(node, ast.Name)}
+        assert "_power_sum_exp" in names
+        assert names.isdisjoint({"_diagram_row", "_DiagramRows", "_last_log"})
     decorators = [ast.unparse(d) for node in functions for d in node.decorator_list]
     assert not any("cache" in d for d in decorators)
     imported = {

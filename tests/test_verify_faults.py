@@ -406,12 +406,12 @@ def test_a_fault_in_the_G_that_z_closed_composes_fails_the_checks_that_read_z(mo
     assert list(failed) == ["triple-agreement", "log-exp-consistency", "triviality-baseline"]
 
 
-def _raise_a_2(tables):
-    """A wrapper of a table builder that adds 1 to a_2."""
+def _raise_a_2(tables, by=1):
+    """A wrapper of a table builder that adds ``by`` to a_2."""
 
     def perturbed(f, N):
         a_k, table = tables(f, N)
-        return {**a_k, 2: a_k[2] + 1}, table
+        return {**a_k, 2: a_k[2] + by}, table
 
     return perturbed
 
@@ -432,6 +432,17 @@ def test_an_even_a_k_fails_the_parity_check(monkeypatch, capsys):
     failed = _fail_details(["--class", "todd", "--order", "8"], capsys)
     assert set(failed) == {"triple-agreement", "parity"}
     assert failed["parity"] == "a_2 = 1 but even-index coefficients must vanish"
+
+
+def test_an_even_a_k_of_the_dual_number_route_fails_the_chern_character_parity(monkeypatch, capsys):
+    # the Chern character's parity check reads the a_k of the tangent
+    # tables of f = 1 + eps (x^2 + x^4 + ...), not the factorial formulas,
+    # which write 0 at every even k themselves
+    eps = DualNumber(Fr(0), Fr(1))
+    monkeypatch.setattr(verification, "tangent_tables", _raise_a_2(verification.tangent_tables, eps))
+    assert _fail_details(["--class", "chern-character", "--order", "8"], capsys) == {
+        "parity": "a_2 = 1*eps but even-index coefficients must vanish"
+    }
 
 
 def test_an_odd_layer_of_z_fails_the_parity_check(monkeypatch, capsys):
