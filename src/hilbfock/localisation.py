@@ -18,7 +18,7 @@ genus).  The weights of a pair are those of its two diagrams, so the
 power sums add and the exponential of the pair is the product of the
 two diagrams' exponentials.  So the logarithm is taken once per class
 and level, each diagram at each fixed point costs one O(n^2)
-exponential, built on first use and kept with the log, and each pair
+exponential, built on first use in the log's row table, and each pair
 one O(n) convolution of its two diagrams' rows in ``pair_coefficient``.
 ``equivariant_class_coeffs`` is ``pair_coefficient`` over a level.
 
@@ -131,14 +131,15 @@ def level_pairs(n: int) -> tuple[FixedPointBasisVector, ...]:
     return tuple(pairs)
 
 
-# The series, the level, (c, w, W) and the diagram rows of the last call.
-_last_log: list = [None, -1, None, None]
+# The series, the level and the record (c, w, W, rows) of the last call.
+_last_log: list = [None, -1, None]
 
 
-def _class_log(f: Series1, n: int) -> tuple[int, list, list]:
+def _class_log(f: Series1, n: int) -> tuple[int, list, list, _DiagramRows]:
     """The scale c, the weights w_m = m [u^m] log f(c u) = c^m R_m / Q
     for m <= n, with R and Q from ``log_numerators`` of f read through
-    ``check_class_series`` at n, and the weights of F(u) = f(u) f(-u).
+    ``check_class_series`` at n, the weights of F(u) = f(u) f(-u), and
+    the table of diagram rows on w that ``pair_coefficient`` fills.
 
     c is the lcm of the denominators of f_1, ..., f_n, so the weights are
     integers over either ring; a remainder would be a bug here and raises
@@ -146,10 +147,9 @@ def _class_log(f: Series1, n: int) -> tuple[int, list, list]:
     part of log f, so F's weights are 2 w_m at even m and 0 at odd m: no
     product f(u) f(-u) is formed, and c scales F as well.
     The record is kept for the last series (by identity) and level asked
-    for, with the table of diagram rows that ``pair_coefficient`` fills:
-    a vector then takes the log once and each row once per level, and a
-    cache keyed on the series' hash would cost more than the log, since
-    hashing a series hashes every coefficient.
+    for: a vector then takes the log once and each row once per level,
+    and a cache keyed on the series' hash would cost more than the log,
+    since hashing a series hashes every coefficient.
     """
     memo = _last_log
     if memo[0] is not f or memo[1] != n:
@@ -159,7 +159,7 @@ def _class_log(f: Series1, n: int) -> tuple[int, list, list]:
         w, q = known.ring.cancel([r * c**m for m, r in enumerate(R)], Q)
         if q != 1:
             raise InternalCheckError("internal error: the scaled log weights are not integers")
-        memo[:] = f, n, (c, w, [0 if m % 2 else 2 * w_m for m, w_m in enumerate(w)]), _DiagramRows(w)
+        memo[:] = f, n, (c, w, [0 if m % 2 else 2 * w_m for m, w_m in enumerate(w)], _DiagramRows(w))
     return memo[2]
 
 
@@ -218,14 +218,13 @@ def pair_coefficient(f: Series1, pair: FixedPointBasisVector, gamma: int) -> Fra
     (gamma - 1, 1) respectively.  The class series f must have
     constant term 1 and be known to degree n.
 
-    With the diagrams' rows (e, d) from the record of ``_class_log`` and
+    With the diagrams' rows (e, d) from ``_class_log``'s table and
     E_i = e_i / (i! c^i), [u^n] E0 E1 is the O(n) sum over i of C(n, i)
     e0_i e1_(n-i) / (n! c^n).  A zero product of factors d0 d1 is a
     degenerate twist: ValueError, naming the pair.
     """
     n = pair.level
-    c = _class_log(f, n)[0]
-    rows = _last_log[3]
+    c, _, _, rows = _class_log(f, n)
     e0, d0 = rows[pair.lambda0, -1, -1]
     e1, d1 = rows[pair.lambda1, gamma - 1, 1]
     denominator = d0 * d1
@@ -259,7 +258,7 @@ def hook_coefficient(f: Series1, pair: FixedPointBasisVector) -> Fraction:
     degree n.
     """
     n = pair.level
-    c, _, w = _class_log(f, n)
+    c, _, w, _ = _class_log(f, n)
     hooks = hook_multiset(pair.lambda0) + hook_multiset(pair.lambda1)
     e = _power_sum_exp(w, hooks)[n]
     scale = factorial(n) * c**n * hook_product(pair.lambda0) * hook_product(pair.lambda1)
@@ -289,7 +288,7 @@ def z_series_hookform(f: Series1, N: int) -> Series2:
     each term by C(n, m) C(n, i) puts it over (n!)^2 c^n, and one
     ``Ring.join`` per row forms the coefficients.
     """
-    c, _, w = _class_log(f, N)
+    c, _, w, _ = _class_log(f, N)
     S = []
     for m in range(N + 1):
         by_degree = [[0] * (m + 1) for _ in range(N + 1)]

@@ -342,9 +342,9 @@ def test_chern_character_table_holds_every_index_and_zeros_in_odd_degree():
                 assert value == 0, (k, l)
 
 
-def test_dual_route_rejects_odd_or_tiny_degrees():
-    for n in (0, 1, 3):
-        with pytest.raises(ValueError, match="even total degree"):
+def test_dual_route_rejects_tiny_degrees():
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="total degree n >= 2"):
             corollary_via_dual(n)
 
 
@@ -356,7 +356,7 @@ def test_dual_route_degree_six_values():
 
 
 def test_dual_route_matches_factorial_formulas():
-    for n in (2, 4, 6, 8):
+    for n in (2, 3, 4, 6, 8):
         sliced = corollary_via_dual(n)
         _, direct = chern_character_tables(n)
         for (k, l), value in sliced.entries.items():

@@ -319,7 +319,7 @@ def power_sums(values, n: int) -> list:
 
 
 def assert_integer_recurrence_matches(f: Series1, values, n: int) -> None:
-    c, w, w_F = localisation._class_log(f, n)
+    c, w, w_F, _ = localisation._class_log(f, n)
     fn = f.truncate(n)
     for weights, series in ((w, fn), (w_F, fn * negate_argument(fn))):
         expected = oracle_power_sum_exp(series_log(series), power_sums(values, n), n)
@@ -359,10 +359,10 @@ def test_integer_recurrence_over_dual_numbers():
         (DualNumber(Fr(1)), Fr(1, 2) + eps, -3 * eps, DualNumber(Fr(-2, 3)), 0, eps, Fr(5, 7)), 6, DUALS
     )
     # the numerators run over the lcm of the denominators of both parts
-    c, _, _ = localisation._class_log(f, 6)
+    c, _, _, _ = localisation._class_log(f, 6)
     assert c == 42
     assert_integer_recurrence_matches(f, [3, -1, 0, 10, -4, 2], 6)
-    c, w, _ = localisation._class_log(f, 0)
+    c, w, _, _ = localisation._class_log(f, 0)
     assert DUALS.join(localisation._power_sum_exp(w, []), c) == (DUALS.one,)
 
 
@@ -373,7 +373,7 @@ def test_class_log_weights_are_the_split_of_the_joined_ones(ring, n, data):
     # that joining to ring elements and splitting again gives
     element = class_coefficients if ring is QQ else st.builds(DualNumber, class_coefficients, small_rationals)
     f = Series1((ring.one, *data.draw(st.lists(element, max_size=n))), n, ring)
-    c, w, _ = localisation._class_log(f, n)
+    c, w, _, _ = localisation._class_log(f, n)
     R, Q = log_numerators(f)
     joined, _ = ring.split(ring.join([r * c**m for m, r in enumerate(R)], Q))
     # over 1, equal ring elements are equal numerators
@@ -525,8 +525,8 @@ def replace_log_of_F(monkeypatch, mutant) -> None:
     class_log = localisation._class_log
 
     def perturbed(f, n):
-        c, w, _ = class_log(f, n)
-        return c, w, mutant(w)
+        c, w, _, rows = class_log(f, n)
+        return c, w, mutant(w), rows
 
     monkeypatch.setattr(localisation, "_class_log", perturbed)
 

@@ -6,7 +6,8 @@ helpers stay free to change; the series layer offers its numerator
 kernels under public names for that.  And the package has one log
 recurrence, ``series.log_numerators``: the fixed-point sums in
 ``localisation`` scale its weights but define no recurrence of their
-own, and take the weights of f(u) f(-u) from the same record.  The
+own, and take the weights of f(u) f(-u) and the diagram rows from the
+same record, which ``_class_log`` returns whole.  The
 closed-form tables run no step of the inversion that
 ``z_closed`` runs, and the inversion reads g off the powers of phi with
 no reciprocal.  No numerator kernel takes a degree: each reads it off
@@ -88,6 +89,19 @@ def test_hook_form_shares_no_convolution_and_localisation_keeps_no_cache():
         for alias in node.names
     }
     assert "functools" not in imported
+
+
+def test_only_the_class_log_names_its_memo():
+    """``_class_log`` returns its whole record, the diagram rows with the
+    weights, so no other function reads the memo ``_last_log``."""
+    readers = [
+        f"{path.name}: {node.name}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(inner, ast.Name) and inner.id == "_last_log" for inner in ast.walk(node))
+    ]
+    assert readers == ["localisation.py: _class_log"]
 
 
 def test_the_weights_of_F_come_only_from_the_class_log():

@@ -122,11 +122,11 @@ def integrals(name: str, surface: str, torus=TORUS_WEIGHTS[0], tautological=None
     column j of a diagram is a character s (i t1 + j t2) of O^[n], and
     the row of g on those characters joins the row of f, both moved to
     one scale."""
-    c, w, _ = _class_log(CLASSES[name], 2 * TOP)
+    c, w, _, _ = _class_log(CLASSES[name], 2 * TOP)
     scale = c
     if tautological:
         g, sign = tautological
-        c_g, w_g, _ = _class_log(CLASSES[g], 2 * TOP)
+        c_g, w_g, _, _ = _class_log(CLASSES[g], 2 * TOP)
         scale = math.lcm(c, c_g)
     charts = []
     for t1, t2 in chart_weights(SURFACES[surface], torus):

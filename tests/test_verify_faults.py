@@ -31,13 +31,14 @@ import ast
 import inspect
 
 from fractions import Fraction as Fr
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbfock import cli, closedform, localisation, series, verification
-from hilbfock.closedform import PRESET_NAMES, preset_class, tangent_tables
+from hilbfock.closedform import PRESET_NAMES, chern_character_class, preset_class, tangent_tables
 from hilbfock.localisation import z_series_hookform, z_series_residue
 from hilbfock.rings import DUALS, DualNumber
 from hilbfock.series import InternalCheckError, Series1, Series2
@@ -443,6 +444,39 @@ def test_an_even_a_k_of_the_dual_number_route_fails_the_chern_character_parity(m
     assert _fail_details(["--class", "chern-character", "--order", "8"], capsys) == {
         "parity": "a_2 = 1*eps but even-index coefficients must vanish"
     }
+
+
+def _chern_character_routes(N: int):
+    """f = 1 + eps (x^2 + x^4 + ...) known to N + 2, as the residue
+    route asks, with its closed form and tangent tables at N."""
+    f = chern_character_class(N + 1)
+    return f, cache(lambda: closedform.z_closed(f, N)), cache(lambda: tangent_tables(f, N))
+
+
+@pytest.mark.parametrize("N", [12, 21])
+def test_the_chern_character_passes_the_whole_chain_over_dual_numbers(N):
+    # the factorial formulas equal the eps-parts of the dual-number
+    # tables, whose log-exp identity holds on the closed-form Z, which
+    # equals the fixed-point sum and the residue extraction
+    f, closed, tables = _chern_character_routes(N)
+    assert verification._check_dual(N) == ""
+    assert verification._check_log_exp(closed(), tables()[1]) == ""
+    assert verification._check_triple(f, N, closed, tables) == ""
+
+
+def test_a_wrong_eps_sign_in_a_row_of_the_fixed_point_sum_fails_the_triple_agreement(monkeypatch):
+    hookform = verification.z_series_hookform
+
+    def flipped(f, N):
+        rows = list(hookform(f, N).rows)
+        rows[4] = tuple(DualNumber(v.value, -v.infinitesimal) for v in map(DualNumber.lift, rows[4]))
+        return Series2(tuple(rows), N, f.ring)
+
+    monkeypatch.setattr(verification, "z_series_hookform", flipped)
+    f, closed, tables = _chern_character_routes(12)
+    assert verification._check_triple(f, 12, closed, tables) == (
+        "first difference at x^0 y^4: closed form gives 10*eps, fixed-point sum gives -10*eps"
+    )
 
 
 def test_an_odd_layer_of_z_fails_the_parity_check(monkeypatch, capsys):
