@@ -26,7 +26,6 @@ from .closedform import (
     z_closed,
 )
 from .localisation import (
-    EquivariantClassVector,
     FixedPointBasisVector,
     equivariant_class_coeffs,
     hook_coefficient,
@@ -51,7 +50,6 @@ __all__ = [
     "CoeffTable",
     "DUALS",
     "DualNumber",
-    "EquivariantClassVector",
     "FixedPointBasisVector",
     "InsufficientOrderError",
     "NotInvertibleError",

@@ -57,7 +57,7 @@ from .closedform import (
     taut_tables,
     to_universal,
 )
-from .localisation import EquivariantClassVector, equivariant_class_coeffs
+from .localisation import equivariant_class_coeffs
 from .rings import Frozen
 from .series import InternalCheckError, Series1
 from .verification import verify_chern_character, verify_multiplicative
@@ -308,28 +308,28 @@ def cmd_equivariant(args: argparse.Namespace, spec: ClassSpec) -> int:
     return 0
 
 
-def _equivariant_text(label: str, args: argparse.Namespace, vector: EquivariantClassVector) -> str:
+def _equivariant_text(label: str, args: argparse.Namespace, vector: tuple) -> str:
     if args.format == "json":
         payload = {
             "class": label,
             "gamma": args.gamma,
-            "level": vector.n,
+            "level": args.level,
             "entries": [
                 {
                     "lambda0": list(pair.lambda0.parts),
                     "lambda1": list(pair.lambda1.parts),
                     "value": str(value),
                 }
-                for pair, value in vector.entries
+                for pair, value in vector
             ],
         }
         return _json_text(payload)
     if args.format == "csv":
-        rows = [[str(pair.lambda0), str(pair.lambda1), str(value)] for pair, value in vector.entries]
+        rows = [[str(pair.lambda0), str(pair.lambda1), str(value)] for pair, value in vector]
         return _csv_text(["lambda0", "lambda1", "value"], rows)
-    width = max(len(str(pair)) for pair, _ in vector.entries)
-    lines = [f"class {label}, twist gamma={args.gamma}, level {vector.n}\n\n"]
-    lines.extend(f"{str(pair).ljust(width)}  {value}\n" for pair, value in vector.entries)
+    width = max(len(str(pair)) for pair, _ in vector)
+    lines = [f"class {label}, twist gamma={args.gamma}, level {args.level}\n\n"]
+    lines.extend(f"{str(pair).ljust(width)}  {value}\n" for pair, value in vector)
     return "".join(lines)
 
 

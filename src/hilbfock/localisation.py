@@ -105,16 +105,6 @@ class FixedPointBasisVector(Frozen):
         return f"[{self.lambda0}, {self.lambda1}]"
 
 
-class EquivariantClassVector(Frozen):
-    """A class at level n expanded over the fixed-point basis.
-
-    ``entries`` is a tuple of (pair, value), in the deterministic
-    enumeration order of ``level_pairs``.
-    """
-
-    __slots__ = ("n", "entries")
-
-
 def level_pairs(n: int) -> tuple[FixedPointBasisVector, ...]:
     """All partition pairs with sizes summing to n, in a fixed order.
 
@@ -239,12 +229,13 @@ def pair_coefficient(f: Series1, pair: FixedPointBasisVector, gamma: int) -> Fra
     return f.ring.join((total if scale > 0 else -total,), abs(scale))[0]
 
 
-def equivariant_class_coeffs(f: Series1, gamma: int, n: int) -> EquivariantClassVector:
+def equivariant_class_coeffs(
+    f: Series1, gamma: int, n: int
+) -> tuple[tuple[FixedPointBasisVector, Fraction], ...]:
     """The level-n equivariant class over the fixed-point basis: the
-    ``pair_coefficient`` of each pair of ``level_pairs(n)``.  The class
-    series must be known to degree n."""
-    entries = tuple((pair, pair_coefficient(f, pair, gamma)) for pair in level_pairs(n))
-    return EquivariantClassVector(n, entries)
+    (pair, ``pair_coefficient``) of each pair, in ``level_pairs(n)``
+    order.  The class series must be known to degree n."""
+    return tuple((pair, pair_coefficient(f, pair, gamma)) for pair in level_pairs(n))
 
 
 def hook_coefficient(f: Series1, pair: FixedPointBasisVector) -> Fraction:

@@ -177,7 +177,7 @@ def _check_reduction(f: Series1, bound: int) -> str:
     """Each entry of the twist-2 vector that ``equivariant --gamma 2``
     prints, at each level up to bound, equals its hook form."""
     for n in range(bound + 1):
-        for pair, general in equivariant_class_coeffs(f, 2, n).entries:
+        for pair, general in equivariant_class_coeffs(f, 2, n):
             if general != (hooks := hook_coefficient(f, pair)):
                 return f"pair {pair}: general twist-2 coefficient {general} differs from hook form {hooks}"
     return ""

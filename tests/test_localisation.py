@@ -79,15 +79,15 @@ def test_level_one_coefficients_track_gamma():
 
 def test_equivariant_vector_examples():
     vec = equivariant_class_coeffs(one_plus_x(2), 2, 1)
-    assert [value for _, value in vec.entries] == [0, 0]
+    assert [value for _, value in vec] == [0, 0]
 
-    vec = dict(equivariant_class_coeffs(one_plus_x(2), 3, 1).entries)
+    vec = dict(equivariant_class_coeffs(one_plus_x(2), 3, 1))
     assert vec[pair((1,), ())] == 0
     assert vec[pair((), (1,))] == 1
 
 
 def test_gamma_three_level_two_chern_values():
-    vec = dict(equivariant_class_coeffs(one_plus_x(4), 3, 2).entries)
+    vec = dict(equivariant_class_coeffs(one_plus_x(4), 3, 2))
     assert vec[pair((2,), ())] == Fr(-5, 2)
     assert vec[pair((1, 1), ())] == Fr(-5, 2)
     assert vec[pair((1,), (1,))] == 3

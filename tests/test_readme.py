@@ -27,7 +27,7 @@ def test_library_use_example_prints_its_values():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(block, str(README), "exec"), {})
-    assert out.getvalue().split() == ["-1/36", "-3/4"]
+    assert out.getvalue().split() == ["-1/36", "-3/4", "[(1),", "(1)]", "1/6"]
 
 
 def test_the_readme_shows_five_transcripts():
