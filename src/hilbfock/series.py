@@ -130,31 +130,22 @@ def multiply_graded_rows(
     formed over the lcm of a[d] b[e - d] and cancelled, so each row keeps
     the size of its own terms: for a series whose denominators grow with
     the degree, one denominator for the whole table would inflate the
-    low rows to the size of the top one.  A row that no pair of rows
-    meets has no term and is zero over 1, with no lcm and no cancel:
-    row 0 of any product by a constant-free series is such a row.  Only
-    the nonzero entries of B are visited.  Returns the rows and their
-    denominators.
+    low rows to the size of the top one.  Every row starts as zero over
+    1, and only the degrees where a pair of rows with terms meets are
+    formed, so a row that no pair meets, such as row 0 of any product
+    by a constant-free series, stays zero over 1.  The pairs are found
+    at each such degree; only the nonzero entries of B are visited.
+    Returns the rows and their denominators.
     """
-    # the nonzero entries of each row of B that has any, and the pairs
-    # of rows with terms that meet at each total degree
+    # the nonzero entries of each row of B that has any, and the rows of A that have a term
     n = min(len(A), len(B)) - 1
     nonzero = {k: [(i, v) for i, v in enumerate(row) if v] for k, row in enumerate(B) if any(row)}
-    meeting = [[] for _ in range(n + 1)]
-    for d, row in enumerate(A[: n + 1]):
-        if any(row):
-            for k in nonzero:
-                if d + k > n:
-                    break
-                meeting[d + k].append((d, k))
-    rows, denominators = [], []
-    for e, pairs in enumerate(meeting):
-        if not pairs:
-            rows.append([0] * (e + 1))
-            denominators.append(1)
-            continue
+    live = {d for d, row in enumerate(A[: n + 1]) if any(row)}
+    rows, denominators = [[0] * (e + 1) for e in range(n + 1)], [1] * (n + 1)
+    for e in {d + k for d in live for k in nonzero if d + k <= n}:
+        pairs = [(e - k, k) for k in nonzero if e - k in live]
         L = lcm(*(a[d] * b[k] for d, k in pairs))
-        target = [0] * (e + 1)
+        target = rows[e]
         for d, k in pairs:
             scale = L // (a[d] * b[k])
             terms = nonzero[k]
@@ -163,9 +154,7 @@ def multiply_graded_rows(
                     x = x * scale
                     for j, y in terms:
                         target[i + j] += x * y
-        target, L = ring.cancel(target, L)
-        rows.append(target)
-        denominators.append(L)
+        rows[e], denominators[e] = ring.cancel(target, L)
     return rows, denominators
 
 

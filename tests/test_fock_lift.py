@@ -38,6 +38,18 @@ both from 0, and h the hook product,
 and the same recurrence, with Q_d read off ``taut_tables`` and odd d
 included, ties them to the tautological table: the one witness of that
 table that shares no code with it.
+
+Its two-variable shadow reaches higher degree: the pairs of partitions
+with at most two rows, weighted by s_lambda0(x, y) s_lambda1(x, y) from
+``schur_two_vars``, sum to Z_taut, and ``_check_log_exp``, the body of
+``verify``'s log-exp-consistency line, checks log Z_taut against the
+tautological table.  The first two columns of
+Z_taut give the single-index table: with
+
+    a_taut(k, 1) = [x^k] (d/dy Z_taut(x, 0) / Z_taut(x, 0)) / 2,
+    1/g = 1/x + f_1 - sum over k >= 1 of a_taut(k, 1) x^k,
+
+a_taut(k) = [x^k] g / k.
 """
 
 from fractions import Fraction as Fr
@@ -53,7 +65,8 @@ from hilbfock.closedform import CoeffTable, chern_character_class, preset_class,
 from hilbfock.localisation import FixedPointBasisVector, equivariant_class_coeffs, level_pairs
 from hilbfock.partitions import Partition, enumerate_partitions, hook_product
 from hilbfock.rings import DUALS, QQ, DualNumber
-from hilbfock.series import Series1
+from hilbfock.series import Series1, Series2, reciprocal
+from hilbfock.symfun import schur_two_vars
 
 TOP = 6
 
@@ -73,6 +86,14 @@ TAUT_CLASSES["2/3,-4/9,-1/7"] = (CLASSES["2/3,-4/9,-1/7"], TOP)
 TAUT_CLASSES["2/3,-4/9,-1/7 at 7"] = (Series1(CLASSES["2/3,-4/9,-1/7"].coefficients, TOP + 2), TOP + 1)
 
 THREE_ROWS = Partition((2, 1, 1))
+
+# the level-8 lift and the two-row shadow to degree 12, read to degree 13
+DEEP = 12
+DEEP_CLASSES = {
+    "todd": preset_class("todd", DEEP + 1),
+    "a-hat": preset_class("a-hat", DEEP + 1),
+    "2/3,-4/9,-1/7": Series1(CLASSES["2/3,-4/9,-1/7"].coefficients, DEEP + 1),
+}
 
 
 def beta_set(parts: tuple) -> frozenset:
@@ -185,6 +206,57 @@ def taut_lift_mismatches(f: Series1, top: int, signs: tuple = (1, -1), table=Non
     against ``table`` when one is given, for n <= top."""
     Z = [lifted_level((pair, taut_entry(f, pair, signs)) for pair in level_pairs(n)) for n in range(top + 1)]
     return lift_mismatches(Z, taut_tables(f, top)[1] if table is None else table)
+
+
+def two_row_cell_products(f: Series1, N: int, sign: int) -> dict:
+    """The product of f(sign c u) over the cells, to u^N, for each
+    partition with at most two rows and at most N cells.  Each is the
+    product of a smaller one by the factor of its last cell: (a, b) with
+    b > 0 ends in the cell of content b - 2, (a) in that of content a - 1."""
+    products = {Partition(()): [Fr(1)] + [Fr(0)] * N}
+    for n in range(1, N + 1):
+        for b in range(n // 2 + 1):
+            a = n - b
+            smaller, c = (Partition((a, b - 1)), b - 2) if b else (Partition((a - 1,)), a - 1)
+            factor = [f.coefficient(k) * (sign * c) ** k for k in range(N + 1)]
+            head = products[smaller]
+            products[Partition((a, b))] = [
+                sum(head[i] * factor[m - i] for i in range(m + 1)) for m in range(N + 1)
+            ]
+    return products
+
+
+def z_taut(f: Series1, N: int, signs: tuple = (1, -1)) -> Series2:
+    """Z_taut to total degree N: v_taut(lambda0, lambda1) s_lambda0(x, y)
+    s_lambda1(x, y) summed over the pairs with at most two rows, with
+    v_taut built from one cell product per diagram and sign as in
+    ``taut_entry``.  Signs other than (1, -1) build a mutant."""
+    products = [two_row_cell_products(f, N, sign) for sign in signs]
+    rows = [[Fr(0)] * (n + 1) for n in range(N + 1)]
+    for lambda0, p0 in products[0].items():
+        for lambda1, p1 in products[1].items():
+            n = lambda0.size + lambda1.size
+            if n > N:
+                continue
+            u_n = sum(p0[i] * p1[n - i] for i in range(n + 1))
+            v = u_n / ((-1) ** lambda0.size * hook_product(lambda0) * hook_product(lambda1))
+            for i, x in enumerate(schur_two_vars(lambda0)):
+                for j, y in enumerate(schur_two_vars(lambda1)):
+                    if x * y:
+                        rows[n][i + j] += v * x * y
+    return Series2(tuple(map(tuple, rows)), N)
+
+
+def first_columns(f: Series1, N: int) -> tuple[dict, dict]:
+    """a_taut(k, 1) for k < N and a_taut(k) for k <= N, from the first two
+    columns of Z_taut to total degree N + 1."""
+    Z = z_taut(f, N + 1)
+    z0, z1 = (Series1([Z.coefficient(k, column) for k in range(N + 1)], N) for column in (0, 1))
+    quotient = z1 * reciprocal(z0)
+    a_k1 = {k: quotient.coefficient(k) / 2 for k in range(1, N)}
+    x_over_g = Series1([Fr(1), f.coefficient(1)] + [-a_k1[k] for k in range(1, N)], N)
+    g_over_x = reciprocal(x_over_g)
+    return a_k1, {k: g_over_x.coefficient(k - 1) / k for k in range(1, N + 1)}
 
 
 def test_characters_give_the_hook_length_formula_and_column_orthogonality():
@@ -304,3 +376,36 @@ def test_a_bumped_odd_degree_tautological_entry_fails_the_lift():
     table = taut_tables(todd, TOP)[1]
     bumped = CoeffTable(table.kind, table.max_degree, {**table.entries, (3, 2): table.entries[3, 2] + 1})
     assert taut_lift_mismatches(todd, TOP, table=bumped) == [(5, (3, 2))]
+
+
+@pytest.mark.parametrize("name", DEEP_CLASSES)
+def test_every_pair_of_the_vector_is_tied_to_the_tables_at_level_8(name):
+    # levels 7 and 8 add three-row partitions, such as (2, 2, 2, 1), that Z cannot see
+    assert fock_lift_mismatches(DEEP_CLASSES[name], 8) == []
+
+
+@pytest.mark.parametrize("name", DEEP_CLASSES)
+def test_the_two_row_tautological_sum_is_tied_to_the_tautological_table(name):
+    f = DEEP_CLASSES[name]
+    assert verification._check_log_exp(z_taut(f, DEEP), taut_tables(f, DEEP)[1]) == ""
+
+
+@pytest.mark.parametrize("name", DEEP_CLASSES)
+def test_the_first_columns_of_the_two_row_sum_give_the_single_index_table(name):
+    f, N = DEEP_CLASSES[name], 10
+    a_k, table = taut_tables(f, N)
+    a_k1, a_k_from_columns = first_columns(f, N)
+    assert a_k1 == {k: table.value(k, 1) for k in range(1, N)}
+    assert a_k_from_columns == a_k
+
+
+@pytest.mark.parametrize(
+    "signs, bump, first",
+    [((1, -1), {(3, 2): 1}, "x^0 y^5"), ((1, -1), {(7, 3): Fr(1, 10**6)}, "x^0 y^10"), ((-1, 1), {}, "x^0 y^3")],
+    ids=["a_taut(3,2)+1", "a_taut(7,3)+1e-6", "every-content-negated"],
+)
+def test_a_mutant_fails_the_two_row_tautological_sum(signs, bump, first):
+    todd, N = DEEP_CLASSES["todd"], 10
+    table = taut_tables(todd, N)[1]
+    bumped = CoeffTable(table.kind, N, {key: value + bump.get(key, 0) for key, value in table.entries.items()})
+    assert verification._check_log_exp(z_taut(todd, N, signs), bumped).startswith(f"first difference at {first}:")

@@ -161,6 +161,21 @@ def test_a_kernel_knows_no_coefficient_beyond_its_operands():
     assert list(power_chain(QQ, [1, 1], 2)) == [([1, 1], 1), ([1, 2], 1)]
 
 
+@pytest.mark.parametrize("ring", [QQ, DUALS], ids=["rational", "dual"])
+def test_rows_that_no_pair_meets_are_zero_over_one(ring):
+    # (x y)(x - y) has terms in row 3 only; a table with an empty middle
+    # row times itself leaves that row empty
+    c = ring.coerce(Fr(2, 3)) if ring is QQ else DualNumber(Fr(2, 3), Fr(-5, 7))
+    xy = oracle.series2_from_dict({(1, 1): c}, 4, ring)
+    x_minus_y = oracle.series2_from_dict({(1, 0): ring.one, (0, 1): -ring.one}, 4, ring)
+    gapped = oracle.series2_from_dict({(0, 0): ring.one, (2, 0): c, (0, 2): -c, (2, 1): c}, 3, ring)
+    for s, t, empty in ((xy, x_minus_y, [0, 1, 2, 4]), (gapped, gapped, [1])):
+        rows, d = multiply_graded_rows(ring, *zip(*map(ring.split, s.rows)), *zip(*map(ring.split, t.rows)))
+        assert [e for e, row in enumerate(rows) if not any(row)] == empty
+        assert all(rows[e] == [0] * (e + 1) and d[e] == 1 for e in empty)
+        assert Series2(tuple(map(ring.join, rows, d)), s.order, ring) == oracle.multiply2(s, t)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)

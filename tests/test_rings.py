@@ -86,6 +86,19 @@ def test_dual_hash_agrees_with_equality():
     assert hash(DualNumber(3, 0)) == hash(DualNumber(Fraction(3), Fraction(0)))
 
 
+def test_dual_refuses_a_string_under_every_operator():
+    d = DualNumber(1, 2)
+    for operate in (lambda: d + "x", lambda: "x" + d, lambda: d * "x", lambda: "x" * d, lambda: d / "x"):
+        with pytest.raises(TypeError):
+            operate()
+
+
+def test_dual_str_shows_only_the_parts_it_has():
+    assert str(DualNumber(Fraction(3, 2))) == "3/2"
+    assert str(DualNumber(0, Fraction(-1, 2))) == "-1/2*eps"
+    assert str(DualNumber(1, 2)) == "1 + 2*eps"
+
+
 def test_dual_truthiness():
     assert not DualNumber(0, 0)
     assert DualNumber(0, 1)

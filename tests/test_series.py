@@ -538,6 +538,11 @@ ILL_POSED = {
     "shift_up-1": (lambda: shift_up(s1(1, 2), -1), SeriesError, "shift amount must be non-negative"),
     "shift_down-1": (lambda: shift_down(s1(0, 2), -1), SeriesError, "shift amount must be non-negative"),
     "shift_down-past": (lambda: shift_down(s1(0, 2), 2), InsufficientOrderError, "shift exceeds"),
+    # a series multiplies only a series of its kind, and a Series2 adds only a constant of its ring
+    "series1-times-int": (lambda: s1(1, 2) * 2, TypeError, "unsupported operand"),
+    "series2-plus-str": (lambda: x_plus_y(2) + "x", TypeError, "unsupported operand"),
+    "series2-times-int": (lambda: x_plus_y(2) * 2, TypeError, "unsupported operand"),
+    "dual-coefficient-str": (lambda: Series1((DUALS.one, "x"), 1, DUALS), TypeError, "expected a dual number"),
     # every read of a degree, one past the order and at -1, over both rings
     **{
         f"{name}({degree})-{label}": (partial(_read, name, ring, degree), error, message)

@@ -17,7 +17,7 @@ from hilbfock.cli import ClassSpec
 from hilbfock.closedform import KIND_THEOREM, CoeffTable, preset_class
 from hilbfock.localisation import FixedPointBasisVector
 from hilbfock.partitions import Partition
-from hilbfock.rings import DUALS, QQ, DualNumber
+from hilbfock.rings import DUALS, QQ, DualNumber, Ring
 from hilbfock.series import Series1, Series2, log_numerators
 from hilbfock.verification import CheckResult
 
@@ -93,6 +93,14 @@ def test_rings_copy_and_pickle_as_themselves(ring):
     assert copy.copy(ring) is ring
     assert copy.deepcopy(ring) is ring
     assert pickle.loads(pickle.dumps(ring)) is ring
+
+
+def test_another_ring_copies_to_an_equal_ring():
+    # only QQ and DUALS copy by name; any other ring rebuilds from its fields
+    ring = Ring("QQ again", *QQ._fields()[1:])
+    twin = copy.copy(ring)
+    assert twin is not ring
+    assert twin == ring
 
 
 def test_deep_copied_series_multiplies_with_the_original():
