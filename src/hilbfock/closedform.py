@@ -208,36 +208,35 @@ def _power_tables(P: Series1, subtract_log: bool) -> tuple[dict, dict]:
             = sum over 1 <= m <= l of m A_k[k + m] A_l[l - m] / (k l D_k D_l)
 
     for k >= l >= 1 and k + l <= N.  ``subtract_log`` takes off the
-    mixed part of (log P)(g(x) - g(y)): with W_m = m [u^m] log P over Q,
-    it is the sum over 1 <= j <= l of (-1)^j j A_l[l - j] S_k[j] /
-    (k l D_k D_l Q), where S_k[j] = sum over 1 <= i <= k of
-    A_k[k - i] W_(i+j) C(i+j-1, i-1).  Both sweeps cost O(N^3) and visit
-    only the m with A_k[k - m] != 0: P is even for the tangent table, and
-    1 for the trivial class.  Each entry is joined once over its own
-    denominator.  N is the order of P: P is read to its own order.
+    mixed part of (log P)(g(x) - g(y)), which corrects A_k[k + m]: with
+    W_m = m [u^m] log P over Q, the kernel row of k is K_k[m] =
+    A_k[k + m] Q + (-1)^(m+1) S_k[m], with S_k[m] the sum over i <= k of
+    A_k[k - i] W_(i+m) C(i+m-1, i-1); else K_k[m] = A_k[k + m] and Q = 1.
+    Each entry is one sum over m of m A_l[l - m] K_k[m] / (k l D_k D_l Q),
+    joined once.  Rows and entries cost O(N^3) and visit only the i, m
+    with A_k[k - i], A_l[l - m] != 0: P is even for the tangent table,
+    and 1 for the trivial class.  P is read to its own order, N.
     """
     ring, N = P.ring, P.order
     A, D = zip(([1], 1), *power_chain(ring, P.coefficients, N))
     a_k = {k: ring.join((A[k][k - 1],), k * k * D[k])[0] for k in range(1, N + 1)}
     live = [[m for m in range(1, k + 1) if A[k][k - m]] for k in range(N + 1)]
-    Q = 1
+    # K[k][m] = A_k[k + m] for the m <= min(k, N - k) that the entries read
+    Q, K = 1, [A[k][k : min(2 * k, N) + 1] for k in range(N)]
     if subtract_log:
         R, Q = ring.split(series_log(P).coefficients)
         # V[j][i] = W_(i+j) C(i+j-1, i-1) = i C(i+j, i) R_(i+j), over Q
         V = [[R[i + j] * (i * math.comb(i + j, i)) for i in range(N - j + 1)] for j in range(N + 1)]
-        # S[k][j] for the j <= min(k, N - k) that the entries read
-        S = [
-            [sum(A[k][k - i] * V[j][i] for i in live[k]) for j in range(min(k, N - k) + 1)]
-            for k in range(N)
+        K = [
+            [c * Q + (-1) ** (m + 1) * sum(A[k][k - i] * V[m][i] for i in live[k]) for m, c in enumerate(row)]
+            for k, row in enumerate(K)
         ]
     entries = {}
     for total in range(2, N + 1):
         for k in range((total + 1) // 2, total):
             l = total - k
-            Ak, Al = A[k], A[l]
-            value = sum(Ak[k + m] * Al[l - m] * m for m in live[l]) * Q
-            if subtract_log:
-                value += sum(S[k][j] * Al[l - j] * (j if j % 2 else -j) for j in live[l])
+            Kk, Al = K[k], A[l]
+            value = sum(Kk[m] * Al[l - m] * m for m in live[l])
             entries[(k, l)] = ring.join((value,), k * l * D[k] * D[l] * Q)[0]
     return a_k, entries
 

@@ -183,20 +183,22 @@ def fock_lift_mismatches(f: Series1, top: int) -> list:
     return lift_mismatches(Z, tangent_tables(f, top)[1])
 
 
-def taut_entry(f: Series1, pair: FixedPointBasisVector, signs: tuple) -> Fr:
+def taut_entry(f: Series1, pair: FixedPointBasisVector, signs: tuple) -> Fr | DualNumber:
     """[u^n] of the product of f(s c u) over the cells of both diagrams,
     with c = column - row and s = signs[0] on lambda0 and signs[1] on
     lambda1, over (-1)^|lambda0| h(lambda0) h(lambda1), by one truncated
-    Fraction product per cell.  Signs (1, -1) give v_taut(lambda0,
-    lambda1); any other signs build a mutant."""
-    n = pair.level
-    product = [Fr(1)] + [Fr(0)] * n
+    product per cell over the ring of f.  Signs (1, -1) give
+    v_taut(lambda0, lambda1); any other signs build a mutant."""
+    n, ring = pair.level, f.ring
+    product = [ring.one] + [ring.zero] * n
     for partition, sign in zip((pair.lambda0, pair.lambda1), signs):
         for row, length in enumerate(partition.parts):
             for column in range(length):
                 c = sign * (column - row)
                 factor = [f.coefficient(k) * c**k for k in range(n + 1)]
-                product = [sum(product[i] * factor[m - i] for i in range(m + 1)) for m in range(n + 1)]
+                product = [
+                    sum((product[i] * factor[m - i] for i in range(m + 1)), ring.zero) for m in range(n + 1)
+                ]
     denominator = (-1) ** pair.lambda0.size * hook_product(pair.lambda0) * hook_product(pair.lambda1)
     return product[n] / denominator
 
@@ -210,10 +212,12 @@ def taut_lift_mismatches(f: Series1, top: int, signs: tuple = (1, -1), table=Non
 
 def two_row_cell_products(f: Series1, N: int, sign: int) -> dict:
     """The product of f(sign c u) over the cells, to u^N, for each
-    partition with at most two rows and at most N cells.  Each is the
-    product of a smaller one by the factor of its last cell: (a, b) with
-    b > 0 ends in the cell of content b - 2, (a) in that of content a - 1."""
-    products = {Partition(()): [Fr(1)] + [Fr(0)] * N}
+    partition with at most two rows and at most N cells, over the ring
+    of f.  Each is the product of a smaller one by the factor of its last
+    cell: (a, b) with b > 0 ends in the cell of content b - 2, (a) in that
+    of content a - 1."""
+    ring = f.ring
+    products = {Partition(()): [ring.one] + [ring.zero] * N}
     for n in range(1, N + 1):
         for b in range(n // 2 + 1):
             a = n - b
@@ -221,7 +225,7 @@ def two_row_cell_products(f: Series1, N: int, sign: int) -> dict:
             factor = [f.coefficient(k) * (sign * c) ** k for k in range(N + 1)]
             head = products[smaller]
             products[Partition((a, b))] = [
-                sum(head[i] * factor[m - i] for i in range(m + 1)) for m in range(N + 1)
+                sum((head[i] * factor[m - i] for i in range(m + 1)), ring.zero) for m in range(N + 1)
             ]
     return products
 
@@ -231,20 +235,21 @@ def z_taut(f: Series1, N: int, signs: tuple = (1, -1)) -> Series2:
     s_lambda1(x, y) summed over the pairs with at most two rows, with
     v_taut built from one cell product per diagram and sign as in
     ``taut_entry``.  Signs other than (1, -1) build a mutant."""
+    ring = f.ring
     products = [two_row_cell_products(f, N, sign) for sign in signs]
-    rows = [[Fr(0)] * (n + 1) for n in range(N + 1)]
+    rows = [[ring.zero] * (n + 1) for n in range(N + 1)]
     for lambda0, p0 in products[0].items():
         for lambda1, p1 in products[1].items():
             n = lambda0.size + lambda1.size
             if n > N:
                 continue
-            u_n = sum(p0[i] * p1[n - i] for i in range(n + 1))
+            u_n = sum((p0[i] * p1[n - i] for i in range(n + 1)), ring.zero)
             v = u_n / ((-1) ** lambda0.size * hook_product(lambda0) * hook_product(lambda1))
             for i, x in enumerate(schur_two_vars(lambda0)):
                 for j, y in enumerate(schur_two_vars(lambda1)):
                     if x * y:
                         rows[n][i + j] += v * x * y
-    return Series2(tuple(map(tuple, rows)), N)
+    return Series2(tuple(map(tuple, rows)), N, ring)
 
 
 def first_columns(f: Series1, N: int) -> tuple[dict, dict]:
@@ -345,12 +350,31 @@ def test_an_entry_moved_onto_its_mirror_pair_passes_the_lift_and_fails_the_reduc
 small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
 
+def random_class(data, ring, N: int) -> Series1:
+    """A class over ``ring`` with 1 to N + 1 random coefficients after the
+    constant 1, read to degree N + 1 as the tables at degree N ask."""
+    element = small_rationals if ring is QQ else st.builds(DualNumber, small_rationals, small_rationals)
+    tail = data.draw(st.lists(element, min_size=1, max_size=N + 1))
+    return Series1((ring.one, *tail), N + 1, ring)
+
+
 @settings(max_examples=20, deadline=None)
 @given(ring=st.sampled_from([QQ, DUALS]), N=st.integers(min_value=1, max_value=5), data=st.data())
 def test_the_tangent_lift_holds_for_random_classes_over_both_rings(ring, N, data):
-    element = small_rationals if ring is QQ else st.builds(DualNumber, small_rationals, small_rationals)
-    tail = data.draw(st.lists(element, min_size=1, max_size=N + 1))
-    assert fock_lift_mismatches(Series1((ring.one, *tail), N + 1, ring), N) == []
+    assert fock_lift_mismatches(random_class(data, ring, N), N) == []
+
+
+@settings(max_examples=20, deadline=None)
+@given(ring=st.sampled_from([QQ, DUALS]), N=st.integers(min_value=1, max_value=5), data=st.data())
+def test_the_tautological_lift_holds_for_random_classes_over_both_rings(ring, N, data):
+    assert taut_lift_mismatches(random_class(data, ring, N), N) == []
+
+
+@settings(max_examples=20, deadline=None)
+@given(ring=st.sampled_from([QQ, DUALS]), N=st.integers(min_value=1, max_value=8), data=st.data())
+def test_the_two_row_tautological_sum_holds_for_random_classes_over_both_rings(ring, N, data):
+    f = random_class(data, ring, N)
+    assert verification._check_log_exp(z_taut(f, N), taut_tables(f, N)[1]) == ""
 
 
 @pytest.mark.parametrize("name", TAUT_CLASSES)

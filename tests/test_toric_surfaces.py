@@ -48,6 +48,8 @@ from fractions import Fraction as Fr
 from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exp_oracle import series_exp
 from fraction_kernels import series_log
@@ -111,9 +113,10 @@ def rescaled(e: list, k: int) -> list:
 
 
 @cache
-def integrals(name: str, surface: str, torus=TORUS_WEIGHTS[0], tautological=None) -> tuple:
+def integrals(name, surface: str, torus=TORUS_WEIGHTS[0], tautological=None) -> tuple:
     """1 and the integrals of the class over S^[n] for 1 <= n <= TOP,
-    summed over the fixed points: [u^(2n)] of the product of f(w u) over
+    with the class and g below each a key of CLASSES or a series, summed
+    over the fixed points: [u^(2n)] of the product of f(w u) over
     the 2n tangent weights w, over the product of the weights.  Each
     diagram of each chart gets its row and weight product once.
 
@@ -122,11 +125,11 @@ def integrals(name: str, surface: str, torus=TORUS_WEIGHTS[0], tautological=None
     column j of a diagram is a character s (i t1 + j t2) of O^[n], and
     the row of g on those characters joins the row of f, both moved to
     one scale."""
-    c, w, _, _ = _class_log(CLASSES[name], 2 * TOP)
+    c, w, _, _ = _class_log(CLASSES.get(name, name), 2 * TOP)
     scale = c
     if tautological:
         g, sign = tautological
-        c_g, w_g, _, _ = _class_log(CLASSES[g], 2 * TOP)
+        c_g, w_g, _, _ = _class_log(CLASSES.get(g, g), 2 * TOP)
         scale = math.lcm(c, c_g)
     charts = []
     for t1, t2 in chart_weights(SURFACES[surface], torus):
@@ -162,10 +165,15 @@ def integrals(name: str, surface: str, torus=TORUS_WEIGHTS[0], tautological=None
     return tuple(totals)
 
 
-def log_integrals(name: str, surface: str, tautological=None) -> list:
+def log_integrals(name, surface: str, tautological=None) -> list:
     """The coefficients of q^1..q^TOP of L = log of the sum over n of q^n
     times the integral over S^[n]."""
     return list(series_log(Series1(integrals(name, surface, tautological=tautological), TOP)).coefficients[1:])
+
+
+def second_difference(first: list, middle: list, last: list) -> list:
+    """The second difference of three logs L_r, coefficient by coefficient in q."""
+    return [a - 2 * b + c for a, b, c in zip(first, middle, last)]
 
 
 def goettsche(e: int) -> list:
@@ -253,7 +261,7 @@ def test_the_log_of_the_integrals_is_affine_in_the_number_of_rays(name):
     coefficient in q."""
     L = [log_integrals(name, surface) for surface in BY_RAYS]
     for first, middle, last in zip(L, L[1:], L[2:]):
-        assert [a - 2 * b + c for a, b, c in zip(first, middle, last)] == [0] * TOP
+        assert second_difference(first, middle, last) == [0] * TOP
 
 
 @pytest.mark.parametrize("sign", (1, -1))
@@ -270,7 +278,7 @@ def test_the_log_of_the_tautological_integrals_is_affine_in_the_number_of_rays(f
     """Both second differences of L_3, ..., L_6 vanish for g(O^[n]) f(T)."""
     L = [log_integrals(f, surface, (g, sign)) for surface in BY_RAYS]
     for first, middle, last in zip(L, L[1:], L[2:]):
-        assert [a - 2 * b + c for a, b, c in zip(first, middle, last)] == [0] * TOP
+        assert second_difference(first, middle, last) == [0] * TOP
 
 
 @pytest.mark.parametrize(
@@ -292,3 +300,29 @@ def test_P2_and_P1xP1_give_the_closed_forms_of_the_universal_series(name, log_a,
     L3, L4 = log_integrals(name, "P2"), log_integrals(name, "P1xP1")
     assert [(9 * b - 8 * a) / 12 for a, b in zip(L3, L4)] == log_a
     assert [(4 * a - 3 * b) / 12 for a, b in zip(L3, L4)] == log_b
+
+
+# f = 1 + c_1 x + ... + c_4 x^4 with random rationals c_i of height <= 9
+random_classes = st.lists(st.builds(Fr, st.integers(-9, 9), st.integers(1, 9)), min_size=4, max_size=4).map(
+    lambda c: Series1((Fr(1), *c), 2 * TOP)
+)
+
+
+@settings(max_examples=10, deadline=None)
+@given(f=random_classes)
+def test_the_log_of_the_integrals_is_affine_in_the_number_of_rays_for_random_classes(f):
+    assert second_difference(*(log_integrals(f, surface) for surface in BY_RAYS[:3])) == [0] * TOP
+
+
+@settings(max_examples=10, deadline=None)
+@given(f=random_classes, g=random_classes, sign=st.sampled_from((1, -1)))
+def test_the_log_of_the_tautological_integrals_is_affine_in_the_number_of_rays_for_random_classes(f, g, sign):
+    assert second_difference(*(log_integrals(f, surface, (g, sign)) for surface in BY_RAYS[:3])) == [0] * TOP
+
+
+@settings(max_examples=10, deadline=None)
+@given(f=random_classes)
+def test_a_random_class_integrates_to_the_same_number_at_both_torus_weights(f):
+    for surface in ("P2", "hexagon"):
+        first, second = (integrals(f, surface, torus) for torus in TORUS_WEIGHTS)
+        assert first == second, surface
